@@ -7,9 +7,9 @@ inconclusive or not regular, 1 for errors.
 
 Reports are canonical JSON: UTF-8, lower_snake_case keys sorted, reals in
 shortest round-trip decimal form.  A report is a pure function of
-(manifest, seed, steps), so two runs produce byte-identical files; wall-clock
-per stage goes to stderr instead of the report.  The environment variable
-``PARACON_THREADS`` caps the worker count (0 or unset = auto).
+(manifest, seed, steps), so two runs produce byte-identical files.  Each
+pipeline stage runs once per run, and its wall-clock time goes to stderr
+instead of the report.
 """
 
 from __future__ import annotations
@@ -17,37 +17,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import time
+from collections import Counter
 
 import numpy as np
 
 from . import __version__
 from .bundle import BundleError
 from .expr import ExprError
-from .flag import (IrregularPoint, NotSym2Bundle, derived_flag,
-                   local_metricity, regularity_scan)
+from .flag import IrregularPoint, NotSym2Bundle, derived_flag
 from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
-                           GlobalVerdict, fixed_subspace, global_metricity)
+                           Analysis, GlobalVerdict, global_metricity)
 from .manifest import Manifest, ManifestError, load_manifest
-from .transport import DefectTooLarge, TransportError, holonomy_matrix
+from .transport import DefectTooLarge, TransportError
 
 __all__ = ["main", "run", "build_report", "canonical_json"]
 
 MATRIX_KIND_CAVEAT = ("fiber is an abstract bundle (kind=matrix): the metric "
                       "question is not posed; reporting flat-bundle data only")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("PARACON_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 8)
-    return n
 
 
 def _plain(obj):
@@ -79,27 +66,6 @@ def _finalize(report: dict) -> dict:
     body = canonical_json(report).encode("utf-8")
     report["report_digest"] = hashlib.sha256(body).hexdigest()
     return report
-
-
-class _Timer:
-    def __init__(self):
-        self.stages = []
-
-    def stage(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.stages.append((name, time.perf_counter() - self.t0))
-
-        return _Ctx()
-
-    def report(self, stream=sys.stderr):
-        for name, dt in self.stages:
-            print(f"[paracon] {name}: {dt:.3f}s", file=stream)
 
 
 def _scan_dict(scan):
@@ -153,22 +119,24 @@ def _verdict_dict(v: GlobalVerdict):
     return out
 
 
-def build_report(man: Manifest, command: str, max_workers: int = 1) -> tuple:
-    """Run the pipeline stages a command needs; returns (report, exit_code)."""
-    spec, tol, steps = man.spec, man.tolerances, man.steps
-    timer = _Timer()
-    effective_tol = dict(tol)
-    if effective_tol["stencil_h"] is None:
-        from .flag import default_stencil
-        effective_tol["stencil_h"] = default_stencil(spec)
+def build_report(man: Manifest, command: str) -> tuple:
+    """Report of the ``analyze`` or ``global`` command; returns
+    (report, exit_code).  Every stage is read from one staged analysis."""
+    spec, options = man.spec, man.pipeline_options()
+    inputs = (spec, man.base_point, man.loops, man.grid_axes)
+    # a Sym^2 verdict comes from the library entry point, and its analysis
+    # carries the stages read below, so none of them runs twice
+    verdict = (global_metricity(*inputs, **options)
+               if spec.kind == "christoffel" else None)
+    an = Analysis(*inputs, **options) if verdict is None else verdict.analysis
     report = {
         "tool_version": __version__,
         "command": command,
         "manifest_id": man.id,
         "manifest_digest": man.digest(),
         "effective": {
-            "tolerances": effective_tol,
-            "steps": steps,
+            "tolerances": dict(man.tolerances, stencil_h=an.stencil_h),
+            "steps": man.steps,
             "seed": man.seed,
             "pd_restarts": man.pd_restarts,
         },
@@ -176,90 +144,47 @@ def build_report(man: Manifest, command: str, max_workers: int = 1) -> tuple:
     }
     exit_code = 0
 
-    with timer.stage("regularity_scan"):
-        scan = regularity_scan(spec, man.grid_axes, tol["stencil_h"],
-                               tol["rank_tol"], max_workers)
+    scan = an.scan
     report["regularity"] = _scan_dict(scan)
+    report["flag_traces"] = [
+        {"point": p, "irregular": True} if tr is None else _trace_dict(tr)
+        for p, tr in zip(scan.points, scan.traces)]
+    report["local_metricity"] = None if spec.kind != "christoffel" else [
+        {"point": p, "locally_metric": None, "status": "irregular"}
+        if lm is None else
+        {"point": p, "locally_metric": lm.locally_metric,
+         "status": lm.status, "best_lambda": lm.best_lambda}
+        for p, lm in zip(scan.points, an.local)]
 
-    with timer.stage("flag_traces"):
-        mesh = np.meshgrid(*man.grid_axes, indexing="ij")
-        grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
-        traces, local = [], []
-        for p in grid_pts:
-            try:
-                tr = derived_flag(spec, p, tol["stencil_h"],
-                                  rank_tol=tol["rank_tol"])
-            except IrregularPoint:
-                traces.append({"point": p, "irregular": True})
-                local.append({"point": p, "locally_metric": None,
-                              "status": "irregular"})
-                continue
-            traces.append(_trace_dict(tr))
-            if spec.kind == "christoffel":
-                lm = local_metricity(spec, p, tr, tol["pd_tol"],
-                                     man.pd_restarts, man.seed)
-                local.append({"point": p, "locally_metric": lm.locally_metric,
-                              "status": lm.status,
-                              "best_lambda": lm.best_lambda})
-    report["flag_traces"] = traces
-    report["local_metricity"] = local if spec.kind == "christoffel" else None
+    try:
+        report["holonomy"] = [{"loop": h.loop_name, "matrix": h.matrix,
+                               "defect": h.defect} for h in an.holonomies]
+    except (IrregularPoint, DefectTooLarge) as exc:
+        report["holonomy"] = None
+        report["notes"] = [f"holonomy stage failed: {exc}"]
 
-    base_trace = None
-    holos = []
-    holonomy_failed = None
-    if command in ("analyze", "global"):
-        with timer.stage("holonomy"):
-            try:
-                base_trace = derived_flag(spec, man.base_point,
-                                          tol["stencil_h"],
-                                          rank_tol=tol["rank_tol"])
-                for loop in man.loops:
-                    holos.append(holonomy_matrix(
-                        spec, base_trace.point, base_trace.terminal, loop,
-                        steps["rk4"], tol["holonomy_tol"]))
-            except (IrregularPoint, DefectTooLarge) as exc:
-                holonomy_failed = str(exc)
-        report["holonomy"] = ([{"loop": h.loop_name, "matrix": h.matrix,
-                                "defect": h.defect} for h in holos]
-                              if holonomy_failed is None else None)
-        if holonomy_failed:
-            report.setdefault("notes", []).append(
-                f"holonomy stage failed: {holonomy_failed}")
-
-    if command in ("analyze", "global"):
-        if spec.kind == "christoffel":
-            with timer.stage("global_metricity"):
-                verdict = global_metricity(
-                    spec, man.base_point, man.loops, man.grid_axes,
-                    rank_tol=tol["rank_tol"], stencil_h=tol["stencil_h"],
-                    holonomy_tol=tol["holonomy_tol"],
-                    fixed_tol=tol["fixed_tol"], pd_tol=tol["pd_tol"],
-                    pd_restarts=man.pd_restarts, rk4_steps=steps["rk4"],
-                    quadrature_steps=steps["quadrature"],
-                    period_tol=tol["period_tol"], seed=man.seed,
-                    max_workers=max_workers)
-            report["global_verdict"] = _verdict_dict(verdict)
-            if verdict.status in ("inconclusive", "not_regular"):
-                exit_code = 2
+    if verdict is not None:
+        report["global_verdict"] = _verdict_dict(verdict)
+        if verdict.status in ("inconclusive", "not_regular"):
+            exit_code = 2
+    else:
+        # abstract fiber: report the flat-bundle answer instead
+        report["caveats"].append(MATRIX_KIND_CAVEAT)
+        report["global_verdict"] = None
+        if report["holonomy"] is None:
+            report["flat_bundle"] = None
+            exit_code = 2
         else:
-            # abstract fiber: report the flat-bundle answer instead
-            report["caveats"].append(MATRIX_KIND_CAVEAT)
-            report["global_verdict"] = None
-            if base_trace is not None and holonomy_failed is None:
-                fixed = fixed_subspace(holos, dim=base_trace.terminal.dim,
-                                       rank_tol=tol["rank_tol"],
-                                       fixed_tol=tol["fixed_tol"])
-                report["flat_bundle"] = {
-                    "wtilde_rank": base_trace.terminal.dim,
-                    "fixed_dim": fixed.dim,
-                    "fixed_basis": base_trace.terminal.basis @ fixed.basis,
-                    "parallel_frame": fixed.dim == base_trace.terminal.dim,
-                }
-            else:
-                report["flat_bundle"] = None
-                exit_code = 2
+            terminal, fixed = an.base_trace.terminal, an.fixed
+            report["flat_bundle"] = {
+                "wtilde_rank": terminal.dim,
+                "fixed_dim": fixed.dim,
+                "fixed_basis": terminal.basis @ fixed.basis,
+                "parallel_frame": fixed.dim == terminal.dim,
+            }
 
-    timer.report()
+    for name, seconds in an.timings:
+        print(f"[paracon] {name}: {seconds:.3f}s", file=sys.stderr)
     return _finalize(report), exit_code
 
 
@@ -277,6 +202,11 @@ def _format_text(report: dict) -> str:
     if tr:
         lines.append(f"  flag dims {tr['dims']}, terminal dim "
                      f"{tr['terminal_dim']}")
+    traces = report.get("flag_traces") or []
+    chains = Counter("irregular" if t.get("irregular") else str(t["dims"])
+                     for t in traces)
+    for chain, count in chains.items():
+        lines.append(f"  flag dims {chain} at {count} of {len(traces)} points")
     hol = report.get("holonomy")
     if hol:
         for h in ([hol] if isinstance(hol, dict) else hol):
@@ -338,7 +268,6 @@ def run(command: str, manifest_path: str, args) -> int:
         man.seed = int(args.seed)
     if args.steps is not None:
         man.steps = {"rk4": int(args.steps), "quadrature": int(args.steps)}
-    workers = worker_count()
 
     if command == "flag":
         point = _parse_point(args.point, man)
@@ -362,13 +291,13 @@ def run(command: str, manifest_path: str, args) -> int:
         if loop is None:
             print(f"no loop named {args.loop!r} in manifest", file=sys.stderr)
             return 1
-        tr = derived_flag(man.spec, man.base_point,
-                          man.tolerances["stencil_h"],
-                          rank_tol=man.tolerances["rank_tol"])
+        an = Analysis(man.spec, man.base_point, [loop], man.grid_axes,
+                      **man.pipeline_options())
         try:
-            h = holonomy_matrix(man.spec, tr.point, tr.terminal, loop,
-                                man.steps["rk4"],
-                                man.tolerances["holonomy_tol"])
+            h, = an.holonomies
+        except IrregularPoint as exc:
+            print(f"irregular base point: {exc}", file=sys.stderr)
+            return 2
         except DefectTooLarge as exc:
             print(f"holonomy defect too large: {exc}", file=sys.stderr)
             return 2
@@ -377,13 +306,13 @@ def run(command: str, manifest_path: str, args) -> int:
             "manifest_id": man.id, "manifest_digest": man.digest(),
             "holonomy": {"loop": h.loop_name, "matrix": h.matrix,
                          "defect": h.defect,
-                         "wtilde_rank": tr.terminal.dim},
+                         "wtilde_rank": an.base_trace.terminal.dim},
             "caveats": [CHART_ONLY_CAVEAT],
         })
         _write_report(report, args.out, args.format)
         return 0
 
-    report, code = build_report(man, command, workers)
+    report, code = build_report(man, command)
     _write_report(report, args.out, args.format)
     return code
 
@@ -395,7 +324,7 @@ def _run_corpus(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 1
-    checks, _ = run_entry(entry, max_workers=worker_count())
+    checks, _ = run_entry(entry)
     all_ok = True
     for c in checks:
         mark = "PASS" if c.ok else "FAIL"

@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from ..bundle import ConnectionSpec
-from ..expr import parse_expr
-from ..flag import derived_flag, local_metricity, principal_angles, regularity_scan
-from ..globalmetric import fixed_subspace, global_metricity
+from ..expr import compile_expr, parse_expr
+from ..flag import principal_angles
+from ..globalmetric import Analysis
 from ..manifest import Manifest, ManifestError, manifest_from_dict
-from ..transport import holonomy_matrix, parallel_extend, transport
+from ..transport import parallel_extend, transport
 
 __all__ = ["CorpusEntry", "CheckResult", "load_corpus", "get_entry",
            "run_entry", "ENTRY_IDS"]
@@ -76,7 +76,6 @@ def get_entry(entry_id: str) -> CorpusEntry:
 def _eval_vectors(spec: ConnectionSpec, exprs, point):
     """Evaluate a list of fiber coefficient expressions at a point."""
     env = spec.domain.env(np.asarray(point, dtype=float), spec.params)
-    from ..expr import compile_expr
     out = []
     for row in exprs:
         out.append([float(np.asarray(compile_expr(parse_expr(t))(env)).ravel()[0])
@@ -84,47 +83,52 @@ def _eval_vectors(spec: ConnectionSpec, exprs, point):
     return np.array(out).T  # columns are the declared vectors
 
 
-def run_entry(entry: CorpusEntry, overrides: Optional[dict] = None,
-              max_workers: int = 1):
-    """Run the pipeline on one entry and compare against its goldens."""
+def _analysis(man: Manifest) -> Analysis:
+    return Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
+                    **man.pipeline_options())
+
+
+def run_entry(entry: CorpusEntry, overrides: Optional[dict] = None):
+    """Run the pipeline on one entry and compare against its goldens.
+
+    Each check reads the stage it needs from one staged analysis, so no
+    stage runs twice and stages no check needs do not run at all.
+    """
     man = entry.manifest(overrides)
-    spec, tol, steps = man.spec, man.tolerances, man.steps
+    spec, steps = man.spec, man.steps
+    an = _analysis(man)
     exp = entry.expected
     checks = []
 
     def record(name, ok, detail=""):
         checks.append(CheckResult(name, bool(ok), detail))
 
-    scan = regularity_scan(spec, man.grid_axes, tol["stencil_h"],
-                           tol["rank_tol"], max_workers)
     if "regular" in exp:
-        record("regular", scan.regular_on_grid == exp["regular"]["value"],
-               f"regular_on_grid={scan.regular_on_grid}")
+        record("regular", an.scan.regular_on_grid == exp["regular"]["value"],
+               f"regular_on_grid={an.scan.regular_on_grid}")
     if "terminal_dims" in exp:
         want = exp["terminal_dims"]["value"]
         if isinstance(want, list):
-            ok = scan.dims == want
+            ok = an.scan.dims == want
         else:
-            ok = all(d == want for d in scan.dims)
-        record("terminal_dims", ok, f"dims={scan.dims}")
+            ok = all(d == want for d in an.scan.dims)
+        record("terminal_dims", ok, f"dims={an.scan.dims}")
     if "jumps_straddle" in exp:
         straddled = []
         for target in exp["jumps_straddle"]["value"]:
             hit = any(pa[0] < target < pb[0] or pb[0] < target < pa[0]
-                      for pa, pb, _, _ in scan.jumps)
+                      for pa, pb, _, _ in an.scan.jumps)
             straddled.append(hit)
         record("jumps_straddle", all(straddled),
-               f"jumps={[(a[0], b[0]) for a, b, _, _ in scan.jumps]}")
+               f"jumps={[(a[0], b[0]) for a, b, _, _ in an.scan.jumps]}")
 
     if "base_trace_dims" in exp:
-        tr = derived_flag(spec, man.base_point, tol["stencil_h"],
-                          rank_tol=tol["rank_tol"])
+        tr = an.base_trace
         record("base_trace_dims", tr.dims == exp["base_trace_dims"]["value"],
                f"dims={tr.dims}")
 
     if "terminal_direction" in exp:
-        tr = derived_flag(spec, man.base_point, tol["stencil_h"],
-                          rank_tol=tol["rank_tol"])
+        tr = an.base_trace
         want = _eval_vectors(spec, [exp["terminal_direction"]["value"]],
                              man.base_point)
         want /= np.linalg.norm(want)
@@ -136,53 +140,31 @@ def run_entry(entry: CorpusEntry, overrides: Optional[dict] = None,
         if spec.kind != "christoffel":
             record("local_metric_all", False, "not a Sym^2 bundle")
         else:
-            mesh = np.meshgrid(*man.grid_axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            verdicts = []
-            for p in pts:
-                tr = derived_flag(spec, p, tol["stencil_h"],
-                                  rank_tol=tol["rank_tol"])
-                verdicts.append(local_metricity(
-                    spec, p, tr, tol["pd_tol"], man.pd_restarts,
-                    man.seed).locally_metric)
+            verdicts = [lm is not None and lm.locally_metric
+                        for lm in an.local]
             record("local_metric_all",
                    all(verdicts) == exp["local_metric_all"]["value"],
                    f"true at {sum(verdicts)}/{len(verdicts)} points")
 
-    base_trace = None
-    if any(k in exp for k in ("holonomy", "fixed_dim", "fixed_direction",
-                              "loop_transport", "parallel_frame")):
-        base_trace = derived_flag(spec, man.base_point, tol["stencil_h"],
-                                  rank_tol=tol["rank_tol"])
-
-    holos = []
-    if base_trace is not None and man.loops:
-        for loop in man.loops:
-            holos.append(holonomy_matrix(spec, base_trace.point,
-                                         base_trace.terminal, loop,
-                                         steps["rk4"], tol["holonomy_tol"]))
-
     if "holonomy" in exp:
         for want in exp["holonomy"]:
-            h = next(x for x in holos if x.loop_name == want["loop"])
+            h = next(x for x in an.holonomies if x.loop_name == want["loop"])
             H = h.matrix
             if "basis" in want:
                 C = _eval_vectors(spec, want["basis"], man.base_point)
-                S = base_trace.terminal.basis.T @ C
+                S = an.base_trace.terminal.basis.T @ C
                 H = np.linalg.solve(S, H @ S)
             err = np.abs(H - np.array(want["matrix"])).max()
             record(f"holonomy[{want['loop']}]", err < want["tol"],
                    f"entry err {err:.2e}, defect {h.defect:.2e}")
 
     if "fixed_dim" in exp or "fixed_direction" in exp or "parallel_frame" in exp:
-        fixed = fixed_subspace(holos, dim=base_trace.terminal.dim,
-                               rank_tol=tol["rank_tol"],
-                               fixed_tol=tol["fixed_tol"])
+        fixed, terminal = an.fixed, an.base_trace.terminal
         if "fixed_dim" in exp:
             record("fixed_dim", fixed.dim == exp["fixed_dim"]["value"],
                    f"dim={fixed.dim}")
         if "fixed_direction" in exp:
-            fiber = base_trace.terminal.basis @ fixed.basis
+            fiber = terminal.basis @ fixed.basis
             want = _eval_vectors(spec, [exp["fixed_direction"]["value"]],
                                  man.base_point)
             want /= np.linalg.norm(want)
@@ -190,10 +172,10 @@ def run_entry(entry: CorpusEntry, overrides: Optional[dict] = None,
             record("fixed_direction", ang < exp["fixed_direction"]["tol"],
                    f"principal angle {ang:.2e}")
         if "parallel_frame" in exp:
-            has_frame = fixed.dim == base_trace.terminal.dim
+            has_frame = fixed.dim == terminal.dim
             record("parallel_frame",
                    has_frame == exp["parallel_frame"]["value"],
-                   f"fixed {fixed.dim} of {base_trace.terminal.dim}")
+                   f"fixed {fixed.dim} of {terminal.dim}")
 
     if "loop_transport" in exp:
         want = exp["loop_transport"]
@@ -225,14 +207,7 @@ def run_entry(entry: CorpusEntry, overrides: Optional[dict] = None,
     needs_global = any(k in exp for k in ("status", "rank_wm",
                                           "phi_period_max", "phi_periods"))
     if needs_global and spec.kind == "christoffel":
-        verdict = global_metricity(
-            spec, man.base_point, man.loops, man.grid_axes,
-            rank_tol=tol["rank_tol"], stencil_h=tol["stencil_h"],
-            holonomy_tol=tol["holonomy_tol"], fixed_tol=tol["fixed_tol"],
-            pd_tol=tol["pd_tol"], pd_restarts=man.pd_restarts,
-            rk4_steps=steps["rk4"], quadrature_steps=steps["quadrature"],
-            period_tol=tol["period_tol"], seed=man.seed,
-            max_workers=max_workers)
+        verdict = an.verdict
         if "status" in exp:
             record("status", verdict.status == exp["status"]["value"],
                    f"status={verdict.status}")
@@ -261,14 +236,7 @@ def run_entry(entry: CorpusEntry, overrides: Optional[dict] = None,
     if "controls" in exp:
         for i, ctrl in enumerate(exp["controls"]):
             man2 = entry.manifest({**(overrides or {}), **ctrl["params"]})
-            tr2 = derived_flag(man2.spec, man2.base_point, tol["stencil_h"],
-                               rank_tol=tol["rank_tol"])
-            holos2 = [holonomy_matrix(man2.spec, tr2.point, tr2.terminal, loop,
-                                      steps["rk4"], tol["holonomy_tol"])
-                      for loop in man2.loops]
-            fixed2 = fixed_subspace(holos2, dim=tr2.terminal.dim,
-                                    rank_tol=tol["rank_tol"],
-                                    fixed_tol=tol["fixed_tol"])
+            fixed2 = _analysis(man2).fixed
             record(f"control[{i}]", fixed2.dim == ctrl["fixed_dim"],
                    f"params {ctrl['params']}: fixed dim {fixed2.dim}")
 

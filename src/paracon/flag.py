@@ -442,10 +442,11 @@ def batch_terminal_bases(spec: ConnectionSpec, points,
 
 @dataclass
 class RegularityReport:
-    """Terminal flag dimensions over a sample grid with jump locations."""
+    """Derived flags over a sample grid with terminal-dimension jumps."""
 
     axes: list  # per-coordinate sample values
     points: np.ndarray  # (m, n) in row-major axis order
+    traces: list  # FlagTrace per point, None where IrregularPoint
     dims: list  # terminal dim per point, None where IrregularPoint
     regular_on_grid: bool
     jumps: list  # (point_a, point_b, dim_a, dim_b)
@@ -454,13 +455,13 @@ class RegularityReport:
 
 def regularity_scan(spec: ConnectionSpec, axes,
                     stencil_h: Optional[float] = None,
-                    rank_tol: float = DEFAULT_RANK_TOL,
-                    max_workers: int = 1) -> RegularityReport:
-    """Terminal flag dimension at every node of a product grid.
+                    rank_tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
+    """Derived flag at every node of a product grid.
 
-    ``axes`` is one list of sample values per coordinate.  IrregularPoint
-    failures are recorded (dim ``None``), not fatal.  The verdict is true
-    exactly when every point produced the same terminal dimension.
+    ``axes`` is one list of sample values per coordinate.  Every point's
+    :class:`FlagTrace` is kept; IrregularPoint failures are recorded (trace
+    and dim ``None``), not fatal.  The verdict is true exactly when every
+    point produced the same terminal dimension.
     """
     axes = [list(map(float, a)) for a in axes]
     if len(axes) != spec.n or any(len(a) == 0 for a in axes):
@@ -469,18 +470,13 @@ def regularity_scan(spec: ConnectionSpec, axes,
     shape = mesh[0].shape
     pts = np.stack([m.ravel() for m in mesh], axis=1)
 
-    def run(p):
+    traces = []
+    for p in pts:
         try:
-            return derived_flag(spec, p, stencil_h, rank_tol=rank_tol).dims[-1]
+            traces.append(derived_flag(spec, p, stencil_h, rank_tol=rank_tol))
         except IrregularPoint:
-            return None
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            dims = list(ex.map(run, pts))
-    else:
-        dims = [run(p) for p in pts]
+            traces.append(None)
+    dims = [None if tr is None else tr.dims[-1] for tr in traces]
 
     grid_dims = np.empty(shape, dtype=object)
     grid_dims.ravel()[:] = dims
@@ -496,10 +492,10 @@ def regularity_scan(spec: ConnectionSpec, axes,
                 pa = [axes[c][idx[c]] for c in range(len(axes))]
                 pb = [axes[c][jdx[c]] for c in range(len(axes))]
                 jumps.append((pa, pb, a, b))
-    seen = [d for d in dims if d is not None]
-    regular = (len(seen) == len(dims)) and len(set(seen)) == 1
+    regular = None not in dims and len(set(dims)) == 1
     irregular = [pts[i].tolist() for i, d in enumerate(dims) if d is None]
-    return RegularityReport(axes, pts, dims, regular, jumps, irregular)
+    return RegularityReport(axes, pts, traces, dims, regular, jumps,
+                            irregular)
 
 
 @dataclass

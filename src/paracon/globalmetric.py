@@ -16,7 +16,8 @@ verdict carries that caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import KW_ONLY, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,15 +25,16 @@ import numpy as np
 from . import pdcone
 from .bundle import ConnectionSpec, omega_stack
 from .expr import Expr, compile_expr
-from .flag import (DEFAULT_RANK_TOL, FlagTrace, IrregularPoint,
+from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
                    batch_terminal_bases, default_stencil, derived_flag,
-                   kernel_intersection, regularity_scan)
-from .transport import Curve, DefectTooLarge, HolonomyResult, holonomy_matrix
+                   kernel_intersection, local_metricity, regularity_scan)
+from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
+                        holonomy_matrix)
 
 __all__ = [
     "GlobalError", "RankNotOne", "GeneratorNotPD", "PhiSampler", "PhiPeriods",
-    "GlobalVerdict", "phi_form", "phi_periods", "fixed_subspace",
+    "GlobalVerdict", "Analysis", "phi_form", "phi_periods", "fixed_subspace",
     "invariant_inner_product", "global_metricity",
     "LOOP_GENERATION_CAVEAT", "CHART_ONLY_CAVEAT", "DEFAULT_FIXED_TOL",
 ]
@@ -251,14 +253,13 @@ def invariant_inner_product(s, h, hp) -> float:
 
 @dataclass
 class GlobalVerdict:
-    """Outcome of the global pipeline with certificates and diagnostics."""
+    """Outcome of the global pipeline with certificates and diagnostics; from
+    :func:`global_metricity` it carries the staged run in ``analysis``."""
 
     status: str  # metric | not_metric | inconclusive | not_regular
     regular_on_grid: bool
-    scan: Optional[RegularityReport] = None
-    trace: Optional[FlagTrace] = None
+    analysis: Optional["Analysis"] = field(default=None, repr=False)
     wtilde_rank: Optional[int] = None
-    holonomies: list = field(default_factory=list)
     fixed: Optional[Subspace] = None
     fixed_fiber_basis: Optional[np.ndarray] = None
     rank_wm: int = 0
@@ -266,8 +267,187 @@ class GlobalVerdict:
     pd_result: Optional[pdcone.PDResult] = None
     phi: Optional[PhiPeriods] = None
     period_tols: list = field(default_factory=list)
-    caveats: list = field(default_factory=list)
+    caveats: list = field(default_factory=lambda: [LOOP_GENERATION_CAVEAT,
+                                                   CHART_ONLY_CAVEAT])
     notes: list = field(default_factory=list)
+
+
+def _stage(method):
+    """Run-once stage of :class:`Analysis`: the first read keeps the value of
+    ``method`` or the flag or transport failure it raised, which later reads
+    return or raise again.  The stage's own time, without the stages it
+    pulled in, goes to ``Analysis.timings``."""
+    name = method.__name__
+
+    def get(self):
+        if name not in self._results:
+            outer, self._inner = self._inner, 0.0
+            t0 = time.perf_counter()
+            try:
+                self._results[name] = (method(self), None)
+            except (FlagError, TransportError) as exc:
+                self._results[name] = (None, exc)
+            finally:
+                elapsed = time.perf_counter() - t0
+                self.timings.append((name, elapsed - self._inner))
+                self._inner = outer + elapsed
+        value, exc = self._results[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    return property(get, doc=method.__doc__)
+
+
+@dataclass(eq=False)
+class Analysis:
+    """The pipeline for one connection, run lazily with each stage at most once.
+
+    The stages are attributes: ``scan`` (derived flag at every grid point),
+    ``local`` (local metricity at every grid point), ``base_trace`` (flag at
+    the base point), ``holonomies`` (one per declared loop), ``fixed`` (their
+    common fixed subspace) and ``verdict`` (PD feasibility of the fixed space
+    and the rank-one period cross-check).  Reading a stage runs the stages it
+    needs first.  The settings are those of :func:`global_metricity`.
+    """
+
+    spec: ConnectionSpec
+    point: np.ndarray
+    loops: Sequence[Curve]
+    grid_axes: list
+    _: KW_ONLY
+    rank_tol: float = DEFAULT_RANK_TOL
+    stencil_h: Optional[float] = None
+    holonomy_tol: float = 1e-5
+    fixed_tol: float = DEFAULT_FIXED_TOL
+    pd_tol: float = 1e-8
+    pd_restarts: int = 32
+    rk4_steps: int = 4096
+    quadrature_steps: int = 4096
+    period_tol: Optional[float] = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.stencil_h is None:
+            self.stencil_h = default_stencil(self.spec)
+        self.timings = []  # (stage, seconds) in the order the stages ran
+        self._results = {}
+        self._inner = 0.0  # time of the stages run inside the current one
+
+    @_stage
+    def scan(self) -> RegularityReport:
+        """Derived flag and terminal dimension at every grid point."""
+        return regularity_scan(self.spec, self.grid_axes, self.stencil_h,
+                               self.rank_tol)
+
+    @_stage
+    def local(self) -> list:
+        """LocalMetricity per grid point, None where the flag is irregular."""
+        return [None if tr is None else
+                local_metricity(self.spec, p, tr, self.pd_tol,
+                                self.pd_restarts, self.seed)
+                for p, tr in zip(self.scan.points, self.scan.traces)]
+
+    @_stage
+    def base_trace(self) -> FlagTrace:
+        """Derived flag at the base point."""
+        return derived_flag(self.spec, self.point, self.stencil_h,
+                            rank_tol=self.rank_tol)
+
+    @_stage
+    def holonomies(self) -> list:
+        """Holonomy of the terminal subspace around each declared loop."""
+        trace = self.base_trace
+        return [holonomy_matrix(self.spec, trace.point, trace.terminal, loop,
+                                self.rk4_steps, self.holonomy_tol)
+                for loop in self.loops]
+
+    @_stage
+    def fixed(self) -> Subspace:
+        """Common fixed subspace of the holonomies, in terminal coordinates."""
+        return fixed_subspace(self.holonomies,
+                              dim=self.base_trace.terminal.dim,
+                              rank_tol=self.rank_tol,
+                              fixed_tol=self.fixed_tol)
+
+    @_stage
+    def verdict(self) -> GlobalVerdict:
+        """Global metricity; see :func:`global_metricity`."""
+        spec = self.spec
+        if spec.kind != "christoffel":
+            raise NotSym2Bundle("global metricity is posed on the Sym^2 bundle")
+        if not self.scan.regular_on_grid:
+            return GlobalVerdict("not_regular", False, notes=[
+                "terminal dimension varies over the sample grid; the global "
+                "existence problem is not posed"])
+        try:
+            trace = self.base_trace
+        except IrregularPoint as exc:
+            return GlobalVerdict("inconclusive", True,
+                                 notes=[f"base-point flag failed: {exc}"])
+        wrank = trace.terminal.dim
+        if wrank == 0:
+            return GlobalVerdict("not_metric", True, wtilde_rank=0,
+                                 rank_tau_reported=0, notes=[
+                                     "terminal subspace is zero: no nonzero "
+                                     "parallel sections exist even locally"])
+        try:
+            fixed = self.fixed
+        except DefectTooLarge as exc:
+            return GlobalVerdict("inconclusive", True, wtilde_rank=wrank,
+                                 notes=[f"holonomy defect exceeded tolerance: "
+                                        f"{exc}"])
+        notes = []
+        fiber_basis = trace.terminal.basis @ fixed.basis  # (N, m)
+        m = fixed.dim
+
+        pd_res = None
+        if m == 0:
+            pd_status = "infeasible_certified"
+            notes.append("no holonomy-fixed directions: no global parallel "
+                         "sections at all")
+        else:
+            span = pdcone.SymSpan.from_fiber_vectors(spec.sym, fiber_basis)
+            pd_res = pdcone.pd_feasible(span, tol=self.pd_tol,
+                                        restarts=self.pd_restarts,
+                                        seed=self.seed)
+            pd_status = pd_res.status
+
+        status = {"feasible": "metric", "infeasible_certified": "not_metric",
+                  "inconclusive": "inconclusive"}[pd_status]
+        rank_wm = m if status == "metric" else 0
+
+        phi = None
+        period_tols = []
+        if wrank == 1 and self.loops:
+            try:
+                sampler = PhiSampler(spec, trace.point, trace.terminal,
+                                     stencil_h=self.stencil_h,
+                                     rank_tol=self.rank_tol,
+                                     pd_tol=self.pd_tol, seed=self.seed)
+                phi = phi_periods(sampler, self.loops, self.quadrature_steps)
+                period_tols = [(self.period_tol if self.period_tol is not None
+                                else 1e-4 * (1.0 + loop.length()))
+                               for loop in self.loops]
+                periods_zero = all(abs(p) < tol for p, tol
+                                   in zip(phi.periods, period_tols))
+                if status in ("metric", "not_metric"):
+                    if periods_zero != (status == "metric"):
+                        notes.append(
+                            "rank-one period criterion disagrees with the "
+                            "holonomy criterion; downgrading to inconclusive")
+                        status = "inconclusive"
+                        rank_wm = 0
+            except GeneratorNotPD as exc:
+                notes.append(f"de Rham route skipped: {exc}")
+            except (RankNotOne, IrregularPoint) as exc:
+                notes.append(f"de Rham route failed: {exc}")
+
+        return GlobalVerdict(status, True, wtilde_rank=wrank,
+                             fixed=fixed, fixed_fiber_basis=fiber_basis,
+                             rank_wm=rank_wm, rank_tau_reported=wrank - m,
+                             pd_result=pd_res, phi=phi,
+                             period_tols=period_tols, notes=notes)
 
 
 def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
@@ -281,97 +461,20 @@ def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
                      rk4_steps: int = 4096,
                      quadrature_steps: int = 4096,
                      period_tol: Optional[float] = None,
-                     seed: int = 0,
-                     max_workers: int = 1) -> GlobalVerdict:
+                     seed: int = 0) -> GlobalVerdict:
     """Full global pipeline: regularity scan, flag, holonomy, fixed subspace,
     PD feasibility, and the rank-one period cross-check.
 
     Regularity on the sample grid is a precondition of the global theory;
-    any dimension jump short-circuits to ``not_regular``.
+    any dimension jump short-circuits to ``not_regular``.  An irregular
+    base-point flag or a holonomy defect above ``holonomy_tol`` ends in
+    ``inconclusive``.  The verdict's ``analysis`` keeps every stage.
     """
-    if spec.kind != "christoffel":
-        raise NotSym2Bundle("global metricity is posed on the Sym^2 bundle")
-    caveats = [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT]
-    notes = []
-    if stencil_h is None:
-        stencil_h = default_stencil(spec)
-
-    scan = regularity_scan(spec, grid_axes, stencil_h, rank_tol, max_workers)
-    if not scan.regular_on_grid:
-        notes.append("terminal dimension varies over the sample grid; the "
-                     "global existence problem is not posed")
-        return GlobalVerdict("not_regular", False, scan=scan,
-                             caveats=caveats, notes=notes)
-
-    trace = derived_flag(spec, point, stencil_h, rank_tol=rank_tol)
-    wrank = trace.terminal.dim
-    if wrank == 0:
-        notes.append("terminal subspace is zero: no nonzero parallel "
-                     "sections exist even locally")
-        return GlobalVerdict("not_metric", True, scan=scan, trace=trace,
-                             wtilde_rank=0, rank_tau_reported=0,
-                             caveats=caveats, notes=notes)
-
-    holonomies = []
-    try:
-        for loop in loops:
-            holonomies.append(holonomy_matrix(spec, trace.point, trace.terminal,
-                                              loop, rk4_steps, holonomy_tol))
-    except DefectTooLarge as exc:
-        notes.append(f"holonomy defect exceeded tolerance: {exc}")
-        return GlobalVerdict("inconclusive", True, scan=scan, trace=trace,
-                             wtilde_rank=wrank, holonomies=holonomies,
-                             caveats=caveats, notes=notes)
-
-    fixed = fixed_subspace(holonomies, dim=wrank, rank_tol=rank_tol,
-                           fixed_tol=fixed_tol)
-    fiber_basis = trace.terminal.basis @ fixed.basis  # (N, m)
-    m = fixed.dim
-
-    pd_res = None
-    if m == 0:
-        pd_status = "infeasible_certified"
-        notes.append("no holonomy-fixed directions: no global parallel "
-                     "sections at all")
-    else:
-        span = pdcone.SymSpan.from_fiber_vectors(spec.sym, fiber_basis)
-        pd_res = pdcone.pd_feasible(span, tol=pd_tol, restarts=pd_restarts,
-                                    seed=seed)
-        pd_status = pd_res.status
-
-    status = {"feasible": "metric", "infeasible_certified": "not_metric",
-              "inconclusive": "inconclusive"}[pd_status]
-    rank_wm = m if status == "metric" else 0
-
-    phi = None
-    period_tols = []
-    if wrank == 1 and loops:
-        try:
-            sampler = PhiSampler(spec, trace.point, trace.terminal,
-                                 stencil_h=stencil_h, rank_tol=rank_tol,
-                                 pd_tol=pd_tol, seed=seed)
-            phi = phi_periods(sampler, loops, quadrature_steps)
-            period_tols = [(period_tol if period_tol is not None
-                            else 1e-4 * (1.0 + loop.length()))
-                           for loop in loops]
-            periods_zero = all(abs(p) < tol for p, tol
-                               in zip(phi.periods, period_tols))
-            if status in ("metric", "not_metric"):
-                if periods_zero != (status == "metric"):
-                    notes.append(
-                        "rank-one period criterion disagrees with the "
-                        "holonomy criterion; downgrading to inconclusive")
-                    status = "inconclusive"
-                    rank_wm = 0
-        except GeneratorNotPD as exc:
-            notes.append(f"de Rham route skipped: {exc}")
-        except (RankNotOne, IrregularPoint) as exc:
-            notes.append(f"de Rham route failed: {exc}")
-
-    return GlobalVerdict(status, True, scan=scan, trace=trace,
-                         wtilde_rank=wrank, holonomies=holonomies,
-                         fixed=fixed, fixed_fiber_basis=fiber_basis,
-                         rank_wm=rank_wm,
-                         rank_tau_reported=wrank - m,
-                         pd_result=pd_res, phi=phi, period_tols=period_tols,
-                         caveats=caveats, notes=notes)
+    an = Analysis(spec, point, loops, grid_axes, rank_tol=rank_tol,
+                  stencil_h=stencil_h, holonomy_tol=holonomy_tol,
+                  fixed_tol=fixed_tol, pd_tol=pd_tol, pd_restarts=pd_restarts,
+                  rk4_steps=rk4_steps, quadrature_steps=quadrature_steps,
+                  period_tol=period_tol, seed=seed)
+    # only the returned copy points at the analysis: a cached verdict that did
+    # would form a cycle keeping every stage alive until garbage collection
+    return replace(an.verdict, analysis=an)

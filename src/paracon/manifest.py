@@ -71,6 +71,12 @@ class Manifest:
     def digest(self) -> str:
         return manifest_digest(self.raw)
 
+    def pipeline_options(self) -> dict:
+        """Keyword settings of ``global_metricity`` and ``Analysis``."""
+        return dict(self.tolerances, pd_restarts=self.pd_restarts,
+                    rk4_steps=self.steps["rk4"],
+                    quadrature_steps=self.steps["quadrature"], seed=self.seed)
+
 
 def manifest_digest(doc: dict) -> str:
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"),

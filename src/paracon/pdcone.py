@@ -60,13 +60,6 @@ class SymSpan:
         c = np.asarray(coeff, dtype=float)
         return np.einsum("a,aij->ij", c, np.stack(self.matrices))
 
-    def gram_condition(self):
-        """Condition of the Gram matrix of the generators (independence record)."""
-        G = np.array([[np.tensordot(a, b) for b in self.matrices]
-                      for a in self.matrices])
-        ev = np.linalg.eigvalsh(G)
-        return float(ev[-1] / ev[0]) if ev[0] > 0 else np.inf
-
 
 @dataclass
 class PDResult:

@@ -1,0 +1,23 @@
+"""Smoke test of the benchmark in ``perfbench/``: one traced pass of the
+deep-flag workload must be correct and pass every tracer check.  Nothing here
+depends on timings."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_traced_deep_flag_pass_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "deep-flag",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    detail, result = json.loads(lines[-2]), json.loads(lines[-1])
+    assert result["correct"] is True, detail
+    assert detail["check_problems"] == []
+    assert result["failed"] == 0

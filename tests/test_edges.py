@@ -87,6 +87,39 @@ def test_global_downgrades_on_defect(monkeypatch, plane_spec):
     assert any("defect" in n for n in v.notes)
 
 
+def test_failed_stage_is_remembered_not_rerun(monkeypatch, plane_spec):
+    import paracon.globalmetric as gm
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise DefectTooLarge("synthetic defect")
+
+    monkeypatch.setattr(gm, "holonomy_matrix", broken)
+    from paracon.transport import Curve
+    loop = Curve(plane_spec.domain, [parse_expr("1"), parse_expr("t")],
+                 0.0, 2 * np.pi, name="c", params=plane_spec.params)
+    an = gm.Analysis(plane_spec, [1.0, 0.0], [loop], [[1.0, 2.0], [0.5]])
+    for _ in range(2):
+        with pytest.raises(DefectTooLarge, match="synthetic"):
+            an.holonomies
+    assert an.verdict.status == "inconclusive"
+    assert len(calls) == 1
+
+
+def test_global_verdict_frees_its_analysis_without_gc(flat_spec):
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        v = global_metricity(flat_spec, [0.0, 0.0], [], [[-1.0, 1.0], [0.0]])
+        ref = weakref.ref(v.analysis)
+        del v
+        assert ref() is None  # no reference cycle holds the stages
+    finally:
+        gc.enable()
+
+
 def test_pd_basis_via_feasibility_search():
     from paracon.pdcone import SymSpan, pd_basis
     span = SymSpan(2, [np.diag([1.0, -1.0]), np.eye(2)])

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +197,7 @@ def test_cli_text_format(tmp_path, capsys):
     main(["analyze", str(man), "--out", str(out), "--format", "text"])
     text = capsys.readouterr().out
     assert "global status: metric" in text
+    assert "flag dims [3] at 9 of 9 points" in text
     assert "caveat" in text
 
 
@@ -223,25 +226,36 @@ def test_reports_do_not_contain_wall_clock(tmp_path):
     assert "time" not in json.loads(out.read_text())
 
 
-def test_paracon_threads_env_var_caps_workers(tmp_path, monkeypatch):
-    from paracon.cli import worker_count
-    monkeypatch.setenv("PARACON_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("PARACON_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("PARACON_THREADS", "0")
-    assert worker_count() >= 1
-    # a threaded run produces the same bytes as a serial one
+def _count_calls(monkeypatch, module, name):
+    """Count calls of a paracon function at every module that imports it."""
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or mod_name.split(".")[0] != "paracon":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
+    # punctured-plane: 40 grid points and one loop
     man = _write_manifest(tmp_path, "punctured-plane")
-    monkeypatch.setenv("PARACON_THREADS", "4")
-    out1 = tmp_path / "threaded.json"
-    assert main(["analyze", str(man), "--out", str(out1),
+    scans = _count_calls(monkeypatch, "paracon.flag", "regularity_scan")
+    flags = _count_calls(monkeypatch, "paracon.flag", "derived_flag")
+    holos = _count_calls(monkeypatch, "paracon.transport", "holonomy_matrix")
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(man), "--out", str(out),
                  "--steps", "512"]) == 0
-    monkeypatch.setenv("PARACON_THREADS", "1")
-    out2 = tmp_path / "serial.json"
-    assert main(["analyze", str(man), "--out", str(out2),
-                 "--steps", "512"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert len(scans) == 1
+    assert len(flags) == 40 + 1  # every grid point, then the base point
+    assert len(holos) == 1
 
 
 def test_corrupted_corpus_file_is_reported(monkeypatch):

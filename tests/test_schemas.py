@@ -105,3 +105,43 @@ def test_matrix_kind_report_validates(tmp_path):
     out = tmp_path / "r.json"
     assert main(["analyze", str(man), "--out", str(out)]) == 0
     validate(json.loads(out.read_text()), schema, "matrix-analyze")
+
+
+IRREGULAR_BASE = {
+    "id": "irregular-base",
+    "coords": [{"name": "x", "range": [-2, 2]}, {"name": "y", "range": [-2, 2]}],
+    "connection": {"kind": "christoffel",
+                   "gamma": {"x": {"y,y": "if(x < 0, 0, x)"}}},
+    "base_point": [0.00001, 0.0],
+    "loops": [],
+    "grid": {"values": [[-1.0, -0.5], [-1.0, 0.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "global"])
+def test_irregular_base_point_is_inconclusive(tmp_path, command):
+    # the grid is regular, but the stencil at the base point straddles x = 0
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps(IRREGULAR_BASE))
+    out = tmp_path / "r.json"
+    assert main([command, str(man), "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    validate(report, _schema("report.schema.json"), command)
+    gv = report["global_verdict"]
+    assert report["regularity"]["regular_on_grid"] is True
+    assert gv["status"] == "inconclusive"
+    assert any("base-point flag failed" in n for n in gv["notes"])
+    assert report["holonomy"] is None
+    assert any("holonomy stage failed" in n for n in report["notes"])
+
+
+def test_irregular_base_point_holonomy_exits_two(tmp_path, capsys):
+    doc = dict(IRREGULAR_BASE, loops=[{
+        "name": "c", "exprs": ["0.00001 + 0.5*sin(t)", "0.5 - 0.5*cos(t)"],
+        "t_range": [0.0, 6.283185307179586]}])
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps(doc))
+    out = tmp_path / "h.json"
+    assert main(["holonomy", str(man), "--loop", "c", "--out", str(out)]) == 2
+    assert "irregular" in capsys.readouterr().err
+    assert not out.exists()
