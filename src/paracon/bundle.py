@@ -17,11 +17,12 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Expr, compile_expr, diff, free_names, parse_expr
+from .expr import Const, Expr, compile_expr, diff, free_names
 
 __all__ = [
     "Domain", "SymIndex", "ConnectionSpec", "BundleError",
@@ -168,6 +169,23 @@ class SymIndex:
             basis[a, j, i] = 1.0
         self.basis = basis
 
+    @cached_property
+    def gamma_action(self) -> np.ndarray:
+        """Linear map of G_k to the matrix of h -> G_k^T H + H G_k.
+
+        Shape (n^2, N^2): row ``l*n + i`` holds the action of the unit
+        ``G[l, i] = 1`` (upper l, lower i), column ``A*N + B`` the entry that
+        maps coefficient B to coefficient A.  Built on first use.
+        """
+        n, N, E = self.n, self.N, self.basis
+        M = np.zeros((n, n, N, N))  # [l, i, A, B]
+        for A, (a, b) in enumerate(self.pairs):
+            # (G^T E_B)[a, b] = G[l, a] E_B[l, b]
+            # (E_B G)[a, b] = E_B[a, l] G[l, b]
+            M[:, a, A, :] += E[:, :, b].T
+            M[:, b, A, :] += E[:, a, :].T
+        return M.reshape(n * n, N * N)
+
     def index_of(self, i, j):
         return self._index[(min(i, j), max(i, j))]
 
@@ -230,6 +248,7 @@ class ConnectionSpec:
         for e in domain.excluded:
             self._check_names(e, declared)
         self._compiled = None
+        self._conditions = None
 
     @staticmethod
     def _check_names(e: Expr, declared):
@@ -239,33 +258,43 @@ class ConnectionSpec:
 
     # -- compiled entry tables ------------------------------------------------
 
+    def _entries(self):
+        """Each connection entry as ``(index, expr)``; see :meth:`_tables`."""
+        if self.kind == "christoffel":
+            return [((k, l, i), e) for (l, k, i), e in self.gamma.items()]
+        return [((k, i, j), self.omega[i][j][k]) for i in range(self.N)
+                for j in range(self.N) for k in range(self.n)]
+
     def _tables(self):
+        """Compiled ``(index, fn)`` entries, skipping the constant +0.0.
+
+        Each index addresses, after the batch axis, the array that
+        :func:`_assemble` fills for :func:`omega_stack` or
+        :func:`_domega_stack`: ``G[k, l, i]`` and ``dG[d, k, l, i]`` for
+        Christoffel input, ``Omega[k, i, j]`` and ``dOmega[d, k, i, j]`` for
+        matrix input.  A skipped entry keeps the zero that array starts with;
+        a ``-0.0`` constant is kept, so every output bit is that of evaluating
+        all entries.
+        """
         if self._compiled is not None:
             return self._compiled
-        n, N = self.n, self.N
-        zero = compile_expr(parse_expr("0"))
-        if self.kind == "christoffel":
-            gam = [[[zero] * n for _ in range(n)] for _ in range(n)]
-            dgam = [[[[zero] * n for _ in range(n)] for _ in range(n)]
-                    for _ in range(n)]
-            for (l, k, i), e in self.gamma.items():
-                gam[l][k][i] = compile_expr(e)
-                for d, name in enumerate(self.domain.names):
-                    dgam[l][k][i][d] = compile_expr(diff(e, name))
-            self._compiled = ("christoffel", gam, dgam)
-        else:
-            om = [[[None] * n for _ in range(N)] for _ in range(N)]
-            dom = [[[[None] * n for _ in range(n)] for _ in range(N)]
-                   for _ in range(N)]
-            for i in range(N):
-                for j in range(N):
-                    for k in range(n):
-                        e = self.omega[i][j][k]
-                        om[i][j][k] = compile_expr(e)
-                        for d, name in enumerate(self.domain.names):
-                            dom[i][j][d][k] = compile_expr(diff(e, name))
-            self._compiled = ("matrix", om, dom)
+        entries = self._entries()
+        tab = [(idx, compile_expr(e)) for idx, e in entries if not _is_zero(e)]
+        dtab = []
+        for idx, e in entries:
+            for d, name in enumerate(self.domain.names):
+                de = diff(e, name)
+                if not _is_zero(de):
+                    dtab.append(((d,) + idx, compile_expr(de)))
+        self._compiled = (tab, dtab)
         return self._compiled
+
+    def _breakpoints(self):
+        """Compiled :meth:`piecewise_conditions`, built on first use."""
+        if self._conditions is None:
+            self._conditions = [compile_expr(c)
+                                for c in self.piecewise_conditions()]
+        return self._conditions
 
     def piecewise_conditions(self):
         """All (lhs - rhs) condition expressions appearing in the spec."""
@@ -281,10 +310,7 @@ class ConnectionSpec:
             elif isinstance(e, Binary):
                 walk(e.left); walk(e.right)
 
-        exprs = (list(self.gamma.values()) if self.kind == "christoffel"
-                 else [self.omega[i][j][k] for i in range(self.N)
-                       for j in range(self.N) for k in range(self.n)])
-        for e in exprs:
+        for _, e in self._entries():
             walk(e)
         return conds
 
@@ -292,93 +318,54 @@ class ConnectionSpec:
 def nudge_off_breakpoints(spec: ConnectionSpec, point, eps: float = 1e-12):
     """Shift a point landing exactly on a piecewise breakpoint by +eps."""
     p = np.array(point, dtype=float)
-    conds = spec.piecewise_conditions()
+    conds = spec._breakpoints()
     if not conds:
         return p
     env = spec.domain.env(p, spec.params)
-    for c in conds:
-        val = np.asarray(compile_expr(c)(env), dtype=float)
+    for fn in conds:
+        val = np.asarray(fn(env), dtype=float)
         if np.any(val == 0.0):
             return p + eps
     return p
 
 
-def _entry(fn, env, m):
-    """Evaluate a compiled entry and broadcast to batch length m."""
-    out = np.asarray(fn(env), dtype=float)
-    if out.shape != (m,):
-        out = np.broadcast_to(out, (m,)).copy()
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 0.0 and not np.signbit(e.value)
+
+
+def _assemble(spec: ConnectionSpec, table, points, lead, what) -> np.ndarray:
+    """Evaluate a compiled table over an (m, n) batch; shape (m, *lead, N, N).
+
+    Matrix entries fill the result directly.  Christoffel entries fill
+    ``G[m, *lead, l, i]``, which the linear Gamma action maps to the fiber.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m, n, N = pts.shape[0], spec.n, spec.N
+    env = spec.domain.env(pts, spec.params)
+    christoffel = spec.kind == "christoffel"
+    out = np.zeros((m, *lead) + ((n, n) if christoffel else (N, N)))
+    with np.errstate(all="ignore"):
+        for idx, fn in table:
+            out[(slice(None),) + idx] = fn(env)
+        if christoffel:
+            out = out.reshape(-1, n * n) @ spec.sym.gamma_action
+            out = np.negative(out, out=out).reshape(m, *lead, N, N)
+    if not np.all(np.isfinite(out)):
+        bad = pts[~np.all(np.isfinite(out), axis=tuple(range(1, out.ndim)))][0]
+        raise ExpressionEvalFailure(f"{what} not finite at {bad.tolist()}")
     return out
 
 
 def omega_stack(spec: ConnectionSpec, points) -> np.ndarray:
     """Connection matrices Omega_k over an (m, n) batch; shape (m, n, N, N)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    n, N = spec.n, spec.N
-    env = spec.domain.env(pts, spec.params)
-    kind, tab, _ = spec._tables()
-    with np.errstate(all="ignore"):
-        if kind == "christoffel":
-            G = np.zeros((m, n, n, n))  # G[m, k, l, i] = Gamma^l_{ki}
-            for (l, k, i), e in spec.gamma.items():
-                G[:, k, l, i] = _entry(tab[l][k][i], env, m)
-            omega = -_gamma_action(G, spec.sym)
-        else:
-            omega = np.zeros((m, n, N, N))
-            for i in range(N):
-                for j in range(N):
-                    for k in range(n):
-                        omega[:, k, i, j] = _entry(tab[i][j][k], env, m)
-    if not np.all(np.isfinite(omega)):
-        bad = pts[~np.all(np.isfinite(omega), axis=(1, 2, 3))][0]
-        raise ExpressionEvalFailure(
-            f"connection entries not finite at {bad.tolist()}")
-    return omega
+    return _assemble(spec, spec._tables()[0], points, (spec.n,),
+                     "connection entries")
 
 
 def _domega_stack(spec: ConnectionSpec, points) -> np.ndarray:
     """Partial derivatives d_d Omega_k; shape (m, n_d, n_k, N, N)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    n, N = spec.n, spec.N
-    env = spec.domain.env(pts, spec.params)
-    kind, _, dtab = spec._tables()
-    with np.errstate(all="ignore"):
-        if kind == "christoffel":
-            dG = np.zeros((m, n, n, n, n))  # dG[m, d, k, l, i]
-            for (l, k, i), e in spec.gamma.items():
-                for d in range(n):
-                    dG[:, d, k, l, i] = _entry(dtab[l][k][i][d], env, m)
-            out = np.empty((m, n, n, N, N))
-            for d in range(n):
-                out[:, d] = -_gamma_action(dG[:, d], spec.sym)
-        else:
-            out = np.zeros((m, n, n, N, N))
-            for i in range(N):
-                for j in range(N):
-                    for d in range(n):
-                        for k in range(n):
-                            out[:, d, k, i, j] = _entry(dtab[i][j][d][k], env, m)
-    if not np.all(np.isfinite(out)):
-        bad = pts[~np.all(np.isfinite(out), axis=(1, 2, 3, 4))][0]
-        raise ExpressionEvalFailure(
-            f"connection derivative not finite at {bad.tolist()}")
-    return out
-
-
-def _gamma_action(G, sym: SymIndex):
-    """Matrix of h -> G_k^T H + H G_k on SymIndex coefficients.
-
-    G has shape (m, n, n, n) indexed [batch, direction k, upper l, lower i];
-    returns (m, n, N, N).
-    """
-    E = sym.basis  # (N, n, n)
-    # (G_k^T E_B)_{ij} = sum_l G[l,i] E_B[l,j];  (E_B G_k)_{ij} = sum_l E_B[i,l] G[l,j]
-    act = np.einsum("mkli,Blj->mkBij", G, E) + np.einsum("Bil,mklj->mkBij", E, G)
-    # read row A of the action matrix: entry (i_A, j_A) of act[..., B, :, :]
-    rows = [act[:, :, :, i, j] for i, j in sym.pairs]
-    return np.stack(rows, axis=2)  # (m, k, A, B)
+    return _assemble(spec, spec._tables()[1], points, (spec.n, spec.n),
+                     "connection derivative")
 
 
 def curvature_pairs(n: int):

@@ -6,7 +6,7 @@ Grammar (tightest first): pow ``^`` (right assoc) > unary minus > ``* /`` >
 ``< <= > >=``.  The bare name ``pi`` parses as the constant.
 
 ASTs are immutable; :func:`evaluate` and :func:`diff` are pure, so expressions
-may be shared freely across worker threads.
+may be shared freely, as :func:`diff` does with subtrees of its input.
 """
 
 from __future__ import annotations

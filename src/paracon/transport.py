@@ -162,15 +162,17 @@ def transport(spec: ConnectionSpec, curve: Curve, v0, steps: int = 4096,
     single = v.ndim == 1
     if single:
         v = v[:, None]
-    A = _generator_stack(spec, curve, steps)
+    nA = _generator_stack(spec, curve, steps)
+    np.negative(nA, out=nA)
     h = (curve.t1 - curve.t0) / steps
+    half, sixth = 0.5 * h, h / 6.0
     for j in range(steps):
-        a0, am, a1 = A[2 * j], A[2 * j + 1], A[2 * j + 2]
-        k1 = -a0 @ v
-        k2 = -am @ (v + 0.5 * h * k1)
-        k3 = -am @ (v + 0.5 * h * k2)
-        k4 = -a1 @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a0, am, a1 = nA[2 * j], nA[2 * j + 1], nA[2 * j + 2]
+        k1 = a0 @ v
+        k2 = am @ (v + half * k1)
+        k3 = am @ (v + half * k2)
+        k4 = a1 @ (v + h * k3)
+        v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     residual = None
     if wtilde_end is not None:
         B = wtilde_end.basis

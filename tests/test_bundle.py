@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from paracon.bundle import (ConnectionSpec, Domain, PointOutsideDomain,
-                            SymIndex, connection_matrices, curvature_operators,
-                            curvature_pairs, nudge_off_breakpoints)
-from paracon.expr import EvalContext, diff, evaluate, parse_expr
+from paracon.bundle import (ConnectionSpec, Domain, ExpressionEvalFailure,
+                            PointOutsideDomain, SymIndex, connection_matrices,
+                            curvature_operators, curvature_pairs,
+                            curvature_stack, nudge_off_breakpoints,
+                            omega_stack, _domega_stack)
+from paracon.expr import EvalContext, compile_expr, diff, evaluate, parse_expr
 from paracon.transport import line_curve, transport
 
 
@@ -168,3 +170,92 @@ def test_nudge_off_breakpoints(pathology_spec):
 def test_curvature_pair_order():
     assert curvature_pairs(3) == [(0, 1), (0, 2), (1, 2)]
     assert curvature_pairs(1) == []
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _gamma_action_reference(G, sym):
+    """Einsum form of h -> G_k^T H + H G_k; (m, n, n, n) -> (m, n, N, N)."""
+    E = sym.basis
+    act = (np.einsum("mkli,Blj->mkBij", G, E)
+           + np.einsum("Bil,mklj->mkBij", E, G))
+    return np.stack([act[:, :, :, i, j] for i, j in sym.pairs], axis=2)
+
+
+def test_gamma_action_map_matches_einsum_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4):
+        sym = SymIndex(n)
+        for m in (1, 4097):
+            G = rng.standard_normal((m, n, n, n))
+            G[rng.random(G.shape) < 0.5] = 0.0
+            G[rng.random(G.shape) < 0.05] = -0.0
+            want = -_gamma_action_reference(G, sym)
+            got = -(G.reshape(m * n, n * n)
+                    @ sym.gamma_action).reshape(m, n, sym.N, sym.N)
+            assert _same_bits(got, want), (n, m)
+
+
+@pytest.fixture
+def mixed_matrix_spec():
+    # zero, nonzero-constant, parameter-only and coordinate-dependent
+    # entries; d/dy of "-x" is the constant -0.0
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    texts = [[["0", "x*y"], ["1.5", "0"], ["a^2", "-x"]],
+             [["sin(x) + y", "0"], ["0", "0"], ["2*a", "exp(y)*a"]],
+             [["-x", "0"], ["if(x < 0, x, 0)", "a*y^2"], ["0", "-1"]]]
+    omega = [[[parse_expr(t) for t in row] for row in rows] for rows in texts]
+    return ConnectionSpec(dom, kind="matrix", fiber_dim=3, params={"a": 0.7},
+                          omega=omega)
+
+
+def _naive_omega_and_curvature(spec, pts):
+    """Every entry and derivative compiled and evaluated on its own."""
+    m, n, N = pts.shape[0], spec.n, spec.N
+    env = spec.domain.env(pts, spec.params)
+
+    def value(e):
+        return np.broadcast_to(np.asarray(compile_expr(e)(env), dtype=float),
+                               (m,))
+
+    om = np.zeros((m, n, N, N))
+    dom = np.zeros((m, n, n, N, N))
+    for i in range(N):
+        for j in range(N):
+            for k in range(n):
+                e = spec.omega[i][j][k]
+                om[:, k, i, j] = value(e)
+                for d, name in enumerate(spec.domain.names):
+                    dom[:, d, k, i, j] = value(diff(e, name))
+    R = np.stack([dom[:, i, j] - dom[:, j, i] + om[:, i] @ om[:, j]
+                  - om[:, j] @ om[:, i] for i, j in curvature_pairs(n)],
+                 axis=1)
+    return om, dom, R
+
+
+def test_matrix_kind_assembly_matches_naive_per_entry(mixed_matrix_spec):
+    rng = np.random.default_rng(8)
+    for pts in (np.array([[0.0, 0.5]]), rng.uniform(-1.9, 1.9, (33, 2))):
+        om, dom, R = _naive_omega_and_curvature(mixed_matrix_spec, pts)
+        assert _same_bits(omega_stack(mixed_matrix_spec, pts), om)
+        assert _same_bits(_domega_stack(mixed_matrix_spec, pts), dom)
+        assert _same_bits(curvature_stack(mixed_matrix_spec, pts), R)
+
+
+@pytest.mark.parametrize("kind", ["matrix", "christoffel"])
+def test_non_finite_entry_raises(kind):
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    e = parse_expr("1/x")
+    if kind == "matrix":
+        spec = ConnectionSpec(dom, kind="matrix", fiber_dim=1,
+                              omega=[[[parse_expr("0"), e]]])
+    else:
+        spec = ConnectionSpec(dom, kind="christoffel", gamma={(0, 1, 0): e})
+    pts = np.array([[0.5, 0.1], [0.0, 0.3]])
+    with pytest.raises(ExpressionEvalFailure, match="not finite"):
+        omega_stack(spec, pts)
+    with pytest.raises(ExpressionEvalFailure, match="not finite"):
+        curvature_stack(spec, pts)
