@@ -102,19 +102,17 @@ class Domain:
                 return False
         return True
 
-    def excluded_near(self, point, params=None):
-        if not self.excluded:
-            return False
-        ctx_env = self.env(point, params or {})
-        for e in self.excluded:
-            fn = compile_expr(e)
-            val = np.asarray(fn(ctx_env), dtype=float)
-            if np.any(np.abs(val) < self.exclusion_radius):
-                return True
-        return False
+    @cached_property
+    def _excluded_fns(self):
+        """Compiled excluded-set expressions, built on first use."""
+        return [compile_expr(e) for e in self.excluded]
 
     def admissible(self, point, params=None):
-        return self.contains(point) and not self.excluded_near(point, params)
+        try:
+            self.require_admissible(point, params)
+        except PointOutsideDomain:
+            return False
+        return True
 
     def require_admissible(self, points, params=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -127,8 +125,8 @@ class Domain:
             raise PointOutsideDomain(f"point {bad.tolist()} outside chart box")
         if self.excluded:
             env = self.env(pts, params or {})
-            for e in self.excluded:
-                val = np.abs(np.asarray(compile_expr(e)(env), dtype=float))
+            for fn in self._excluded_fns:
+                val = np.abs(np.asarray(fn(env), dtype=float))
                 val = np.broadcast_to(val, (pts.shape[0],))
                 if np.any(val < self.exclusion_radius):
                     bad = pts[val < self.exclusion_radius][0]

@@ -9,13 +9,20 @@ as the level before the first) or hits zero.  The terminal subspace carries
 every local parallel section; for Christoffel connections it is a span of
 symmetric matrices and local metricity is positive-definite feasibility of
 that span.
+
+One batched engine computes every flag: ``_flag`` runs the level loop over
+an (m, n) batch, and its level steps :func:`curvature_kernel` and
+:func:`second_fundamental_kernel` take the whole batch, grouping points by
+dimension where an SVD needs one shape.  A stencil point whose dimension
+differs from its point's, at any depth of the recursion, makes that point
+irregular.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .bundle import (ConnectionSpec, curvature_stack,
                      nudge_off_breakpoints, omega_stack)
 
 __all__ = [
-    "Subspace", "FlagTrace", "RegularityReport", "FlagError",
+    "Subspace", "FlagLevel", "FlagTrace", "RegularityReport", "FlagError",
     "IrregularPoint", "MaxLevelsExceeded", "NotSym2Bundle", "EmptyGrid",
     "kernel_intersection", "curvature_kernel", "second_fundamental_kernel",
     "derived_flag", "regularity_scan", "local_metricity",
@@ -136,21 +143,40 @@ def principal_angles(a, b) -> np.ndarray:
     return angles
 
 
-def _kernel_from_svd(sv, vt, rank_tol, abs_floor):
-    """Shared rank decision: returns (mask of kernel directions, gap)."""
-    smax = sv[0] if len(sv) else 0.0
-    if smax < _TINY_SIGMA:
-        cutoff = _TINY_CUTOFF
-    else:
-        cutoff = max(rank_tol * smax, abs_floor)
-    mask = sv < cutoff
-    kept = sv[~mask]
-    dropped = sv[mask]
-    if kept.size and dropped.size and dropped.max() > 0:
-        gap = float(kept.min() / dropped.max())
-    else:
-        gap = math.inf
-    return mask, gap
+def _kernels(stack, rank_tol, abs_floor):
+    """Kernel of each matrix of an (m, rows, k) stack: the flag's one rank
+    decision.
+
+    The cutoff is ``max(rank_tol * sigma_max, abs_floor)``, or 1e-10 when
+    ``sigma_max < 1e-12``; singular values below it (padded zeros included)
+    are kernel directions.  Returns each kernel dim, each gap (smallest kept
+    over largest dropped singular value, inf when either side is empty or
+    exactly zero) and the right singular vectors ``vt``; matrix i's kernel
+    basis is ``vt[i, k - dims[i]:].T``.
+    """
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError("rank_tol must lie in (0, 1)")
+    m, _, k = stack.shape
+    _, sv, vt = np.linalg.svd(stack, full_matrices=True)
+    if sv.shape[1] < k:
+        sv = np.concatenate([sv, np.zeros((m, k - sv.shape[1]))], axis=1)
+    smax = sv[:, 0]
+    cutoff = np.where(smax < _TINY_SIGMA, _TINY_CUTOFF,
+                      np.maximum(rank_tol * smax, abs_floor))
+    dims = (sv < cutoff[:, None]).sum(axis=1)
+    rows = np.arange(m)
+    kept = sv[rows, np.maximum(k - dims - 1, 0)]
+    dropped = sv[rows, np.minimum(k - dims, k - 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.where((dims > 0) & (dims < k) & (dropped > 0),
+                        kept / dropped, math.inf)
+    return dims, gaps, vt
+
+
+def _groups(dims):
+    """``(d, indices)`` for each distinct value of an int array."""
+    for d in sorted(set(dims.tolist())):
+        yield d, np.flatnonzero(dims == d)
 
 
 def kernel_intersection(mats, rank_tol: float = DEFAULT_RANK_TOL,
@@ -161,29 +187,59 @@ def kernel_intersection(mats, rank_tol: float = DEFAULT_RANK_TOL,
     ``sigma_max < 1e-12``) count as kernel directions; ``abs_floor`` raises
     the cutoff for callers whose matrices carry known integration noise.
     """
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError("rank_tol must lie in (0, 1)")
     mats = [np.asarray(m, dtype=float) for m in mats]
     if not mats:
         raise ValueError("at least one matrix required")
     N = mats[0].shape[1]
-    stack = np.vstack(mats)
-    _, sv, vt = np.linalg.svd(stack, full_matrices=True)
-    sv = np.concatenate([sv, np.zeros(N - len(sv))])
-    mask, gap = _kernel_from_svd(sv, vt, rank_tol, abs_floor)
-    basis = vt[mask].T
-    return Subspace(N, basis, sv_gap=gap, rank_tol=rank_tol)
+    dims, gaps, vt = _kernels(np.vstack(mats)[None], rank_tol, abs_floor)
+    return Subspace(N, vt[0, N - dims[0]:].T, sv_gap=float(gaps[0]),
+                    rank_tol=rank_tol)
 
 
-def curvature_kernel(spec: ConnectionSpec, point,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """Level-0 flag subspace: common kernel of all curvature operators."""
-    p = np.asarray(point, dtype=float)
-    spec.domain.require_admissible(p, spec.params)
-    R = curvature_stack(spec, p)[0]
-    if R.shape[0] == 0:  # one-dimensional chart: no curvature constraints
-        return Subspace.full(spec.N)
-    return kernel_intersection(list(R), rank_tol)
+@dataclass
+class FlagLevel:
+    """Flag level ``level`` over an (m, n) batch of points.
+
+    Point i's subspace has the orthonormal basis ``bases[i, :, :dims[i]]``
+    (zero columns pad it to the batch's largest level-0 dim) and the rank gap
+    ``gaps[i]``; indexing gives it as a :class:`Subspace`.  A point that the
+    step making this level found irregular has dim -1 and its
+    :class:`IrregularPoint` in ``errors``, by index.
+    """
+
+    dims: np.ndarray  # (m,) int
+    bases: np.ndarray  # (m, N, D)
+    gaps: np.ndarray  # (m,)
+    rank_tol: float
+    level: int = 0
+    errors: dict = field(default_factory=dict)
+
+    def take(self, idx) -> "FlagLevel":
+        """The level at the points of the index array ``idx``; a copy."""
+        return FlagLevel(self.dims[idx], self.bases[idx], self.gaps[idx],
+                         self.rank_tol, self.level)
+
+    def __getitem__(self, i) -> Subspace:
+        return Subspace(self.bases.shape[1], self.bases[i, :, :self.dims[i]],
+                        sv_gap=float(self.gaps[i]), rank_tol=self.rank_tol)
+
+
+def curvature_kernel(spec: ConnectionSpec, points,
+                     rank_tol: float = DEFAULT_RANK_TOL) -> FlagLevel:
+    """Flag level 0 at one point or an (m, n) batch: the common kernel of all
+    curvature operators."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    spec.domain.require_admissible(pts, spec.params)
+    R = curvature_stack(spec, pts)
+    m, P, N, _ = R.shape
+    if P == 0:  # one-dimensional chart: no curvature constraints
+        return FlagLevel(np.full(m, N), np.broadcast_to(np.eye(N), (m, N, N)),
+                         np.full(m, math.inf), rank_tol)
+    dims, gaps, vt = _kernels(R.reshape(m, P * N, N), rank_tol, 0.0)
+    bases = np.zeros((m, N, dims.max(initial=0)))
+    for d, idx in _groups(dims):
+        bases[idx, :, :d] = vt[idx, N - d:].transpose(0, 2, 1)
+    return FlagLevel(dims, bases, gaps, rank_tol)
 
 
 def default_stencil(spec: ConnectionSpec) -> float:
@@ -196,68 +252,113 @@ def _alpha_floor(stencil_h: float) -> float:
     return max(_TINY_CUTOFF, 100.0 * stencil_h * stencil_h)
 
 
-def _align_bases(base, others):
-    """Rotate each basis in ``others`` to best match ``base`` (polar factor)."""
-    aligned = []
-    for B in others:
-        M = B.T @ base.basis
-        u, _, vt = np.linalg.svd(M)
-        aligned.append(B @ (u @ vt))
-    return aligned
+def _align(V, B):
+    """Rotate each basis of ``B`` (m, N, d) onto ``V`` (m, N, d) by the polar
+    factor of ``B^T V``."""
+    u, _, vt = np.linalg.svd(np.matmul(B.transpose(0, 2, 1), V))
+    return np.matmul(B, np.matmul(u, vt))
 
 
-def second_fundamental_kernel(spec: ConnectionSpec, point, V: Subspace,
+def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
                               stencil_h: float,
-                              rank_tol: float = DEFAULT_RANK_TOL,
-                              recompute: Optional[Callable] = None) -> Subspace:
-    """Kernel of the second fundamental form of V at a point.
+                              rank_tol: float = DEFAULT_RANK_TOL) -> FlagLevel:
+    """The next flag level after ``V`` at one point or an (m, n) batch: the
+    kernel of the second fundamental form of V.
 
-    ``recompute(q)`` must return the same-level subspace at a stencil point q;
-    it defaults to the curvature kernel, matching a level-0 input V.  The
-    scheme: recompute V at ``p +- h e_k``, fail with :class:`IrregularPoint`
-    on any dimension change, align the stencil bases to V(p) by projection
-    plus re-orthonormalization, centrally difference the tracked sections,
-    add the connection term, project onto the orthogonal complement of V(p),
-    and return the coefficient kernel pulled back into the fiber.
+    The scheme: compute V's level at the stencil points ``p +- h e_k``
+    with the flag engine, mark p irregular if any of them has another
+    dimension or is irregular itself, align the stencil bases to V(p) by the
+    polar factor, centrally difference the tracked sections, add the
+    connection term, project onto the orthogonal complement of V(p), and
+    pull the coefficient kernel back into the fiber.  A zero or full V is its
+    own kernel.
     """
-    p = np.asarray(point, dtype=float)
-    if V.dim == 0:
-        raise ValueError("V must be non-zero")
-    if recompute is None:
-        recompute = lambda q: curvature_kernel(spec, q, rank_tol)
-    n, N, d = spec.n, spec.N, V.dim
-    if d == N:
-        # zero quotient: every section is killed by the projection
-        return Subspace(N, V.basis, sv_gap=V.sv_gap, rank_tol=rank_tol)
-
-    plus, minus = [], []
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, N = spec.n, spec.N
+    out = V.take(np.arange(len(pts)))
+    out.level += 1
+    cut = np.flatnonzero((V.dims > 0) & (V.dims < N))
+    if not cut.size:
+        return out
+    stencil = []  # per shift s: (s, V's level at pts[cut] + s, errors)
     for k in range(n):
         e = np.zeros(n)
         e[k] = stencil_h
-        for sign, bucket in ((1.0, plus), (-1.0, minus)):
-            q = p + sign * e
-            spec.domain.require_admissible(q, spec.params)
-            sub = recompute(q)
-            if sub.dim != d:
-                raise IrregularPoint(p, level=None,
-                                     detail=f"dim {sub.dim} != {d} at {q.tolist()}")
-            bucket.append(sub.basis)
-    plus = _align_bases(V, plus)
-    minus = _align_bases(V, minus)
+        for s in (e, -e):
+            levels, _, errors = _flag(spec, pts[cut] + s, stencil_h, rank_tol,
+                                      depth=V.level)
+            stencil.append((s, levels[-1], errors))
+    bad = np.array([lv.dims != V.dims[cut] for _, lv, _ in stencil])
+    for r in map(int, np.flatnonzero(bad.any(axis=0))):
+        s, lv, errors = stencil[int(np.argmax(bad[:, r]))]
+        i = int(cut[r])
+        out.dims[i] = -1
+        out.errors[i] = IrregularPoint(pts[i], out.level, detail=(
+            str(errors[r]) if r in errors else
+            f"dim {lv.dims[r]} != {V.dims[i]} at {(pts[i] + s).tolist()}"))
+    good = np.flatnonzero(~bad.any(axis=0))
+    omega = omega_stack(spec, pts[cut[good]])
+    for d, g in _groups(V.dims[cut[good]]):
+        idx, r = cut[good[g]], good[g]
+        Vb = V.bases[idx, :, :d]
+        Pperp = np.eye(N) - np.matmul(Vb, Vb.transpose(0, 2, 1))
+        rows = []
+        for k in range(n):
+            plus, minus = (_align(Vb, stencil[j][1].bases[r, :, :d])
+                           for j in (2 * k, 2 * k + 1))
+            dB = (plus - minus) / (2.0 * stencil_h)
+            nabla = dB + np.matmul(omega[g, k], Vb)
+            rows.append(np.matmul(Pperp, nabla))
+        dims, gaps, vt = _kernels(np.concatenate(rows, axis=1), rank_tol,
+                                  _alpha_floor(stencil_h))
+        out.dims[idx], out.gaps[idx], out.bases[idx] = dims, gaps, 0.0
+        for dd, h in _groups(dims):
+            out.bases[idx[h], :, :dd] = np.matmul(
+                Vb[h], vt[h, d - dd:].transpose(0, 2, 1))
+    return out
 
-    omega = omega_stack(spec, p)[0]  # (n, N, N)
-    Pperp = np.eye(N) - V.basis @ V.basis.T
-    rows = []
-    for k in range(n):
-        dB = (plus[k] - minus[k]) / (2.0 * stencil_h)
-        nabla = dB + omega[k] @ V.basis  # (N, d) columns = nabla_k X_a
-        rows.append(Pperp @ nabla)
-    Y = np.vstack(rows)  # (n*N, d)
-    _, sv, vt = np.linalg.svd(Y, full_matrices=True)
-    sv = np.concatenate([sv, np.zeros(d - len(sv))])
-    mask, gap = _kernel_from_svd(sv, vt, rank_tol, _alpha_floor(stencil_h))
-    coeff = vt[mask].T  # (d, d')
-    return Subspace(N, V.basis @ coeff, sv_gap=gap, rank_tol=rank_tol)
+
+def _flag(spec, pts, stencil_h, rank_tol, depth=None, max_levels=None):
+    """The flag's one level loop, over an (m, n) batch of points.
+
+    With ``depth`` None each point runs until its dimension stabilizes or
+    dies, and one still running at level ``max_levels`` raises
+    :class:`MaxLevelsExceeded`; with an int ``depth`` every point runs to
+    that level, which the stencil of level ``depth + 1`` needs.  Returns the
+    levels (each over the whole batch; a point that stopped keeps its last
+    subspace), each point's last level, and the :class:`IrregularPoint` of
+    every point that a stencil dimension jump ended, by index.  ``None``
+    settings take the defaults: :func:`default_stencil` and N + 1 levels.
+    """
+    if stencil_h is None:
+        stencil_h = default_stencil(spec)
+    if max_levels is None:
+        max_levels = spec.N + 1
+    m = len(pts)
+    levels = [curvature_kernel(spec, pts, rank_tol)]
+    last = np.full(m, -1)
+    errors = {}
+    prev = np.full(m, spec.N)
+    while True:
+        cur = levels[-1]
+        stop = (((cur.dims == prev) | (cur.dims == 0)) if depth is None
+                else cur.level == depth)
+        last[(last < 0) & (stop | (cur.dims < 0))] = cur.level
+        active = np.flatnonzero(last < 0)
+        if not active.size:
+            return levels, last, errors
+        if depth is None and cur.level >= max_levels:
+            raise MaxLevelsExceeded(f"flag at {pts[active[0]].tolist()} did "
+                                    f"not stabilize in {max_levels} levels")
+        step = second_fundamental_kernel(spec, pts[active], cur.take(active),
+                                         stencil_h, rank_tol)
+        errors.update((int(active[j]), exc) for j, exc in step.errors.items())
+        nxt = cur.take(np.arange(m))
+        nxt.level += 1
+        nxt.dims[active], nxt.bases[active], nxt.gaps[active] = \
+            step.dims, step.bases, step.gaps
+        prev = cur.dims
+        levels.append(nxt)
 
 
 @dataclass
@@ -277,13 +378,21 @@ class FlagTrace:
         return self.levels[-1][2]
 
 
-def _subspace_at_level(spec, point, level, stencil_h, rank_tol):
-    if level == 0:
-        return curvature_kernel(spec, point, rank_tol)
-    prev = lambda q: _subspace_at_level(spec, q, level - 1, stencil_h, rank_tol)
-    V = prev(point)
-    return second_fundamental_kernel(spec, point, V, stencil_h,
-                                     rank_tol=rank_tol, recompute=prev)
+def _traces(spec, points, stencil_h, rank_tol, max_levels=None):
+    """Nudge each point off breakpoints and run the engine over all of them;
+    one FlagTrace per point, or its IrregularPoint."""
+    pts = np.array([nudge_off_breakpoints(spec, p) for p in points])
+    levels, last, errors = _flag(spec, pts, stencil_h, rank_tol,
+                                 max_levels=max_levels)
+    out = []
+    for i, p in enumerate(pts):
+        if i in errors:
+            out.append(errors[i])
+            continue
+        subs = [lv[i] for lv in levels[:last[i] + 1]]
+        out.append(FlagTrace(p, [(k, s.dim, s) for k, s in enumerate(subs)],
+                             stabilization_level=int(last[i])))
+    return out
 
 
 def derived_flag(spec: ConnectionSpec, point, stencil_h: Optional[float] = None,
@@ -293,121 +402,14 @@ def derived_flag(spec: ConnectionSpec, point, stencil_h: Optional[float] = None,
 
     Dimensions must strictly decrease before stabilization, so the level of
     stabilization never exceeds the fiber dimension; exceeding ``max_levels``
-    signals tolerance trouble and raises :class:`MaxLevelsExceeded`.
+    signals tolerance trouble and raises :class:`MaxLevelsExceeded`.  A
+    point on a piecewise breakpoint is first nudged off it.
     """
-    if stencil_h is None:
-        stencil_h = default_stencil(spec)
-    if max_levels is None:
-        max_levels = spec.N + 1
-    p = nudge_off_breakpoints(spec, point)
-    spec.domain.require_admissible(p, spec.params)
-
-    levels = []
-    prev_dim = spec.N
-    sub = curvature_kernel(spec, p, rank_tol)
-    level = 0
-    while True:
-        levels.append((level, sub.dim, sub))
-        if sub.dim == prev_dim or sub.dim == 0:
-            return FlagTrace(p, levels, stabilization_level=level)
-        if level >= max_levels:
-            raise MaxLevelsExceeded(
-                f"flag at {p.tolist()} did not stabilize in {max_levels} levels")
-        prev_dim = sub.dim
-        recompute = (lambda lv: (lambda q: _subspace_at_level(
-            spec, q, lv, stencil_h, rank_tol)))(level)
-        try:
-            sub = second_fundamental_kernel(spec, p, sub, stencil_h,
-                                            rank_tol=rank_tol,
-                                            recompute=recompute)
-        except IrregularPoint as exc:
-            raise IrregularPoint(p, level=level + 1, detail=str(exc)) from None
-        level += 1
-
-
-# ---------------------------------------------------------------------------
-# batched flag machinery (uniform dimensions across the batch)
-#
-# This mirrors the per-point pipeline above for callers that evaluate the
-# terminal subspace at thousands of points (period quadrature); a dimension
-# differing anywhere in the batch raises IrregularPoint.
-
-
-def _batch_cutoffs(sv, rank_tol, abs_floor):
-    smax = sv[:, 0] if sv.shape[1] else np.zeros(sv.shape[0])
-    cut = np.maximum(rank_tol * smax, abs_floor)
-    return np.where(smax < _TINY_SIGMA, _TINY_CUTOFF, cut)
-
-
-def _batch_kernel(stack, rank_tol, abs_floor):
-    """Kernels of a (m, rows, N) stack with a uniform-dimension requirement."""
-    m, rows, N = stack.shape
-    _, sv, vt = np.linalg.svd(stack, full_matrices=True)
-    if sv.shape[1] < N:
-        sv = np.concatenate([sv, np.zeros((m, N - sv.shape[1]))], axis=1)
-    cut = _batch_cutoffs(sv, rank_tol, abs_floor)
-    dims = (sv < cut[:, None]).sum(axis=1)
-    d = int(dims[0])
-    if not np.all(dims == d):
-        raise IrregularPoint(np.zeros(0), level=None,
-                             detail=f"kernel dims vary across batch "
-                                    f"({sorted(set(int(x) for x in dims))})")
-    if d == 0:
-        return np.zeros((m, N, 0))
-    return vt[:, N - d:, :].transpose(0, 2, 1)  # singular values descend
-
-
-def _batch_level0(spec, points, rank_tol):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    spec.domain.require_admissible(pts, spec.params)
-    R = curvature_stack(spec, pts)
-    m, P, N, _ = R.shape
-    if P == 0:
-        return np.broadcast_to(np.eye(N), (m, N, N)).copy()
-    return _batch_kernel(R.reshape(m, P * N, N), rank_tol, 0.0)
-
-
-def _batch_align(base, other):
-    """Rotate each basis in ``other`` (m, N, d) onto ``base`` (m, N, d)."""
-    M = np.einsum("mia,mib->mab", other, base)
-    u, _, vt = np.linalg.svd(M)
-    return np.einsum("mia,mab->mib", other, np.matmul(u, vt))
-
-
-def _batch_sff(spec, points, bases, stencil_h, rank_tol, recompute):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, N, d = bases.shape
-    n = spec.n
-    if d == N:
-        return bases
-    plus, minus = [], []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = stencil_h
-        for sign, bucket in ((1.0, plus), (-1.0, minus)):
-            sub = recompute(pts + sign * e)
-            if sub.shape[2] != d:
-                raise IrregularPoint(pts[0], level=None,
-                                     detail=f"stencil dim {sub.shape[2]} != {d}")
-            bucket.append(_batch_align(bases, sub))
-    omega = omega_stack(spec, pts)
-    proj = np.matmul(bases, bases.transpose(0, 2, 1))  # (m, N, N)
-    rows = []
-    for k in range(n):
-        dB = (plus[k] - minus[k]) / (2.0 * stencil_h)
-        nabla = dB + np.matmul(omega[:, k], bases)
-        rows.append(nabla - np.matmul(proj, nabla))
-    Y = np.concatenate(rows, axis=1)  # (m, n*N, d)
-    coeff = _batch_kernel(Y, rank_tol, _alpha_floor(stencil_h))
-    return np.matmul(bases, coeff)
-
-
-def _batch_bases_at_level(spec, points, level, stencil_h, rank_tol):
-    if level == 0:
-        return _batch_level0(spec, points, rank_tol)
-    prev = lambda q: _batch_bases_at_level(spec, q, level - 1, stencil_h, rank_tol)
-    bases = prev(points)
-    return _batch_sff(spec, points, bases, stencil_h, rank_tol, prev)
+    p = np.asarray(point, dtype=float)
+    tr, = _traces(spec, p[None], stencil_h, rank_tol, max_levels)
+    if isinstance(tr, IrregularPoint):
+        raise tr
+    return tr
 
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
@@ -417,27 +419,25 @@ def batch_terminal_bases(spec: ConnectionSpec, points,
     """Terminal flag bases over a batch of points; shape (m, N, d_terminal).
 
     Requires the flag dimensions to be uniform across the batch at every
-    level (IrregularPoint otherwise).
+    level: the first point that is irregular or whose dimensions differ from
+    the first point's raises :class:`IrregularPoint`, naming the level.
     """
-    if stencil_h is None:
-        stencil_h = default_stencil(spec)
-    if max_levels is None:
-        max_levels = spec.N + 1
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    prev_dim = spec.N
-    bases = _batch_level0(spec, pts, rank_tol)
-    level = 0
-    while True:
-        d = bases.shape[2]
-        if d == prev_dim or d == 0:
-            return bases
-        if level >= max_levels:
-            raise MaxLevelsExceeded("batched flag did not stabilize")
-        prev_dim = d
-        recompute = (lambda lv: (lambda q: _batch_bases_at_level(
-            spec, q, lv, stencil_h, rank_tol)))(level)
-        bases = _batch_sff(spec, pts, bases, stencil_h, rank_tol, recompute)
-        level += 1
+    levels, _, errors = _flag(spec, pts, stencil_h, rank_tol,
+                              max_levels=max_levels)
+    dims = np.stack([lv.dims for lv in levels], axis=1)  # (m, levels)
+    if 0 in errors:
+        raise errors[0]
+    differ = dims != dims[0]  # an irregular point's dim is -1
+    if differ.any():
+        i = int(np.argmax(differ.any(axis=1)))
+        if i in errors:
+            raise errors[i]
+        level = int(np.argmax(differ[i]))
+        raise IrregularPoint(pts[i], level, detail=(
+            f"flag dim {dims[i, level]} != {dims[0, level]} at the batch's "
+            f"first point {pts[0].tolist()}"))
+    return np.ascontiguousarray(levels[-1].bases[:, :, :dims[0, -1]])
 
 
 @dataclass
@@ -470,12 +470,8 @@ def regularity_scan(spec: ConnectionSpec, axes,
     shape = mesh[0].shape
     pts = np.stack([m.ravel() for m in mesh], axis=1)
 
-    traces = []
-    for p in pts:
-        try:
-            traces.append(derived_flag(spec, p, stencil_h, rank_tol=rank_tol))
-        except IrregularPoint:
-            traces.append(None)
+    traces = [None if isinstance(tr, IrregularPoint) else tr for tr in
+              _traces(spec, pts, stencil_h, rank_tol)]
     dims = [None if tr is None else tr.dims[-1] for tr in traces]
 
     grid_dims = np.empty(shape, dtype=object)

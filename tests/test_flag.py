@@ -46,34 +46,35 @@ def test_kernel_intersection_validates_rank_tol():
 
 
 def test_curvature_kernel_flat_full(flat_spec):
-    assert curvature_kernel(flat_spec, (0.1, 0.2)).dim == 3
+    assert curvature_kernel(flat_spec, (0.1, 0.2))[0].dim == 3
 
 
 def test_curvature_kernel_sphere(sphere_spec):
     for theta in (0.5, 1.2, 2.8):
-        assert curvature_kernel(sphere_spec, (theta, 0.3)).dim == 1
+        assert curvature_kernel(sphere_spec, (theta, 0.3))[0].dim == 1
 
 
 def test_curvature_kernel_pathology_middle_band(pathology_spec):
-    assert curvature_kernel(pathology_spec, (0.5, 0.0)).dim == 3
+    assert curvature_kernel(pathology_spec, (0.5, 0.0))[0].dim == 3
 
 
 def test_curvature_kernel_one_dimensional_chart(circle_line_spec):
-    assert curvature_kernel(circle_line_spec, (1.0,)).dim == 1
+    assert curvature_kernel(circle_line_spec, (1.0,))[0].dim == 1
 
 
 def test_sff_full_space_on_flat(flat_spec):
-    V = Subspace.full(3)
+    V = curvature_kernel(flat_spec, (0.0, 0.0))
+    assert V[0].dim == 3
     out = second_fundamental_kernel(flat_spec, (0.0, 0.0), V, 1e-4)
-    assert out.dim == 3
+    assert out[0].dim == 3
 
 
 def test_sff_sphere_kernel_survives(sphere_spec):
     p = (np.pi / 3, 1.0)
     V = curvature_kernel(sphere_spec, p)
-    out = second_fundamental_kernel(sphere_spec, p, V, 3e-4)
+    out = second_fundamental_kernel(sphere_spec, p, V, 3e-4)[0]
     assert out.dim == 1
-    assert principal_angles(out.basis, V.basis).max() < 1e-8
+    assert principal_angles(out.basis, V[0].basis).max() < 1e-8
 
 
 def test_sff_pathology_left_band_metric_direction(pathology_spec):
@@ -82,7 +83,7 @@ def test_sff_pathology_left_band_metric_direction(pathology_spec):
     f = 1.0 + np.exp(-1.0 / x ** 2)
     p = (x, 0.0)
     V = curvature_kernel(pathology_spec, p)
-    out = second_fundamental_kernel(pathology_spec, p, V, 2e-4)
+    out = second_fundamental_kernel(pathology_spec, p, V, 2e-4)[0]
     assert out.dim == 1
     want = np.array([1.0, f, 0.0])
     want /= np.linalg.norm(want)
@@ -371,5 +372,76 @@ def test_batched_terminal_matches_per_point(sphere_spec, dtheta_spec):
         pts = np.stack([rng.uniform(lo, hi, 5), rng.uniform(0, 6.2, 5)], axis=1)
         batch = batch_terminal_bases(spec, pts)
         for i, p in enumerate(pts):
-            single = derived_flag(spec, p).terminal.basis
-            assert principal_angles(batch[i], single).max() < 1e-10
+            assert np.array_equal(batch[i], derived_flag(spec, p).terminal.basis)
+
+
+def test_batched_terminal_names_the_first_differing_point(pathology_spec):
+    # the batch spans the band edge x0 = 0: flag [1, 1] left of it, [3] right
+    pts = np.array([[-0.5, 0.0], [-0.4, 0.0], [0.5, 0.0], [0.6, 0.0]])
+    with pytest.raises(IrregularPoint) as info:
+        batch_terminal_bases(pathology_spec, pts)
+    exc = info.value
+    assert np.array_equal(exc.point, pts[2])  # the first with flag [3]
+    assert isinstance(exc.level, int) and exc.level == 0
+
+
+def _deep_flag_spec():
+    # ROADMAP's N = 5 connection: flag [4, 3, 2, 2] for y > 0
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    z = parse_expr("0")
+    omega = [[[z, z] for _ in range(5)] for _ in range(5)]
+    omega[1][4] = [parse_expr("exp(y)"), z]
+    for i, j in ((2, 3), (4, 0), (0, 3)):
+        omega[i][j] = [z, parse_expr("y")]
+    return ConnectionSpec(dom, kind="matrix", fiber_dim=5, omega=omega)
+
+
+def _assert_scan_matches_derived_flag(spec, axes, stencil_h=None):
+    rep = regularity_scan(spec, axes, stencil_h)
+    irregular = []
+    for p, tr in zip(rep.points, rep.traces):
+        try:
+            want = derived_flag(spec, p, stencil_h)
+        except IrregularPoint:
+            assert tr is None
+            irregular.append(p.tolist())
+            continue
+        assert np.array_equal(tr.point, want.point)
+        assert tr.dims == want.dims
+        assert tr.stabilization_level == want.stabilization_level
+        for (_, _, a), (_, _, b) in zip(tr.levels, want.levels):
+            assert np.array_equal(a.basis, b.basis)
+            assert a.sv_gap == b.sv_gap
+    assert rep.irregular_points == irregular
+    return rep
+
+
+def test_regularity_scan_matches_derived_flag_bit_for_bit(pathology_spec):
+    from paracon.corpus import get_entry
+    man = get_entry("smooth-pathology").manifest()
+    rep = _assert_scan_matches_derived_flag(man.spec, man.grid_axes,
+                                            man.tolerances["stencil_h"])
+    assert set(rep.dims) == {1, 3}
+
+    xs = [-1.0, -0.5, -0.3, 0.25, 0.5, 0.75, 1.3, 1.5, 2.0]
+    rep = _assert_scan_matches_derived_flag(pathology_spec, [xs, [0.0, 0.3]],
+                                            0.35)
+    assert 0 < len(rep.irregular_points) < len(rep.traces)
+
+    rep = _assert_scan_matches_derived_flag(
+        _deep_flag_spec(), [[0.2, 0.5], [0.1, 0.4, 0.7]], 1e-3)
+    assert all(tr.dims == [4, 3, 2, 2] for tr in rep.traces)
+
+    # flag [1, 0] for x < 0 and [2, 1, 1] for x > 0: one second-fundamental
+    # step takes both level-0 dimensions at once, and the next step only
+    # the points that have not stopped
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    z = parse_expr("0")
+    omega = [[[z, z] for _ in range(3)] for _ in range(3)]
+    omega[0][2][0] = parse_expr("x")
+    omega[0][1][0] = parse_expr("if(x < 0, 1, 0)")
+    omega[1][0][1] = parse_expr("exp(x)")
+    spec = ConnectionSpec(dom, kind="matrix", fiber_dim=3, omega=omega)
+    rep = _assert_scan_matches_derived_flag(
+        spec, [[-0.7, -0.3, 0.4, 0.8], [-0.6, 0.5]])
+    assert [tr.dims for tr in rep.traces] == [[1, 0]] * 4 + [[2, 1, 1]] * 4

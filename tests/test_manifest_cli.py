@@ -249,12 +249,16 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     man = _write_manifest(tmp_path, "punctured-plane")
     scans = _count_calls(monkeypatch, "paracon.flag", "regularity_scan")
     flags = _count_calls(monkeypatch, "paracon.flag", "derived_flag")
+    kernels = _count_calls(monkeypatch, "paracon.flag", "curvature_kernel")
     holos = _count_calls(monkeypatch, "paracon.transport", "holonomy_matrix")
     out = tmp_path / "r.json"
     assert main(["analyze", str(man), "--out", str(out),
                  "--steps", "512"]) == 0
     assert len(scans) == 1
-    assert len(flags) == 40 + 1  # every grid point, then the base point
+    assert len(flags) == 1  # the base point; the scan is one batched call
+    # the flag is [3] everywhere, so each batch takes one level-0 step: one
+    # for the whole grid and one for the base point
+    assert len(kernels) == 2
     assert len(holos) == 1
 
 
