@@ -62,10 +62,21 @@ def canonical_json(doc: dict) -> str:
                       ensure_ascii=False) + "\n"
 
 
-def _finalize(report: dict) -> dict:
+def _finalize(report: dict) -> tuple:
+    """Add ``report_digest``, the sha256 of the canonical report without it,
+    and return the canonical report with it as UTF-8 pieces, encoded once:
+    the digest line goes between two views of the body."""
     body = canonical_json(report).encode("utf-8")
-    report["report_digest"] = hashlib.sha256(body).hexdigest()
-    return report
+    digest = hashlib.sha256(body).hexdigest()
+    report["report_digest"] = digest
+    # it goes before the next top-level key ("tool_version" is in every
+    # report); only top-level keys start a line with two spaces and a quote
+    after = json.dumps(min(k for k in report if k > "report_digest"),
+                       ensure_ascii=False)
+    at = body.index(f"\n  {after}: ".encode("utf-8")) + 1
+    view = memoryview(body)
+    return (view[:at], f'  "report_digest": "{digest}",\n'.encode("utf-8"),
+            view[at:])
 
 
 def _scan_dict(scan):
@@ -121,7 +132,8 @@ def _verdict_dict(v: GlobalVerdict):
 
 def build_report(man: Manifest, command: str) -> tuple:
     """Report of the ``analyze`` or ``global`` command; returns
-    (report, exit_code).  Every stage is read from one staged analysis."""
+    (report, its canonical JSON as the pieces from :func:`_finalize`,
+    exit_code).  Every stage is read from one staged analysis."""
     spec, options = man.spec, man.pipeline_options()
     inputs = (spec, man.base_point, man.loops, man.grid_axes)
     # a Sym^2 verdict comes from the library entry point, and its analysis
@@ -185,7 +197,7 @@ def build_report(man: Manifest, command: str) -> tuple:
 
     for name, seconds in an.timings:
         print(f"[paracon] {name}: {seconds:.3f}s", file=sys.stderr)
-    return _finalize(report), exit_code
+    return report, _finalize(report), exit_code
 
 
 def _format_text(report: dict) -> str:
@@ -230,9 +242,9 @@ def _format_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(report: dict, out_path: str, fmt: str):
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
+def _write_report(report: dict, pieces: tuple, out_path: str, fmt: str):
+    with open(out_path, "wb") as fh:
+        fh.writelines(pieces)
     if fmt == "text":
         sys.stdout.write(_format_text(report))
     else:
@@ -277,13 +289,13 @@ def run(command: str, manifest_path: str, args) -> int:
         except IrregularPoint as exc:
             print(f"irregular point: {exc}", file=sys.stderr)
             return 2
-        report = _finalize({
+        report = {
             "tool_version": __version__, "command": "flag",
             "manifest_id": man.id, "manifest_digest": man.digest(),
             "flag_trace": _trace_dict(tr),
             "caveats": [CHART_ONLY_CAVEAT],
-        })
-        _write_report(report, args.out, args.format)
+        }
+        _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
     if command == "holonomy":
@@ -301,19 +313,19 @@ def run(command: str, manifest_path: str, args) -> int:
         except DefectTooLarge as exc:
             print(f"holonomy defect too large: {exc}", file=sys.stderr)
             return 2
-        report = _finalize({
+        report = {
             "tool_version": __version__, "command": "holonomy",
             "manifest_id": man.id, "manifest_digest": man.digest(),
             "holonomy": {"loop": h.loop_name, "matrix": h.matrix,
                          "defect": h.defect,
                          "wtilde_rank": an.base_trace.terminal.dim},
             "caveats": [CHART_ONLY_CAVEAT],
-        })
-        _write_report(report, args.out, args.format)
+        }
+        _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
-    report, code = build_report(man, command)
-    _write_report(report, args.out, args.format)
+    report, pieces, code = build_report(man, command)
+    _write_report(report, pieces, args.out, args.format)
     return code
 
 

@@ -424,7 +424,9 @@ class Analysis:
                 sampler = PhiSampler(spec, trace.point, trace.terminal,
                                      stencil_h=self.stencil_h,
                                      rank_tol=self.rank_tol,
-                                     pd_tol=self.pd_tol, seed=self.seed)
+                                     pd_tol=self.pd_tol,
+                                     pd_restarts=self.pd_restarts,
+                                     seed=self.seed)
                 phi = phi_periods(sampler, self.loops, self.quadrature_steps)
                 period_tols = [(self.period_tol if self.period_tol is not None
                                 else 1e-4 * (1.0 + loop.length()))

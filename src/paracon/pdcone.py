@@ -6,11 +6,16 @@ the coefficients); a ``feasible`` answer always carries a Cholesky-verified
 combination and an ``infeasible_certified`` answer a PSD witness that is
 trace-orthogonal to every generator.  When neither certificate is reached the
 status ``inconclusive`` is reported rather than coerced.
+
+A screen precedes the ascent: every start (the generators, their negatives,
+plus and minus the trace direction, and the seeded random unit vectors, drawn
+once per ``(d, restarts, seed)``) goes through one batched ``eigvalsh``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -122,6 +127,19 @@ def _simplex_least_squares(T, iters=600):
     return w
 
 
+@lru_cache(maxsize=64)
+def _random_starts(d: int, restarts: int, seed: int) -> np.ndarray:
+    """The seeded random starts: ``restarts`` unit vectors in R^d as the rows
+    of one read-only array, start r drawn from the generator seeded
+    ``seed * 7919 + r``."""
+    out = np.empty((restarts, d))
+    for r in range(restarts):
+        c0 = np.random.default_rng(seed * 7919 + r).standard_normal(d)
+        out[r] = c0 / np.linalg.norm(c0)
+    out.flags.writeable = False
+    return out
+
+
 def pd_feasible(span: SymSpan, tol: float = 1e-8, restarts: int = 32,
                 seed: int = 0, iters: int = 300) -> PDResult:
     """Decide whether the span meets the open positive-definite cone.
@@ -140,21 +158,21 @@ def pd_feasible(span: SymSpan, tol: float = 1e-8, restarts: int = 32,
         U = np.eye(span.size) / span.size
         return PDResult("infeasible_certified", 0.0, witness=U)
 
-    starts = [np.eye(d)[a] for a in range(d)] + [-np.eye(d)[a] for a in range(d)]
+    # one row per start: e_a, -e_a, +-traces/|traces|, the random starts
+    eye = np.eye(d)
+    rows = [eye, -eye]
     traces = np.array([np.trace(S) for S in span.matrices])
     if np.linalg.norm(traces) > 0:
-        starts.append(traces / np.linalg.norm(traces))
-        starts.append(-traces / np.linalg.norm(traces))
-    for r in range(restarts):
-        rng = np.random.default_rng(seed * 7919 + r)
-        c0 = rng.standard_normal(d)
-        c0 /= np.linalg.norm(c0)
-        starts.append(c0)
+        unit = traces / np.linalg.norm(traces)
+        rows.append(np.stack([unit, -unit]))
+    starts = np.concatenate(rows + [_random_starts(d, restarts, seed)])
 
     # cheap screen: the start values alone often certify feasibility
-    start_vals = [np.linalg.eigvalsh(span.combine(c0))[0] for c0 in starts]
-    best_val = max(start_vals)
-    best_c = starts[int(np.argmax(start_vals))]
+    start_vals = np.linalg.eigvalsh(
+        np.einsum("ka,aij->kij", starts, stack))[:, 0]
+    # the first best start, copied so the result does not keep `starts` alive
+    k = int(np.argmax(start_vals))
+    best_val, best_c = start_vals[k], starts[k].copy()
     if best_val <= tol:
         order = np.argsort(start_vals)[::-1]
         for idx in order[:max(8, d + 2)]:
@@ -174,7 +192,7 @@ def pd_feasible(span: SymSpan, tol: float = 1e-8, restarts: int = 32,
     # dual side: look for a PSD witness among convex combinations of u u^T
     # (each recorded supergradient is the vector (u^T S_a u)_a for some u)
     us = []
-    for c0 in starts[:2 * d] + starts[:1]:
+    for c0 in [*starts[:2 * d], starts[0]]:
         A = span.combine(c0 / np.linalg.norm(c0))
         w, v = np.linalg.eigh(A)
         us.append(v[:, 0])

@@ -1,6 +1,6 @@
-"""Smoke test of the benchmark in ``perfbench/``: one traced pass of the
-deep-flag workload must be correct and pass every tracer check.  Nothing here
-depends on timings."""
+"""Smoke test of the benchmark in ``perfbench/``: one traced pass of a
+workload must be correct and pass every tracer check.  Nothing here depends
+on timings."""
 
 import json
 import os
@@ -10,9 +10,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_benchmark_traced_deep_flag_pass_is_correct():
+def _traced_pass(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "deep-flag",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -21,3 +21,13 @@ def test_benchmark_traced_deep_flag_pass_is_correct():
     assert result["correct"] is True, detail
     assert detail["check_problems"] == []
     assert result["failed"] == 0
+
+
+def test_benchmark_traced_deep_flag_pass_is_correct():
+    _traced_pass("deep-flag")
+
+
+def test_benchmark_traced_fine_grid_pass_is_correct():
+    # the tracer asserts that pd_feasible and local_metricity run here and
+    # that transport is bypassed
+    _traced_pass("fine-grid")

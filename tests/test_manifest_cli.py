@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from paracon.cli import main
+from paracon.cli import _finalize, canonical_json, main
 from paracon.corpus import ENTRY_IDS, get_entry, load_corpus
 from paracon.manifest import ManifestError, manifest_from_dict
 
@@ -276,3 +277,47 @@ def test_corrupted_corpus_file_is_reported(monkeypatch):
                         lambda *_: BadTraversable())
     with pytest.raises(ManifestError, match="corrupted"):
         corpus_mod.load_corpus()
+
+
+def _assert_canonical_with_digest(raw: bytes):
+    """The written bytes are the canonical JSON of the report they hold, and
+    the digest is the sha256 of the canonical report without it."""
+    doc = json.loads(raw)
+    assert raw == canonical_json(doc).encode("utf-8")
+    body = canonical_json({k: v for k, v in doc.items()
+                           if k != "report_digest"})
+    assert doc["report_digest"] == \
+        hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def test_finalize_splices_the_digest_at_its_sorted_place():
+    tricky = "a\n  \"tool_version\": x"  # escaped in JSON: no false match
+    for report in ({"z": [1, {"b": tricky}], "a": -0.0},
+                   {"tool_version": "1", "caveats": [], "s": tricky},
+                   {"report_c": {"report_e": 1}, "tool_version": "1"}):
+        raw = b"".join(_finalize(report))
+        assert raw == canonical_json(report).encode("utf-8")
+        _assert_canonical_with_digest(raw)
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_cli_reports_are_encoded_once_and_canonical(tmp_path, entry_id):
+    man = _write_manifest(tmp_path, entry_id)
+    for command in ("analyze", "global"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(man), "--out", str(out),
+                     "--steps", "512"]) in (0, 2)
+        _assert_canonical_with_digest(out.read_bytes())
+
+
+def test_cli_flag_and_holonomy_reports_are_canonical(tmp_path):
+    man = _write_manifest(tmp_path, "punctured-plane")
+    out = tmp_path / "flag.json"
+    assert main(["flag", str(man), "--point", "1.0,0.5",
+                 "--out", str(out)]) == 0
+    _assert_canonical_with_digest(out.read_bytes())
+    loop = get_entry("punctured-plane").manifest_doc["loops"][0]["name"]
+    out = tmp_path / "holonomy.json"
+    assert main(["holonomy", str(man), "--loop", loop, "--steps", "512",
+                 "--out", str(out)]) == 0
+    _assert_canonical_with_digest(out.read_bytes())

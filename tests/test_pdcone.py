@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from paracon.bundle import SymIndex
-from paracon.pdcone import NoPDElement, SymSpan, pd_basis, pd_feasible
+from paracon.pdcone import (NoPDElement, SymSpan, _random_starts, pd_basis,
+                            pd_feasible)
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -176,3 +179,138 @@ def test_determinism_for_fixed_seed():
     assert a.best_lambda == b.best_lambda
     if a.coefficients is not None:
         assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def _reference_pd_feasible(span, tol=1e-8, restarts=32, seed=0, iters=300):
+    """The per-start screen: a fresh generator for every random start, and
+    one ``combine`` and one ``eigvalsh`` per start.  The ascent and the dual
+    witness are the module's own."""
+    from paracon.pdcone import (PDResult, _ascend, _simplex_least_squares,
+                                _try_cholesky)
+    d = span.dim
+    stack = np.stack(span.matrices)
+    scale = max(np.linalg.norm(stack[a]) for a in range(d))
+    if scale == 0.0:
+        U = np.eye(span.size) / span.size
+        return PDResult("infeasible_certified", 0.0, witness=U)
+    starts = [np.eye(d)[a] for a in range(d)] + [-np.eye(d)[a] for a in range(d)]
+    traces = np.array([np.trace(S) for S in span.matrices])
+    if np.linalg.norm(traces) > 0:
+        starts.append(traces / np.linalg.norm(traces))
+        starts.append(-traces / np.linalg.norm(traces))
+    for r in range(restarts):
+        rng = np.random.default_rng(seed * 7919 + r)
+        c0 = rng.standard_normal(d)
+        c0 /= np.linalg.norm(c0)
+        starts.append(c0)
+    start_vals = [np.linalg.eigvalsh(span.combine(c0))[0] for c0 in starts]
+    best_val = max(start_vals)
+    best_c = starts[int(np.argmax(start_vals))]
+    if best_val <= tol:
+        order = np.argsort(start_vals)[::-1]
+        for idx in order[:max(8, d + 2)]:
+            val, c = _ascend(span, starts[idx], iters, scale, stop_above=tol)
+            if val > best_val:
+                best_val, best_c = val, c
+            if best_val > tol:
+                break
+    if best_val > tol:
+        A = span.combine(best_c)
+        L = _try_cholesky(A)
+        if L is not None:
+            return PDResult("feasible", float(best_val),
+                            coefficients=best_c, cholesky=L)
+    us = []
+    for c0 in starts[:2 * d] + starts[:1]:
+        w, v = np.linalg.eigh(span.combine(c0 / np.linalg.norm(c0)))
+        us.append(v[:, 0])
+    w, v = np.linalg.eigh(span.combine(best_c))
+    us.extend(v[:, i] for i in range(span.size))
+    T = np.array([np.einsum("i,aij,j->a", u, stack, u) for u in us])
+    weights = _simplex_least_squares(T / scale)
+    resid = np.abs(T.T @ weights)
+    if resid.max() < 10.0 * tol * scale:
+        U = np.einsum("m,mi,mj->ij", weights, np.array(us), np.array(us))
+        U = 0.5 * (U + U.T)
+        if np.linalg.eigvalsh(U).min() >= -1e-12:
+            return PDResult("infeasible_certified", float(best_val), witness=U)
+    return PDResult("inconclusive", float(best_val), coefficients=best_c)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _screen_value(span, restarts, seed):
+    """Best start value of the reference screen (> tol: no ascent)."""
+    res = _reference_pd_feasible(span, restarts=restarts, seed=seed, iters=0)
+    return res.best_lambda
+
+
+def test_batched_screen_matches_per_start_screen_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    settings = {"random": (32, 0), "traceless": (8, 5), "hidden": (0, 1),
+                "zero": (32, 0)}
+    seen = Counter()
+    for n in (2, 3, 4):
+        sym = SymIndex(n)
+        for d in range(1, min(6, sym.N) + 1):
+            for kind, (restarts, seed) in settings.items():
+                mats = [sym.to_matrix(rng.standard_normal(sym.N))
+                        for _ in range(d)]
+                if kind == "traceless":  # no trace starts, never feasible
+                    mats = [S - np.trace(S) / n * np.eye(n) for S in mats]
+                elif kind == "hidden":  # PD only off the unit-vector starts
+                    P = np.eye(n) + 0.1 * mats[0] @ mats[0]
+                    mats = [P + 4.0 * S for S in mats[1:]] + [P - 4.0 * mats[0]]
+                elif kind == "zero":
+                    mats = [np.zeros((n, n))] * d
+                span = SymSpan(n, mats)
+                want = _reference_pd_feasible(span, restarts=restarts,
+                                              seed=seed)
+                got = pd_feasible(span, restarts=restarts, seed=seed)
+                where = (n, d, kind)
+                assert got.status == want.status, where
+                for field in ("best_lambda", "coefficients", "cholesky",
+                              "witness"):
+                    assert _same_bits(getattr(got, field),
+                                      getattr(want, field)), (where, field)
+                if want.status == "feasible":
+                    screened = _screen_value(span, restarts, seed) > 1e-8
+                    kind = "screen" if screened else "ascent"
+                seen[kind, want.status] += 1
+    assert seen["screen", "feasible"] > 0
+    assert seen["ascent", "feasible"] > 0
+    assert seen["traceless", "infeasible_certified"] > 0
+    assert seen["random", "infeasible_certified"] > 0
+    assert seen["zero", "infeasible_certified"] > 0
+
+
+def test_random_starts_are_cached_and_read_only():
+    starts = _random_starts(3, 32, 7)
+    assert starts.shape == (32, 3)
+    assert starts is _random_starts(3, 32, 7)
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError):
+        starts[0, 0] = 1.0
+    assert np.allclose(np.linalg.norm(starts, axis=1), 1.0)
+
+
+def test_screen_certified_span_makes_one_eigvalsh_call(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    span = SymSpan(3, [np.diag([1.0, -1.0, 2.0]), np.eye(3),
+                       np.diag([0.5, 1.0, -3.0])])
+    res = pd_feasible(span)
+    assert res.status == "feasible"
+    assert calls == [(2 * 3 + 2 + 32, 3, 3)]
