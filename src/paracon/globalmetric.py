@@ -24,7 +24,7 @@ import numpy as np
 
 from . import pdcone
 from .bundle import ConnectionSpec, omega_stack
-from .expr import Expr, compile_expr
+from .expr import Expr, compile_expr, diff
 from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
                    batch_terminal_bases, default_stencil, derived_flag,
@@ -34,12 +34,13 @@ from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
 
 __all__ = [
     "GlobalError", "RankNotOne", "GeneratorNotPD", "PhiSampler", "PhiPeriods",
-    "GlobalVerdict", "Analysis", "phi_form", "phi_periods", "fixed_subspace",
+    "GlobalVerdict", "Analysis", "phi_periods", "fixed_subspace",
     "invariant_inner_product", "global_metricity",
     "LOOP_GENERATION_CAVEAT", "CHART_ONLY_CAVEAT", "DEFAULT_FIXED_TOL",
 ]
 
 DEFAULT_FIXED_TOL = 1e-6
+_TRACE_TOL = 1e-8  # smallest |trace| of a tracked unit section
 
 LOOP_GENERATION_CAVEAT = (
     "conditional on declared loops generating the fundamental group of the "
@@ -70,23 +71,23 @@ class PhiSampler:
     generator.  A near-vanishing projection or trace marks a tracker
     discontinuity (sign flip) and raises :class:`GeneratorNotPD`.
 
-    ``gauge`` arguments rescale the tracked section by a positive factor
-    (callable on point batches, or a DSL expression), realizing alternative
-    sections of the positive cone for gauge-invariance checks.
+    Phi is exact, with no differencing: s has unit Euclidean norm, so
+    ``<s, d_k s> = 0``, and ``nabla_k s = d_k s + Omega_k s = Phi_k s`` gives
+    ``Phi_k = s^T Omega_k s``.  A ``gauge`` f > 0 (a DSL expression) rescales
+    the section to f s, which adds the exact ``d_k f / f`` from the compiled
+    derivatives of f; it realizes other sections of the positive cone for
+    gauge-invariance checks.
     """
 
     def __init__(self, spec: ConnectionSpec, base_point, wtilde: Optional[Subspace] = None,
-                 fd_h: Optional[float] = None, stencil_h: Optional[float] = None,
-                 rank_tol: float = DEFAULT_RANK_TOL, trace_tol: float = 1e-8,
-                 pd_tol: float = 1e-8, pd_restarts: int = 8, seed: int = 0):
+                 stencil_h: Optional[float] = None,
+                 rank_tol: float = DEFAULT_RANK_TOL, pd_tol: float = 1e-8):
         if spec.kind != "christoffel":
             raise NotSym2Bundle("Phi tracking needs the Sym^2 fiber")
         self.spec = spec
         self.base_point = np.asarray(base_point, dtype=float)
         self.stencil_h = stencil_h if stencil_h is not None else default_stencil(spec)
-        self.fd_h = fd_h if fd_h is not None else self.stencil_h
         self.rank_tol = rank_tol
-        self.trace_tol = trace_tol
         if wtilde is None:
             wtilde = derived_flag(spec, base_point, self.stencil_h,
                                   rank_tol=rank_tol).terminal
@@ -94,14 +95,14 @@ class PhiSampler:
             raise RankNotOne(f"terminal subspace has rank {wtilde.dim}, not 1")
         g = wtilde.basis[:, 0]
         g = g * np.sign(self._traces(g[None, :])[0] or 1.0)
+        # a rank-one span has only the starts +-1, so restarts and seed
+        # cannot change this check
         span = pdcone.SymSpan.from_fiber_vectors(spec.sym, g[:, None])
-        res = pdcone.pd_feasible(span, tol=pd_tol, restarts=pd_restarts, seed=seed)
-        if res.status != "feasible":
+        if pdcone.pd_feasible(span, tol=pd_tol).status != "feasible":
             raise GeneratorNotPD(
                 "terminal generator is not positive-definite; the connection "
                 "is not locally metric at the base point")
         self.base_generator = g
-        self._cache = {}
 
     def _traces(self, vecs):
         # diagonal pairs occupy the first n fiber slots
@@ -110,10 +111,6 @@ class PhiSampler:
     def generators(self, points) -> np.ndarray:
         """Tracked unit sections at an (m, n) batch of points; shape (m, N)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        key = (pts.shape, hash(pts.tobytes()))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         bases = batch_terminal_bases(self.spec, pts, self.stencil_h,
                                      self.rank_tol)
         proj = np.einsum("mia,ma->mi", bases,
@@ -125,55 +122,28 @@ class PhiSampler:
                 "set (possible sign flip of the terminal line bundle)")
         s = proj / norms[:, None]
         tr = self._traces(s)
-        if np.min(np.abs(tr)) < self.trace_tol:
+        if np.min(np.abs(tr)) < _TRACE_TOL:
             raise GeneratorNotPD("tracked generator trace crosses zero")
-        s = s * np.sign(tr)[:, None]
-        if len(self._cache) > 64:
-            self._cache.clear()
-        self._cache[key] = s
-        return s
+        return s * np.sign(tr)[:, None]
 
-    def _gauge_values(self, gauge, pts):
-        if gauge is None:
-            return np.ones(pts.shape[0])
-        if isinstance(gauge, Expr):
-            env = self.spec.domain.env(pts, self.spec.params)
-            vals = np.broadcast_to(np.asarray(compile_expr(gauge)(env), dtype=float),
-                                   (pts.shape[0],))
-        else:
-            vals = np.asarray(gauge(pts), dtype=float)
-        if np.any(vals <= 0.0):
-            raise GlobalError("gauge factor must be positive")
-        return vals
-
-    def __call__(self, points, gauge=None) -> np.ndarray:
+    def __call__(self, points, gauge: Optional[Expr] = None) -> np.ndarray:
         """Phi at an (m, n) batch of points; shape (m, n)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        m, n = pts.shape
-        h = self.fd_h
-        s0 = self.generators(pts)
-        f0 = self._gauge_values(gauge, pts)
+        s = self.generators(pts)
         omega = omega_stack(self.spec, pts)  # (m, n, N, N)
-        st0 = f0[:, None] * s0
-        denom = np.sum(st0 * st0, axis=1)
-        phi = np.empty((m, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            sp = self.generators(pts + e)
-            sm = self.generators(pts - e)
-            fp = self._gauge_values(gauge, pts + e)
-            fm = self._gauge_values(gauge, pts - e)
-            ds = (fp[:, None] * sp - fm[:, None] * sm) / (2.0 * h)
-            nabla = ds + np.einsum("mij,mj->mi", omega[:, k], st0)
-            phi[:, k] = np.sum(nabla * st0, axis=1) / denom
+        phi = np.einsum("mi,mkij,mj->mk", s, omega, s)
+        if gauge is not None:
+            env = self.spec.domain.env(pts, self.spec.params)
+
+            def values(e):
+                return np.broadcast_to(compile_expr(e)(env), (len(pts),))
+
+            f = values(gauge)
+            if not np.all(f > 0.0):  # NaN is not positive either
+                raise GlobalError("gauge factor must be positive")
+            for k, name in enumerate(self.spec.domain.names):
+                phi[:, k] += values(diff(gauge, name)) / f
         return phi
-
-
-def phi_form(spec: ConnectionSpec, point, wtilde: Optional[Subspace] = None,
-             **kwargs) -> PhiSampler:
-    """Sampler for the 1-form Phi of a rank-one terminal subspace."""
-    return PhiSampler(spec, point, wtilde, **kwargs)
 
 
 @dataclass
@@ -187,7 +157,8 @@ class PhiPeriods:
 
 
 def phi_periods(sampler: PhiSampler, loops: Sequence[Curve],
-                quadrature_steps: int = 4096, gauge=None) -> PhiPeriods:
+                quadrature_steps: int = 4096,
+                gauge: Optional[Expr] = None) -> PhiPeriods:
     """Trapezoid-rule loop periods of the sampled Phi.
 
     For closed loops the trapezoid rule over the uniform parameter grid
@@ -424,9 +395,7 @@ class Analysis:
                 sampler = PhiSampler(spec, trace.point, trace.terminal,
                                      stencil_h=self.stencil_h,
                                      rank_tol=self.rank_tol,
-                                     pd_tol=self.pd_tol,
-                                     pd_restarts=self.pd_restarts,
-                                     seed=self.seed)
+                                     pd_tol=self.pd_tol)
                 phi = phi_periods(sampler, self.loops, self.quadrature_steps)
                 period_tols = [(self.period_tol if self.period_tol is not None
                                 else 1e-4 * (1.0 + loop.length()))

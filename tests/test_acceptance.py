@@ -14,7 +14,7 @@ from paracon.corpus import get_entry
 from paracon.expr import EvalContext, diff, parse_expr
 from paracon.flag import (IrregularPoint, derived_flag, local_metricity,
                           principal_angles, regularity_scan)
-from paracon.globalmetric import (fixed_subspace, global_metricity, phi_form,
+from paracon.globalmetric import (PhiSampler, fixed_subspace, global_metricity,
                                   phi_periods)
 from paracon.pdcone import SymSpan, pd_feasible
 from paracon.transport import (Curve, holonomy_matrix, line_curve,
@@ -321,7 +321,7 @@ def test_criterion_7e_pd_feasibility_against_circle_oracle():
 
 def test_criterion_7f_phi_period_gauge_invariance():
     man = get_entry("dtheta-obstruction").manifest()
-    sampler = phi_form(man.spec, man.base_point)
+    sampler = PhiSampler(man.spec, man.base_point)
     loop = man.loops[0]
     base = phi_periods(sampler, [loop], 512).periods[0]
     rng = np.random.default_rng(760)

@@ -31,3 +31,9 @@ def test_benchmark_traced_fine_grid_pass_is_correct():
     # the tracer asserts that pd_feasible and local_metricity run here and
     # that transport is bypassed
     _traced_pass("fine-grid")
+
+
+def test_benchmark_traced_corpus_pass_is_correct():
+    # the only workload on which the tracer requires phi_periods and
+    # batch_terminal_bases to run
+    _traced_pass("corpus")

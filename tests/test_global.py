@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from paracon.bundle import omega_stack
 from paracon.expr import parse_expr
 from paracon.flag import NotSym2Bundle, Subspace, derived_flag, principal_angles
-from paracon.globalmetric import (GeneratorNotPD, GlobalError, RankNotOne,
-                                  fixed_subspace, global_metricity,
-                                  invariant_inner_product, phi_form,
-                                  phi_periods)
+from paracon.globalmetric import (GeneratorNotPD, GlobalError, PhiSampler,
+                                  RankNotOne, fixed_subspace, global_metricity,
+                                  invariant_inner_product, phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
 
 TWO_PI = 2.0 * np.pi
@@ -30,7 +30,7 @@ def plane_loop(domain, params=None):
 def test_phi_vanishes_along_sphere_band_loop(sphere_spec):
     # the tracked generator depends only on theta, so Phi has no azimuthal
     # component at all; along a band loop the sampled form vanishes pointwise
-    sampler = phi_form(sphere_spec, (np.pi / 3, 1.0))
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     band = band_loops(sphere_spec.domain)[0]
     ts = np.linspace(0, TWO_PI, 48, endpoint=False)
     phi = sampler(band.points(ts))
@@ -41,7 +41,7 @@ def test_phi_vanishes_along_sphere_band_loop(sphere_spec):
 def test_phi_theta_component_is_the_normalization_gradient(sphere_spec):
     # off the band direction Phi is the exact form -d log ||(1, sin^2, 0)||,
     # the gauge contribution of unit-norm tracking; closed-form oracle
-    sampler = phi_form(sphere_spec, (np.pi / 3, 1.0))
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     thetas = np.array([0.7, 1.2, 2.1])
     pts = np.stack([thetas, np.full(3, 2.0)], axis=1)
     phi = sampler(pts)
@@ -52,7 +52,7 @@ def test_phi_theta_component_is_the_normalization_gradient(sphere_spec):
 
 
 def test_phi_gauge_rescaling_adds_exact_gradient(sphere_spec):
-    sampler = phi_form(sphere_spec, (np.pi / 3, 1.0))
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     pts = np.array([[np.pi / 3, 1.0], [1.2, 2.0], [2.0, 0.3], [0.8, 5.0]])
     base = sampler(pts)
     # f = e^theta rescaling shifts Phi by d(log f) = dtheta
@@ -60,32 +60,102 @@ def test_phi_gauge_rescaling_adds_exact_gradient(sphere_spec):
     assert np.abs((shifted - base) - np.array([1.0, 0.0])).max() < 1e-6
 
 
+def test_phi_theta_component_is_exact(sphere_spec):
+    # Phi_k = s^T Omega_k s for the unit section s, with no differencing: the
+    # closed form holds to rounding, not to a truncation error
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
+    thetas = np.array([0.3, 0.7, 1.2, 2.1, 2.9])
+    pts = np.stack([thetas, np.array([2.0, 0.1, 4.0, 5.5, 3.0])], axis=1)
+    s2 = np.sin(thetas) ** 2
+    want = -2.0 * s2 * np.sin(thetas) * np.cos(thetas) / (1.0 + s2 ** 2)
+    assert np.abs(sampler(pts)[:, 0] - want).max() < 1e-13
+
+
+def test_phi_gauge_shift_is_exact(sphere_spec):
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
+    pts = np.array([[np.pi / 3, 1.0], [1.2, 2.0], [2.0, 0.3], [0.8, 5.0]])
+    shifted = sampler(pts, gauge=parse_expr("exp(theta)"))
+    assert np.abs((shifted - sampler(pts)) - np.array([1.0, 0.0])).max() < 1e-13
+
+
+def _central_difference_phi(sampler, spec, pts, h):
+    """Phi by central differences of the tracked section, the reference the
+    exact route replaced: <d_k s + Omega_k s, s> with d_k s differenced at
+    step h.  Also returns the largest |d_k s + Omega_k s - Phi_k s| with the
+    exact Phi, which vanishes only with the +Omega convention."""
+    s = sampler.generators(pts)
+    omega = omega_stack(spec, pts)
+    exact = sampler(pts)
+    phi = np.empty_like(exact)
+    residual = 0.0
+    for k in range(pts.shape[1]):
+        e = np.zeros(pts.shape[1])
+        e[k] = h
+        ds = (sampler.generators(pts + e) - sampler.generators(pts - e)) / (2 * h)
+        nabla = ds + np.einsum("mij,mj->mi", omega[:, k], s)
+        phi[:, k] = np.sum(nabla * s, axis=1)
+        residual = max(residual,
+                       np.abs(nabla - exact[:, k, None] * s).max())
+    return phi, exact, residual
+
+
+@pytest.mark.parametrize("which", ["sphere", "dtheta"])
+def test_phi_matches_central_differences_to_second_order(which, sphere_spec,
+                                                         dtheta_spec):
+    if which == "sphere":
+        spec, base = sphere_spec, (np.pi / 3, 1.0)
+        pts = np.array([[0.7, 2.0], [1.2, 0.5], [2.1, 4.0]])
+    else:
+        spec, base = dtheta_spec, (1.0, 0.0)
+        pts = np.array([[1.0, 0.3], [2.0, 2.5], [0.8, 5.0]])
+    sampler = PhiSampler(spec, base)
+    errs = []
+    for h in (1e-3, 1e-4):
+        ref, exact, residual = _central_difference_phi(sampler, spec, pts, h)
+        assert np.abs(exact).max() > 0.1  # a test where Phi is not zero
+        errs.append(np.abs(ref - exact).max())
+        assert errs[-1] < h * h
+        # nabla s is parallel to s, with Phi as the factor
+        assert residual < h * h
+    assert errs[1] < errs[0] / 50.0  # the error falls like h^2
+
+
+@pytest.mark.parametrize("gauge", ["theta - 1", "sqrt(theta - 1)"])
+def test_phi_rejects_a_gauge_that_is_not_positive(gauge, sphere_spec):
+    # negative at theta = 0.7, or NaN there, which must not pass as positive
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
+    pts = np.array([[0.7, 2.0], [2.1, 4.0]])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(GlobalError, match="gauge factor must be positive"):
+        sampler(pts, gauge=parse_expr(gauge))
+
+
 def test_phi_zero_for_flat_restricted_line(flat_spec):
     iden = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     sub = Subspace(3, iden[:, None])
-    sampler = phi_form(flat_spec, (0.0, 0.0), wtilde=sub)
+    sampler = PhiSampler(flat_spec, (0.0, 0.0), wtilde=sub)
     pts = np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 1.0]])
     assert np.abs(sampler(pts)).max() < 1e-10
 
 
 def test_phi_form_requires_rank_one(plane_spec):
     with pytest.raises(RankNotOne):
-        phi_form(plane_spec, (1.0, 0.0))
+        PhiSampler(plane_spec, (1.0, 0.0))
 
 
 def test_phi_form_requires_pd_generator(flat_spec):
     cross = np.array([0.0, 0.0, 1.0])
     with pytest.raises(GeneratorNotPD):
-        phi_form(flat_spec, (0.0, 0.0), wtilde=Subspace(3, cross[:, None]))
+        PhiSampler(flat_spec, (0.0, 0.0), wtilde=Subspace(3, cross[:, None]))
 
 
 def test_phi_form_requires_sym2(circle_line_spec):
     with pytest.raises(NotSym2Bundle):
-        phi_form(circle_line_spec, (0.0,))
+        PhiSampler(circle_line_spec, (0.0,))
 
 
 def test_phi_periods_sphere_loops_vanish(sphere_spec):
-    sampler = phi_form(sphere_spec, (np.pi / 3, 1.0))
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     out = phi_periods(sampler, band_loops(sphere_spec.domain), 512)
     assert out.max_abs() < 1e-6
     assert out.loop_names == ["band", "sweep"]
@@ -93,14 +163,14 @@ def test_phi_periods_sphere_loops_vanish(sphere_spec):
 
 
 def test_phi_period_dtheta_obstruction(dtheta_spec):
-    sampler = phi_form(dtheta_spec, (1.0, 0.0))
+    sampler = PhiSampler(dtheta_spec, (1.0, 0.0))
     loop = plane_loop(dtheta_spec.domain)
     out = phi_periods(sampler, [loop], 1024)
     assert out.periods[0] == pytest.approx(TWO_PI, abs=1e-4 * (1 + TWO_PI))
 
 
 def test_phi_period_gauge_invariance(dtheta_spec):
-    sampler = phi_form(dtheta_spec, (1.0, 0.0))
+    sampler = PhiSampler(dtheta_spec, (1.0, 0.0))
     loop = plane_loop(dtheta_spec.domain)
     base = phi_periods(sampler, [loop], 512).periods[0]
     # single-valued positive rescalings leave loop periods unchanged
@@ -110,7 +180,7 @@ def test_phi_period_gauge_invariance(dtheta_spec):
 
 
 def test_phi_periods_reject_open_curves(sphere_spec):
-    sampler = phi_form(sphere_spec, (np.pi / 3, 1.0))
+    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     arc = Curve(sphere_spec.domain, [parse_expr("pi/3"), parse_expr("t")],
                 0.0, 1.0)
     with pytest.raises(GlobalError, match="closed"):
