@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bundle import BundleError
 from .expr import ExprError
-from .flag import IrregularPoint, NotSym2Bundle, derived_flag
+from .flag import IrregularPoint, NotSym2Bundle, canonical_basis, derived_flag
 from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
                            Analysis, GlobalVerdict, global_metricity)
 from .manifest import Manifest, ManifestError, load_manifest
@@ -191,7 +191,7 @@ def build_report(man: Manifest, command: str) -> tuple:
             report["flat_bundle"] = {
                 "wtilde_rank": terminal.dim,
                 "fixed_dim": fixed.dim,
-                "fixed_basis": terminal.basis @ fixed.basis,
+                "fixed_basis": canonical_basis(terminal.basis @ fixed.basis),
                 "parallel_frame": fixed.dim == terminal.dim,
             }
 

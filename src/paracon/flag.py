@@ -34,13 +34,16 @@ __all__ = [
     "IrregularPoint", "MaxLevelsExceeded", "NotSym2Bundle", "EmptyGrid",
     "kernel_intersection", "curvature_kernel", "second_fundamental_kernel",
     "derived_flag", "regularity_scan", "local_metricity",
-    "principal_angles", "default_stencil", "batch_terminal_bases",
+    "principal_angles", "canonical_basis", "default_stencil",
+    "batch_terminal_bases",
 ]
 
 DEFAULT_RANK_TOL = 1e-7
 # absolute fallback when the stacked matrix is numerically zero
 _TINY_SIGMA = 1e-12
 _TINY_CUTOFF = 1e-10
+# column norms within this relative distance of the largest tie for a pivot
+_PIVOT_TIE = 1e-8
 
 
 class FlagError(RuntimeError):
@@ -141,6 +144,30 @@ def principal_angles(a, b) -> np.ndarray:
                       np.arcsin(np.clip(sin_sv, 0.0, 1.0)),
                       np.arccos(np.clip(cos_sv, -1.0, 1.0)))
     return angles
+
+
+def canonical_basis(basis) -> np.ndarray:
+    """Orthonormal basis of the span of ``basis`` that depends on the span
+    alone, not on the basis it was given in.
+
+    Pivoted Gram-Schmidt on the columns of the projector P onto the span:
+    each step takes the column of largest norm (the lowest index among
+    near-ties) and normalizes it, then removes its direction from P.  The
+    pivot entry of each vector is positive, so a rank-one span gets the unit
+    vector whose largest-|entry| is positive.  Unlike fixing the sign of each
+    SVD column, this also pins a span of dim >= 2, whose singular vectors are
+    any rotation of each other when the singular values tie.
+    """
+    B = np.asarray(basis, dtype=float)
+    P = B @ B.T
+    out = np.empty(B.shape)
+    for i in range(B.shape[1]):
+        norms = np.linalg.norm(P, axis=0)
+        j = int(np.argmax(norms >= (1.0 - _PIVOT_TIE) * norms.max()))
+        q = P[:, j] / norms[j]
+        out[:, i] = q
+        P = P - np.outer(q, q)
+    return out
 
 
 def _kernels(stack, rank_tol, abs_floor):

@@ -27,8 +27,9 @@ from .bundle import ConnectionSpec, omega_stack
 from .expr import Expr, compile_expr, diff
 from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
-                   batch_terminal_bases, default_stencil, derived_flag,
-                   kernel_intersection, local_metricity, regularity_scan)
+                   batch_terminal_bases, canonical_basis, default_stencil,
+                   derived_flag, kernel_intersection, local_metricity,
+                   regularity_scan)
 from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
                         holonomy_matrix)
 
@@ -369,7 +370,9 @@ class Analysis:
                                  notes=[f"holonomy defect exceeded tolerance: "
                                         f"{exc}"])
         notes = []
-        fiber_basis = trace.terminal.basis @ fixed.basis  # (N, m)
+        # (N, m); a function of the fixed span, so that noise in H cannot
+        # turn the basis the PD ascent starts from and the report shows
+        fiber_basis = canonical_basis(trace.terminal.basis @ fixed.basis)
         m = fixed.dim
 
         pd_res = None

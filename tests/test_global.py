@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from paracon.bundle import omega_stack
+from dataclasses import replace
+
+from paracon import globalmetric
+from paracon.bundle import ConnectionSpec, Domain, omega_stack
 from paracon.expr import parse_expr
-from paracon.flag import NotSym2Bundle, Subspace, derived_flag, principal_angles
+from paracon.flag import (NotSym2Bundle, Subspace, canonical_basis,
+                          derived_flag, principal_angles)
 from paracon.globalmetric import (GeneratorNotPD, GlobalError, PhiSampler,
                                   RankNotOne, fixed_subspace, global_metricity,
                                   invariant_inner_product, phi_periods)
@@ -242,6 +246,109 @@ def test_fixed_subspace_validates_inputs():
         fixed_subspace([h1, h2])
     with pytest.raises(GlobalError, match="dim required"):
         fixed_subspace([])
+
+
+# --- canonical fixed-subspace basis -----------------------------------------
+
+def test_canonical_basis_rank_one_is_largest_entry_positive():
+    v = np.array([0.3, -0.8, 0.5])
+    v /= np.linalg.norm(v)
+    for sign in (1.0, -1.0):
+        assert np.abs(canonical_basis(sign * v[:, None])[:, 0] + v).max() \
+            < 1e-15
+
+
+def test_canonical_basis_ignores_the_basis_of_the_span():
+    rng = np.random.default_rng(11)
+    B, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    want = canonical_basis(B)
+    assert np.abs(want.T @ want - np.eye(3)).max() < 1e-14
+    assert principal_angles(want, B).max() < 1e-12
+    for _ in range(5):
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        assert np.abs(canonical_basis(B @ rot) - want).max() < 1e-12
+
+
+def cone_line_spec(k=0.3):
+    # dr^2 + k^2 r^2 dtheta^2 + dz^2: flat, with a 2-dim holonomy-fixed
+    # space span(dr^2 + k^2 r^2 dtheta^2, dz^2) around loops that wind
+    dom = Domain(names=("r", "theta", "z"), lows=(0.2, 0.0, -1.0),
+                 highs=(3.0, TWO_PI, 1.0), periods=(None, TWO_PI, None),
+                 excluded=(parse_expr("r"),))
+    gamma = {(0, 1, 1): parse_expr("-k^2*r"),
+             (1, 0, 1): parse_expr("1/r"),
+             (1, 1, 0): parse_expr("1/r")}
+    spec = ConnectionSpec(dom, kind="christoffel", params={"k": k},
+                          gamma=gamma)
+    loops = [Curve(dom, [parse_expr(e) for e in exprs], 0.0, TWO_PI,
+                   name=name, params=spec.params)
+             for name, exprs in (
+                 ("axis", ("1", "t", "0")),
+                 ("rz-circle", ("0.7 + 0.3*cos(t)", "0", "0.3*sin(t)")),
+                 ("winding", ("1 + 0.3*sin(t)", "t", "0.4*sin(2*t)")))]
+    return spec, loops
+
+
+CONE_GRID = [[0.6, 1.4, 2.2], [0.5, 2.5, 4.5], [-0.5, 0.5]]
+
+
+def _cone_line_verdict():
+    spec, loops = cone_line_spec()
+    return global_metricity(spec, [1.0, 0.0, 0.0], loops, CONE_GRID,
+                            rk4_steps=2048)
+
+
+def _plane_verdict(spec):
+    return global_metricity(spec, [1.0, 0.0],
+                            [plane_loop(spec.domain, spec.params)],
+                            PLANE_GRID, rk4_steps=2048, quadrature_steps=256)
+
+
+@pytest.mark.parametrize("eps", [1e-12, -1e-12])
+@pytest.mark.parametrize("case", ["punctured-plane", "cone-line"])
+def test_fixed_basis_is_stable_under_holonomy_noise(case, eps, monkeypatch,
+                                                    plane_spec):
+    # a perturbation of H at the integrator's noise level must not turn the
+    # reported basis or the PD coefficients, which are taken in that basis
+    def run():
+        if case == "punctured-plane":
+            return _plane_verdict(plane_spec)
+        return _cone_line_verdict()
+
+    clean = run()
+    exact = globalmetric.holonomy_matrix
+    rng = np.random.default_rng(5)
+
+    def noisy(*args, **kwargs):
+        h = exact(*args, **kwargs)
+        return replace(h, matrix=h.matrix
+                       + eps * rng.uniform(-1.0, 1.0, h.matrix.shape))
+
+    monkeypatch.setattr(globalmetric, "holonomy_matrix", noisy)
+    bumped = run()
+    assert bumped.status == clean.status == "metric"
+    assert np.abs(bumped.fixed_fiber_basis
+                  - clean.fixed_fiber_basis).max() < 1e-9
+    assert np.abs(bumped.pd_result.coefficients
+                  - clean.pd_result.coefficients).max() < 1e-9
+
+
+def test_fixed_basis_ignores_a_rotation_of_the_fixed_subspace(monkeypatch):
+    clean = _cone_line_verdict()
+    assert clean.fixed.dim == 2
+    exact = globalmetric.fixed_subspace
+    angle = np.random.default_rng(3).uniform(0.0, TWO_PI)
+    c, s = np.cos(angle), np.sin(angle)
+
+    def rotated(*args, **kwargs):
+        sub = exact(*args, **kwargs)
+        return replace(sub, basis=sub.basis @ np.array([[c, -s], [s, c]]))
+
+    monkeypatch.setattr(globalmetric, "fixed_subspace", rotated)
+    turned = _cone_line_verdict()
+    assert np.abs(turned.fixed.basis - clean.fixed.basis).max() > 0.1
+    assert np.abs(turned.fixed_fiber_basis
+                  - clean.fixed_fiber_basis).max() < 1e-12
 
 
 # --- invariant inner product ------------------------------------------------
