@@ -37,3 +37,9 @@ def test_benchmark_traced_corpus_pass_is_correct():
     # the only workload on which the tracer requires phi_periods and
     # batch_terminal_bases to run
     _traced_pass("corpus")
+
+
+def test_benchmark_traced_loops_3d_pass_is_correct():
+    # the only workload that runs 16384-step transport, under the tracer's
+    # checks that transport is exercised and that phi_periods is bypassed
+    _traced_pass("loops-3d")
