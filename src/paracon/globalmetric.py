@@ -370,8 +370,8 @@ class Analysis:
                                  notes=[f"holonomy defect exceeded tolerance: "
                                         f"{exc}"])
         notes = []
-        # (N, m); a function of the fixed span, so that noise in H cannot
-        # turn the basis the PD ascent starts from and the report shows
+        # (N, m), a function of the fixed span alone: noise in H must not flip
+        # or rotate the basis that the PD ascent starts from and reports
         fiber_basis = canonical_basis(trace.terminal.basis @ fixed.basis)
         m = fixed.dim
 
