@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement, product
+from math import comb, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +30,8 @@ __all__ = [
     "Domain", "SymIndex", "ConnectionSpec", "BundleError",
     "PointOutsideDomain", "ExpressionEvalFailure",
     "connection_matrices", "curvature_operators", "curvature_pairs",
-    "omega_stack", "curvature_stack", "nudge_off_breakpoints",
+    "omega_stack", "curvature_stack", "covariant_curvature_stack",
+    "nudge_off_breakpoints",
 ]
 
 
@@ -245,7 +248,8 @@ class ConnectionSpec:
                         self._check_names(omega[i][j][k], declared)
         for e in domain.excluded:
             self._check_names(e, declared)
-        self._compiled = None
+        self._partial_exprs = []  # per order, see _table
+        self._compiled = {}
         self._conditions = None
 
     @staticmethod
@@ -257,35 +261,39 @@ class ConnectionSpec:
     # -- compiled entry tables ------------------------------------------------
 
     def _entries(self):
-        """Each connection entry as ``(index, expr)``; see :meth:`_tables`."""
+        """Each connection entry as ``(index, expr)``; see :meth:`_table`."""
         if self.kind == "christoffel":
             return [((k, l, i), e) for (l, k, i), e in self.gamma.items()]
         return [((k, i, j), self.omega[i][j][k]) for i in range(self.N)
                 for j in range(self.N) for k in range(self.n)]
 
-    def _tables(self):
-        """Compiled ``(index, fn)`` entries, skipping the constant +0.0.
+    def _table(self, order):
+        """Compiled partial derivatives of order ``order`` of the connection
+        entries, as ``(index, fn)``, skipping the constant +0.0; built on
+        first use from the exact :func:`diff` of the order below.
 
-        Each index addresses, after the batch axis, the array that
-        :func:`_assemble` fills for :func:`omega_stack` or
-        :func:`_domega_stack`: ``G[k, l, i]`` and ``dG[d, k, l, i]`` for
-        Christoffel input, ``Omega[k, i, j]`` and ``dOmega[d, k, i, j]`` for
+        Each index ``(t,) + entry`` addresses, after the batch axis, the array
+        that :func:`_partials` fills: ``t`` numbers the derivative directions
+        as :func:`_multi_indices` lists them, and ``entry`` is ``(k, l, i)``
+        of ``G`` for Christoffel input or ``(k, i, j)`` of ``Omega`` for
         matrix input.  A skipped entry keeps the zero that array starts with;
         a ``-0.0`` constant is kept, so every output bit is that of evaluating
         all entries.
         """
-        if self._compiled is not None:
-            return self._compiled
-        entries = self._entries()
-        tab = [(idx, compile_expr(e)) for idx, e in entries if not _is_zero(e)]
-        dtab = []
-        for idx, e in entries:
-            for d, name in enumerate(self.domain.names):
-                de = diff(e, name)
-                if not _is_zero(de):
-                    dtab.append(((d,) + idx, compile_expr(de)))
-        self._compiled = (tab, dtab)
-        return self._compiled
+        exprs = self._partial_exprs
+        if not exprs:  # order 0: (sorted directions, index, expr)
+            exprs.append([((), idx, e) for idx, e in self._entries()])
+        while len(exprs) <= order:
+            exprs.append([(dirs + (d,), idx, diff(e, self.domain.names[d]))
+                          for dirs, idx, e in exprs[-1] if not _is_zero(e)
+                          for d in range(dirs[-1] if dirs else 0, self.n)])
+        if order not in self._compiled:
+            pos = {dirs: t for t, dirs in enumerate(
+                combinations_with_replacement(range(self.n), order))}
+            self._compiled[order] = [
+                ((pos[dirs],) + idx, compile_expr(e))
+                for dirs, idx, e in exprs[order] if not _is_zero(e)]
+        return self._compiled[order]
 
     def _breakpoints(self):
         """Compiled :meth:`piecewise_conditions`, built on first use."""
@@ -354,16 +362,41 @@ def _assemble(spec: ConnectionSpec, table, points, lead, what) -> np.ndarray:
     return out
 
 
+def _multi_indices(n: int, order: int):
+    """The partial derivatives of one order as count vectors, numbered like
+    the sorted direction tuples of :meth:`ConnectionSpec._table`."""
+    return [tuple(dirs.count(c) for c in range(n))
+            for dirs in combinations_with_replacement(range(n), order)]
+
+
+def _up(alpha, k):
+    """Count vector ``alpha`` with one more derivative in direction k."""
+    return alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
+
+
+def _leibniz(alpha):
+    """``(beta, alpha - beta, C(alpha, beta))`` for every ``beta <= alpha``."""
+    for beta in product(*(range(a + 1) for a in alpha)):
+        yield (beta, tuple(a - b for a, b in zip(alpha, beta)),
+               prod(comb(a, b) for a, b in zip(alpha, beta)))
+
+
+def _partials(spec: ConnectionSpec, points, order: int) -> np.ndarray:
+    """Partial derivatives of one order of the Omega_k over an (m, n) batch;
+    shape (m, T, n_k, N, N), T numbering them as :func:`_multi_indices`."""
+    what = "connection derivative" if order else "connection entries"
+    return _assemble(spec, spec._table(order), points,
+                     (comb(spec.n + order - 1, order), spec.n), what)
+
+
 def omega_stack(spec: ConnectionSpec, points) -> np.ndarray:
     """Connection matrices Omega_k over an (m, n) batch; shape (m, n, N, N)."""
-    return _assemble(spec, spec._tables()[0], points, (spec.n,),
-                     "connection entries")
+    return _partials(spec, points, 0)[:, 0]
 
 
 def _domega_stack(spec: ConnectionSpec, points) -> np.ndarray:
     """Partial derivatives d_d Omega_k; shape (m, n_d, n_k, N, N)."""
-    return _assemble(spec, spec._tables()[1], points, (spec.n, spec.n),
-                     "connection derivative")
+    return _partials(spec, points, 1)
 
 
 def curvature_pairs(n: int):
@@ -373,19 +406,58 @@ def curvature_pairs(n: int):
 
 def curvature_stack(spec: ConnectionSpec, points) -> np.ndarray:
     """Curvature operators R_ij over an (m, n) batch; shape (m, P, N, N)."""
+    return covariant_curvature_stack(spec, points, 0)[:, 0]
+
+
+def covariant_curvature_stack(spec: ConnectionSpec, points,
+                              order: int) -> np.ndarray:
+    """Covariant derivatives nabla_{k_order} ... nabla_{k_1} R_ij over an
+    (m, n) batch; shape (m, n**order, P, N, N), the strings (k_order, ...,
+    k_1) in row-major order and the pairs as :func:`curvature_pairs`.
+
+    ``nabla_k T = d_k T + [Omega_k, T]`` acts on the fiber, and the base
+    indices are labels.  Every term is exact, by the Leibniz rule: the
+    partials of R up to ``order`` come from those of Omega up to
+    ``order + 1``, and each nabla_k maps the partials of a stack up to some
+    order to those of its derivative up to one order less.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    pairs = curvature_pairs(spec.n)
+    m, n, N = pts.shape[0], spec.n, spec.N
+    pairs = curvature_pairs(n)
     if not pairs:
-        return np.zeros((m, 0, spec.N, spec.N))
-    omega = omega_stack(spec, pts)
-    domega = _domega_stack(spec, pts)
-    out = np.empty((m, len(pairs), spec.N, spec.N))
-    for idx, (i, j) in enumerate(pairs):
-        oi, oj = omega[:, i], omega[:, j]
-        out[:, idx] = (domega[:, i, j] - domega[:, j, i]
-                       + np.matmul(oi, oj) - np.matmul(oj, oi))
-    return out
+        return np.zeros((m, n ** order, 0, N, N))
+    # d^alpha Omega_k, (m, n_k, N, N), by count vector alpha
+    omega = {(0,) * n: omega_stack(spec, pts)}
+    for o in range(1, order + 2):
+        stack = _partials(spec, pts, o)
+        omega.update((a, stack[:, t])
+                     for t, a in enumerate(_multi_indices(n, o)))
+    jet = {}  # d^alpha of the current stack, (m, strings, P, N, N)
+    for o in range(order + 1):
+        for a in _multi_indices(n, o):
+            R = np.empty((m, 1, len(pairs), N, N))
+            for idx, (i, j) in enumerate(pairs):
+                r = omega[_up(a, i)][:, j] - omega[_up(a, j)][:, i]
+                for b, rest, c in _leibniz(a):
+                    r += c * np.matmul(omega[b][:, i], omega[rest][:, j])
+                    r -= c * np.matmul(omega[b][:, j], omega[rest][:, i])
+                R[:, 0, idx] = r
+            jet[a] = R
+    for top in range(order - 1, -1, -1):
+        # d^a nabla_k T = d^(a+e_k) T + sum_b C(a, b) [d^b Omega_k, d^(a-b) T]
+        nxt = {}
+        for a in (a for o in range(top + 1) for a in _multi_indices(n, o)):
+            parts = []
+            for k in range(n):
+                t = jet[_up(a, k)].copy()
+                for b, rest, c in _leibniz(a):
+                    om = omega[b][:, None, None, k]
+                    t += c * (np.matmul(om, jet[rest])
+                              - np.matmul(jet[rest], om))
+                parts.append(t)
+            nxt[a] = np.concatenate(parts, axis=1)
+        jet = nxt
+    return jet[(0,) * n]
 
 
 def connection_matrices(spec: ConnectionSpec, point) -> np.ndarray:

@@ -86,7 +86,6 @@ def _scan_dict(scan):
         "regular_on_grid": scan.regular_on_grid,
         "jumps": [{"from": a, "to": b, "dim_from": da, "dim_to": db}
                   for a, b, da, db in scan.jumps],
-        "irregular_points": scan.irregular_points,
     }
 
 
@@ -147,7 +146,7 @@ def build_report(man: Manifest, command: str) -> tuple:
         "manifest_id": man.id,
         "manifest_digest": man.digest(),
         "effective": {
-            "tolerances": dict(man.tolerances, stencil_h=an.stencil_h),
+            "tolerances": man.tolerances,
             "steps": man.steps,
             "seed": man.seed,
             "pd_restarts": man.pd_restarts,
@@ -158,12 +157,8 @@ def build_report(man: Manifest, command: str) -> tuple:
 
     scan = an.scan
     report["regularity"] = _scan_dict(scan)
-    report["flag_traces"] = [
-        {"point": p, "irregular": True} if tr is None else _trace_dict(tr)
-        for p, tr in zip(scan.points, scan.traces)]
+    report["flag_traces"] = [_trace_dict(tr) for tr in scan.traces]
     report["local_metricity"] = None if spec.kind != "christoffel" else [
-        {"point": p, "locally_metric": None, "status": "irregular"}
-        if lm is None else
         {"point": p, "locally_metric": lm.locally_metric,
          "status": lm.status, "best_lambda": lm.best_lambda}
         for p, lm in zip(scan.points, an.local)]
@@ -215,8 +210,7 @@ def _format_text(report: dict) -> str:
         lines.append(f"  flag dims {tr['dims']}, terminal dim "
                      f"{tr['terminal_dim']}")
     traces = report.get("flag_traces") or []
-    chains = Counter("irregular" if t.get("irregular") else str(t["dims"])
-                     for t in traces)
+    chains = Counter(str(t["dims"]) for t in traces)
     for chain, count in chains.items():
         lines.append(f"  flag dims {chain} at {count} of {len(traces)} points")
     hol = report.get("holonomy")
@@ -283,12 +277,8 @@ def run(command: str, manifest_path: str, args) -> int:
 
     if command == "flag":
         point = _parse_point(args.point, man)
-        try:
-            tr = derived_flag(man.spec, point, man.tolerances["stencil_h"],
-                              rank_tol=man.tolerances["rank_tol"])
-        except IrregularPoint as exc:
-            print(f"irregular point: {exc}", file=sys.stderr)
-            return 2
+        tr = derived_flag(man.spec, point,
+                          rank_tol=man.tolerances["rank_tol"])
         report = {
             "tool_version": __version__, "command": "flag",
             "manifest_id": man.id, "manifest_digest": man.digest(),

@@ -10,32 +10,38 @@ every local parallel section; for Christoffel connections it is a span of
 symmetric matrices and local metricity is positive-definite feasibility of
 that span.
 
+Every level is exact, with no step size.  Where the dimensions are locally
+constant, level L is the common kernel of R, nabla R, ..., nabla^L R, with
+``nabla_k T = d_k T + [Omega_k, T]`` (the infinitesimal holonomy of
+Kobayashi-Nomizu I, II.10): for a section s of level L, differentiating
+``(nabla^j R) s = 0`` gives ``(nabla_k nabla^j R) s = -(nabla^j R) nabla_k s``
+for j <= L, so nabla_k s stays in level L exactly where nabla^(L+1) R
+annihilates s.  The second fundamental kernel of level L is therefore its
+intersection with the kernel of nabla^(L+1) R.
+
 One batched engine computes every flag: ``_flag`` runs the level loop over
 an (m, n) batch, and its level steps :func:`curvature_kernel` and
 :func:`second_fundamental_kernel` take the whole batch, grouping points by
-dimension where an SVD needs one shape.  A stencil point whose dimension
-differs from its point's, at any depth of the recursion, makes that point
-irregular.
+dimension where an SVD needs one shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bundle import (ConnectionSpec, curvature_stack,
-                     nudge_off_breakpoints, omega_stack)
+from .bundle import (ConnectionSpec, covariant_curvature_stack,
+                     curvature_stack, nudge_off_breakpoints)
 
 __all__ = [
     "Subspace", "FlagLevel", "FlagTrace", "RegularityReport", "FlagError",
     "IrregularPoint", "MaxLevelsExceeded", "NotSym2Bundle", "EmptyGrid",
     "kernel_intersection", "curvature_kernel", "second_fundamental_kernel",
     "derived_flag", "regularity_scan", "local_metricity",
-    "principal_angles", "canonical_basis", "default_stencil",
-    "batch_terminal_bases",
+    "principal_angles", "canonical_basis", "batch_terminal_bases",
 ]
 
 DEFAULT_RANK_TOL = 1e-7
@@ -44,6 +50,9 @@ _TINY_SIGMA = 1e-12
 _TINY_CUTOFF = 1e-10
 # column norms within this relative distance of the largest tie for a pivot
 _PIVOT_TIE = 1e-8
+# points per covariant-derivative evaluation, which bounds the memory of the
+# partials of Omega over a large batch
+_SLICE = 256
 
 
 class FlagError(RuntimeError):
@@ -51,12 +60,13 @@ class FlagError(RuntimeError):
 
 
 class IrregularPoint(FlagError):
-    """Fiber dimension jumps inside the finite-difference stencil."""
+    """A point's flag dimensions differ from those of the points it must
+    agree with."""
 
     def __init__(self, point, level, detail=""):
         self.point = np.asarray(point, dtype=float)
         self.level = level
-        msg = f"dimension jump in stencil at {self.point.tolist()} (level {level})"
+        msg = f"flag dimension jump at {self.point.tolist()} (level {level})"
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 
@@ -229,9 +239,7 @@ class FlagLevel:
 
     Point i's subspace has the orthonormal basis ``bases[i, :, :dims[i]]``
     (zero columns pad it to the batch's largest level-0 dim) and the rank gap
-    ``gaps[i]``; indexing gives it as a :class:`Subspace`.  A point that the
-    step making this level found irregular has dim -1 and its
-    :class:`IrregularPoint` in ``errors``, by index.
+    ``gaps[i]``; indexing gives it as a :class:`Subspace`.
     """
 
     dims: np.ndarray  # (m,) int
@@ -239,7 +247,6 @@ class FlagLevel:
     gaps: np.ndarray  # (m,)
     rank_tol: float
     level: int = 0
-    errors: dict = field(default_factory=dict)
 
     def take(self, idx) -> "FlagLevel":
         """The level at the points of the index array ``idx``; a copy."""
@@ -269,117 +276,66 @@ def curvature_kernel(spec: ConnectionSpec, points,
     return FlagLevel(dims, bases, gaps, rank_tol)
 
 
-def default_stencil(spec: ConnectionSpec) -> float:
-    return 1e-4 * spec.domain.scale
-
-
-def _alpha_floor(stencil_h: float) -> float:
-    # central differences of the tracked bases carry O(h^2) truncation;
-    # rank decisions on the projected derivatives must sit above that noise
-    return max(_TINY_CUTOFF, 100.0 * stencil_h * stencil_h)
-
-
-def _align(V, B):
-    """Rotate each basis of ``B`` (m, N, d) onto ``V`` (m, N, d) by the polar
-    factor of ``B^T V``."""
-    u, _, vt = np.linalg.svd(np.matmul(B.transpose(0, 2, 1), V))
-    return np.matmul(B, np.matmul(u, vt))
-
-
 def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
-                              stencil_h: float,
                               rank_tol: float = DEFAULT_RANK_TOL) -> FlagLevel:
     """The next flag level after ``V`` at one point or an (m, n) batch: the
     kernel of the second fundamental form of V.
 
-    The scheme: compute V's level at the stencil points ``p +- h e_k``
-    with the flag engine, mark p irregular if any of them has another
-    dimension or is irregular itself, align the stencil bases to V(p) by the
-    polar factor, centrally difference the tracked sections, add the
-    connection term, project onto the orthogonal complement of V(p), and
-    pull the coefficient kernel back into the fiber.  A zero or full V is its
-    own kernel.
+    That kernel is V's intersection with the kernel of
+    ``nabla^(L+1) R``, L = ``V.level`` (see the module docstring): the
+    coefficient kernel of ``(nabla^(L+1) R) V``, pulled back into the fiber.
+    A direction counts as annihilated below ``rank_tol`` times the
+    Frobenius norm of ``nabla^(L+1) R``, the scale of its rounding on V.
+    A zero or full V is its own kernel.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, N = spec.n, spec.N
+    N = spec.N
     out = V.take(np.arange(len(pts)))
     out.level += 1
     cut = np.flatnonzero((V.dims > 0) & (V.dims < N))
-    if not cut.size:
-        return out
-    stencil = []  # per shift s: (s, V's level at pts[cut] + s, errors)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = stencil_h
-        for s in (e, -e):
-            levels, _, errors = _flag(spec, pts[cut] + s, stencil_h, rank_tol,
-                                      depth=V.level)
-            stencil.append((s, levels[-1], errors))
-    bad = np.array([lv.dims != V.dims[cut] for _, lv, _ in stencil])
-    for r in map(int, np.flatnonzero(bad.any(axis=0))):
-        s, lv, errors = stencil[int(np.argmax(bad[:, r]))]
-        i = int(cut[r])
-        out.dims[i] = -1
-        out.errors[i] = IrregularPoint(pts[i], out.level, detail=(
-            str(errors[r]) if r in errors else
-            f"dim {lv.dims[r]} != {V.dims[i]} at {(pts[i] + s).tolist()}"))
-    good = np.flatnonzero(~bad.any(axis=0))
-    omega = omega_stack(spec, pts[cut[good]])
-    for d, g in _groups(V.dims[cut[good]]):
-        idx, r = cut[good[g]], good[g]
-        Vb = V.bases[idx, :, :d]
-        Pperp = np.eye(N) - np.matmul(Vb, Vb.transpose(0, 2, 1))
-        rows = []
-        for k in range(n):
-            plus, minus = (_align(Vb, stencil[j][1].bases[r, :, :d])
-                           for j in (2 * k, 2 * k + 1))
-            dB = (plus - minus) / (2.0 * stencil_h)
-            nabla = dB + np.matmul(omega[g, k], Vb)
-            rows.append(np.matmul(Pperp, nabla))
-        dims, gaps, vt = _kernels(np.concatenate(rows, axis=1), rank_tol,
-                                  _alpha_floor(stencil_h))
-        out.dims[idx], out.gaps[idx], out.bases[idx] = dims, gaps, 0.0
-        for dd, h in _groups(dims):
-            out.bases[idx[h], :, :dd] = np.matmul(
-                Vb[h], vt[h, d - dd:].transpose(0, 2, 1))
+    for start in range(0, cut.size, _SLICE):
+        part = cut[start:start + _SLICE]
+        D = covariant_curvature_stack(spec, pts[part], out.level)
+        D = D.reshape(len(part), -1, N)
+        scale = np.linalg.norm(D, axis=(1, 2))
+        for d, g in _groups(V.dims[part]):
+            idx = part[g]
+            Vb = V.bases[idx, :, :d]
+            dims, gaps, vt = _kernels(np.matmul(D[g], Vb), rank_tol,
+                                      rank_tol * scale[g])
+            out.dims[idx], out.gaps[idx], out.bases[idx] = dims, gaps, 0.0
+            for dd, h in _groups(dims):
+                out.bases[idx[h], :, :dd] = np.matmul(
+                    Vb[h], vt[h, d - dd:].transpose(0, 2, 1))
     return out
 
 
-def _flag(spec, pts, stencil_h, rank_tol, depth=None, max_levels=None):
+def _flag(spec, pts, rank_tol, max_levels=None):
     """The flag's one level loop, over an (m, n) batch of points.
 
-    With ``depth`` None each point runs until its dimension stabilizes or
-    dies, and one still running at level ``max_levels`` raises
-    :class:`MaxLevelsExceeded`; with an int ``depth`` every point runs to
-    that level, which the stencil of level ``depth + 1`` needs.  Returns the
-    levels (each over the whole batch; a point that stopped keeps its last
-    subspace), each point's last level, and the :class:`IrregularPoint` of
-    every point that a stencil dimension jump ended, by index.  ``None``
-    settings take the defaults: :func:`default_stencil` and N + 1 levels.
+    Each point runs until its dimension stabilizes or dies; one still
+    running at level ``max_levels`` (default N + 1) raises
+    :class:`MaxLevelsExceeded`.  Returns the levels (each over the whole
+    batch; a point that stopped keeps its last subspace) and each point's
+    last level.
     """
-    if stencil_h is None:
-        stencil_h = default_stencil(spec)
     if max_levels is None:
         max_levels = spec.N + 1
     m = len(pts)
     levels = [curvature_kernel(spec, pts, rank_tol)]
     last = np.full(m, -1)
-    errors = {}
     prev = np.full(m, spec.N)
     while True:
         cur = levels[-1]
-        stop = (((cur.dims == prev) | (cur.dims == 0)) if depth is None
-                else cur.level == depth)
-        last[(last < 0) & (stop | (cur.dims < 0))] = cur.level
+        last[(last < 0) & ((cur.dims == prev) | (cur.dims == 0))] = cur.level
         active = np.flatnonzero(last < 0)
         if not active.size:
-            return levels, last, errors
-        if depth is None and cur.level >= max_levels:
+            return levels, last
+        if cur.level >= max_levels:
             raise MaxLevelsExceeded(f"flag at {pts[active[0]].tolist()} did "
                                     f"not stabilize in {max_levels} levels")
         step = second_fundamental_kernel(spec, pts[active], cur.take(active),
-                                         stencil_h, rank_tol)
-        errors.update((int(active[j]), exc) for j, exc in step.errors.items())
+                                         rank_tol)
         nxt = cur.take(np.arange(m))
         nxt.level += 1
         nxt.dims[active], nxt.bases[active], nxt.gaps[active] = \
@@ -405,24 +361,20 @@ class FlagTrace:
         return self.levels[-1][2]
 
 
-def _traces(spec, points, stencil_h, rank_tol, max_levels=None):
+def _traces(spec, points, rank_tol, max_levels=None):
     """Nudge each point off breakpoints and run the engine over all of them;
-    one FlagTrace per point, or its IrregularPoint."""
+    one FlagTrace per point."""
     pts = np.array([nudge_off_breakpoints(spec, p) for p in points])
-    levels, last, errors = _flag(spec, pts, stencil_h, rank_tol,
-                                 max_levels=max_levels)
+    levels, last = _flag(spec, pts, rank_tol, max_levels)
     out = []
     for i, p in enumerate(pts):
-        if i in errors:
-            out.append(errors[i])
-            continue
         subs = [lv[i] for lv in levels[:last[i] + 1]]
         out.append(FlagTrace(p, [(k, s.dim, s) for k, s in enumerate(subs)],
                              stabilization_level=int(last[i])))
     return out
 
 
-def derived_flag(spec: ConnectionSpec, point, stencil_h: Optional[float] = None,
+def derived_flag(spec: ConnectionSpec, point,
                  max_levels: Optional[int] = None,
                  rank_tol: float = DEFAULT_RANK_TOL) -> FlagTrace:
     """Iterate the flag at a point until the dimension stabilizes or dies.
@@ -433,33 +385,25 @@ def derived_flag(spec: ConnectionSpec, point, stencil_h: Optional[float] = None,
     point on a piecewise breakpoint is first nudged off it.
     """
     p = np.asarray(point, dtype=float)
-    tr, = _traces(spec, p[None], stencil_h, rank_tol, max_levels)
-    if isinstance(tr, IrregularPoint):
-        raise tr
+    tr, = _traces(spec, p[None], rank_tol, max_levels)
     return tr
 
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
-                         stencil_h: Optional[float] = None,
                          rank_tol: float = DEFAULT_RANK_TOL,
                          max_levels: Optional[int] = None) -> np.ndarray:
     """Terminal flag bases over a batch of points; shape (m, N, d_terminal).
 
     Requires the flag dimensions to be uniform across the batch at every
-    level: the first point that is irregular or whose dimensions differ from
-    the first point's raises :class:`IrregularPoint`, naming the level.
+    level: the first point whose dimensions differ from the first point's
+    raises :class:`IrregularPoint`, naming the level.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    levels, _, errors = _flag(spec, pts, stencil_h, rank_tol,
-                              max_levels=max_levels)
+    levels, _ = _flag(spec, pts, rank_tol, max_levels)
     dims = np.stack([lv.dims for lv in levels], axis=1)  # (m, levels)
-    if 0 in errors:
-        raise errors[0]
-    differ = dims != dims[0]  # an irregular point's dim is -1
+    differ = dims != dims[0]
     if differ.any():
         i = int(np.argmax(differ.any(axis=1)))
-        if i in errors:
-            raise errors[i]
         level = int(np.argmax(differ[i]))
         raise IrregularPoint(pts[i], level, detail=(
             f"flag dim {dims[i, level]} != {dims[0, level]} at the batch's "
@@ -473,21 +417,18 @@ class RegularityReport:
 
     axes: list  # per-coordinate sample values
     points: np.ndarray  # (m, n) in row-major axis order
-    traces: list  # FlagTrace per point, None where IrregularPoint
-    dims: list  # terminal dim per point, None where IrregularPoint
+    traces: list  # FlagTrace per point
+    dims: list  # terminal dim per point
     regular_on_grid: bool
     jumps: list  # (point_a, point_b, dim_a, dim_b)
-    irregular_points: list
 
 
 def regularity_scan(spec: ConnectionSpec, axes,
-                    stencil_h: Optional[float] = None,
                     rank_tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
     """Derived flag at every node of a product grid.
 
     ``axes`` is one list of sample values per coordinate.  Every point's
-    :class:`FlagTrace` is kept; IrregularPoint failures are recorded (trace
-    and dim ``None``), not fatal.  The verdict is true exactly when every
+    :class:`FlagTrace` is kept.  The verdict is true exactly when every
     point produced the same terminal dimension.
     """
     axes = [list(map(float, a)) for a in axes]
@@ -497,12 +438,10 @@ def regularity_scan(spec: ConnectionSpec, axes,
     shape = mesh[0].shape
     pts = np.stack([m.ravel() for m in mesh], axis=1)
 
-    traces = [None if isinstance(tr, IrregularPoint) else tr for tr in
-              _traces(spec, pts, stencil_h, rank_tol)]
-    dims = [None if tr is None else tr.dims[-1] for tr in traces]
+    traces = _traces(spec, pts, rank_tol)
+    dims = [tr.dims[-1] for tr in traces]
 
-    grid_dims = np.empty(shape, dtype=object)
-    grid_dims.ravel()[:] = dims
+    grid_dims = np.reshape(dims, shape)
     jumps = []
     for axis in range(len(axes)):
         for idx in np.ndindex(shape):
@@ -510,15 +449,13 @@ def regularity_scan(spec: ConnectionSpec, axes,
                 continue
             jdx = list(idx)
             jdx[axis] += 1
-            a, b = grid_dims[idx], grid_dims[tuple(jdx)]
-            if a is not None and b is not None and a != b:
+            a, b = int(grid_dims[idx]), int(grid_dims[tuple(jdx)])
+            if a != b:
                 pa = [axes[c][idx[c]] for c in range(len(axes))]
                 pb = [axes[c][jdx[c]] for c in range(len(axes))]
                 jumps.append((pa, pb, a, b))
-    regular = None not in dims and len(set(dims)) == 1
-    irregular = [pts[i].tolist() for i, d in enumerate(dims) if d is None]
-    return RegularityReport(axes, pts, traces, dims, regular, jumps,
-                            irregular)
+    return RegularityReport(axes, pts, traces, dims, len(set(dims)) == 1,
+                            jumps)
 
 
 @dataclass

@@ -27,9 +27,8 @@ from .bundle import ConnectionSpec, omega_stack
 from .expr import Expr, compile_expr, diff
 from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
-                   batch_terminal_bases, canonical_basis, default_stencil,
-                   derived_flag, kernel_intersection, local_metricity,
-                   regularity_scan)
+                   batch_terminal_bases, canonical_basis, derived_flag,
+                   kernel_intersection, local_metricity, regularity_scan)
 from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
                         holonomy_matrix)
 
@@ -81,17 +80,14 @@ class PhiSampler:
     """
 
     def __init__(self, spec: ConnectionSpec, base_point, wtilde: Optional[Subspace] = None,
-                 stencil_h: Optional[float] = None,
                  rank_tol: float = DEFAULT_RANK_TOL, pd_tol: float = 1e-8):
         if spec.kind != "christoffel":
             raise NotSym2Bundle("Phi tracking needs the Sym^2 fiber")
         self.spec = spec
         self.base_point = np.asarray(base_point, dtype=float)
-        self.stencil_h = stencil_h if stencil_h is not None else default_stencil(spec)
         self.rank_tol = rank_tol
         if wtilde is None:
-            wtilde = derived_flag(spec, base_point, self.stencil_h,
-                                  rank_tol=rank_tol).terminal
+            wtilde = derived_flag(spec, base_point, rank_tol=rank_tol).terminal
         if wtilde.dim != 1:
             raise RankNotOne(f"terminal subspace has rank {wtilde.dim}, not 1")
         g = wtilde.basis[:, 0]
@@ -112,8 +108,7 @@ class PhiSampler:
     def generators(self, points) -> np.ndarray:
         """Tracked unit sections at an (m, n) batch of points; shape (m, N)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        bases = batch_terminal_bases(self.spec, pts, self.stencil_h,
-                                     self.rank_tol)
+        bases = batch_terminal_bases(self.spec, pts, self.rank_tol)
         proj = np.einsum("mia,ma->mi", bases,
                          np.einsum("mia,i->ma", bases, self.base_generator))
         norms = np.linalg.norm(proj, axis=1)
@@ -289,7 +284,6 @@ class Analysis:
     grid_axes: list
     _: KW_ONLY
     rank_tol: float = DEFAULT_RANK_TOL
-    stencil_h: Optional[float] = None
     holonomy_tol: float = 1e-5
     fixed_tol: float = DEFAULT_FIXED_TOL
     pd_tol: float = 1e-8
@@ -300,8 +294,6 @@ class Analysis:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stencil_h is None:
-            self.stencil_h = default_stencil(self.spec)
         self.timings = []  # (stage, seconds) in the order the stages ran
         self._results = {}
         self._inner = 0.0  # time of the stages run inside the current one
@@ -309,22 +301,27 @@ class Analysis:
     @_stage
     def scan(self) -> RegularityReport:
         """Derived flag and terminal dimension at every grid point."""
-        return regularity_scan(self.spec, self.grid_axes, self.stencil_h,
-                               self.rank_tol)
+        return regularity_scan(self.spec, self.grid_axes, self.rank_tol)
 
     @_stage
     def local(self) -> list:
-        """LocalMetricity per grid point, None where the flag is irregular."""
-        return [None if tr is None else
-                local_metricity(self.spec, p, tr, self.pd_tol,
+        """LocalMetricity per grid point."""
+        return [local_metricity(self.spec, p, tr, self.pd_tol,
                                 self.pd_restarts, self.seed)
                 for p, tr in zip(self.scan.points, self.scan.traces)]
 
     @_stage
     def base_trace(self) -> FlagTrace:
-        """Derived flag at the base point."""
-        return derived_flag(self.spec, self.point, self.stencil_h,
-                            rank_tol=self.rank_tol)
+        """Derived flag at the base point.  When the grid is regular, a base
+        point whose terminal dim differs from the grid's is irregular."""
+        trace = derived_flag(self.spec, self.point, rank_tol=self.rank_tol)
+        scan = self.scan
+        if scan.regular_on_grid and trace.terminal.dim != scan.dims[0]:
+            raise IrregularPoint(trace.point, trace.stabilization_level,
+                                 detail=f"terminal dim {trace.terminal.dim} "
+                                        f"!= {scan.dims[0]} on the regular "
+                                        "grid")
+        return trace
 
     @_stage
     def holonomies(self) -> list:
@@ -396,7 +393,6 @@ class Analysis:
         if wrank == 1 and self.loops:
             try:
                 sampler = PhiSampler(spec, trace.point, trace.terminal,
-                                     stencil_h=self.stencil_h,
                                      rank_tol=self.rank_tol,
                                      pd_tol=self.pd_tol)
                 phi = phi_periods(sampler, self.loops, self.quadrature_steps)
@@ -427,7 +423,6 @@ class Analysis:
 def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
                      grid_axes, *,
                      rank_tol: float = DEFAULT_RANK_TOL,
-                     stencil_h: Optional[float] = None,
                      holonomy_tol: float = 1e-5,
                      fixed_tol: float = DEFAULT_FIXED_TOL,
                      pd_tol: float = 1e-8,
@@ -445,8 +440,8 @@ def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
     ``inconclusive``.  The verdict's ``analysis`` keeps every stage.
     """
     an = Analysis(spec, point, loops, grid_axes, rank_tol=rank_tol,
-                  stencil_h=stencil_h, holonomy_tol=holonomy_tol,
-                  fixed_tol=fixed_tol, pd_tol=pd_tol, pd_restarts=pd_restarts,
+                  holonomy_tol=holonomy_tol, fixed_tol=fixed_tol,
+                  pd_tol=pd_tol, pd_restarts=pd_restarts,
                   rk4_steps=rk4_steps, quadrature_steps=quadrature_steps,
                   period_tol=period_tol, seed=seed)
     # only the returned copy points at the analysis: a cached verdict that did

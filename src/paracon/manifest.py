@@ -26,7 +26,6 @@ __all__ = ["Manifest", "ManifestError", "load_manifest", "manifest_from_dict",
 
 DEFAULT_TOLERANCES = {
     "rank_tol": 1e-7,
-    "stencil_h": None,       # None -> 1e-4 * coordinate range scale
     "holonomy_tol": 1e-5,
     "period_tol": None,      # None -> 1e-4 * (1 + loop length)
     "pd_tol": 1e-8,
@@ -233,6 +232,10 @@ def manifest_from_dict(doc: dict) -> Manifest:
 
     tol = dict(DEFAULT_TOLERANCES)
     for k, v in doc.get("tolerances", {}).items():
+        if k == "stencil_h":
+            # a no-op, kept so older manifests load: the flag takes exact
+            # covariant derivatives and has no difference step
+            continue
         if k not in tol:
             raise ManifestError(f"/tolerances/{k}", "unknown tolerance")
         tol[k] = None if v is None else float(v)

@@ -146,8 +146,6 @@ def line_curve(domain: Domain, start, end, params: Optional[dict] = None,
 @dataclass
 class TransportResult:
     final: np.ndarray
-    steps: int
-    invariance_residual: Optional[float] = None
 
 
 def _generators(spec: ConnectionSpec, curve: Curve, ts) -> np.ndarray:
@@ -179,14 +177,9 @@ def _compose(E: np.ndarray) -> np.ndarray:
     return E[0]
 
 
-def transport(spec: ConnectionSpec, curve: Curve, v0, steps: int = 4096,
-              wtilde_end: Optional[Subspace] = None) -> TransportResult:
-    """Parallel transport of a fiber vector (or basis matrix) along a curve.
-
-    When ``wtilde_end`` is given, the result carries the distance of the
-    transported vectors from that subspace (the invariance residual of the
-    terminal bundle at the endpoint).
-    """
+def transport(spec: ConnectionSpec, curve: Curve, v0,
+              steps: int = 4096) -> TransportResult:
+    """Parallel transport of a fiber vector (or basis matrix) along a curve."""
     if steps < 16:
         raise TransportError("at least 16 RK4 steps required")
     v = np.asarray(v0, dtype=float)
@@ -200,12 +193,7 @@ def transport(spec: ConnectionSpec, curve: Curve, v0, steps: int = 4096,
         nA = _generators(spec, curve, ts[2 * start:2 * stop + 1])
         np.negative(nA, out=nA)
         v = v + _compose(_step_maps(nA, h)) @ v
-    residual = None
-    if wtilde_end is not None:
-        B = wtilde_end.basis
-        residual = float(np.linalg.norm(v - B @ (B.T @ v)))
-    out = v[:, 0] if single else v
-    return TransportResult(out, steps, invariance_residual=residual)
+    return TransportResult(v[:, 0] if single else v)
 
 
 @dataclass

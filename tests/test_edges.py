@@ -150,19 +150,6 @@ def test_cli_invalid_json_manifest(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_cli_flag_irregular_point_exits_two(tmp_path, capsys):
-    from paracon.corpus import get_entry
-    doc = json.loads(json.dumps(get_entry("smooth-pathology").manifest_doc))
-    doc.pop("expected", None)
-    doc["tolerances"] = {"stencil_h": 0.35}
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(doc))
-    code = main(["flag", str(path), "--point=-0.3,0", "--out",
-                 str(tmp_path / "r.json")])
-    assert code == 2
-    assert "irregular" in capsys.readouterr().err
-
-
 def test_cli_text_format_for_subcommands(tmp_path, capsys):
     from paracon.corpus import get_entry
     doc = json.loads(json.dumps(get_entry("s1-line-bundle").manifest_doc))

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from paracon import flag as flagmod
 from paracon.bundle import (ConnectionSpec, Domain, curvature_operators,
-                            curvature_pairs, omega_stack)
+                            curvature_pairs, nudge_off_breakpoints,
+                            omega_stack)
 from paracon.expr import parse_expr
 from paracon.flag import (EmptyGrid, IrregularPoint, NotSym2Bundle, Subspace,
                           batch_terminal_bases, curvature_kernel, derived_flag,
@@ -65,14 +69,14 @@ def test_curvature_kernel_one_dimensional_chart(circle_line_spec):
 def test_sff_full_space_on_flat(flat_spec):
     V = curvature_kernel(flat_spec, (0.0, 0.0))
     assert V[0].dim == 3
-    out = second_fundamental_kernel(flat_spec, (0.0, 0.0), V, 1e-4)
+    out = second_fundamental_kernel(flat_spec, (0.0, 0.0), V)
     assert out[0].dim == 3
 
 
 def test_sff_sphere_kernel_survives(sphere_spec):
     p = (np.pi / 3, 1.0)
     V = curvature_kernel(sphere_spec, p)
-    out = second_fundamental_kernel(sphere_spec, p, V, 3e-4)[0]
+    out = second_fundamental_kernel(sphere_spec, p, V)[0]
     assert out.dim == 1
     assert principal_angles(out.basis, V[0].basis).max() < 1e-8
 
@@ -83,7 +87,7 @@ def test_sff_pathology_left_band_metric_direction(pathology_spec):
     f = 1.0 + np.exp(-1.0 / x ** 2)
     p = (x, 0.0)
     V = curvature_kernel(pathology_spec, p)
-    out = second_fundamental_kernel(pathology_spec, p, V, 2e-4)[0]
+    out = second_fundamental_kernel(pathology_spec, p, V)[0]
     assert out.dim == 1
     want = np.array([1.0, f, 0.0])
     want /= np.linalg.norm(want)
@@ -153,13 +157,6 @@ def test_regularity_scan_constant_matrix_connection():
 def test_regularity_scan_empty_grid(flat_spec):
     with pytest.raises(EmptyGrid):
         regularity_scan(flat_spec, [[], [0.0]])
-
-
-def test_irregular_point_when_stencil_crosses_breakpoint(pathology_spec):
-    # left-band point whose second-fundamental stencil reaches into the
-    # middle band, where the curvature kernel is three-dimensional
-    with pytest.raises(IrregularPoint):
-        derived_flag(pathology_spec, (-0.3, 0.0), stencil_h=0.35)
 
 
 def test_local_metricity_sphere_certificate(sphere_spec):
@@ -396,52 +393,231 @@ def _deep_flag_spec():
     return ConnectionSpec(dom, kind="matrix", fiber_dim=5, omega=omega)
 
 
-def _assert_scan_matches_derived_flag(spec, axes, stencil_h=None):
-    rep = regularity_scan(spec, axes, stencil_h)
-    irregular = []
-    for p, tr in zip(rep.points, rep.traces):
-        try:
-            want = derived_flag(spec, p, stencil_h)
-        except IrregularPoint:
-            assert tr is None
-            irregular.append(p.tolist())
-            continue
-        assert np.array_equal(tr.point, want.point)
-        assert tr.dims == want.dims
-        assert tr.stabilization_level == want.stabilization_level
-        for (_, _, a), (_, _, b) in zip(tr.levels, want.levels):
-            assert np.array_equal(a.basis, b.basis)
-            assert a.sv_gap == b.sv_gap
-    assert rep.irregular_points == irregular
-    return rep
-
-
-def test_regularity_scan_matches_derived_flag_bit_for_bit(pathology_spec):
-    from paracon.corpus import get_entry
-    man = get_entry("smooth-pathology").manifest()
-    rep = _assert_scan_matches_derived_flag(man.spec, man.grid_axes,
-                                            man.tolerances["stencil_h"])
-    assert set(rep.dims) == {1, 3}
-
-    xs = [-1.0, -0.5, -0.3, 0.25, 0.5, 0.75, 1.3, 1.5, 2.0]
-    rep = _assert_scan_matches_derived_flag(pathology_spec, [xs, [0.0, 0.3]],
-                                            0.35)
-    assert 0 < len(rep.irregular_points) < len(rep.traces)
-
-    rep = _assert_scan_matches_derived_flag(
-        _deep_flag_spec(), [[0.2, 0.5], [0.1, 0.4, 0.7]], 1e-3)
-    assert all(tr.dims == [4, 3, 2, 2] for tr in rep.traces)
-
-    # flag [1, 0] for x < 0 and [2, 1, 1] for x > 0: one second-fundamental
-    # step takes both level-0 dimensions at once, and the next step only
-    # the points that have not stopped
+def _two_chain_spec():
+    # flag [1, 0] for x < 0 and [2, 1, 1] for x > 0
     dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
     z = parse_expr("0")
     omega = [[[z, z] for _ in range(3)] for _ in range(3)]
     omega[0][2][0] = parse_expr("x")
     omega[0][1][0] = parse_expr("if(x < 0, 1, 0)")
     omega[1][0][1] = parse_expr("exp(x)")
-    spec = ConnectionSpec(dom, kind="matrix", fiber_dim=3, omega=omega)
+    return ConnectionSpec(dom, kind="matrix", fiber_dim=3, omega=omega)
+
+
+_TWO_CHAIN_AXES = [[-0.7, -0.3, 0.4, 0.8], [-0.6, 0.5]]
+
+
+def _assert_scan_matches_derived_flag(spec, axes):
+    rep = regularity_scan(spec, axes)
+    for p, tr in zip(rep.points, rep.traces):
+        want = derived_flag(spec, p)
+        assert np.array_equal(tr.point, want.point)
+        assert tr.dims == want.dims
+        assert tr.stabilization_level == want.stabilization_level
+        for (_, _, a), (_, _, b) in zip(tr.levels, want.levels):
+            assert np.array_equal(a.basis, b.basis)
+            assert a.sv_gap == b.sv_gap
+    return rep
+
+
+def test_regularity_scan_matches_derived_flag_bit_for_bit(pathology_spec):
+    from paracon.corpus import get_entry
+    man = get_entry("smooth-pathology").manifest()
+    rep = _assert_scan_matches_derived_flag(man.spec, man.grid_axes)
+    assert set(rep.dims) == {1, 3}
+
+    xs = [-1.0, -0.5, -0.3, 0.25, 0.5, 0.75, 1.3, 1.5, 2.0]
+    rep = _assert_scan_matches_derived_flag(pathology_spec, [xs, [0.0, 0.3]])
+
     rep = _assert_scan_matches_derived_flag(
-        spec, [[-0.7, -0.3, 0.4, 0.8], [-0.6, 0.5]])
+        _deep_flag_spec(), [[0.2, 0.5], [0.1, 0.4, 0.7]])
+    assert all(tr.dims == [4, 3, 2, 2] for tr in rep.traces)
+
+    # one second-fundamental step takes both level-0 dimensions at once, and
+    # the next step only the points that have not stopped
+    rep = _assert_scan_matches_derived_flag(_two_chain_spec(), _TWO_CHAIN_AXES)
     assert [tr.dims for tr in rep.traces] == [[1, 0]] * 4 + [[2, 1, 1]] * 4
+
+
+# -- the stencil flag engine the exact one replaced, kept as a reference ----
+#
+# Its level step centrally differences the previous level's tracked bases over
+# a stencil p +- h e_k (each stencil basis rotated onto V(p) by the polar
+# factor), adds the connection term, projects onto the complement of V(p) and
+# cuts above an O(h^2) floor.  It runs here on regular points only: a stencil
+# point with another dimension fails the test.
+
+
+def _stencil_levels(spec, pts, h, depth=None):
+    """The reference level loop: every level until each point stabilizes, or
+    with ``depth`` every point to that level (as the stencil needs)."""
+    m = len(pts)
+    levels = [curvature_kernel(spec, pts)]
+    last = np.full(m, -1)
+    prev = np.full(m, spec.N)
+    while True:
+        cur = levels[-1]
+        stop = (((cur.dims == prev) | (cur.dims == 0)) if depth is None
+                else np.full(m, cur.level == depth))
+        last[(last < 0) & stop] = cur.level
+        active = np.flatnonzero(last < 0)
+        if not active.size:
+            return levels, last
+        step = _stencil_step(spec, pts[active], cur.take(active), h)
+        nxt = cur.take(np.arange(m))
+        nxt.level += 1
+        nxt.dims[active], nxt.bases[active], nxt.gaps[active] = \
+            step.dims, step.bases, step.gaps
+        prev = cur.dims
+        levels.append(nxt)
+
+
+def _polar_align(V, B):
+    u, _, vt = np.linalg.svd(np.matmul(B.transpose(0, 2, 1), V))
+    return np.matmul(B, np.matmul(u, vt))
+
+
+def _stencil_step(spec, pts, V, h):
+    n, N = spec.n, spec.N
+    out = V.take(np.arange(len(pts)))
+    out.level += 1
+    cut = np.flatnonzero((V.dims > 0) & (V.dims < N))
+    if not cut.size:
+        return out
+    stencil = []  # V's level at pts[cut] + s, s = +h e_0, -h e_0, +h e_1, ...
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h
+        for s in (e, -e):
+            levels, _ = _stencil_levels(spec, pts[cut] + s, h, depth=V.level)
+            assert np.array_equal(levels[-1].dims, V.dims[cut]), \
+                "reference stencil crosses a dimension jump"
+            stencil.append(levels[-1])
+    omega = omega_stack(spec, pts[cut])
+    for d, g in flagmod._groups(V.dims[cut]):
+        idx = cut[g]
+        Vb = V.bases[idx, :, :d]
+        Pperp = np.eye(N) - np.matmul(Vb, Vb.transpose(0, 2, 1))
+        rows = []
+        for k in range(n):
+            plus, minus = (_polar_align(Vb, stencil[j].bases[g, :, :d])
+                           for j in (2 * k, 2 * k + 1))
+            nabla = (plus - minus) / (2.0 * h) + np.matmul(omega[g, k], Vb)
+            rows.append(np.matmul(Pperp, nabla))
+        dims, gaps, vt = flagmod._kernels(np.concatenate(rows, axis=1),
+                                          flagmod.DEFAULT_RANK_TOL,
+                                          max(1e-10, 100.0 * h * h))
+        out.dims[idx], out.gaps[idx], out.bases[idx] = dims, gaps, 0.0
+        for dd, r in flagmod._groups(dims):
+            out.bases[idx[r], :, :dd] = np.matmul(
+                Vb[r], vt[r, d - dd:].transpose(0, 2, 1))
+    return out
+
+
+def _assert_exact_matches_stencil(spec, points):
+    """Equal flag dims at every level and terminal spans within 1e-8."""
+    pts = np.array([nudge_off_breakpoints(spec, p) for p in points])
+    want, want_last = _stencil_levels(spec, pts, 1e-4 * spec.domain.scale)
+    got, got_last = flagmod._flag(spec, pts, flagmod.DEFAULT_RANK_TOL)
+    assert np.array_equal(got_last, want_last)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.dims, b.dims)
+    for i, last in enumerate(got_last):
+        angles = principal_angles(got[last][i].basis, want[last][i].basis)
+        assert angles.max(initial=0.0) < 1e-8, pts[i]
+
+
+def _corpus_manifests():
+    from paracon.corpus import ENTRY_IDS, get_entry
+    return [get_entry(eid).manifest() for eid in ENTRY_IDS]
+
+
+def test_exact_flag_matches_stencil_on_corpus_grids_and_base_points():
+    for man in _corpus_manifests():
+        mesh = np.meshgrid(*man.grid_axes, indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        _assert_exact_matches_stencil(man.spec,
+                                      np.vstack([grid, man.base_point]))
+
+
+def test_exact_flag_matches_stencil_on_corpus_loops():
+    loops = 0
+    for man in _corpus_manifests():
+        for loop in man.loops:
+            ts = np.linspace(loop.t0, loop.t1, 512, endpoint=False)
+            _assert_exact_matches_stencil(man.spec, loop.points(ts))
+            loops += 1
+    assert loops >= 5
+
+
+def test_exact_flag_matches_stencil_on_deeper_flags():
+    spec = _deep_flag_spec()
+    mesh = np.meshgrid([0.2, 0.5, 0.8], [0.1, 0.4, 0.7, 1.0], indexing="ij")
+    _assert_exact_matches_stencil(spec, np.stack([m.ravel() for m in mesh],
+                                                 axis=1))
+    mesh = np.meshgrid(*_TWO_CHAIN_AXES, indexing="ij")
+    _assert_exact_matches_stencil(_two_chain_spec(),
+                                  np.stack([m.ravel() for m in mesh], axis=1))
+
+
+def test_deep_flag_terminal_span_is_exact():
+    # the terminal space is span(e1, e2) wherever y > 0 (see _deep_flag_spec)
+    rng = np.random.default_rng(29)
+    pts = np.stack([rng.uniform(-1.5, 1.5, 50), rng.uniform(0.1, 1.5, 50)],
+                   axis=1)
+    frame = np.eye(5)[:, 1:3]
+    spec = _deep_flag_spec()
+    for p in pts:
+        tr = derived_flag(spec, p)
+        assert tr.dims == [4, 3, 2, 2]
+        assert principal_angles(tr.terminal.basis, frame).max() < 1e-12
+
+
+def test_flag_next_to_a_breakpoint_is_regular():
+    # G^x_yy = x right of x = 0 and 0 left of it: at x = 1e-5 the flag is
+    # that of the right band, however close the breakpoint
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    spec = ConnectionSpec(dom, kind="christoffel",
+                          gamma={(0, 1, 1): parse_expr("if(x < 0, 0, x)")})
+    assert derived_flag(spec, (1e-5, 0.0)).dims == [1, 1]
+    assert derived_flag(spec, (-1e-5, 0.0)).dims == [3]
+
+
+def test_second_fundamental_cut_is_relative_to_the_derivative():
+    # dx^2 + exp(200 x) dy^2: nabla R is about 1e6 here, so its rounding on
+    # the exact terminal line (about 1e-10) would pass an absolute cutoff
+    dom = Domain(names=("x", "y"), lows=(-0.1, -1.0), highs=(0.1, 1.0))
+    gamma = {(0, 1, 1): parse_expr("-100*exp(200*x)"),
+             (1, 0, 1): parse_expr("100"), (1, 1, 0): parse_expr("100")}
+    spec = ConnectionSpec(dom, kind="christoffel", gamma=gamma)
+    for x in (-0.05, 0.0, 0.05):
+        tr = derived_flag(spec, (x, 0.2))
+        assert tr.dims == [1, 1]
+        assert local_metricity(spec, (x, 0.2), tr).locally_metric
+
+
+def _verdict_summary(tmp_path, doc, name):
+    from paracon.cli import main
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / f"{name}.report.json"
+    code = main(["analyze", str(path), "--out", str(out)])
+    report = json.loads(out.read_text())
+    gv, fb = report["global_verdict"], report.get("flat_bundle")
+    return (code, report["regularity"]["regular_on_grid"],
+            gv and gv["status"], (gv or fb)["fixed_dim"])
+
+
+@pytest.mark.parametrize("rank_tol", [1e-8, 1e-6])
+def test_verdicts_hold_across_rank_tol(tmp_path, rank_tol):
+    # a tenfold change of rank_tol either way must not move a verdict
+    from paracon.corpus import ENTRY_IDS, get_entry
+    for eid in ENTRY_IDS:
+        doc = json.loads(json.dumps(get_entry(eid).manifest_doc))
+        doc.pop("expected")
+        want = _verdict_summary(tmp_path, doc, eid)
+        doc.setdefault("tolerances", {})["rank_tol"] = rank_tol
+        assert _verdict_summary(tmp_path, doc, eid) == want, eid
+    spec = _deep_flag_spec()
+    for p in ((0.2, 0.1), (0.3, 0.1), (0.8, 1.0)):
+        assert derived_flag(spec, p, rank_tol=rank_tol).dims == [4, 3, 2, 2]

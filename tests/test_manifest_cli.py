@@ -33,6 +33,27 @@ def test_manifest_round_trip_minimal():
     assert man.steps == {"rk4": 4096, "quadrature": 4096}
 
 
+def test_manifest_stencil_h_is_an_ignored_tolerance(tmp_path):
+    # older manifests set the flag's removed difference step; they still load
+    doc = minimal_doc(tolerances={"stencil_h": 0.35, "rank_tol": 1e-8})
+    man = manifest_from_dict(doc)
+    assert "stencil_h" not in man.tolerances
+    assert man.tolerances["rank_tol"] == 1e-8
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "stencil_h" not in report["effective"]["tolerances"]
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(minimal_doc(tolerances={"rank_tol": 1e-8})))
+    out2 = tmp_path / "r2.json"
+    assert main(["analyze", str(plain), "--out", str(out2)]) == 0
+    report2 = json.loads(out2.read_text())
+    assert report["regularity"] == report2["regularity"]
+    assert report["global_verdict"] == report2["global_verdict"]
+
+
 def test_manifest_grid_counts():
     man = manifest_from_dict(minimal_doc(grid={"counts": [3, 2]}))
     assert len(man.grid_axes[0]) == 3

@@ -120,7 +120,8 @@ IRREGULAR_BASE = {
 
 @pytest.mark.parametrize("command", ["analyze", "global"])
 def test_irregular_base_point_is_inconclusive(tmp_path, command):
-    # the grid is regular, but the stencil at the base point straddles x = 0
+    # the grid is regular, but the base point lies right of x = 0, where the
+    # flag is [1, 1] and not the grid's [3]
     man = tmp_path / "m.json"
     man.write_text(json.dumps(IRREGULAR_BASE))
     out = tmp_path / "r.json"
@@ -133,6 +134,25 @@ def test_irregular_base_point_is_inconclusive(tmp_path, command):
     assert any("base-point flag failed" in n for n in gv["notes"])
     assert report["holonomy"] is None
     assert any("holonomy stage failed" in n for n in report["notes"])
+
+
+def test_base_flag_differing_from_regular_grid_is_inconclusive(tmp_path):
+    # far from the breakpoint, the base point's terminal dim 1 differs from
+    # the regular grid's 3: no verdict
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps(dict(IRREGULAR_BASE, base_point=[0.5, 0.0])))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(man), "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    validate(report, _schema("report.schema.json"), "analyze")
+    assert report["regularity"]["dims"] == [3] * 6
+    assert report["regularity"]["regular_on_grid"] is True
+    gv = report["global_verdict"]
+    assert gv["status"] == "inconclusive"
+    assert gv["wtilde_rank"] is None
+    assert any("base-point flag failed" in n and "terminal dim 1 != 3" in n
+               for n in gv["notes"])
+    assert report["holonomy"] is None
 
 
 def test_irregular_base_point_holonomy_exits_two(tmp_path, capsys):
