@@ -467,10 +467,18 @@ class LocalMetricity:
     best_lambda: float
 
 
-def local_metricity(spec: ConnectionSpec, point, trace: FlagTrace,
-                    tol: float = 1e-8, restarts: int = 32,
-                    seed: int = 0) -> LocalMetricity:
+def local_metricity(spec: ConnectionSpec, point, trace, tol: float = 1e-8,
+                    restarts: int = 32, seed: int = 0):
     """Does the terminal subspace contain a positive-definite form?
+
+    ``trace`` is one :class:`FlagTrace`, answered by one
+    :class:`LocalMetricity`, or a sequence of them (the scan's), answered by
+    a list.  The spans of one terminal dim go through
+    :func:`pdcone.pd_feasible_batch` in slices of ``_SLICE`` points, with the
+    same bits as one ``pd_feasible`` per point; a zero terminal subspace is
+    infeasible with no test.  ``point`` is not used, since each trace
+    carries its own point; it stays so that ``local_metricity(spec, p, tr)``
+    calls keep working.
 
     Only meaningful for Christoffel connections, whose fiber is the space of
     symmetric two-tensors; raises :class:`NotSym2Bundle` otherwise.
@@ -478,10 +486,21 @@ def local_metricity(spec: ConnectionSpec, point, trace: FlagTrace,
     from . import pdcone
     if spec.kind != "christoffel":
         raise NotSym2Bundle("local metricity is defined on the Sym^2 bundle only")
-    term = trace.terminal
-    if term.dim == 0:
-        return LocalMetricity(False, "infeasible_certified", None, None, 0.0)
-    span = pdcone.SymSpan.from_fiber_vectors(spec.sym, term.basis)
-    res = pdcone.pd_feasible(span, tol=tol, restarts=restarts, seed=seed)
-    return LocalMetricity(res.status == "feasible", res.status,
-                          res.coefficients, res.cholesky, res.best_lambda)
+    single = isinstance(trace, FlagTrace)
+    terms = [tr.terminal for tr in ([trace] if single else trace)]
+    out = [None] * len(terms)
+    for d, idx in _groups(np.array([t.dim for t in terms], dtype=int)):
+        if d == 0:
+            for i in idx:
+                out[i] = LocalMetricity(False, "infeasible_certified", None,
+                                        None, 0.0)
+            continue
+        for start in range(0, idx.size, _SLICE):
+            part = idx[start:start + _SLICE]
+            vecs = np.stack([terms[i].basis.T for i in part])  # (m, d, N)
+            for i, res in zip(part, pdcone.pd_feasible_batch(
+                    spec.sym.to_matrix(vecs), tol, restarts, seed)):
+                out[i] = LocalMetricity(res.status == "feasible", res.status,
+                                        res.coefficients, res.cholesky,
+                                        res.best_lambda)
+    return out[0] if single else out

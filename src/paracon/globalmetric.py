@@ -271,11 +271,12 @@ class Analysis:
     """The pipeline for one connection, run lazily with each stage at most once.
 
     The stages are attributes: ``scan`` (derived flag at every grid point),
-    ``local`` (local metricity at every grid point), ``base_trace`` (flag at
-    the base point), ``holonomies`` (one per declared loop), ``fixed`` (their
-    common fixed subspace) and ``verdict`` (PD feasibility of the fixed space
-    and the rank-one period cross-check).  Reading a stage runs the stages it
-    needs first.  The settings are those of :func:`global_metricity`.
+    ``local`` (local metricity at every grid point, one batched call),
+    ``base_trace`` (flag at the base point), ``holonomies`` (one per declared
+    loop), ``fixed`` (their common fixed subspace) and ``verdict`` (PD
+    feasibility of the fixed space and the rank-one period cross-check).
+    Reading a stage runs the stages it needs first.  The settings are those
+    of :func:`global_metricity`.
     """
 
     spec: ConnectionSpec
@@ -305,10 +306,9 @@ class Analysis:
 
     @_stage
     def local(self) -> list:
-        """LocalMetricity per grid point."""
-        return [local_metricity(self.spec, p, tr, self.pd_tol,
-                                self.pd_restarts, self.seed)
-                for p, tr in zip(self.scan.points, self.scan.traces)]
+        """LocalMetricity at every grid point, in one batched call."""
+        return local_metricity(self.spec, self.scan.points, self.scan.traces,
+                               self.pd_tol, self.pd_restarts, self.seed)
 
     @_stage
     def base_trace(self) -> FlagTrace:

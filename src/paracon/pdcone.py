@@ -9,7 +9,11 @@ status ``inconclusive`` is reported rather than coerced.
 
 A screen precedes the ascent: every start (the generators, their negatives,
 plus and minus the trace direction, and the seeded random unit vectors, drawn
-once per ``(d, restarts, seed)``) goes through one batched ``eigvalsh``.
+once per ``(d, restarts, seed)``) goes through one batched ``eigvalsh``.  The
+same screen serves one span (:func:`pd_feasible`) and a stack of spans of
+one shape (:func:`pd_feasible_batch`), which certifies the spans whose best
+start clears the tolerance with one batched Cholesky and gives every span the
+bits ``pd_feasible`` would.
 """
 
 from __future__ import annotations
@@ -20,11 +24,26 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["SymSpan", "PDResult", "NoPDElement", "pd_feasible", "pd_basis"]
+__all__ = ["SymSpan", "PDResult", "NoPDElement", "pd_feasible",
+           "pd_feasible_batch", "pd_basis"]
 
 
 class NoPDElement(RuntimeError):
     pass
+
+
+def _symmetrized(stack):
+    """The symmetric parts of an (..., size, size) stack of span generators,
+    after checking each generator S: it must be square and symmetric to
+    within ``1e-10 * max(1, |S|max)``."""
+    S = np.asarray(stack, dtype=float)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise ValueError("span matrices must share the declared size")
+    St = np.swapaxes(S, -1, -2)
+    asym = np.abs(S - St).max(axis=(-2, -1))
+    if np.any(asym > 1e-10 * np.maximum(1.0, np.abs(S).max(axis=(-2, -1)))):
+        raise ValueError("span generator is not symmetric")
+    return 0.5 * (S + St)
 
 
 @dataclass
@@ -35,18 +54,12 @@ class SymSpan:
     matrices: list
 
     def __post_init__(self):
-        mats = []
-        for S in self.matrices:
-            S = np.asarray(S, dtype=float)
-            if S.shape != (self.size, self.size):
-                raise ValueError("span matrices must share the declared size")
-            sym = 0.5 * (S + S.T)
-            if np.abs(S - S.T).max() > 1e-10 * max(1.0, np.abs(S).max()):
-                raise ValueError("span generator is not symmetric")
-            mats.append(sym)
+        mats = [np.asarray(S, dtype=float) for S in self.matrices]
+        if any(S.shape != (self.size, self.size) for S in mats):
+            raise ValueError("span matrices must share the declared size")
         if not mats:
             raise ValueError("span needs at least one generator")
-        self.matrices = mats
+        self.matrices = list(_symmetrized(np.stack(mats)))
 
     @property
     def dim(self):
@@ -140,36 +153,54 @@ def _random_starts(d: int, restarts: int, seed: int) -> np.ndarray:
     return out
 
 
-def pd_feasible(span: SymSpan, tol: float = 1e-8, restarts: int = 32,
-                seed: int = 0, iters: int = 300) -> PDResult:
-    """Decide whether the span meets the open positive-definite cone.
+def _scale(stack):
+    """Largest Frobenius norm among a (d, n, n) span's generators."""
+    return max(np.linalg.norm(stack[a]) for a in range(len(stack)))
 
-    Maximizes ``lambda_min(sum_a c_a S_a)`` over the coefficient unit ball;
-    feasible iff the best value exceeds ``tol`` and the certifying Cholesky
-    succeeds.  Infeasibility is certified by a PSD witness ``U`` with
-    ``|tr(U S_a)| < 10 tol`` assembled from the minimal eigenvectors seen
-    during the ascent.  Deterministic for fixed seed.
+
+def _trace_units(stack):
+    """The unit trace direction of each span of an (m, d, n, n) stack, and
+    whether it exists (False for a span of traceless generators).
+
+    Each norm is ``sqrt(t.dot(t))`` span by span, as ``np.linalg.norm`` takes
+    it; a norm along an axis of the batch can differ in the last bit.
     """
-    d = span.dim
-    stack = np.stack(span.matrices)
-    scale = max(np.linalg.norm(stack[a]) for a in range(d))
-    if scale == 0.0:
-        # zero span: trivially infeasible, witness any unit-trace PSD matrix
-        U = np.eye(span.size) / span.size
-        return PDResult("infeasible_certified", 0.0, witness=U)
+    traces = np.trace(stack, axis1=2, axis2=3)
+    norms = np.sqrt([t.dot(t) for t in traces])
+    traced = norms > 0
+    units = np.zeros_like(traces)
+    units[traced] = traces[traced] / norms[traced, None]
+    return units, traced
 
-    # one row per start: e_a, -e_a, +-traces/|traces|, the random starts
+
+def _screen(stack, units, restarts, seed):
+    """The start screen over an (m, d, n, n) stack of nonzero spans: every
+    start's combination goes through one batched ``eigvalsh``.
+
+    A span's starts are the rows e_a and -e_a, then +-``units[i]`` (its unit
+    trace direction; ``units`` is None for spans of traceless generators),
+    then the seeded random starts.  Returns the starts, (m, K, d), and the
+    smallest eigenvalue of each start's combination, (m, K).
+    """
+    m, d, n, _ = stack.shape
     eye = np.eye(d)
     rows = [eye, -eye]
-    traces = np.array([np.trace(S) for S in span.matrices])
-    if np.linalg.norm(traces) > 0:
-        unit = traces / np.linalg.norm(traces)
-        rows.append(np.stack([unit, -unit]))
-    starts = np.concatenate(rows + [_random_starts(d, restarts, seed)])
+    if units is not None:
+        rows += [units[:, None], -units[:, None]]
+    rows.append(_random_starts(d, restarts, seed))
+    starts = np.concatenate([np.broadcast_to(r, (m,) + r.shape[-2:])
+                             for r in rows], axis=1)
+    combos = np.einsum("mka,maij->mkij", starts, stack)
+    vals = np.linalg.eigvalsh(combos.reshape(-1, n, n))[:, 0]
+    return starts, vals.reshape(m, -1)
 
-    # cheap screen: the start values alone often certify feasibility
-    start_vals = np.linalg.eigvalsh(
-        np.einsum("ka,aij->kij", starts, stack))[:, 0]
+
+def _finish(span, starts, start_vals, scale, tol, iters):
+    """Decide one span from its screened starts: the best start, the ascent
+    when no start clears ``tol``, the certifying Cholesky, then the dual
+    witness."""
+    d = span.dim
+    stack = np.stack(span.matrices)
     # the first best start, copied so the result does not keep `starts` alive
     k = int(np.argmax(start_vals))
     best_val, best_c = start_vals[k], starts[k].copy()
@@ -209,6 +240,74 @@ def pd_feasible(span: SymSpan, tol: float = 1e-8, restarts: int = 32,
         if np.linalg.eigvalsh(U).min() >= -1e-12:
             return PDResult("infeasible_certified", float(best_val), witness=U)
     return PDResult("inconclusive", float(best_val), coefficients=best_c)
+
+
+def pd_feasible(span: SymSpan, tol: float = 1e-8, restarts: int = 32,
+                seed: int = 0, iters: int = 300) -> PDResult:
+    """Decide whether the span meets the open positive-definite cone.
+
+    Maximizes ``lambda_min(sum_a c_a S_a)`` over the coefficient unit ball;
+    feasible iff the best value exceeds ``tol`` and the certifying Cholesky
+    succeeds.  Infeasibility is certified by a PSD witness ``U`` with
+    ``|tr(U S_a)| < 10 tol`` assembled from the minimal eigenvectors seen
+    during the ascent.  Deterministic for fixed seed.
+    """
+    stack = np.stack(span.matrices)
+    scale = _scale(stack)
+    if scale == 0.0:
+        # zero span: trivially infeasible, witness any unit-trace PSD matrix
+        U = np.eye(span.size) / span.size
+        return PDResult("infeasible_certified", 0.0, witness=U)
+    units, traced = _trace_units(stack[None])
+    starts, vals = _screen(stack[None], units if traced[0] else None,
+                           restarts, seed)
+    return _finish(span, starts[0], vals[0], scale, tol, iters)
+
+
+def pd_feasible_batch(stack, tol: float = 1e-8, restarts: int = 32,
+                      seed: int = 0, iters: int = 300) -> list:
+    """:func:`pd_feasible` of each span of an (m, d, n, n) stack of
+    generators, bit for bit, as a list of m results.
+
+    The generators are checked and symmetrized as :class:`SymSpan` does.
+    Every nonzero finite span goes through one start screen, and those whose
+    best start clears ``tol`` through one batched Cholesky; only a span that
+    this does not certify takes the ascent and the dual witness.
+    """
+    S = _symmetrized(stack)
+    m, d, n, _ = S.shape
+    out = [None] * m
+    # a span whose squares all vanish (its scale is zero) or one that is not
+    # finite is decided on its own
+    live = np.isfinite(S).all(axis=(1, 2, 3)) & (S * S).any(axis=(1, 2, 3))
+    for i in np.flatnonzero(~live):
+        out[i] = pd_feasible(SymSpan(n, S[i]), tol, restarts, seed, iters)
+    idx = np.flatnonzero(live)
+    units, traced = _trace_units(S[idx])
+    for sel, u in ((traced, units[traced]), (~traced, None)):
+        part = idx[sel]
+        if not part.size:
+            continue
+        starts, vals = _screen(S[part], u, restarts, seed)
+        rows = np.arange(part.size)
+        k = np.argmax(vals, axis=1)
+        best, best_c = vals[rows, k], starts[rows, k]
+        ok = np.flatnonzero(best > tol)
+        A = np.einsum("ma,maij->mij", best_c[ok], S[part[ok]])
+        try:
+            chol = list(np.linalg.cholesky(A))
+        except np.linalg.LinAlgError:
+            chol = [_try_cholesky(a) for a in A]
+        for j, L in zip(ok, chol):
+            if L is not None:
+                out[part[j]] = PDResult("feasible", float(best[j]),
+                                        coefficients=best_c[j], cholesky=L)
+        for j in rows:
+            i = part[j]
+            if out[i] is None:
+                out[i] = _finish(SymSpan(n, S[i]), starts[j], vals[j],
+                                 _scale(S[i]), tol, iters)
+    return out
 
 
 def pd_basis(span: SymSpan, e_index: int = None, tol: float = 1e-8,

@@ -11,6 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _traced_pass(workload):
+    """One traced pass; returns the parsed result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
@@ -21,6 +22,7 @@ def _traced_pass(workload):
     assert result["correct"] is True, detail
     assert detail["check_problems"] == []
     assert result["failed"] == 0
+    return result
 
 
 def test_benchmark_traced_deep_flag_pass_is_correct():
@@ -30,7 +32,11 @@ def test_benchmark_traced_deep_flag_pass_is_correct():
 def test_benchmark_traced_fine_grid_pass_is_correct():
     # the tracer asserts that pd_feasible and local_metricity run here and
     # that transport is bypassed
-    _traced_pass("fine-grid")
+    metrics = _traced_pass("fine-grid")["metrics"]
+    # the local stage is one batched call over the 900 grid points; the one
+    # pd_feasible is the verdict's
+    assert metrics["flag.local_metricity.calls"]["value"] == 1
+    assert metrics["pdcone.pd_feasible.calls"]["value"] == 1
 
 
 def test_benchmark_traced_corpus_pass_is_correct():

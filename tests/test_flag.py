@@ -196,6 +196,63 @@ def test_local_metricity_requires_sym2(circle_line_spec):
         local_metricity(circle_line_spec, (1.0,), tr)
 
 
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
+    # one call over a shuffled batch of every terminal dim d = 0 ... 6 that
+    # fits the fiber, in slices of 4 points, against one pd_feasible per point
+    from paracon.flag import FlagTrace
+    from paracon.pdcone import SymSpan, pd_feasible
+    monkeypatch.setattr(flagmod, "_SLICE", 4)
+    rng = np.random.default_rng(41)
+    seen = set()
+    for n in (2, 3, 4):
+        names = ("x", "y", "z", "w")[:n]
+        spec = ConnectionSpec(Domain(names, (-1.0,) * n, (1.0,) * n),
+                              kind="christoffel", gamma={})
+        N = spec.N
+        unit_trace = np.zeros(N)
+        unit_trace[:n] = 1.0 / np.sqrt(n)
+        traces = []
+        for d in range(min(6, N) + 1):
+            for kind in ("random", "traceless", "tilted"):
+                G = rng.standard_normal((N, d))
+                if kind == "traceless":  # no trace starts
+                    if d == N:
+                        continue
+                    G -= np.outer(unit_trace, unit_trace @ G)
+                elif kind == "tilted" and d:  # often won by a trace start
+                    G[:, 0] += 3.0 * np.sqrt(n) * unit_trace
+                basis = np.linalg.qr(G)[0]
+                traces.append(FlagTrace(np.zeros(n),
+                                        [(0, d, Subspace(N, basis))], 0))
+        traces = [traces[i] for i in rng.permutation(len(traces))]
+        got = local_metricity(spec, None, traces, seed=3)
+        assert len(got) == len(traces)
+        for tr, lm in zip(traces, got):
+            if tr.terminal.dim == 0:
+                assert (lm.locally_metric, lm.status, lm.coefficients,
+                        lm.cholesky, lm.best_lambda) == (
+                    False, "infeasible_certified", None, None, 0.0)
+                seen.add("zero")
+                continue
+            span = SymSpan.from_fiber_vectors(spec.sym, tr.terminal.basis)
+            want = pd_feasible(span, seed=3)
+            assert lm.status == want.status
+            assert lm.locally_metric == (want.status == "feasible")
+            assert _same_bits(lm.best_lambda, want.best_lambda)
+            assert _same_bits(lm.coefficients, want.coefficients)
+            assert _same_bits(lm.cholesky, want.cholesky)
+            seen.add(want.status)
+    assert seen == {"zero", "feasible", "infeasible_certified", "inconclusive"}
+
+
 def test_flag_monotonicity_randomized():
     rng = np.random.default_rng(19)
     dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))

@@ -273,6 +273,8 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     flags = _count_calls(monkeypatch, "paracon.flag", "derived_flag")
     kernels = _count_calls(monkeypatch, "paracon.flag", "curvature_kernel")
     holos = _count_calls(monkeypatch, "paracon.transport", "holonomy_matrix")
+    locals_ = _count_calls(monkeypatch, "paracon.flag", "local_metricity")
+    pds = _count_calls(monkeypatch, "paracon.pdcone", "pd_feasible")
     out = tmp_path / "r.json"
     assert main(["analyze", str(man), "--out", str(out),
                  "--steps", "512"]) == 0
@@ -282,6 +284,10 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     # for the whole grid and one for the base point
     assert len(kernels) == 2
     assert len(holos) == 1
+    # the local stage is one batched call over the 40 points, so the one
+    # pd_feasible is the verdict's
+    assert len(locals_) == 1
+    assert len(pds) == 1
 
 
 def test_corrupted_corpus_file_is_reported(monkeypatch):

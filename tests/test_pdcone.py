@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from paracon.bundle import SymIndex
-from paracon.pdcone import (NoPDElement, SymSpan, _random_starts, pd_basis,
-                            pd_feasible)
+from paracon.pdcone import (NoPDElement, SymSpan, _random_starts,
+                            _trace_units, _try_cholesky, pd_basis,
+                            pd_feasible, pd_feasible_batch)
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -251,6 +252,22 @@ def _screen_value(span, restarts, seed):
     return res.best_lambda
 
 
+def _seeded_mats(rng, sym, d, kind):
+    """d generators of a seeded span of one kind."""
+    n = sym.n
+    mats = [sym.to_matrix(rng.standard_normal(sym.N)) for _ in range(d)]
+    if kind == "traceless":  # no trace starts, never feasible
+        mats = [S - np.trace(S) / n * np.eye(n) for S in mats]
+    elif kind == "hidden":  # PD only off the unit-vector starts
+        P = np.eye(n) + 0.1 * mats[0] @ mats[0]
+        mats = [P + 4.0 * S for S in mats[1:]] + [P - 4.0 * mats[0]]
+    elif kind == "zero":
+        mats = [np.zeros((n, n))] * d
+    elif kind == "tilted":  # often won by a trace start
+        mats[0] = mats[0] + 3.0 * np.eye(n)
+    return mats
+
+
 def test_batched_screen_matches_per_start_screen_bit_for_bit():
     rng = np.random.default_rng(2024)
     settings = {"random": (32, 0), "traceless": (8, 5), "hidden": (0, 1),
@@ -260,16 +277,7 @@ def test_batched_screen_matches_per_start_screen_bit_for_bit():
         sym = SymIndex(n)
         for d in range(1, min(6, sym.N) + 1):
             for kind, (restarts, seed) in settings.items():
-                mats = [sym.to_matrix(rng.standard_normal(sym.N))
-                        for _ in range(d)]
-                if kind == "traceless":  # no trace starts, never feasible
-                    mats = [S - np.trace(S) / n * np.eye(n) for S in mats]
-                elif kind == "hidden":  # PD only off the unit-vector starts
-                    P = np.eye(n) + 0.1 * mats[0] @ mats[0]
-                    mats = [P + 4.0 * S for S in mats[1:]] + [P - 4.0 * mats[0]]
-                elif kind == "zero":
-                    mats = [np.zeros((n, n))] * d
-                span = SymSpan(n, mats)
+                span = SymSpan(n, _seeded_mats(rng, sym, d, kind))
                 want = _reference_pd_feasible(span, restarts=restarts,
                                               seed=seed)
                 got = pd_feasible(span, restarts=restarts, seed=seed)
@@ -288,6 +296,96 @@ def test_batched_screen_matches_per_start_screen_bit_for_bit():
     assert seen["traceless", "infeasible_certified"] > 0
     assert seen["random", "infeasible_certified"] > 0
     assert seen["zero", "infeasible_certified"] > 0
+
+
+def _cholesky_failing_matrix():
+    """A seeded near-singular 2 x 2 matrix whose smallest eigenvalue, as
+    ``eigvalsh`` computes it, clears 1e-8 while its Cholesky fails."""
+    rng = np.random.default_rng(0)
+    a = rng.integers(1, 10**6, 4000) * 1e4
+    b = rng.integers(1, 10**6, 4000) * 1e4
+    A = np.stack([np.stack([a, b], -1), np.stack([b, b * b / a], -1)], 1)
+    return next(M for M in A[np.linalg.eigvalsh(A)[:, 0] > 1e-8]
+                if _try_cholesky(M) is None)
+
+
+def test_pd_feasible_batch_matches_pd_feasible_bit_for_bit():
+    # mixed batches of one (n, d): every branch of pd_feasible, decided by
+    # the batch's one screen and one Cholesky or by its per-span fallback
+    rng = np.random.default_rng(2025)
+    kinds = ("random", "tilted", "traceless", "hidden", "zero")
+    seen = Counter()
+    for n in (2, 3, 4):
+        sym = SymIndex(n)
+        for d in range(1, min(6, sym.N) + 1):
+            spans = [_seeded_mats(rng, sym, d, kind) for kind in kinds]
+            if (n, d) == (2, 1):
+                spans.append([_cholesky_failing_matrix()])
+            for restarts, seed in ((32, 0), (0, 1)):
+                # a shorter ascent keeps the test quick; it is the same code
+                got = pd_feasible_batch(np.array(spans), restarts=restarts,
+                                        seed=seed, iters=100)
+                assert len(got) == len(spans)
+                for mats, res in zip(spans, got):
+                    span = SymSpan(n, mats)
+                    want = pd_feasible(span, restarts=restarts, seed=seed,
+                                       iters=100)
+                    where = (n, d, restarts)
+                    assert res.status == want.status, where
+                    for field in ("best_lambda", "coefficients", "cholesky",
+                                  "witness"):
+                        assert _same_bits(getattr(res, field),
+                                          getattr(want, field)), (where, field)
+                    traces = np.trace(np.array(mats), axis1=1, axis2=2)
+                    seen["traceless"] += np.any(mats) and not np.any(traces)
+                    if not np.any(mats):
+                        branch = "zero"
+                    elif want.status == "feasible":
+                        # the per-start screen alone, in the arithmetic of
+                        # the reference
+                        ref = _reference_pd_feasible(span, restarts=restarts,
+                                                     seed=seed, iters=0)
+                        screened = ref.best_lambda > 1e-8
+                        branch = "screen" if screened else "ascent"
+                        if screened:
+                            for field in ("best_lambda", "coefficients",
+                                          "cholesky"):
+                                assert _same_bits(getattr(res, field),
+                                                  getattr(ref, field)), (
+                                    where, field)
+                        if screened and d > 1 and np.allclose(
+                                np.abs(res.coefficients @ traces),
+                                np.linalg.norm(traces)):
+                            seen["trace start"] += 1
+                    elif want.best_lambda > 1e-8:
+                        branch = "cholesky failed"
+                    else:
+                        branch = want.status
+                    seen[branch] += 1
+    for branch in ("zero", "traceless", "screen", "trace start", "ascent",
+                   "cholesky failed", "infeasible_certified", "inconclusive"):
+        assert seen[branch] > 0, branch
+
+
+def test_trace_units_take_each_norm_as_the_reference_does():
+    # a norm along the batch axis can differ in the last bit, which moves
+    # the trace starts
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4):
+        for d in range(1, 11):
+            stack = rng.standard_normal((40, d, n, n))
+            units, traced = _trace_units(stack)
+            assert traced.all()
+            for S, unit in zip(stack, units):
+                traces = np.array([np.trace(M) for M in S])
+                assert _same_bits(unit, traces / np.linalg.norm(traces))
+
+
+def test_pd_feasible_batch_checks_its_generators():
+    with pytest.raises(ValueError, match="symmetric"):
+        pd_feasible_batch(np.array([[[[0.0, 1.0], [0.0, 0.0]]]]))
+    with pytest.raises(ValueError, match="size"):
+        pd_feasible_batch(np.zeros((1, 1, 2, 3)))
 
 
 def test_random_starts_are_cached_and_read_only():
