@@ -7,7 +7,7 @@ inconclusive or not regular, 1 for errors.
 
 Reports are canonical JSON: UTF-8, lower_snake_case keys sorted, reals in
 shortest round-trip decimal form.  A report is a pure function of
-(manifest, seed, steps), so two runs produce byte-identical files.  Each
+(manifest, steps), so two runs produce byte-identical files.  Each
 pipeline stage runs once per run, and its wall-clock time goes to stderr
 instead of the report.
 """
@@ -148,8 +148,6 @@ def build_report(man: Manifest, command: str) -> tuple:
         "effective": {
             "tolerances": man.tolerances,
             "steps": man.steps,
-            "seed": man.seed,
-            "pd_restarts": man.pd_restarts,
         },
         "caveats": [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT],
     }
@@ -270,8 +268,6 @@ def run(command: str, manifest_path: str, args) -> int:
     """Dispatch one command; returns the process exit code."""
     overrides = _apply_cli_overrides(args)
     man = load_manifest(manifest_path, overrides)
-    if args.seed is not None:
-        man.seed = int(args.seed)
     if args.steps is not None:
         man.steps = {"rk4": int(args.steps), "quadrature": int(args.steps)}
 
@@ -351,8 +347,6 @@ def main(argv=None) -> int:
                        help="report output path (default ./report.json)")
         p.add_argument("--steps", type=int, default=None,
                        help="override RK4 and quadrature step counts")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the manifest seed")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="override a manifest parameter")

@@ -467,15 +467,14 @@ class LocalMetricity:
     best_lambda: float
 
 
-def local_metricity(spec: ConnectionSpec, point, trace, tol: float = 1e-8,
-                    restarts: int = 32, seed: int = 0):
+def local_metricity(spec: ConnectionSpec, point, trace, tol: float = 1e-8):
     """Does the terminal subspace contain a positive-definite form?
 
     ``trace`` is one :class:`FlagTrace`, answered by one
     :class:`LocalMetricity`, or a sequence of them (the scan's), answered by
     a list.  The spans of one terminal dim go through
     :func:`pdcone.pd_feasible_batch` in slices of ``_SLICE`` points, with the
-    same bits as one ``pd_feasible`` per point; a zero terminal subspace is
+    same result as one ``pd_feasible`` per point; a zero terminal subspace is
     infeasible with no test.  ``point`` is not used, since each trace
     carries its own point; it stays so that ``local_metricity(spec, p, tr)``
     calls keep working.
@@ -499,7 +498,7 @@ def local_metricity(spec: ConnectionSpec, point, trace, tol: float = 1e-8,
             part = idx[start:start + _SLICE]
             vecs = np.stack([terms[i].basis.T for i in part])  # (m, d, N)
             for i, res in zip(part, pdcone.pd_feasible_batch(
-                    spec.sym.to_matrix(vecs), tol, restarts, seed)):
+                    spec.sym.to_matrix(vecs), tol)):
                 out[i] = LocalMetricity(res.status == "feasible", res.status,
                                         res.coefficients, res.cholesky,
                                         res.best_lambda)

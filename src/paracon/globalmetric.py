@@ -92,8 +92,6 @@ class PhiSampler:
             raise RankNotOne(f"terminal subspace has rank {wtilde.dim}, not 1")
         g = wtilde.basis[:, 0]
         g = g * np.sign(self._traces(g[None, :])[0] or 1.0)
-        # a rank-one span has only the starts +-1, so restarts and seed
-        # cannot change this check
         span = pdcone.SymSpan.from_fiber_vectors(spec.sym, g[:, None])
         if pdcone.pd_feasible(span, tol=pd_tol).status != "feasible":
             raise GeneratorNotPD(
@@ -288,11 +286,9 @@ class Analysis:
     holonomy_tol: float = 1e-5
     fixed_tol: float = DEFAULT_FIXED_TOL
     pd_tol: float = 1e-8
-    pd_restarts: int = 32
     rk4_steps: int = 4096
     quadrature_steps: int = 4096
     period_tol: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         self.timings = []  # (stage, seconds) in the order the stages ran
@@ -308,7 +304,7 @@ class Analysis:
     def local(self) -> list:
         """LocalMetricity at every grid point, in one batched call."""
         return local_metricity(self.spec, self.scan.points, self.scan.traces,
-                               self.pd_tol, self.pd_restarts, self.seed)
+                               self.pd_tol)
 
     @_stage
     def base_trace(self) -> FlagTrace:
@@ -368,7 +364,7 @@ class Analysis:
                                         f"{exc}"])
         notes = []
         # (N, m), a function of the fixed span alone: noise in H must not flip
-        # or rotate the basis that the PD ascent starts from and reports
+        # or rotate the basis that the PD screen starts from and reports
         fiber_basis = canonical_basis(trace.terminal.basis @ fixed.basis)
         m = fixed.dim
 
@@ -379,9 +375,7 @@ class Analysis:
                          "sections at all")
         else:
             span = pdcone.SymSpan.from_fiber_vectors(spec.sym, fiber_basis)
-            pd_res = pdcone.pd_feasible(span, tol=self.pd_tol,
-                                        restarts=self.pd_restarts,
-                                        seed=self.seed)
+            pd_res = pdcone.pd_feasible(span, tol=self.pd_tol)
             pd_status = pd_res.status
 
         status = {"feasible": "metric", "infeasible_certified": "not_metric",
@@ -426,11 +420,9 @@ def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
                      holonomy_tol: float = 1e-5,
                      fixed_tol: float = DEFAULT_FIXED_TOL,
                      pd_tol: float = 1e-8,
-                     pd_restarts: int = 32,
                      rk4_steps: int = 4096,
                      quadrature_steps: int = 4096,
-                     period_tol: Optional[float] = None,
-                     seed: int = 0) -> GlobalVerdict:
+                     period_tol: Optional[float] = None) -> GlobalVerdict:
     """Full global pipeline: regularity scan, flag, holonomy, fixed subspace,
     PD feasibility, and the rank-one period cross-check.
 
@@ -441,9 +433,8 @@ def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
     """
     an = Analysis(spec, point, loops, grid_axes, rank_tol=rank_tol,
                   holonomy_tol=holonomy_tol, fixed_tol=fixed_tol,
-                  pd_tol=pd_tol, pd_restarts=pd_restarts,
-                  rk4_steps=rk4_steps, quadrature_steps=quadrature_steps,
-                  period_tol=period_tol, seed=seed)
+                  pd_tol=pd_tol, rk4_steps=rk4_steps,
+                  quadrature_steps=quadrature_steps, period_tol=period_tol)
     # only the returned copy points at the analysis: a cached verdict that did
     # would form a cycle keeping every stage alive until garbage collection
     return replace(an.verdict, analysis=an)

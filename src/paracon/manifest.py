@@ -60,8 +60,6 @@ class Manifest:
     grid_axes: list
     tolerances: dict
     steps: dict
-    seed: int
-    pd_restarts: int
 
     @property
     def id(self):
@@ -72,9 +70,8 @@ class Manifest:
 
     def pipeline_options(self) -> dict:
         """Keyword settings of ``global_metricity`` and ``Analysis``."""
-        return dict(self.tolerances, pd_restarts=self.pd_restarts,
-                    rk4_steps=self.steps["rk4"],
-                    quadrature_steps=self.steps["quadrature"], seed=self.seed)
+        return dict(self.tolerances, rk4_steps=self.steps["rk4"],
+                    quadrature_steps=self.steps["quadrature"])
 
 
 def manifest_digest(doc: dict) -> str:
@@ -244,9 +241,9 @@ def manifest_from_dict(doc: dict) -> Manifest:
         if k not in steps:
             raise ManifestError(f"/steps/{k}", "unknown step setting")
         steps[k] = int(v)
-    return Manifest(doc, domain, spec, base, loops, grid_axes, tol, steps,
-                    seed=int(doc.get("seed", 0)),
-                    pd_restarts=int(doc.get("pd_restarts", 32)))
+    # the top-level "seed" and "pd_restarts" are no-ops, kept so older
+    # manifests load: PD feasibility is deterministic and has no restarts
+    return Manifest(doc, domain, spec, base, loops, grid_axes, tol, steps)
 
 
 def load_manifest(path, overrides: Optional[dict] = None) -> Manifest:

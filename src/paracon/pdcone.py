@@ -1,31 +1,35 @@
 """Positive-definite feasibility of a span of symmetric matrices.
 
-Feasibility is decided by maximizing the smallest eigenvalue of a unit-ball
-combination with projected supergradient ascent (the objective is concave in
-the coefficients); a ``feasible`` answer always carries a Cholesky-verified
-combination and an ``infeasible_certified`` answer a PSD witness that is
-trace-orthogonal to every generator.  When neither certificate is reached the
-status ``inconclusive`` is reported rather than coerced.
+Feasibility asks for the largest t with ``sum_a c_a S_a - t I`` PSD over the
+coefficient unit ball; the span meets the open PD cone iff t > 0.  The
+decision is deterministic: a ``feasible`` answer always carries a
+Cholesky-verified combination and an ``infeasible_certified`` answer a PSD
+witness that is trace-orthogonal to every generator.  When neither
+certificate is reached the status ``inconclusive`` is reported rather than
+coerced.
 
-A screen precedes the ascent: every start (the generators, their negatives,
-plus and minus the trace direction, and the seeded random unit vectors, drawn
-once per ``(d, restarts, seed)``) goes through one batched ``eigvalsh``.  The
-same screen serves one span (:func:`pd_feasible`) and a stack of spans of
-one shape (:func:`pd_feasible_batch`), which certifies the spans whose best
-start clears the tolerance with one batched Cholesky and gives every span the
-bits ``pd_feasible`` would.
+A screen comes first: the starts (the generators, their negatives, and plus
+and minus the trace direction) of every span of a batch go through one
+``eigvalsh``, and the spans whose best start clears the tolerance through one
+batched Cholesky.  Each span the screen does not certify gets a log-barrier
+Newton solve (Boyd and Vandenberghe, *Convex Optimization*, ch. 11), whose
+iterates give the primal combination and, from ``F^-1``, the dual witness.
+:func:`pd_feasible` is :func:`pd_feasible_batch` on a batch of one span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 __all__ = ["SymSpan", "PDResult", "NoPDElement", "pd_feasible",
            "pd_feasible_batch", "pd_basis"]
+
+
+# Newton steps of the barrier solve before a span is left inconclusive
+_NEWTON_STEPS = 100
 
 
 class NoPDElement(RuntimeError):
@@ -95,69 +99,6 @@ def _try_cholesky(A):
         return None
 
 
-def _ascend(span, c, iters, scale, stop_above=None, plateau=60):
-    """Projected supergradient ascent from one start; returns best (value, c).
-
-    Stops early once the value clears ``stop_above`` (feasibility needs any
-    witness, not the maximum) or stalls for ``plateau`` iterations.
-    """
-    stack = np.stack(span.matrices)
-    best_val, best_c = -np.inf, c
-    since_improved = 0
-    for t in range(iters):
-        A = np.einsum("a,aij->ij", c, stack)
-        w, v = np.linalg.eigh(A)
-        val = w[0]
-        u = v[:, 0]
-        g = np.einsum("i,aij,j->a", u, stack, u)  # supergradient of lambda_min
-        if val > best_val + 1e-14 * scale:
-            best_val, best_c = val, c.copy()
-            since_improved = 0
-        else:
-            since_improved += 1
-        if stop_above is not None and best_val > stop_above:
-            break
-        if since_improved > plateau:
-            break
-        step = 0.5 / (scale * np.sqrt(t + 1.0))
-        c = c + step * g
-        nc = np.linalg.norm(c)
-        if nc > 1.0:
-            c = c / nc
-    return best_val, best_c
-
-
-def _simplex_least_squares(T, iters=600):
-    """argmin_{w >= 0, sum w = 1} || T^T w ||^2 via exponentiated gradient."""
-    m = T.shape[0]
-    w = np.full(m, 1.0 / m)
-    G = T @ T.T
-    lip = max(np.linalg.eigvalsh(G).max(), 1e-30)
-    for _ in range(iters):
-        grad = G @ w
-        w = w * np.exp(-grad / lip)
-        w = w / w.sum()
-    return w
-
-
-@lru_cache(maxsize=64)
-def _random_starts(d: int, restarts: int, seed: int) -> np.ndarray:
-    """The seeded random starts: ``restarts`` unit vectors in R^d as the rows
-    of one read-only array, start r drawn from the generator seeded
-    ``seed * 7919 + r``."""
-    out = np.empty((restarts, d))
-    for r in range(restarts):
-        c0 = np.random.default_rng(seed * 7919 + r).standard_normal(d)
-        out[r] = c0 / np.linalg.norm(c0)
-    out.flags.writeable = False
-    return out
-
-
-def _scale(stack):
-    """Largest Frobenius norm among a (d, n, n) span's generators."""
-    return max(np.linalg.norm(stack[a]) for a in range(len(stack)))
-
-
 def _trace_units(stack):
     """The unit trace direction of each span of an (m, d, n, n) stack, and
     whether it exists (False for a span of traceless generators).
@@ -173,21 +114,20 @@ def _trace_units(stack):
     return units, traced
 
 
-def _screen(stack, units, restarts, seed):
+def _screen(stack, units):
     """The start screen over an (m, d, n, n) stack of nonzero spans: every
     start's combination goes through one batched ``eigvalsh``.
 
     A span's starts are the rows e_a and -e_a, then +-``units[i]`` (its unit
-    trace direction; ``units`` is None for spans of traceless generators),
-    then the seeded random starts.  Returns the starts, (m, K, d), and the
-    smallest eigenvalue of each start's combination, (m, K).
+    trace direction; ``units`` is None for spans of traceless generators).
+    Returns the starts, (m, K, d), and the smallest eigenvalue of each
+    start's combination, (m, K).
     """
     m, d, n, _ = stack.shape
     eye = np.eye(d)
     rows = [eye, -eye]
     if units is not None:
         rows += [units[:, None], -units[:, None]]
-    rows.append(_random_starts(d, restarts, seed))
     starts = np.concatenate([np.broadcast_to(r, (m,) + r.shape[-2:])
                              for r in rows], axis=1)
     combos = np.einsum("mka,maij->mkij", starts, stack)
@@ -195,100 +135,98 @@ def _screen(stack, units, restarts, seed):
     return starts, vals.reshape(m, -1)
 
 
-def _finish(span, starts, start_vals, scale, tol, iters):
-    """Decide one span from its screened starts: the best start, the ascent
-    when no start clears ``tol``, the certifying Cholesky, then the dual
-    witness."""
-    d = span.dim
-    stack = np.stack(span.matrices)
-    # the first best start, copied so the result does not keep `starts` alive
-    k = int(np.argmax(start_vals))
-    best_val, best_c = start_vals[k], starts[k].copy()
-    if best_val <= tol:
-        order = np.argsort(start_vals)[::-1]
-        for idx in order[:max(8, d + 2)]:
-            val, c = _ascend(span, starts[idx], iters, scale, stop_above=tol)
-            if val > best_val:
-                best_val, best_c = val, c
-            if best_val > tol:
-                break
+def _barrier(stack, best, best_c, tol):
+    """Decide one finite nonzero (d, n, n) span that the screen did not
+    certify; ``best`` and ``best_c`` are its best start.
 
-    if best_val > tol:
-        A = span.combine(best_c)
-        L = _try_cholesky(A)
-        if L is not None:
-            return PDResult("feasible", float(best_val),
-                            coefficients=best_c, cholesky=L)
-
-    # dual side: look for a PSD witness among convex combinations of u u^T
-    # (each recorded supergradient is the vector (u^T S_a u)_a for some u)
-    us = []
-    for c0 in [*starts[:2 * d], starts[0]]:
-        A = span.combine(c0 / np.linalg.norm(c0))
-        w, v = np.linalg.eigh(A)
-        us.append(v[:, 0])
-    if best_c is not None:
-        A = span.combine(best_c)
-        w, v = np.linalg.eigh(A)
-        us.extend(v[:, i] for i in range(span.size))
-    T = np.array([np.einsum("i,aij,j->a", u, stack, u) for u in us])
-    weights = _simplex_least_squares(T / scale)
-    resid = np.abs(T.T @ weights)
-    if resid.max() < 10.0 * tol * scale:
-        U = np.einsum("m,mi,mj->ij", weights, np.array(us), np.array(us))
-        U = 0.5 * (U + U.T)
-        if np.linalg.eigvalsh(U).min() >= -1e-12:
-            return PDResult("infeasible_certified", float(best_val), witness=U)
-    return PDResult("inconclusive", float(best_val), coefficients=best_c)
-
-
-def pd_feasible(span: SymSpan, tol: float = 1e-8, restarts: int = 32,
-                seed: int = 0, iters: int = 300) -> PDResult:
-    """Decide whether the span meets the open positive-definite cone.
-
-    Maximizes ``lambda_min(sum_a c_a S_a)`` over the coefficient unit ball;
-    feasible iff the best value exceeds ``tol`` and the certifying Cholesky
-    succeeds.  Infeasibility is certified by a PSD witness ``U`` with
-    ``|tr(U S_a)| < 10 tol`` assembled from the minimal eigenvectors seen
-    during the ascent.  Deterministic for fixed seed.
+    Damped Newton steps on the log barrier of max t s.t.
+    ``F = sum_a c_a S_a - t I`` is PD and ``|c| < 1`` (generators scaled to
+    unit largest norm), ``-tau t - log det F - log(1 - |c|^2)``, with tau
+    raised tenfold whenever an iterate is near the central path.  Each
+    iterate is tested for both certificates: its combination, normalised,
+    once it is PD (``feasible`` when lambda_min clears ``tol`` and the
+    Cholesky succeeds), and the unit-trace dual ``Z = F^-1 / tr F^-1``
+    (``infeasible_certified`` when every ``|tr(Z S_a)| < tol scale``).
     """
-    stack = np.stack(span.matrices)
-    scale = _scale(stack)
-    if scale == 0.0:
-        # zero span: trivially infeasible, witness any unit-trace PSD matrix
-        U = np.eye(span.size) / span.size
-        return PDResult("infeasible_certified", 0.0, witness=U)
-    units, traced = _trace_units(stack[None])
-    starts, vals = _screen(stack[None], units if traced[0] else None,
-                           restarts, seed)
-    return _finish(span, starts[0], vals[0], scale, tol, iters)
+    d, n, _ = stack.shape
+    scale = max(np.linalg.norm(S) for S in stack)  # largest generator norm
+    gens = np.concatenate([-np.eye(n)[None], stack / scale])  # of x = (t, c)
+    x = np.zeros(d + 1)
+    x[0] = -1.0
+    tau = 1.0
+    for _ in range(_NEWTON_STEPS):
+        t, c = x[0], x[1:]
+        w, V = np.linalg.eigh(np.einsum("a,aij->ij", c, gens[1:]))
+        if not w[0] > t:  # rounding has left F's PD cone
+            break
+        if w[0] > 0.0:
+            u = c / np.linalg.norm(c)
+            A = np.einsum("a,aij->ij", u, stack)
+            lam = np.linalg.eigvalsh(A)[0]
+            if lam > best:
+                best, best_c = lam, u
+            L = _try_cholesky(A) if lam > tol else None
+            if L is not None:
+                return PDResult("feasible", float(lam), coefficients=u,
+                                cholesky=L)
+        g = 1.0 / (w - t)  # the eigenvalues of F^-1, in the eigenbasis V
+        Z = (V * (g / g.sum())) @ V.T
+        Z = 0.5 * (Z + Z.T)
+        if (np.abs(np.einsum("ij,aij->a", Z, stack)).max() < tol * scale
+                and np.linalg.eigvalsh(Z).min() >= -1e-12):
+            return PDResult("infeasible_certified", float(best), witness=Z)
+        G = np.einsum("ik,aij,jl->akl", V, gens, V)
+        grad = -np.einsum("k,akk->a", g, G)
+        grad[0] -= tau
+        B = (G * np.sqrt(np.outer(g, g))).reshape(d + 1, -1)
+        H = B @ B.T
+        s = 1.0 - c @ c
+        grad[1:] += 2.0 * c / s
+        H[1:, 1:] += 2.0 / s * np.eye(d) + 4.0 / (s * s) * np.outer(c, c)
+        step = -np.linalg.solve(H, grad)
+        dec = np.sqrt(-grad @ step)  # the Newton decrement
+        x = x + step / (1.0 + dec)
+        if dec < 0.5:
+            tau *= 10.0
+    return PDResult("inconclusive", float(best), coefficients=best_c)
 
 
-def pd_feasible_batch(stack, tol: float = 1e-8, restarts: int = 32,
-                      seed: int = 0, iters: int = 300) -> list:
-    """:func:`pd_feasible` of each span of an (m, d, n, n) stack of
-    generators, bit for bit, as a list of m results.
+def pd_feasible(span: SymSpan, tol: float = 1e-8) -> PDResult:
+    """Decide whether the span meets the open positive-definite cone:
+    :func:`pd_feasible_batch` on a batch of one span."""
+    return pd_feasible_batch(np.stack(span.matrices)[None], tol)[0]
 
-    The generators are checked and symmetrized as :class:`SymSpan` does.
-    Every nonzero finite span goes through one start screen, and those whose
-    best start clears ``tol`` through one batched Cholesky; only a span that
-    this does not certify takes the ascent and the dual witness.
+
+def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
+    """Decide, for each span of an (m, d, n, n) stack of generators, whether
+    it meets the open positive-definite cone; returns m results.
+
+    The generators are checked and symmetrized as :class:`SymSpan` does.  A
+    span with a non-finite entry is ``inconclusive`` and a zero span
+    infeasible, with witness I/n.  Every other span goes through one start
+    screen, and those whose best start clears ``tol`` through one batched
+    Cholesky; only a span that this does not certify takes the barrier
+    solve.  ``feasible`` carries a unit coefficient vector, the smallest
+    eigenvalue of its combination and the combination's Cholesky factor;
+    ``infeasible_certified`` carries a unit-trace PSD witness U with
+    ``|tr(U S_a)| < tol scale`` for every generator, scale being the largest
+    generator norm.
     """
     S = _symmetrized(stack)
-    m, d, n, _ = S.shape
+    m, _, n, _ = S.shape
     out = [None] * m
-    # a span whose squares all vanish (its scale is zero) or one that is not
-    # finite is decided on its own
-    live = np.isfinite(S).all(axis=(1, 2, 3)) & (S * S).any(axis=(1, 2, 3))
+    finite = np.isfinite(S).all(axis=(1, 2, 3))
+    live = finite & (S * S).any(axis=(1, 2, 3))
     for i in np.flatnonzero(~live):
-        out[i] = pd_feasible(SymSpan(n, S[i]), tol, restarts, seed, iters)
+        out[i] = (PDResult("infeasible_certified", 0.0, witness=np.eye(n) / n)
+                  if finite[i] else PDResult("inconclusive", float("nan")))
     idx = np.flatnonzero(live)
     units, traced = _trace_units(S[idx])
     for sel, u in ((traced, units[traced]), (~traced, None)):
         part = idx[sel]
         if not part.size:
             continue
-        starts, vals = _screen(S[part], u, restarts, seed)
+        starts, vals = _screen(S[part], u)
         rows = np.arange(part.size)
         k = np.argmax(vals, axis=1)
         best, best_c = vals[rows, k], starts[rows, k]
@@ -303,15 +241,12 @@ def pd_feasible_batch(stack, tol: float = 1e-8, restarts: int = 32,
                 out[part[j]] = PDResult("feasible", float(best[j]),
                                         coefficients=best_c[j], cholesky=L)
         for j in rows:
-            i = part[j]
-            if out[i] is None:
-                out[i] = _finish(SymSpan(n, S[i]), starts[j], vals[j],
-                                 _scale(S[i]), tol, iters)
+            if out[part[j]] is None:
+                out[part[j]] = _barrier(S[part[j]], best[j], best_c[j], tol)
     return out
 
 
-def pd_basis(span: SymSpan, e_index: int = None, tol: float = 1e-8,
-             restarts: int = 32, seed: int = 0):
+def pd_basis(span: SymSpan, e_index: int = None, tol: float = 1e-8):
     """Basis of the span consisting of positive-definite matrices.
 
     Starting from a PD element e (given by index, or found by
@@ -325,7 +260,7 @@ def pd_basis(span: SymSpan, e_index: int = None, tol: float = 1e-8,
             raise NoPDElement("matrix at e_index is not positive-definite")
         rest = [S for a, S in enumerate(span.matrices) if a != e_index]
     else:
-        res = pd_feasible(span, tol=tol, restarts=restarts, seed=seed)
+        res = pd_feasible(span, tol=tol)
         if res.status != "feasible":
             raise NoPDElement("span contains no certified PD element")
         e = span.combine(res.coefficients)

@@ -233,7 +233,7 @@ def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
                 traces.append(FlagTrace(np.zeros(n),
                                         [(0, d, Subspace(N, basis))], 0))
         traces = [traces[i] for i in rng.permutation(len(traces))]
-        got = local_metricity(spec, None, traces, seed=3)
+        got = local_metricity(spec, None, traces)
         assert len(got) == len(traces)
         for tr, lm in zip(traces, got):
             if tr.terminal.dim == 0:
@@ -243,14 +243,14 @@ def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
                 seen.add("zero")
                 continue
             span = SymSpan.from_fiber_vectors(spec.sym, tr.terminal.basis)
-            want = pd_feasible(span, seed=3)
+            want = pd_feasible(span)
             assert lm.status == want.status
             assert lm.locally_metric == (want.status == "feasible")
             assert _same_bits(lm.best_lambda, want.best_lambda)
             assert _same_bits(lm.coefficients, want.coefficients)
             assert _same_bits(lm.cholesky, want.cholesky)
             seen.add(want.status)
-    assert seen == {"zero", "feasible", "infeasible_certified", "inconclusive"}
+    assert seen == {"zero", "feasible", "infeasible_certified"}
 
 
 def test_flag_monotonicity_randomized():

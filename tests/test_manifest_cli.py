@@ -33,18 +33,24 @@ def test_manifest_round_trip_minimal():
     assert man.steps == {"rk4": 4096, "quadrature": 4096}
 
 
-def test_manifest_stencil_h_is_an_ignored_tolerance(tmp_path):
-    # older manifests set the flag's removed difference step; they still load
-    doc = minimal_doc(tolerances={"stencil_h": 0.35, "rank_tol": 1e-8})
+@pytest.mark.parametrize("key", ["stencil_h", "seed", "pd_restarts"])
+def test_manifest_ignored_key_still_loads(tmp_path, key):
+    # older manifests set the flag's removed difference step (a tolerance)
+    # or the removed PD restarts and their seed; they still load
+    if key == "stencil_h":
+        doc = minimal_doc(tolerances={key: 0.35, "rank_tol": 1e-8})
+    else:
+        doc = minimal_doc(tolerances={"rank_tol": 1e-8}, **{key: 3})
     man = manifest_from_dict(doc)
-    assert "stencil_h" not in man.tolerances
+    assert key not in man.tolerances
     assert man.tolerances["rank_tol"] == 1e-8
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert "stencil_h" not in report["effective"]["tolerances"]
+    assert key not in report["effective"]
+    assert key not in report["effective"]["tolerances"]
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(minimal_doc(tolerances={"rank_tol": 1e-8})))
     out2 = tmp_path / "r2.json"
