@@ -125,8 +125,15 @@ def _verdict_dict(v: GlobalVerdict):
             "loops": v.phi.loop_names,
             "periods": v.phi.periods,
             "period_tols": v.period_tols,
+            "points": v.phi.points,
+            "error_estimates": v.phi.error_estimates,
         }
     return out
+
+
+def _holonomy_dict(h):
+    return {"loop": h.loop_name, "matrix": h.matrix, "defect": h.defect,
+            "steps": h.steps, "error_estimate": h.error_estimate}
 
 
 def build_report(man: Manifest, command: str) -> tuple:
@@ -162,8 +169,7 @@ def build_report(man: Manifest, command: str) -> tuple:
         for p, lm in zip(scan.points, an.local)]
 
     try:
-        report["holonomy"] = [{"loop": h.loop_name, "matrix": h.matrix,
-                               "defect": h.defect} for h in an.holonomies]
+        report["holonomy"] = [_holonomy_dict(h) for h in an.holonomies]
     except (IrregularPoint, DefectTooLarge) as exc:
         report["holonomy"] = None
         report["notes"] = [f"holonomy stage failed: {exc}"]
@@ -302,9 +308,8 @@ def run(command: str, manifest_path: str, args) -> int:
         report = {
             "tool_version": __version__, "command": "holonomy",
             "manifest_id": man.id, "manifest_digest": man.digest(),
-            "holonomy": {"loop": h.loop_name, "matrix": h.matrix,
-                         "defect": h.defect,
-                         "wtilde_rank": an.base_trace.terminal.dim},
+            "holonomy": dict(_holonomy_dict(h),
+                             wtilde_rank=an.base_trace.terminal.dim),
             "caveats": [CHART_ONLY_CAVEAT],
         }
         _write_report(report, _finalize(report), args.out, args.format)
@@ -346,7 +351,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="./report.json",
                        help="report output path (default ./report.json)")
         p.add_argument("--steps", type=int, default=None,
-                       help="override RK4 and quadrature step counts")
+                       help="override the caps on RK4 steps and quadrature "
+                            "points")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="override a manifest parameter")

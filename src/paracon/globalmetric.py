@@ -30,16 +30,19 @@ from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    batch_terminal_bases, canonical_basis, derived_flag,
                    kernel_intersection, local_metricity, regularity_scan)
 from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
-                        holonomy_matrix)
+                        converged, doubling_levels, holonomy_matrix)
 
 __all__ = [
     "GlobalError", "RankNotOne", "GeneratorNotPD", "PhiSampler", "PhiPeriods",
     "GlobalVerdict", "Analysis", "phi_periods", "fixed_subspace",
-    "invariant_inner_product", "global_metricity",
+    "global_metricity",
     "LOOP_GENERATION_CAVEAT", "CHART_ONLY_CAVEAT", "DEFAULT_FIXED_TOL",
 ]
 
 DEFAULT_FIXED_TOL = 1e-6
+# step doubling stops once its error estimate is this fraction of the
+# smallest tolerance the value feeds
+_TARGET_FRACTION = 1e-3
 _TRACE_TOL = 1e-8  # smallest |trace| of a tracked unit section
 
 LOOP_GENERATION_CAVEAT = (
@@ -145,6 +148,9 @@ class PhiPeriods:
     loop_names: list
     periods: list
     samples: list  # per-loop (m, n) Phi values along the loop
+    points: list  # per-loop m, the points of the kept level
+    # per-loop |P_m - P_{m/2}|; None where one level was run
+    error_estimates: list
 
     def max_abs(self):
         return max((abs(p) for p in self.periods), default=0.0)
@@ -152,26 +158,53 @@ class PhiPeriods:
 
 def phi_periods(sampler: PhiSampler, loops: Sequence[Curve],
                 quadrature_steps: int = 4096,
-                gauge: Optional[Expr] = None) -> PhiPeriods:
+                gauge: Optional[Expr] = None, *,
+                target=None) -> PhiPeriods:
     """Trapezoid-rule loop periods of the sampled Phi.
 
     For closed loops the trapezoid rule over the uniform parameter grid
     coincides with the left-endpoint sum, which is what is computed.
+    Without a ``target`` each loop takes exactly ``quadrature_steps``
+    points.  With one (a number, or one per loop) that count is a cap: the
+    points of the nested levels of :func:`transport.doubling_levels` are
+    sampled coarsest first, each doubling evaluating Phi only at its new
+    odd-index points, until a level that :func:`transport.converged`
+    accepts for the estimate ``|P_m - P_{m/2}|`` (Trefethen and Weideman,
+    SIAM Rev. 56, 2014: the rule converges geometrically on a smooth
+    periodic integrand), or to the cap.  A run that reaches the cap
+    evaluates the same points, and returns the same periods and samples,
+    as a run without a target.
     """
-    names, periods, samples = [], [], []
-    for loop in loops:
+    targets = target if np.ndim(target) else [target] * len(loops)
+    out = PhiPeriods([], [], [], [], [])
+    for loop, tgt in zip(loops, targets, strict=True):
         if not loop.closed:
             raise GlobalError(f"loop '{loop.name}' is not closed")
         ts = np.linspace(loop.t0, loop.t1, quadrature_steps, endpoint=False)
-        dt = (loop.t1 - loop.t0) / quadrature_steps
-        pts = loop.points(ts)
-        vel = loop.velocities(ts)
-        phi = sampler(pts, gauge=gauge)
-        period = float(np.sum(phi * vel) * dt)
-        names.append(loop.name)
-        periods.append(period)
-        samples.append(phi)
-    return PhiPeriods(names, periods, samples)
+        levels = ([quadrature_steps] if tgt is None
+                  else doubling_levels(quadrature_steps))
+        phi = period = estimate = None
+        for m in levels:
+            stride = quadrature_steps // m
+            if phi is None:
+                phi = sampler(loop.points(ts[::stride]), gauge=gauge)
+            else:
+                # the previous level's points are the even ones of this one
+                new = sampler(loop.points(ts[stride::2 * stride]), gauge=gauge)
+                phi = np.stack([phi, new], axis=1).reshape(m, -1)
+            vel = loop.velocities(ts[::stride])
+            dt = (loop.t1 - loop.t0) / m
+            period, coarse = float(np.sum(phi * vel) * dt), period
+            if coarse is not None:
+                estimate = abs(period - coarse)
+                if converged(m, estimate, tgt):
+                    break
+        out.loop_names.append(loop.name)
+        out.periods.append(period)
+        out.samples.append(phi)
+        out.points.append(m)
+        out.error_estimates.append(estimate)
+    return out
 
 
 def fixed_subspace(holonomies: Sequence[HolonomyResult],
@@ -200,20 +233,6 @@ def fixed_subspace(holonomies: Sequence[HolonomyResult],
         return Subspace(0, np.zeros((0, 0)))
     mats = [h.matrix - np.eye(d) for h in holonomies]
     return kernel_intersection(mats, rank_tol, abs_floor=fixed_tol)
-
-
-def invariant_inner_product(s, h, hp) -> float:
-    """tr(s^-1 h s^-1 h'), the transport-invariant pairing induced by a
-    parallel metric s; raises on singular s."""
-    s = np.asarray(s, dtype=float)
-    h = np.asarray(h, dtype=float)
-    hp = np.asarray(hp, dtype=float)
-    try:
-        x = np.linalg.solve(s, h)
-        y = np.linalg.solve(s, hp)
-    except np.linalg.LinAlgError:
-        raise GlobalError("inner-product base form is singular") from None
-    return float(np.trace(x @ y))
 
 
 @dataclass
@@ -323,8 +342,10 @@ class Analysis:
     def holonomies(self) -> list:
         """Holonomy of the terminal subspace around each declared loop."""
         trace = self.base_trace
+        target = _TARGET_FRACTION * min(self.fixed_tol, self.holonomy_tol)
         return [holonomy_matrix(self.spec, trace.point, trace.terminal, loop,
-                                self.rk4_steps, self.holonomy_tol)
+                                self.rk4_steps, self.holonomy_tol,
+                                target=target)
                 for loop in self.loops]
 
     @_stage
@@ -389,10 +410,12 @@ class Analysis:
                 sampler = PhiSampler(spec, trace.point, trace.terminal,
                                      rank_tol=self.rank_tol,
                                      pd_tol=self.pd_tol)
-                phi = phi_periods(sampler, self.loops, self.quadrature_steps)
-                period_tols = [(self.period_tol if self.period_tol is not None
-                                else 1e-4 * (1.0 + loop.length()))
-                               for loop in self.loops]
+                tols = [(self.period_tol if self.period_tol is not None
+                         else 1e-4 * (1.0 + loop.length()))
+                        for loop in self.loops]
+                phi = phi_periods(sampler, self.loops, self.quadrature_steps,
+                                  target=[_TARGET_FRACTION * t for t in tols])
+                period_tols = tols
                 periods_zero = all(abs(p) < tol for p, tol
                                    in zip(phi.periods, period_tols))
                 if status in ("metric", "not_metric"):
@@ -429,7 +452,11 @@ def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
     Regularity on the sample grid is a precondition of the global theory;
     any dimension jump short-circuits to ``not_regular``.  An irregular
     base-point flag or a holonomy defect above ``holonomy_tol`` ends in
-    ``inconclusive``.  The verdict's ``analysis`` keeps every stage.
+    ``inconclusive``.  ``rk4_steps`` and ``quadrature_steps`` are caps:
+    each holonomy and each period doubles its steps or points until its
+    error estimate is at most 1e-3 of the smallest tolerance it feeds
+    (``fixed_tol`` and ``holonomy_tol``, or the loop's period tolerance).
+    The verdict's ``analysis`` keeps every stage.
     """
     an = Analysis(spec, point, loops, grid_axes, rank_tol=rank_tol,
                   holonomy_tol=holonomy_tol, fixed_tol=fixed_tol,

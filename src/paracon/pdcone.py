@@ -24,30 +24,29 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["SymSpan", "PDResult", "NoPDElement", "pd_feasible",
-           "pd_feasible_batch", "pd_basis"]
+__all__ = ["SymSpan", "PDResult", "pd_feasible", "pd_feasible_batch"]
 
 
 # Newton steps of the barrier solve before a span is left inconclusive
 _NEWTON_STEPS = 100
 
 
-class NoPDElement(RuntimeError):
-    pass
-
-
 def _symmetrized(stack):
     """The symmetric parts of an (..., size, size) stack of span generators,
-    after checking each generator S: it must be square and symmetric to
-    within ``1e-10 * max(1, |S|max)``."""
+    after checking each generator S: it must be square and, when finite,
+    symmetric to within ``1e-10 * max(1, |S|max)``.  A generator with a
+    non-finite entry is neither checked nor symmetrized; its span is
+    answered ``inconclusive``."""
     S = np.asarray(stack, dtype=float)
     if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise ValueError("span matrices must share the declared size")
-    St = np.swapaxes(S, -1, -2)
-    asym = np.abs(S - St).max(axis=(-2, -1))
-    if np.any(asym > 1e-10 * np.maximum(1.0, np.abs(S).max(axis=(-2, -1)))):
+    finite = np.isfinite(S).all(axis=(-2, -1), keepdims=True)
+    F = np.where(finite, S, 0.0)
+    Ft = np.swapaxes(F, -1, -2)
+    asym = np.abs(F - Ft).max(axis=(-2, -1))
+    if np.any(asym > 1e-10 * np.maximum(1.0, np.abs(F).max(axis=(-2, -1)))):
         raise ValueError("span generator is not symmetric")
-    return 0.5 * (S + St)
+    return np.where(finite, 0.5 * (F + Ft), S)
 
 
 @dataclass
@@ -244,38 +243,3 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
             if out[part[j]] is None:
                 out[part[j]] = _barrier(S[part[j]], best[j], best_c[j], tol)
     return out
-
-
-def pd_basis(span: SymSpan, e_index: int = None, tol: float = 1e-8):
-    """Basis of the span consisting of positive-definite matrices.
-
-    Starting from a PD element e (given by index, or found by
-    :func:`pd_feasible`), the remaining basis elements are ``e + eps S_a``
-    with ``eps`` the first value in 1, 1/2, 1/4, ... for which every
-    Cholesky check succeeds.
-    """
-    if e_index is not None:
-        e = span.matrices[e_index]
-        if _try_cholesky(e) is None:
-            raise NoPDElement("matrix at e_index is not positive-definite")
-        rest = [S for a, S in enumerate(span.matrices) if a != e_index]
-    else:
-        res = pd_feasible(span, tol=tol)
-        if res.status != "feasible":
-            raise NoPDElement("span contains no certified PD element")
-        e = span.combine(res.coefficients)
-        # drop one generator to keep the count at d (e replaces it)
-        drop = int(np.argmax(np.abs(res.coefficients)))
-        rest = [S for a, S in enumerate(span.matrices) if a != drop]
-
-    eps = 1.0
-    while eps > 1e-12:
-        cands = [e + eps * S for S in rest]
-        if all(_try_cholesky(B) is not None for B in cands):
-            out = [e] + cands
-            # rank check: outputs must still span the input space
-            flat = np.stack([B.ravel() for B in out])
-            if np.linalg.matrix_rank(flat, tol=1e-10) == span.dim:
-                return out
-        eps *= 0.5
-    raise NoPDElement("halving search failed to produce a PD basis")

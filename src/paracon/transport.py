@@ -15,6 +15,12 @@ reduced by a pairwise product tree kept in the small-part form
 to the frame in order.  Keeping the small parts, not the products ``I + E``,
 rounds no worse than the per-step loop it replaces.  Holonomy composes as
 ``H(g2 . g1) = H(g2) H(g1)`` with ``g1`` traversed first.
+
+Given an error target, a holonomy is computed by step doubling (Hairer,
+Norsett and Wanner, *Solving ODEs I*, II.4) over the nested levels of
+:func:`doubling_levels`: it stops at the first level of at least
+``_FIRST_STOP`` steps whose Richardson estimate ``|H_s - H_{s/2}|_max / 15``
+meets the target, and otherwise runs to the cap.
 """
 
 from __future__ import annotations
@@ -31,13 +37,18 @@ from .flag import Subspace
 __all__ = [
     "Curve", "TransportResult", "HolonomyResult", "TransportError",
     "CurveNotClosed", "DefectTooLarge", "transport", "holonomy_matrix",
-    "parallel_extend", "line_curve",
+    "parallel_extend", "line_curve", "doubling_levels", "converged",
 ]
 
 _CLOSURE_TOL = 1e-9
 # RK4 steps per chunk: generators are evaluated and step maps composed for one
 # chunk at a time, which bounds the memory of a long transport
 _CHUNK = 1024
+# step doubling starts at the smallest nested level of at least _FIRST_LEVEL
+# steps (or points), and no level below _FIRST_STOP ends it: a coarser level
+# could alias a feature that a finer one resolves
+_FIRST_LEVEL = 128
+_FIRST_STOP = 256
 
 
 class TransportError(RuntimeError):
@@ -196,19 +207,44 @@ def transport(spec: ConnectionSpec, curve: Curve, v0,
     return TransportResult(v[:, 0] if single else v)
 
 
+def doubling_levels(cap: int) -> list:
+    """The nested levels ``cap / 2^j`` that are integers of at least
+    ``_FIRST_LEVEL``, coarsest first; just ``[cap]`` when no such half
+    exists (an odd cap, or one below ``2 * _FIRST_LEVEL``)."""
+    levels = [int(cap)]
+    while levels[-1] % 2 == 0 and levels[-1] // 2 >= _FIRST_LEVEL:
+        levels.append(levels[-1] // 2)
+    return levels[::-1]
+
+
+def converged(level: int, estimate: float, target: float) -> bool:
+    """Whether step doubling stops at ``level``: the level is at least
+    ``_FIRST_STOP`` and its error estimate meets the target (a NaN
+    estimate never does)."""
+    return level >= _FIRST_STOP and estimate <= target
+
+
 @dataclass
 class HolonomyResult:
     base_point: np.ndarray
     loop_name: str
     matrix: np.ndarray  # (d, d) in the terminal-subspace basis
     defect: float
+    steps: Optional[int] = None  # RK4 steps of the kept level
+    # |H_s - H_{s/2}|_max / 15 at the kept level s; None for a single level
+    error_estimate: Optional[float] = None
 
 
 def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
-                    steps: int = 4096, holonomy_tol: float = 1e-5) -> HolonomyResult:
+                    steps: int = 4096, holonomy_tol: float = 1e-5, *,
+                    target: Optional[float] = None) -> HolonomyResult:
     """Transport of the terminal basis around a loop, expressed in that basis.
 
-    The reprojection defect measures how far the transported basis left the
+    Without a ``target`` the transport takes exactly ``steps`` RK4 steps.
+    With one, ``steps`` is a cap: one transport per level of
+    :func:`doubling_levels`, stopping at the first level that
+    :func:`converged` accepts, or at the cap.  The reprojection defect of
+    the kept level measures how far the transported basis left the
     subspace; a large defect indicates irregularity or tolerance failure and
     raises :class:`DefectTooLarge`.
     """
@@ -219,15 +255,21 @@ def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
     if np.max(np.abs(start_gap)) > 1e-9:
         raise TransportError("loop must start at the base point")
     B = wtilde.basis
-    T = transport(spec, loop, B, steps).final
-    H = B.T @ T
+    H = estimate = None
+    for s in [steps] if target is None else doubling_levels(steps):
+        T = transport(spec, loop, B, s).final
+        H, coarse = B.T @ T, H
+        if coarse is not None:
+            estimate = float(np.abs(H - coarse).max(initial=0.0)) / 15.0
+            if converged(s, estimate, target):
+                break
     defect = float(np.linalg.norm(T - B @ H, 2)) if B.size else 0.0
     if defect >= holonomy_tol:
         raise DefectTooLarge(
             f"transport left the terminal subspace (defect {defect:.3e})")
     if H.size and abs(np.linalg.det(H)) < 1e-12:
         raise TransportError("holonomy matrix is numerically singular")
-    return HolonomyResult(p, loop.name, H, defect)
+    return HolonomyResult(p, loop.name, H, defect, s, estimate)
 
 
 @dataclass

@@ -120,15 +120,6 @@ def test_global_verdict_frees_its_analysis_without_gc(flat_spec):
         gc.enable()
 
 
-def test_pd_basis_via_feasibility_search():
-    from paracon.pdcone import SymSpan, pd_basis
-    span = SymSpan(2, [np.diag([1.0, -1.0]), np.eye(2)])
-    out = pd_basis(span)  # no index given: found by feasibility search
-    assert len(out) == 2
-    for m in out:
-        assert np.linalg.eigvalsh(m).min() > 0
-
-
 def test_cli_unknown_loop_and_missing_file(tmp_path, capsys):
     doc = {
         "coords": [{"name": "x", "range": [-1.0, 1.0]}],

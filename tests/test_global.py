@@ -8,9 +8,10 @@ from paracon.bundle import ConnectionSpec, Domain, omega_stack
 from paracon.expr import parse_expr
 from paracon.flag import (NotSym2Bundle, Subspace, canonical_basis,
                           derived_flag, principal_angles)
-from paracon.globalmetric import (GeneratorNotPD, GlobalError, PhiSampler,
+from paracon.globalmetric import (Analysis, GeneratorNotPD, GlobalError,
+                                  PhiSampler,
                                   RankNotOne, fixed_subspace, global_metricity,
-                                  invariant_inner_product, phi_periods)
+                                  phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
 
 TWO_PI = 2.0 * np.pi
@@ -191,6 +192,36 @@ def test_phi_periods_reject_open_curves(sphere_spec):
         phi_periods(sampler, [arc])
 
 
+@pytest.mark.parametrize("cap,target", [(1024, -1.0), (1025, 1.0)])
+def test_phi_periods_reaching_the_cap_are_the_fixed_point_periods(
+        cap, target, sphere_spec, dtheta_spec):
+    # a target no estimate meets, or an odd cap (a single level), ends at the
+    # cap: the same points, periods and samples as without a target
+    for spec, point, loops in (
+            (sphere_spec, (np.pi / 3, 1.0), band_loops(sphere_spec.domain)),
+            (dtheta_spec, (1.0, 0.0), [plane_loop(dtheta_spec.domain)])):
+        sampler = PhiSampler(spec, point)
+        fixed = phi_periods(sampler, loops, cap)
+        capped = phi_periods(sampler, loops, cap, target=target)
+        assert capped.points == fixed.points == [cap] * len(loops)
+        assert capped.periods == fixed.periods
+        for a, b in zip(capped.samples, fixed.samples):
+            assert np.array_equal(a, b)
+        assert fixed.error_estimates == [None] * len(loops)
+        assert all((e is None) == (cap % 2 == 1)
+                   for e in capped.error_estimates)
+
+
+def test_phi_period_doubling_never_stops_below_256_points(dtheta_spec):
+    sampler = PhiSampler(dtheta_spec, (1.0, 0.0))
+    loop = plane_loop(dtheta_spec.domain)
+    out = phi_periods(sampler, [loop, loop], 4096, target=[1.0, 1e-12])
+    assert out.points == [256, 256]
+    assert [len(s) for s in out.samples] == [256, 256]
+    assert out.periods[0] == pytest.approx(TWO_PI, abs=1e-12)
+    assert max(out.error_estimates) <= 1e-12
+
+
 # --- fixed subspaces --------------------------------------------------------
 
 def test_fixed_subspace_no_loops_is_full():
@@ -351,44 +382,16 @@ def test_fixed_basis_ignores_a_rotation_of_the_fixed_subspace(monkeypatch):
                   - clean.fixed_fiber_basis).max() < 1e-12
 
 
-# --- invariant inner product ------------------------------------------------
-
-def test_inner_product_identity_golden():
-    assert invariant_inner_product(np.eye(2), np.eye(2), np.eye(2)) == \
-        pytest.approx(2.0, abs=1e-14)
-
-
-def test_inner_product_scaled_metric_golden():
-    s = np.diag([1.0, 0.09])
-    assert invariant_inner_product(s, s, s) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_inner_product_bilinearity():
-    rng = np.random.default_rng(17)
-    s = np.eye(3) + 0.1 * np.ones((3, 3))
-    for _ in range(20):
-        h1, h2, hp = [x + x.T for x in rng.standard_normal((3, 3, 3))]
-        a, b = rng.standard_normal(2)
-        left = invariant_inner_product(s, a * h1 + b * h2, hp)
-        right = (a * invariant_inner_product(s, h1, hp)
-                 + b * invariant_inner_product(s, h2, hp))
-        assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
-
-
-def test_inner_product_rejects_singular_base():
-    with pytest.raises(GlobalError, match="singular"):
-        invariant_inner_product(np.diag([1.0, 0.0]), np.eye(2), np.eye(2))
-
-
 def test_holonomy_is_orthogonal_for_invariant_metric(plane_spec):
     # numerical content of the parallel-metric invariance argument
     p = np.array([1.0, 0.0])
     term = derived_flag(plane_spec, p).terminal
     loop = plane_loop(plane_spec.domain, plane_spec.params)
     H = holonomy_matrix(plane_spec, p, term, loop, steps=4096).matrix
-    s = np.diag([1.0, 0.09])  # h1 at the base point, as a matrix
+    # the pairing tr(s^-1 h s^-1 h') induced by the parallel metric s = h1
+    s_inv = np.linalg.inv(np.diag([1.0, 0.09]))
     mats = [plane_spec.sym.to_matrix(term.basis[:, a]) for a in range(3)]
-    G = np.array([[invariant_inner_product(s, a, b) for b in mats]
+    G = np.array([[np.trace(s_inv @ a @ s_inv @ b) for b in mats]
                   for a in mats])
     assert np.abs(H.T @ G @ H - G).max() < 1e-5
 
@@ -467,6 +470,75 @@ def test_global_dtheta_obstruction_not_metric(dtheta_spec):
     assert v.fixed.dim == 0
     assert v.phi is not None
     assert v.phi.periods[0] == pytest.approx(TWO_PI, abs=1e-3)
+
+
+def test_cone_holonomies_stop_below_the_cap_at_their_closed_form():
+    # loops-3d's connection converges at fourth order: each loop stops at a
+    # level below the 16384-step cap, and its spectrum is the closed form:
+    # angles 0, 0, 2 pi k, 2 pi k, 4 pi k, 4 pi k (mod 2 pi) for a loop
+    # that winds once around the axis, all 0 for one that does not
+    k = 0.3
+    spec, loops = cone_line_spec(k)
+    an = Analysis(spec, [1.0, 0.0, 0.0], loops, CONE_GRID, rk4_steps=16384)
+    a = TWO_PI * k
+    winding = np.sort(np.abs(np.angle(np.exp(
+        1j * np.array([0.0, 0.0, a, -a, 2 * a, -2 * a])))))
+    want = {"axis": winding, "rz-circle": np.zeros(6), "winding": winding}
+    for h in an.holonomies:
+        assert 256 <= h.steps < 16384
+        assert h.error_estimate <= 1e-3 * min(an.fixed_tol, an.holonomy_tol)
+        got = np.sort(np.abs(np.angle(np.linalg.eigvals(h.matrix))))
+        assert np.abs(got - want[h.loop_name]).max() < 1e-8
+
+
+def test_piecewise_connection_holonomy_runs_to_the_cap():
+    # negative control: Gamma^theta_theta_theta jumps at theta = 2, off every
+    # RK4 node, so transport converges only at first order and no level
+    # meets the bound; the holonomy is the fixed-step one at the cap and the
+    # verdict is the closed form's: H = exp(2 (0.3 * 2 - 0.2 (2 pi - 2)))
+    # is not 1, so nothing is fixed
+    dom = Domain(names=("theta",), lows=(0.0,), highs=(TWO_PI,),
+                 periods=(TWO_PI,))
+    spec = ConnectionSpec(dom, kind="christoffel", gamma={
+        (0, 0, 0): parse_expr("if(theta < 2, 0.3, -0.2)")})
+    loop = Curve(dom, [parse_expr("t")], 0.0, TWO_PI, name="circle")
+    v = global_metricity(spec, [0.0], [loop], [[0.5, 1.5, 3.0, 5.0]],
+                         rk4_steps=4096, quadrature_steps=4096)
+    an = v.analysis
+    h, = an.holonomies
+    assert h.steps == 4096
+    assert h.error_estimate > 1e-3 * min(an.fixed_tol, an.holonomy_tol)
+    fixed = holonomy_matrix(spec, [0.0], an.base_trace.terminal, loop, 4096)
+    assert np.array_equal(h.matrix, fixed.matrix)
+    closed = np.exp(2.0 * (0.3 * 2.0 - 0.2 * (TWO_PI - 2.0)))
+    assert abs(h.matrix[0, 0] - closed) < 1e-3
+    assert (v.status, v.fixed.dim) == ("not_metric", 0)
+    # the period cross-check agrees with the one over every cap point
+    sampler = PhiSampler(spec, [0.0], an.base_trace.terminal)
+    at_cap, = phi_periods(sampler, [loop], 4096).periods
+    assert abs(v.phi.periods[0]) > v.period_tols[0]
+    assert abs(at_cap) > v.period_tols[0]
+
+
+def test_degenerating_tracked_line_ends_in_the_same_note():
+    # Levi-Civita of exp(2x) dx^2 + exp(-2x) dy^2: the terminal line is the
+    # metric's, which turns from near dy^2 at x = -1.5 to near dx^2 at
+    # x = 1.5, so the base generator's projection degenerates along a loop
+    # between them, as it does over every point of the fixed-point rule
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    spec = ConnectionSpec(dom, kind="christoffel", gamma={
+        (0, 0, 0): parse_expr("1"), (0, 1, 1): parse_expr("exp(-4*x)"),
+        (1, 0, 1): parse_expr("-1"), (1, 1, 0): parse_expr("-1")})
+    loop = Curve(dom, [parse_expr("-1.5 + 1.5*(1 - cos(t))"),
+                       parse_expr("0")], 0.0, TWO_PI, name="out-and-back")
+    v = global_metricity(spec, [-1.5, 0.0], [loop],
+                         [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
+    sampler = PhiSampler(spec, [-1.5, 0.0])
+    with pytest.raises(GeneratorNotPD) as exc:
+        phi_periods(sampler, [loop], 4096)
+    assert "projection degenerates" in str(exc.value)
+    assert v.notes == [f"de Rham route skipped: {exc.value}"]
+    assert v.status == "metric" and v.phi is None
 
 
 def test_global_requires_sym2(circle_line_spec):

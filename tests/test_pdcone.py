@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from paracon.bundle import SymIndex
-from paracon.pdcone import (NoPDElement, SymSpan, _trace_units,
-                            _try_cholesky, pd_basis, pd_feasible,
-                            pd_feasible_batch)
+from paracon.pdcone import (SymSpan, _trace_units, _try_cholesky,
+                            pd_feasible, pd_feasible_batch)
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -57,50 +56,6 @@ def test_symspan_symmetrizes_and_validates():
     span = SymSpan.from_fiber_vectors(SymIndex(2), np.eye(3))
     assert span.dim == 3
     assert np.allclose(span.matrices[2], OFFDIAG)
-
-
-def test_pd_basis_halving_example():
-    # with e = I and the other generator diag(1, -1): eps = 1 fails
-    # (diag(2, 0) is singular), eps = 1/2 gives diag(1.5, 0.5)
-    out = pd_basis(SymSpan(2, [np.eye(2), np.diag([1.0, -1.0])]), e_index=0)
-    assert np.allclose(out[0], np.eye(2))
-    assert np.allclose(out[1], np.diag([1.5, 0.5]))
-
-
-def test_pd_basis_cross_term_example():
-    out = pd_basis(SymSpan(2, [np.diag([2.0, 1.0]), OFFDIAG]), e_index=0)
-    assert len(out) == 2
-    for m in out:
-        assert np.linalg.eigvalsh(m).min() > 0
-    assert np.linalg.det(out[1]) > 0
-
-
-def test_pd_basis_single_identity():
-    out = pd_basis(SymSpan(2, [np.eye(2)]), e_index=0)
-    assert len(out) == 1
-    assert np.allclose(out[0], np.eye(2))
-
-
-def test_pd_basis_requires_pd_seed():
-    with pytest.raises(NoPDElement):
-        pd_basis(SymSpan(2, [np.diag([1.0, -1.0])]), e_index=0)
-    with pytest.raises(NoPDElement):
-        pd_basis(SymSpan(2, [np.diag([1.0, -1.0])]))
-
-
-def test_pd_basis_spans_the_same_space():
-    rng = np.random.default_rng(2)
-    sym = SymIndex(2)
-    for _ in range(20):
-        mats = [np.eye(2)]
-        mats += [sym.to_matrix(rng.standard_normal(3)) for _ in range(2)]
-        span = SymSpan(2, mats)
-        out = pd_basis(span, e_index=0)
-        flat_in = np.stack([m.ravel() for m in span.matrices])
-        flat_out = np.stack([m.ravel() for m in out])
-        joint = np.vstack([flat_in, flat_out])
-        assert np.linalg.matrix_rank(joint, tol=1e-10) == \
-            np.linalg.matrix_rank(flat_in, tol=1e-10)
 
 
 def test_soundness_of_both_certificates_randomized():

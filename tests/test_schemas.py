@@ -107,6 +107,30 @@ def test_matrix_kind_report_validates(tmp_path):
     validate(json.loads(out.read_text()), schema, "matrix-analyze")
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("analyze", []),
+    ("holonomy", ["--loop", "sweep"]),
+])
+def test_step_doubling_fields_validate(tmp_path, command, extra):
+    # sphere: two loops, and a rank-one terminal bundle, so periods too
+    schema = _schema("report.schema.json")
+    from paracon.corpus import get_entry
+    doc = dict(get_entry("sphere").manifest_doc)
+    doc.pop("expected", None)
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps(doc))
+    out = tmp_path / f"{command}.json"
+    assert main([command, str(man), "--out", str(out)] + extra) == 0
+    report = json.loads(out.read_text())
+    validate(report, schema, command)
+    hol = report["holonomy"]
+    for h in hol if command == "analyze" else [hol]:
+        assert 256 <= h["steps"] <= 4096
+    if command == "analyze":
+        pp = report["global_verdict"]["phi_periods"]
+        assert len(pp["points"]) == len(pp["error_estimates"]) == 2
+
+
 IRREGULAR_BASE = {
     "id": "irregular-base",
     "coords": [{"name": "x", "range": [-2, 2]}, {"name": "y", "range": [-2, 2]}],

@@ -5,8 +5,9 @@ from paracon.bundle import ConnectionSpec, Domain, PointOutsideDomain, omega_sta
 from paracon.expr import parse_expr
 from paracon.flag import Subspace, derived_flag
 from paracon.transport import (Curve, CurveNotClosed, DefectTooLarge,
-                               TransportError, holonomy_matrix, line_curve,
-                               parallel_extend, transport)
+                               TransportError, doubling_levels,
+                               holonomy_matrix, line_curve, parallel_extend,
+                               transport)
 
 TWO_PI = 2.0 * np.pi
 
@@ -249,6 +250,64 @@ def test_holonomy_loop_inverse(plane_spec):
     h_fwd = holonomy_matrix(plane_spec, p, term, loop, steps=1024)
     h_back = holonomy_matrix(plane_spec, p, term, loop.reversed(), steps=1024)
     assert np.abs(h_back.matrix @ h_fwd.matrix - np.eye(3)).max() < 1e-7
+
+
+# --- step doubling -----------------------------------------------------------
+
+def test_doubling_levels_halve_the_cap_down_to_128():
+    assert doubling_levels(16384) == [128 << j for j in range(8)]
+    assert doubling_levels(1000) == [250, 500, 1000]
+    assert doubling_levels(256) == [128, 256]
+    # an odd cap, or one whose half is below 128, is a single level
+    for cap in (4097, 255, 200, 16):
+        assert doubling_levels(cap) == [cap]
+
+
+@pytest.mark.parametrize("cap,target", [(2048, -1.0), (1025, 1.0)])
+def test_holonomy_reaching_the_cap_is_the_fixed_step_holonomy(cap, target,
+                                                               plane_spec):
+    # a target no estimate meets, or an odd cap (a single level), ends at the
+    # cap: the fixed-step computation, bit for bit
+    p = np.array([1.0, 0.0])
+    term = derived_flag(plane_spec, p).terminal
+    loop = circle_loop(plane_spec.domain, params=plane_spec.params)
+    fixed = holonomy_matrix(plane_spec, p, term, loop, steps=cap)
+    capped = holonomy_matrix(plane_spec, p, term, loop, steps=cap,
+                             target=target)
+    assert capped.steps == fixed.steps == cap
+    assert np.array_equal(capped.matrix, fixed.matrix)
+    assert capped.defect == fixed.defect
+    assert fixed.error_estimate is None
+    assert (capped.error_estimate is None) == (cap % 2 == 1)
+
+
+def test_holonomy_doubling_never_stops_below_256_steps(flat_spec, plane_spec):
+    # every estimate of the flat connection is exactly 0, and any estimate
+    # meets a target of 1, yet the first level, 128 steps, ends neither run
+    loop = Curve(flat_spec.domain, [parse_expr("0.5*cos(t) - 0.5"),
+                                    parse_expr("0.5*sin(t)")], 0.0, TWO_PI)
+    h = holonomy_matrix(flat_spec, loop.point(0.0), Subspace.full(3), loop,
+                        steps=4096, target=0.0)
+    assert (h.steps, h.error_estimate) == (256, 0.0)
+    p = np.array([1.0, 0.0])
+    plane = circle_loop(plane_spec.domain, params=plane_spec.params)
+    h = holonomy_matrix(plane_spec, p, derived_flag(plane_spec, p).terminal,
+                        plane, steps=4096, target=1.0)
+    assert h.steps == 256 and 0.0 < h.error_estimate <= 1.0
+
+
+def test_holonomy_doubling_error_estimate_tracks_the_error(plane_spec):
+    # the punctured plane converges at fourth order, so the Richardson
+    # estimate of the kept level is its error against a 16384-step reference
+    # to within a factor of two
+    p = np.array([1.0, 0.0])
+    term = derived_flag(plane_spec, p).terminal
+    loop = circle_loop(plane_spec.domain, params=plane_spec.params)
+    ref = holonomy_matrix(plane_spec, p, term, loop, steps=16384).matrix
+    h = holonomy_matrix(plane_spec, p, term, loop, steps=4096, target=1e-9)
+    assert 256 <= h.steps < 4096 and h.error_estimate <= 1e-9
+    err = np.abs(h.matrix - ref).max()
+    assert 0.5 * h.error_estimate < err < 2.0 * h.error_estimate
 
 
 def test_holonomy_requires_closed_loop(plane_spec):
