@@ -17,49 +17,116 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from . import __version__
 from .bundle import BundleError
 from .expr import ExprError
-from .flag import IrregularPoint, NotSym2Bundle, canonical_basis, derived_flag
+from .flag import (IrregularPoint, NotSym2Bundle, canonical_basis,
+                   regularity_scan)
 from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
                            Analysis, GlobalVerdict, global_metricity)
 from .manifest import Manifest, ManifestError, load_manifest
 from .transport import DefectTooLarge, TransportError
 
-__all__ = ["main", "run", "build_report", "canonical_json"]
+__all__ = ["main", "run", "build_report", "canonical_json", "Rows"]
 
 MATRIX_KIND_CAVEAT = ("fiber is an abstract bundle (kind=matrix): the metric "
                       "question is not posed; reporting flat-bundle data only")
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
+@dataclass
+class Rows:
+    """A JSON list of records held as columns: record i maps each key to
+    ``columns[key][i]``, the row of an array whose first axis runs over the
+    records.  Where ``cut`` names the key, the row keeps the first
+    ``cut[key][i]`` entries of its last axis."""
+
+    columns: dict
+    cut: dict = field(default_factory=dict)
+
+    def record(self, i) -> dict:
+        """Record i, its values the cut array rows."""
+        return {k: c[i, ..., :self.cut[k][i]] if k in self.cut else c[i]
+                for k, c in self.columns.items()}
+
+
+def _join(texts, nl, brackets="[]"):
+    """A JSON list (or object) of item texts, opened at the indent ``nl``."""
+    inner = nl + "  "
+    return (brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1]
+            if texts else brackets)
+
+
+def _rows(a: np.ndarray, nl, cut=None) -> list:
+    """Text of each ``a[i]`` opened at the indent ``nl``, as ``json.dumps``
+    writes ``a.tolist()``, cut to its first ``cut[i]`` entries along the
+    last axis where ``cut`` is given.  The scalar texts are made in one pass
+    and fill a template of one row."""
+    if cut is not None:
+        out = [None] * len(a)
+        for d in set(cut.tolist()):
+            idx = np.flatnonzero(cut == d)
+            for i, text in zip(idx.tolist(), _rows(a[idx, ..., :d], nl)):
+                out[i] = text
+        return out
+    flat = a.ravel().tolist()
+    if a.dtype.kind in "fiu":
+        cells = list(map(repr, flat))
+        for i in np.flatnonzero(~np.isfinite(a.ravel())).tolist():
+            cells[i] = "null"
+    else:
+        cells = [_text(x, nl + "  " * (a.ndim - 1)) for x in flat]
+    size = math.prod(a.shape[1:])
+    template = _text(np.full(a.shape[1:], "%s").tolist(), nl)
+    template = template.replace('"%s"', "%s")  # one slot per scalar
+    return [template % tuple(cells[i * size:(i + 1) * size])
+            for i in range(len(a))]
+
+
+def _text(obj, nl) -> str:
+    """JSON text of ``obj`` opened at the indent ``nl`` (a newline and the
+    indent of the line it starts on)."""
+    if obj is None or isinstance(obj, str):
+        return "null" if obj is None else encode_basestring(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return float.__repr__(float(obj)) if math.isfinite(obj) else "null"
+    inner = nl + "  "
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return _join([encode_basestring(k) + ": " + _text(v, inner)
+                      for k, v in items], nl, "{}")
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return _join([_text(v, inner) for v in obj], nl)
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if v != v or v in (float("inf"), float("-inf")):
-            return None
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return (_join(_rows(obj, inner), nl) if obj.ndim
+                else _text(obj.item(), nl))
+    if isinstance(obj, Rows):
+        keys = sorted(obj.columns)
+        heads = [encode_basestring(k) + ": " for k in keys]
+        cols = [_rows(obj.columns[k], inner + "  ", obj.cut.get(k))
+                for k in keys]
+        return _join([_join(list(map(str.__add__, heads, texts)), inner, "{}")
+                      for texts in zip(*cols)], nl)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(_plain(doc), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False)`` and a newline, with ndarrays and numpy scalars
+    written as their Python values, each non-finite float as null and each
+    :class:`Rows` as its list of records."""
+    return _text(doc, "\n") + "\n"
 
 
 def _finalize(report: dict) -> tuple:
@@ -89,16 +156,17 @@ def _scan_dict(scan):
     }
 
 
-def _trace_dict(tr):
-    return {
-        "point": tr.point,
-        "dims": tr.dims,
-        "stabilization_level": tr.stabilization_level,
-        "terminal_dim": tr.terminal.dim,
-        "terminal_basis": tr.terminal.basis,
-        "sv_gap": None if tr.terminal.sv_gap == float("inf")
-                  else tr.terminal.sv_gap,
-    }
+def _flag_rows(scan) -> Rows:
+    """The flag at each point of a scan, as report records."""
+    terminal = scan.levels[-1]
+    return Rows({
+        "point": scan.flag_points,
+        "dims": np.stack([lv.dims for lv in scan.levels], axis=1),
+        "stabilization_level": scan.last,
+        "terminal_dim": terminal.dims,
+        "terminal_basis": terminal.bases,
+        "sv_gap": terminal.gaps,  # inf, a decision with an empty side: null
+    }, cut={"dims": scan.last + 1, "terminal_basis": terminal.dims})
 
 
 def _verdict_dict(v: GlobalVerdict):
@@ -162,11 +230,13 @@ def build_report(man: Manifest, command: str) -> tuple:
 
     scan = an.scan
     report["regularity"] = _scan_dict(scan)
-    report["flag_traces"] = [_trace_dict(tr) for tr in scan.traces]
-    report["local_metricity"] = None if spec.kind != "christoffel" else [
-        {"point": p, "locally_metric": lm.locally_metric,
-         "status": lm.status, "best_lambda": lm.best_lambda}
-        for p, lm in zip(scan.points, an.local)]
+    report["flag_traces"] = _flag_rows(scan)
+    report["local_metricity"] = None if spec.kind != "christoffel" else Rows({
+        "point": scan.points,
+        "locally_metric": np.array([lm.locally_metric for lm in an.local]),
+        "status": np.array([lm.status for lm in an.local]),
+        "best_lambda": np.array([lm.best_lambda for lm in an.local]),
+    })
 
     try:
         report["holonomy"] = [_holonomy_dict(h) for h in an.holonomies]
@@ -240,11 +310,12 @@ def _format_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(report: dict, pieces: tuple, out_path: str, fmt: str):
+def _write_report(pieces: tuple, out_path: str, fmt: str):
     with open(out_path, "wb") as fh:
         fh.writelines(pieces)
     if fmt == "text":
-        sys.stdout.write(_format_text(report))
+        # the summary reads the report as written, in plain JSON values
+        sys.stdout.write(_format_text(json.loads(b"".join(pieces))))
     else:
         print(f"report written to {out_path}")
 
@@ -278,16 +349,17 @@ def run(command: str, manifest_path: str, args) -> int:
         man.steps = {"rk4": int(args.steps), "quadrature": int(args.steps)}
 
     if command == "flag":
+        # the one-node grid at the point: its flag as derived_flag gives it
         point = _parse_point(args.point, man)
-        tr = derived_flag(man.spec, point,
-                          rank_tol=man.tolerances["rank_tol"])
+        scan = regularity_scan(man.spec, point[:, None],
+                               rank_tol=man.tolerances["rank_tol"])
         report = {
             "tool_version": __version__, "command": "flag",
             "manifest_id": man.id, "manifest_digest": man.digest(),
-            "flag_trace": _trace_dict(tr),
+            "flag_trace": _flag_rows(scan).record(0),
             "caveats": [CHART_ONLY_CAVEAT],
         }
-        _write_report(report, _finalize(report), args.out, args.format)
+        _write_report(_finalize(report), args.out, args.format)
         return 0
 
     if command == "holonomy":
@@ -312,11 +384,11 @@ def run(command: str, manifest_path: str, args) -> int:
                              wtilde_rank=an.base_trace.terminal.dim),
             "caveats": [CHART_ONLY_CAVEAT],
         }
-        _write_report(report, _finalize(report), args.out, args.format)
+        _write_report(_finalize(report), args.out, args.format)
         return 0
 
-    report, pieces, code = build_report(man, command)
-    _write_report(report, pieces, args.out, args.format)
+    _, pieces, code = build_report(man, command)
+    _write_report(pieces, args.out, args.format)
     return code
 
 

@@ -140,8 +140,7 @@ def run_entry(entry: CorpusEntry, overrides: Optional[dict] = None):
         if spec.kind != "christoffel":
             record("local_metric_all", False, "not a Sym^2 bundle")
         else:
-            verdicts = [lm is not None and lm.locally_metric
-                        for lm in an.local]
+            verdicts = [lm.locally_metric for lm in an.local]
             record("local_metric_all",
                    all(verdicts) == exp["local_metric_all"]["value"],
                    f"true at {sum(verdicts)}/{len(verdicts)} points")

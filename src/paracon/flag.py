@@ -361,17 +361,11 @@ class FlagTrace:
         return self.levels[-1][2]
 
 
-def _traces(spec, points, rank_tol, max_levels=None):
-    """Nudge each point off breakpoints and run the engine over all of them;
-    one FlagTrace per point."""
-    pts = np.array([nudge_off_breakpoints(spec, p) for p in points])
-    levels, last = _flag(spec, pts, rank_tol, max_levels)
-    out = []
-    for i, p in enumerate(pts):
-        subs = [lv[i] for lv in levels[:last[i] + 1]]
-        out.append(FlagTrace(p, [(k, s.dim, s) for k, s in enumerate(subs)],
-                             stabilization_level=int(last[i])))
-    return out
+def _trace(point, levels, last, i) -> FlagTrace:
+    """Point i's FlagTrace from ``_flag``'s levels, ``last`` its last level."""
+    subs = [lv[i] for lv in levels[:last + 1]]
+    return FlagTrace(point, [(k, s.dim, s) for k, s in enumerate(subs)],
+                     stabilization_level=last)
 
 
 def derived_flag(spec: ConnectionSpec, point,
@@ -384,9 +378,9 @@ def derived_flag(spec: ConnectionSpec, point,
     signals tolerance trouble and raises :class:`MaxLevelsExceeded`.  A
     point on a piecewise breakpoint is first nudged off it.
     """
-    p = np.asarray(point, dtype=float)
-    tr, = _traces(spec, p[None], rank_tol, max_levels)
-    return tr
+    p = nudge_off_breakpoints(spec, point)
+    levels, last = _flag(spec, p[None], rank_tol, max_levels)
+    return _trace(p, levels, int(last[0]), 0)
 
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
@@ -413,49 +407,55 @@ def batch_terminal_bases(spec: ConnectionSpec, points,
 
 @dataclass
 class RegularityReport:
-    """Derived flags over a sample grid with terminal-dimension jumps."""
+    """Derived flags over a sample grid with terminal-dimension jumps, held
+    as the flag engine's arrays."""
 
     axes: list  # per-coordinate sample values
-    points: np.ndarray  # (m, n) in row-major axis order
-    traces: list  # FlagTrace per point
+    points: np.ndarray  # (m, n) grid nodes in row-major axis order
+    flag_points: np.ndarray  # (m, n) the nodes nudged off breakpoints
+    # FlagLevels over all points; a point that stopped keeps its subspace in
+    # later levels, so levels[-1] holds every terminal subspace
+    levels: list
+    last: np.ndarray  # (m,) each point's stabilization level
     dims: list  # terminal dim per point
     regular_on_grid: bool
     jumps: list  # (point_a, point_b, dim_a, dim_b)
 
+    def trace(self, i) -> FlagTrace:
+        """Point i's flag as a :class:`FlagTrace`, as :func:`derived_flag`
+        gives it."""
+        return _trace(self.flag_points[i], self.levels, int(self.last[i]), i)
+
 
 def regularity_scan(spec: ConnectionSpec, axes,
                     rank_tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
-    """Derived flag at every node of a product grid.
+    """Derived flag at every node of a product grid, in one batch.
 
-    ``axes`` is one list of sample values per coordinate.  Every point's
-    :class:`FlagTrace` is kept.  The verdict is true exactly when every
-    point produced the same terminal dimension.
+    ``axes`` is one list of sample values per coordinate.  The verdict is
+    true exactly when every point produced the same terminal dimension;
+    ``jumps`` lists each pair of neighbouring nodes whose terminal dims
+    differ, axis by axis and in row-major order within an axis.
     """
     axes = [list(map(float, a)) for a in axes]
     if len(axes) != spec.n or any(len(a) == 0 for a in axes):
         raise EmptyGrid("grid needs at least one sample per coordinate")
     mesh = np.meshgrid(*axes, indexing="ij")
-    shape = mesh[0].shape
     pts = np.stack([m.ravel() for m in mesh], axis=1)
+    flag_pts = np.array([nudge_off_breakpoints(spec, p) for p in pts])
+    levels, last = _flag(spec, flag_pts, rank_tol)
 
-    traces = _traces(spec, pts, rank_tol)
-    dims = [tr.dims[-1] for tr in traces]
-
-    grid_dims = np.reshape(dims, shape)
+    grid = levels[-1].dims.reshape(mesh[0].shape)
     jumps = []
     for axis in range(len(axes)):
-        for idx in np.ndindex(shape):
-            if idx[axis] + 1 >= shape[axis]:
-                continue
-            jdx = list(idx)
-            jdx[axis] += 1
-            a, b = int(grid_dims[idx]), int(grid_dims[tuple(jdx)])
-            if a != b:
-                pa = [axes[c][idx[c]] for c in range(len(axes))]
-                pb = [axes[c][jdx[c]] for c in range(len(axes))]
-                jumps.append((pa, pb, a, b))
-    return RegularityReport(axes, pts, traces, dims, len(set(dims)) == 1,
-                            jumps)
+        for a in np.argwhere(np.diff(grid, axis=axis)).tolist():
+            b = a.copy()
+            b[axis] += 1
+            jumps.append(([axes[c][i] for c, i in enumerate(a)],
+                          [axes[c][i] for c, i in enumerate(b)],
+                          int(grid[tuple(a)]), int(grid[tuple(b)])))
+    dims = levels[-1].dims.tolist()
+    return RegularityReport(axes, pts, flag_pts, levels, last, dims,
+                            len(set(dims)) == 1, jumps)
 
 
 @dataclass
@@ -467,17 +467,15 @@ class LocalMetricity:
     best_lambda: float
 
 
-def local_metricity(spec: ConnectionSpec, point, trace, tol: float = 1e-8):
-    """Does the terminal subspace contain a positive-definite form?
+def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,
+                    tol: float = 1e-8) -> list:
+    """Does each point's terminal subspace contain a positive-definite form?
 
-    ``trace`` is one :class:`FlagTrace`, answered by one
-    :class:`LocalMetricity`, or a sequence of them (the scan's), answered by
-    a list.  The spans of one terminal dim go through
-    :func:`pdcone.pd_feasible_batch` in slices of ``_SLICE`` points, with the
-    same result as one ``pd_feasible`` per point; a zero terminal subspace is
-    infeasible with no test.  ``point`` is not used, since each trace
-    carries its own point; it stays so that ``local_metricity(spec, p, tr)``
-    calls keep working.
+    ``terminal`` is the terminal flag level over a batch, such as a scan's
+    ``levels[-1]``; one :class:`LocalMetricity` per point is returned.  The
+    spans of one terminal dim go through :func:`pdcone.pd_feasible_batch` in
+    slices of ``_SLICE`` points, with the same result as one ``pd_feasible``
+    per point; a zero terminal subspace is infeasible with no test.
 
     Only meaningful for Christoffel connections, whose fiber is the space of
     symmetric two-tensors; raises :class:`NotSym2Bundle` otherwise.
@@ -485,10 +483,8 @@ def local_metricity(spec: ConnectionSpec, point, trace, tol: float = 1e-8):
     from . import pdcone
     if spec.kind != "christoffel":
         raise NotSym2Bundle("local metricity is defined on the Sym^2 bundle only")
-    single = isinstance(trace, FlagTrace)
-    terms = [tr.terminal for tr in ([trace] if single else trace)]
-    out = [None] * len(terms)
-    for d, idx in _groups(np.array([t.dim for t in terms], dtype=int)):
+    out = [None] * len(terminal.dims)
+    for d, idx in _groups(terminal.dims):
         if d == 0:
             for i in idx:
                 out[i] = LocalMetricity(False, "infeasible_certified", None,
@@ -496,10 +492,11 @@ def local_metricity(spec: ConnectionSpec, point, trace, tol: float = 1e-8):
             continue
         for start in range(0, idx.size, _SLICE):
             part = idx[start:start + _SLICE]
-            vecs = np.stack([terms[i].basis.T for i in part])  # (m, d, N)
+            vecs = np.ascontiguousarray(
+                terminal.bases[part, :, :d].transpose(0, 2, 1))  # (m, d, N)
             for i, res in zip(part, pdcone.pd_feasible_batch(
                     spec.sym.to_matrix(vecs), tol)):
                 out[i] = LocalMetricity(res.status == "feasible", res.status,
                                         res.coefficients, res.cholesky,
                                         res.best_lambda)
-    return out[0] if single else out
+    return out

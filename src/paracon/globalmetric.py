@@ -316,14 +316,15 @@ class Analysis:
 
     @_stage
     def scan(self) -> RegularityReport:
-        """Derived flag and terminal dimension at every grid point."""
+        """Derived flag and terminal dimension at every grid point, as the
+        flag engine's arrays."""
         return regularity_scan(self.spec, self.grid_axes, self.rank_tol)
 
     @_stage
     def local(self) -> list:
-        """LocalMetricity at every grid point, in one batched call."""
-        return local_metricity(self.spec, self.scan.points, self.scan.traces,
-                               self.pd_tol)
+        """LocalMetricity at every grid point: one batched call over the
+        scan's terminal level."""
+        return local_metricity(self.spec, self.scan.levels[-1], self.pd_tol)
 
     @_stage
     def base_trace(self) -> FlagTrace:

@@ -52,7 +52,9 @@ def test_criterion_2_sphere_flag_periods_verdict():
     for p in pts:
         tr = derived_flag(man.spec, p)
         assert tr.dims == [1, 1]
-        assert local_metricity(man.spec, p, tr).locally_metric
+        one = regularity_scan(man.spec, [[v] for v in p])  # a batch of one
+        lm, = local_metricity(man.spec, one.levels[-1])
+        assert lm.locally_metric
     v = global_metricity(man.spec, man.base_point, man.loops, man.grid_axes,
                          rk4_steps=man.steps["rk4"],
                          quadrature_steps=man.steps["quadrature"])
@@ -176,8 +178,9 @@ def test_criterion_6_pathology_scan_and_verdict(tmp_path):
     assert spans[0][0] < 0.0 < spans[0][1]
     assert spans[1][0] < 1.0 < spans[1][1]
     for x in xs:
-        tr = derived_flag(man.spec, (x, 0.0))
-        assert local_metricity(man.spec, (x, 0.0), tr).locally_metric
+        one = regularity_scan(man.spec, [[x], [0.0]])  # a batch of one
+        lm, = local_metricity(man.spec, one.levels[-1])
+        assert lm.locally_metric
 
     doc = dict(entry.manifest_doc)
     doc.pop("expected", None)

@@ -10,7 +10,7 @@ from paracon.bundle import ConnectionSpec, Domain
 from paracon.cli import main
 from paracon.expr import parse_expr
 from paracon.flag import (FlagError, MaxLevelsExceeded, Subspace, derived_flag,
-                          local_metricity)
+                          local_metricity, regularity_scan)
 from paracon.globalmetric import global_metricity
 from paracon.manifest import manifest_from_dict
 from paracon.transport import DefectTooLarge
@@ -23,7 +23,8 @@ def test_one_dimensional_chart_with_scaling_connection():
                           gamma={(0, 0, 0): parse_expr("0.7")})
     tr = derived_flag(spec, (0.3,))
     assert tr.dims == [1]
-    assert local_metricity(spec, (0.3,), tr).locally_metric
+    lm, = local_metricity(spec, regularity_scan(spec, [[0.3]]).levels[-1])
+    assert lm.locally_metric
     v = global_metricity(spec, [0.3], [], [[-1.0, 0.0, 1.0]])
     assert v.status == "metric"
     assert v.rank_wm == 1

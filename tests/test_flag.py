@@ -8,10 +8,10 @@ from paracon.bundle import (ConnectionSpec, Domain, curvature_operators,
                             curvature_pairs, nudge_off_breakpoints,
                             omega_stack)
 from paracon.expr import parse_expr
-from paracon.flag import (EmptyGrid, IrregularPoint, NotSym2Bundle, Subspace,
-                          batch_terminal_bases, curvature_kernel, derived_flag,
-                          kernel_intersection, local_metricity,
-                          principal_angles, regularity_scan,
+from paracon.flag import (EmptyGrid, FlagLevel, IrregularPoint,
+                          NotSym2Bundle, Subspace, batch_terminal_bases,
+                          curvature_kernel, derived_flag, kernel_intersection,
+                          local_metricity, principal_angles, regularity_scan,
                           second_fundamental_kernel)
 from paracon.transport import line_curve, transport
 
@@ -144,6 +144,49 @@ def test_regularity_scan_pathology(pathology_spec):
     assert spans[1][0] < 1.0 < spans[1][1]   # straddles x1
 
 
+def _reference_jumps(rep):
+    """The jump list as the per-node loop built it: every axis in turn, the
+    nodes in row-major order."""
+    grid = np.reshape(rep.dims, [len(a) for a in rep.axes])
+    jumps = []
+    for axis in range(len(rep.axes)):
+        for idx in np.ndindex(grid.shape):
+            if idx[axis] + 1 >= grid.shape[axis]:
+                continue
+            jdx = list(idx)
+            jdx[axis] += 1
+            a, b = int(grid[idx]), int(grid[tuple(jdx)])
+            if a != b:
+                jumps.append(([rep.axes[c][idx[c]] for c in range(grid.ndim)],
+                              [rep.axes[c][jdx[c]] for c in range(grid.ndim)],
+                              a, b))
+    return jumps
+
+
+def test_regularity_scan_jumps_keep_the_per_node_order():
+    from paracon.corpus import get_entry
+    man = get_entry("smooth-pathology").manifest()
+    rep = regularity_scan(man.spec, man.grid_axes)
+    assert len(rep.jumps) == 2
+    assert rep.jumps == _reference_jumps(rep)
+
+    # a 3-axis chart with two jump surfaces, x = 0 and y = 0: flat for
+    # x, y < 0, curved where either cubic is on
+    dom = Domain(names=("x", "y", "z"), lows=(-2.0,) * 3, highs=(2.0,) * 3)
+    z = parse_expr("0")
+    omega = [[[z, z, z], [z, parse_expr("if(x < 0, 0, x^3)"), z]],
+             [[z, z, parse_expr("if(y < 0, 0, y^3)")], [z, z, z]]]
+    spec = ConnectionSpec(dom, kind="matrix", fiber_dim=2, omega=omega)
+    rep = regularity_scan(spec, [[-0.6, -0.2, 0.3, 0.7], [-0.5, 0.4, 0.9],
+                                 [-1.0, 0.0, 1.0]])
+    assert {axis for axis in range(3) for a, b, _, _ in rep.jumps
+            if a[axis] != b[axis]} == {0, 1}
+    assert len(rep.jumps) == 21
+    assert rep.jumps == _reference_jumps(rep)
+    for got, want in zip(rep.jumps, _reference_jumps(rep)):
+        assert [type(v) for v in got[2:]] == [type(v) for v in want[2:]]
+
+
 def test_regularity_scan_constant_matrix_connection():
     dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
     z, one = parse_expr("0"), parse_expr("1")
@@ -159,10 +202,16 @@ def test_regularity_scan_empty_grid(flat_spec):
         regularity_scan(flat_spec, [[], [0.0]])
 
 
+def _one_point_scan(spec, p):
+    """The scan of the one-node grid at p: a batch of one."""
+    return regularity_scan(spec, [[v] for v in p])
+
+
 def test_local_metricity_sphere_certificate(sphere_spec):
     p = (np.pi / 3, 1.0)
-    tr = derived_flag(sphere_spec, p)
-    lm = local_metricity(sphere_spec, p, tr)
+    rep = _one_point_scan(sphere_spec, p)
+    tr = rep.trace(0)
+    lm, = local_metricity(sphere_spec, rep.levels[-1])
     assert lm.locally_metric
     # certificate combination must be proportional to X1 + 0.75 X2
     combo = tr.terminal.basis @ lm.coefficients
@@ -174,26 +223,25 @@ def test_local_metricity_sphere_certificate(sphere_spec):
 
 
 def test_local_metricity_pathology_left_band(pathology_spec):
-    p = (-0.5, 0.0)
-    tr = derived_flag(pathology_spec, p)
-    assert local_metricity(pathology_spec, p, tr).locally_metric
+    rep = _one_point_scan(pathology_spec, (-0.5, 0.0))
+    lm, = local_metricity(pathology_spec, rep.levels[-1])
+    assert lm.locally_metric
 
 
 def test_local_metricity_rejects_pure_cross_term(flat_spec):
     # span(dx (x) dy + dy (x) dx) has no PD element
-    from paracon.flag import FlagTrace
     cross = np.array([0.0, 0.0, 1.0])
-    sub = Subspace(3, cross[:, None])
-    tr = FlagTrace(np.array([0.0, 0.0]), [(0, 1, sub)], 0)
-    lm = local_metricity(flat_spec, (0.0, 0.0), tr)
+    level = FlagLevel(np.array([1]), cross[None, :, None],
+                      np.array([np.inf]), 1e-7)
+    lm, = local_metricity(flat_spec, level)
     assert not lm.locally_metric
     assert lm.status == "infeasible_certified"
 
 
 def test_local_metricity_requires_sym2(circle_line_spec):
-    tr = derived_flag(circle_line_spec, (1.0,))
+    rep = _one_point_scan(circle_line_spec, (1.0,))
     with pytest.raises(NotSym2Bundle):
-        local_metricity(circle_line_spec, (1.0,), tr)
+        local_metricity(circle_line_spec, rep.levels[-1])
 
 
 def _same_bits(a, b):
@@ -207,7 +255,6 @@ def _same_bits(a, b):
 def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
     # one call over a shuffled batch of every terminal dim d = 0 ... 6 that
     # fits the fiber, in slices of 4 points, against one pd_feasible per point
-    from paracon.flag import FlagTrace
     from paracon.pdcone import SymSpan, pd_feasible
     monkeypatch.setattr(flagmod, "_SLICE", 4)
     rng = np.random.default_rng(41)
@@ -219,7 +266,7 @@ def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
         N = spec.N
         unit_trace = np.zeros(N)
         unit_trace[:n] = 1.0 / np.sqrt(n)
-        traces = []
+        subs = []
         for d in range(min(6, N) + 1):
             for kind in ("random", "traceless", "tilted"):
                 G = rng.standard_normal((N, d))
@@ -230,19 +277,23 @@ def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
                 elif kind == "tilted" and d:  # often won by a trace start
                     G[:, 0] += 3.0 * np.sqrt(n) * unit_trace
                 basis = np.linalg.qr(G)[0]
-                traces.append(FlagTrace(np.zeros(n),
-                                        [(0, d, Subspace(N, basis))], 0))
-        traces = [traces[i] for i in rng.permutation(len(traces))]
-        got = local_metricity(spec, None, traces)
-        assert len(got) == len(traces)
-        for tr, lm in zip(traces, got):
-            if tr.terminal.dim == 0:
+                subs.append(Subspace(N, basis))
+        subs = [subs[i] for i in rng.permutation(len(subs))]
+        level = FlagLevel(np.array([s.dim for s in subs]),
+                          np.zeros((len(subs), N, min(6, N))),
+                          np.full(len(subs), np.inf), 1e-7)
+        for i, s in enumerate(subs):
+            level.bases[i, :, :s.dim] = s.basis
+        got = local_metricity(spec, level)
+        assert len(got) == len(subs)
+        for sub, lm in zip(subs, got):
+            if sub.dim == 0:
                 assert (lm.locally_metric, lm.status, lm.coefficients,
                         lm.cholesky, lm.best_lambda) == (
                     False, "infeasible_certified", None, None, 0.0)
                 seen.add("zero")
                 continue
-            span = SymSpan.from_fiber_vectors(spec.sym, tr.terminal.basis)
+            span = SymSpan.from_fiber_vectors(spec.sym, sub.basis)
             want = pd_feasible(span)
             assert lm.status == want.status
             assert lm.locally_metric == (want.status == "feasible")
@@ -466,8 +517,8 @@ _TWO_CHAIN_AXES = [[-0.7, -0.3, 0.4, 0.8], [-0.6, 0.5]]
 
 def _assert_scan_matches_derived_flag(spec, axes):
     rep = regularity_scan(spec, axes)
-    for p, tr in zip(rep.points, rep.traces):
-        want = derived_flag(spec, p)
+    for i, p in enumerate(rep.points):
+        tr, want = rep.trace(i), derived_flag(spec, p)
         assert np.array_equal(tr.point, want.point)
         assert tr.dims == want.dims
         assert tr.stabilization_level == want.stabilization_level
@@ -488,12 +539,14 @@ def test_regularity_scan_matches_derived_flag_bit_for_bit(pathology_spec):
 
     rep = _assert_scan_matches_derived_flag(
         _deep_flag_spec(), [[0.2, 0.5], [0.1, 0.4, 0.7]])
-    assert all(tr.dims == [4, 3, 2, 2] for tr in rep.traces)
+    assert all(rep.trace(i).dims == [4, 3, 2, 2]
+               for i in range(len(rep.points)))
 
     # one second-fundamental step takes both level-0 dimensions at once, and
     # the next step only the points that have not stopped
     rep = _assert_scan_matches_derived_flag(_two_chain_spec(), _TWO_CHAIN_AXES)
-    assert [tr.dims for tr in rep.traces] == [[1, 0]] * 4 + [[2, 1, 1]] * 4
+    assert [rep.trace(i).dims for i in range(len(rep.points))] == \
+        [[1, 0]] * 4 + [[2, 1, 1]] * 4
 
 
 # -- the stencil flag engine the exact one replaced, kept as a reference ----
@@ -650,7 +703,8 @@ def test_second_fundamental_cut_is_relative_to_the_derivative():
     for x in (-0.05, 0.0, 0.05):
         tr = derived_flag(spec, (x, 0.2))
         assert tr.dims == [1, 1]
-        assert local_metricity(spec, (x, 0.2), tr).locally_metric
+        lm, = local_metricity(spec, _one_point_scan(spec, (x, 0.2)).levels[-1])
+        assert lm.locally_metric
 
 
 def _verdict_summary(tmp_path, doc, name):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from paracon.cli import _finalize, canonical_json, main
+from paracon.cli import Rows, _finalize, build_report, canonical_json, main
 from paracon.corpus import ENTRY_IDS, get_entry, load_corpus
 from paracon.manifest import ManifestError, manifest_from_dict
 
@@ -219,6 +219,21 @@ def test_cli_param_override(tmp_path):
     assert report["global_verdict"]["fixed_dim"] == 3
 
 
+def _deep_flag_doc():
+    # N = 5 matrix connection with flag [4, 3, 2, 2] for y > 0
+    z = "0"
+    omega = [[[z, z] for _ in range(5)] for _ in range(5)]
+    omega[1][4] = ["exp(y)", z]
+    for i, j in ((2, 3), (4, 0), (0, 3)):
+        omega[i][j] = [z, "y"]
+    return minimal_doc(
+        id="deep-flag",
+        coords=[{"name": "x", "range": [-2.0, 2.0]},
+                {"name": "y", "range": [-2.0, 2.0]}],
+        connection={"kind": "matrix", "fiber_dim": 5, "omega": omega},
+        base_point=[0.3, 0.1], grid={"values": [[0.2, 0.5], [0.1, 0.4, 0.7]]})
+
+
 def test_cli_text_format(tmp_path, capsys):
     man = _write_manifest(tmp_path, "flat-trivial")
     out = tmp_path / "t.json"
@@ -227,6 +242,20 @@ def test_cli_text_format(tmp_path, capsys):
     assert "global status: metric" in text
     assert "flag dims [3] at 9 of 9 points" in text
     assert "caveat" in text
+
+    # a multi-level chain is printed as a list, not as an array
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_deep_flag_doc()))
+    assert main(["analyze", str(path), "--out", str(out),
+                 "--format", "text"]) == 0
+    assert "flag dims [4, 3, 2, 2] at 6 of 6 points" in capsys.readouterr().out
+    # the one-point flag report keeps the bytes it had before the columnar
+    # writer (sha256 of the report written by the per-point encoder)
+    assert main(["flag", str(path), "--point", "0.3,0.1", "--out", str(out),
+                 "--format", "text"]) == 0
+    assert "flag dims [4, 3, 2, 2], terminal dim 2" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "84e821bb30054ef727114e1a954a6506e4f9a0747ab65512c41e47a9bddf7d16")
 
 
 def test_cli_bad_manifest_exits_one(tmp_path, capsys):
@@ -354,3 +383,79 @@ def test_cli_flag_and_holonomy_reports_are_canonical(tmp_path):
     assert main(["holonomy", str(man), "--loop", loop, "--steps", "512",
                  "--out", str(out)]) == 0
     _assert_canonical_with_digest(out.read_bytes())
+
+
+def _plain(obj):
+    """A document as plain JSON values: the input of the stdlib encoder that
+    the array-aware writer replaced, kept as its reference."""
+    if isinstance(obj, Rows):
+        cols = obj.columns
+        m = len(next(iter(cols.values())))
+        return [{k: _plain(col[i] if k not in obj.cut
+                           else col[i][..., :obj.cut[k][i]])
+                 for k, col in cols.items()} for i in range(m)]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        if v != v or v in (float("inf"), float("-inf")):
+            return None
+        return v
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _reference_json(doc):
+    return json.dumps(_plain(doc), sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+_WRITER_CASES = {
+    "floats": [-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"),
+               float("-inf"), 0.1, -2.5e-300, 1.7976931348623157e308],
+    "numpy scalars": {"f": np.float64(0.1), "i": np.int64(-7),
+                      "t": np.bool_(True), "n": np.float64("nan"),
+                      "f32": np.float32(0.1), "u": np.uint8(200)},
+    "big int": {"above 2**53": 2 ** 53 + 1, "huge": -(2 ** 80)},
+    "empty": {"d": {}, "l": [], "nested": [{}, [], [[]], ()]},
+    "terminal dim 0": np.zeros((3, 4, 0)),
+    "no rows": np.zeros((0, 4)),
+    "arrays": {"bool": np.array([[True, False], [False, True]]),
+               "int": np.arange(6, dtype=np.int32).reshape(2, 3),
+               "float": np.array([[-0.0, np.nan], [np.inf, 1e-300]]),
+               "0-d": np.array(2.5), "3-d": np.arange(24.0).reshape(2, 3, 4),
+               "strings": np.array(["a", "b"])},
+    "non-ASCII": {"métrique": "∇s = s ⊗ Φ, \u2028 \"q\"\n\t\x00"},
+    "rows": Rows({"p": np.arange(8.0).reshape(4, 2),
+                  "b": np.arange(24.0).reshape(4, 3, 2) - 11.5,
+                  "d": np.array([[3, 2, 2], [3, 1, 0], [2, 2, 0],
+                                 [1, 0, 0]]),
+                  "s": np.array(["feasible", "ü", "", "\\"]),
+                  "g": np.array([np.inf, 0.5, np.nan, -0.0])},
+                 cut={"b": np.array([2, 0, 1, 2]),
+                      "d": np.array([3, 2, 1, 1])}),
+    "no records": Rows({"p": np.zeros((0, 2)), "s": np.zeros(0, bool)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITER_CASES))
+def test_writer_matches_stdlib_encoder(case):
+    for doc in (_WRITER_CASES[case], {"top": _WRITER_CASES[case],
+                                      "z": [_WRITER_CASES[case]]}):
+        assert canonical_json(doc) == _reference_json(doc)
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_writer_matches_stdlib_encoder_on_analyze_reports(entry_id):
+    report, pieces, _ = build_report(get_entry(entry_id).manifest(),
+                                     "analyze")
+    ref = _reference_json(report)
+    assert canonical_json(report) == ref
+    assert b"".join(pieces) == ref.encode("utf-8")
