@@ -78,32 +78,12 @@ class Domain:
     def dim(self):
         return len(self.names)
 
-    @property
-    def scale(self):
-        """Smallest finite coordinate span; 1.0 if every range is infinite."""
-        spans = []
-        for lo, hi, per in zip(self.lows, self.highs, self.periods):
-            if np.isfinite(lo) and np.isfinite(hi):
-                spans.append(hi - lo)
-            elif per is not None:
-                spans.append(per)
-        return min(spans) if spans else 1.0
-
     def env(self, points, params):
         """Evaluation environment for an (m, n) batch or a single point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         env = {name: pts[:, i] for i, name in enumerate(self.names)}
         env.update(params)
         return env
-
-    def contains(self, point):
-        # periodic coordinates wind around the whole circle; the declared
-        # range only fixes how closed curves are interpreted
-        p = np.asarray(point, dtype=float)
-        for i, per in enumerate(self.periods):
-            if per is None and not (self.lows[i] < p[i] < self.highs[i]):
-                return False
-        return True
 
     @cached_property
     def _excluded_fns(self):
@@ -150,8 +130,6 @@ class SymIndex:
 
     Diagonal pairs come first, so for n = 2 the basis order is
     ``dx1 (x) dx1``, ``dx2 (x) dx2``, ``dx1 (x) dx2 + dx2 (x) dx1``.
-    The per-slot weight (1 on diagonal pairs, 2 off) is the multiplicity of
-    the slot inside the full matrix, used by the invariant inner product.
     """
 
     def __init__(self, n: int):
@@ -161,8 +139,6 @@ class SymIndex:
         self.N = len(self.pairs)
         assert self.N == n * (n + 1) // 2
         self._index = {p: a for a, p in enumerate(self.pairs)}
-        self.weights = np.array(
-            [1.0 if i == j else 2.0 for i, j in self.pairs])
         # basis matrices E_A, shape (N, n, n)
         basis = np.zeros((self.N, n, n))
         for a, (i, j) in enumerate(self.pairs):
@@ -321,18 +297,16 @@ class ConnectionSpec:
         return conds
 
 
-def nudge_off_breakpoints(spec: ConnectionSpec, point, eps: float = 1e-12):
-    """Shift a point landing exactly on a piecewise breakpoint by +eps."""
-    p = np.array(point, dtype=float)
-    conds = spec._breakpoints()
-    if not conds:
-        return p
-    env = spec.domain.env(p, spec.params)
-    for fn in conds:
-        val = np.asarray(fn(env), dtype=float)
-        if np.any(val == 0.0):
-            return p + eps
-    return p
+def nudge_off_breakpoints(spec: ConnectionSpec, points, eps: float = 1e-12):
+    """Shift each point of an (m, n) batch that lands exactly on a piecewise
+    breakpoint by +eps; returns a new (m, n) array."""
+    pts = np.array(points, dtype=float)
+    env = spec.domain.env(pts, spec.params)
+    hit = np.zeros(len(pts), dtype=bool)
+    for fn in spec._breakpoints():
+        hit |= np.asarray(fn(env), dtype=float) == 0.0
+    pts[hit] += eps
+    return pts
 
 
 def _is_zero(e: Expr) -> bool:
@@ -392,11 +366,6 @@ def _partials(spec: ConnectionSpec, points, order: int) -> np.ndarray:
 def omega_stack(spec: ConnectionSpec, points) -> np.ndarray:
     """Connection matrices Omega_k over an (m, n) batch; shape (m, n, N, N)."""
     return _partials(spec, points, 0)[:, 0]
-
-
-def _domega_stack(spec: ConnectionSpec, points) -> np.ndarray:
-    """Partial derivatives d_d Omega_k; shape (m, n_d, n_k, N, N)."""
-    return _partials(spec, points, 1)
 
 
 def curvature_pairs(n: int):

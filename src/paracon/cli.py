@@ -233,7 +233,8 @@ def build_report(man: Manifest, command: str) -> tuple:
     report["flag_traces"] = _flag_rows(scan)
     report["local_metricity"] = None if spec.kind != "christoffel" else Rows({
         "point": scan.points,
-        "locally_metric": np.array([lm.locally_metric for lm in an.local]),
+        "locally_metric": np.array([lm.status == "feasible"
+                                    for lm in an.local]),
         "status": np.array([lm.status for lm in an.local]),
         "best_lambda": np.array([lm.best_lambda for lm in an.local]),
     })

@@ -378,9 +378,9 @@ def derived_flag(spec: ConnectionSpec, point,
     signals tolerance trouble and raises :class:`MaxLevelsExceeded`.  A
     point on a piecewise breakpoint is first nudged off it.
     """
-    p = nudge_off_breakpoints(spec, point)
-    levels, last = _flag(spec, p[None], rank_tol, max_levels)
-    return _trace(p, levels, int(last[0]), 0)
+    p = nudge_off_breakpoints(spec, [point])
+    levels, last = _flag(spec, p, rank_tol, max_levels)
+    return _trace(p[0], levels, int(last[0]), 0)
 
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
@@ -441,7 +441,7 @@ def regularity_scan(spec: ConnectionSpec, axes,
         raise EmptyGrid("grid needs at least one sample per coordinate")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    flag_pts = np.array([nudge_off_breakpoints(spec, p) for p in pts])
+    flag_pts = nudge_off_breakpoints(spec, pts)
     levels, last = _flag(spec, flag_pts, rank_tol)
 
     grid = levels[-1].dims.reshape(mesh[0].shape)
@@ -458,24 +458,17 @@ def regularity_scan(spec: ConnectionSpec, axes,
                             len(set(dims)) == 1, jumps)
 
 
-@dataclass
-class LocalMetricity:
-    locally_metric: bool
-    status: str
-    coefficients: Optional[np.ndarray]
-    cholesky: Optional[np.ndarray]
-    best_lambda: float
-
-
 def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,
                     tol: float = 1e-8) -> list:
     """Does each point's terminal subspace contain a positive-definite form?
 
     ``terminal`` is the terminal flag level over a batch, such as a scan's
-    ``levels[-1]``; one :class:`LocalMetricity` per point is returned.  The
-    spans of one terminal dim go through :func:`pdcone.pd_feasible_batch` in
-    slices of ``_SLICE`` points, with the same result as one ``pd_feasible``
-    per point; a zero terminal subspace is infeasible with no test.
+    ``levels[-1]``; one :class:`pdcone.PDResult` per point is returned, the
+    point locally metric when its status is ``feasible``.  The spans of one
+    terminal dim go through :func:`pdcone.pd_feasible_batch` in slices of
+    ``_SLICE`` points, with the same result as one ``pd_feasible`` per
+    point; a zero terminal subspace is a span of no generators, which is
+    infeasible.
 
     Only meaningful for Christoffel connections, whose fiber is the space of
     symmetric two-tensors; raises :class:`NotSym2Bundle` otherwise.
@@ -485,18 +478,11 @@ def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,
         raise NotSym2Bundle("local metricity is defined on the Sym^2 bundle only")
     out = [None] * len(terminal.dims)
     for d, idx in _groups(terminal.dims):
-        if d == 0:
-            for i in idx:
-                out[i] = LocalMetricity(False, "infeasible_certified", None,
-                                        None, 0.0)
-            continue
         for start in range(0, idx.size, _SLICE):
             part = idx[start:start + _SLICE]
             vecs = np.ascontiguousarray(
                 terminal.bases[part, :, :d].transpose(0, 2, 1))  # (m, d, N)
             for i, res in zip(part, pdcone.pd_feasible_batch(
                     spec.sym.to_matrix(vecs), tol)):
-                out[i] = LocalMetricity(res.status == "feasible", res.status,
-                                        res.coefficients, res.cholesky,
-                                        res.best_lambda)
+                out[i] = res
     return out

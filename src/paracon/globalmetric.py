@@ -95,8 +95,8 @@ class PhiSampler:
             raise RankNotOne(f"terminal subspace has rank {wtilde.dim}, not 1")
         g = wtilde.basis[:, 0]
         g = g * np.sign(self._traces(g[None, :])[0] or 1.0)
-        span = pdcone.SymSpan.from_fiber_vectors(spec.sym, g[:, None])
-        if pdcone.pd_feasible(span, tol=pd_tol).status != "feasible":
+        if pdcone.pd_feasible(spec.sym.to_matrix(g[None]),
+                              tol=pd_tol).status != "feasible":
             raise GeneratorNotPD(
                 "terminal generator is not positive-definite; the connection "
                 "is not locally metric at the base point")
@@ -322,8 +322,8 @@ class Analysis:
 
     @_stage
     def local(self) -> list:
-        """LocalMetricity at every grid point: one batched call over the
-        scan's terminal level."""
+        """The PD feasibility of every grid point's terminal span: one
+        batched call over the scan's terminal level."""
         return local_metricity(self.spec, self.scan.levels[-1], self.pd_tol)
 
     @_stage
@@ -396,8 +396,8 @@ class Analysis:
             notes.append("no holonomy-fixed directions: no global parallel "
                          "sections at all")
         else:
-            span = pdcone.SymSpan.from_fiber_vectors(spec.sym, fiber_basis)
-            pd_res = pdcone.pd_feasible(span, tol=self.pd_tol)
+            pd_res = pdcone.pd_feasible(spec.sym.to_matrix(fiber_basis.T),
+                                        tol=self.pd_tol)
             pd_status = pd_res.status
 
         status = {"feasible": "metric", "infeasible_certified": "not_metric",

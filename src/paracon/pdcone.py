@@ -14,6 +14,8 @@ and minus the trace direction) of every span of a batch go through one
 batched Cholesky.  Each span the screen does not certify gets a log-barrier
 Newton solve (Boyd and Vandenberghe, *Convex Optimization*, ch. 11), whose
 iterates give the primal combination and, from ``F^-1``, the dual witness.
+The tolerance is relative: each span is judged in the unit of its largest
+generator norm, so a span and its positive multiples get the same answer.
 :func:`pd_feasible` is :func:`pd_feasible_batch` on a batch of one span.
 """
 
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["SymSpan", "PDResult", "pd_feasible", "pd_feasible_batch"]
+__all__ = ["PDResult", "pd_feasible", "pd_feasible_batch"]
 
 
 # Newton steps of the barrier solve before a span is left inconclusive
@@ -47,39 +49,6 @@ def _symmetrized(stack):
     if np.any(asym > 1e-10 * np.maximum(1.0, np.abs(F).max(axis=(-2, -1)))):
         raise ValueError("span generator is not symmetric")
     return np.where(finite, 0.5 * (F + Ft), S)
-
-
-@dataclass
-class SymSpan:
-    """Span of d symmetric n x n matrices (stored symmetrized)."""
-
-    size: int
-    matrices: list
-
-    def __post_init__(self):
-        mats = [np.asarray(S, dtype=float) for S in self.matrices]
-        if any(S.shape != (self.size, self.size) for S in mats):
-            raise ValueError("span matrices must share the declared size")
-        if not mats:
-            raise ValueError("span needs at least one generator")
-        self.matrices = list(_symmetrized(np.stack(mats)))
-
-    @property
-    def dim(self):
-        return len(self.matrices)
-
-    @classmethod
-    def from_fiber_vectors(cls, sym_index, vectors):
-        """Build from fiber coefficient vectors (columns) via a SymIndex."""
-        V = np.asarray(vectors, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
-        mats = [sym_index.to_matrix(V[:, a]) for a in range(V.shape[1])]
-        return cls(sym_index.n, mats)
-
-    def combine(self, coeff):
-        c = np.asarray(coeff, dtype=float)
-        return np.einsum("a,aij->ij", c, np.stack(self.matrices))
 
 
 @dataclass
@@ -134,21 +103,21 @@ def _screen(stack, units):
     return starts, vals.reshape(m, -1)
 
 
-def _barrier(stack, best, best_c, tol):
+def _barrier(stack, scale, best, best_c, tol):
     """Decide one finite nonzero (d, n, n) span that the screen did not
-    certify; ``best`` and ``best_c`` are its best start.
+    certify; ``scale`` is its largest generator norm and ``best`` and
+    ``best_c`` its best start.
 
     Damped Newton steps on the log barrier of max t s.t.
-    ``F = sum_a c_a S_a - t I`` is PD and ``|c| < 1`` (generators scaled to
-    unit largest norm), ``-tau t - log det F - log(1 - |c|^2)``, with tau
-    raised tenfold whenever an iterate is near the central path.  Each
-    iterate is tested for both certificates: its combination, normalised,
-    once it is PD (``feasible`` when lambda_min clears ``tol`` and the
-    Cholesky succeeds), and the unit-trace dual ``Z = F^-1 / tr F^-1``
-    (``infeasible_certified`` when every ``|tr(Z S_a)| < tol scale``).
+    ``F = sum_a c_a S_a / scale - t I`` is PD and ``|c| < 1``,
+    ``-tau t - log det F - log(1 - |c|^2)``, with tau raised tenfold whenever
+    an iterate is near the central path.  Each iterate is tested for both
+    certificates: its combination, normalised, once it is PD (``feasible``
+    when lambda_min clears ``tol scale`` and the Cholesky succeeds), and the
+    unit-trace dual ``Z = F^-1 / tr F^-1`` (``infeasible_certified`` when
+    every ``|tr(Z S_a)| < tol scale``).
     """
     d, n, _ = stack.shape
-    scale = max(np.linalg.norm(S) for S in stack)  # largest generator norm
     gens = np.concatenate([-np.eye(n)[None], stack / scale])  # of x = (t, c)
     x = np.zeros(d + 1)
     x[0] = -1.0
@@ -164,7 +133,7 @@ def _barrier(stack, best, best_c, tol):
             lam = np.linalg.eigvalsh(A)[0]
             if lam > best:
                 best, best_c = lam, u
-            L = _try_cholesky(A) if lam > tol else None
+            L = _try_cholesky(A) if lam > tol * scale else None
             if L is not None:
                 return PDResult("feasible", float(lam), coefficients=u,
                                 cholesky=L)
@@ -182,7 +151,10 @@ def _barrier(stack, best, best_c, tol):
         s = 1.0 - c @ c
         grad[1:] += 2.0 * c / s
         H[1:, 1:] += 2.0 / s * np.eye(d) + 4.0 / (s * s) * np.outer(c, c)
-        step = -np.linalg.solve(H, grad)
+        try:
+            step = -np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError:  # rounding has made H singular
+            break
         dec = np.sqrt(-grad @ step)  # the Newton decrement
         x = x + step / (1.0 + dec)
         if dec < 0.5:
@@ -190,29 +162,32 @@ def _barrier(stack, best, best_c, tol):
     return PDResult("inconclusive", float(best), coefficients=best_c)
 
 
-def pd_feasible(span: SymSpan, tol: float = 1e-8) -> PDResult:
-    """Decide whether the span meets the open positive-definite cone:
-    :func:`pd_feasible_batch` on a batch of one span."""
-    return pd_feasible_batch(np.stack(span.matrices)[None], tol)[0]
+def pd_feasible(stack, tol: float = 1e-8) -> PDResult:
+    """Decide whether the span of a (d, n, n) stack of generators meets the
+    open positive-definite cone: :func:`pd_feasible_batch` on a batch of
+    one span."""
+    return pd_feasible_batch(np.asarray(stack, dtype=float)[None], tol)[0]
 
 
 def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
     """Decide, for each span of an (m, d, n, n) stack of generators, whether
     it meets the open positive-definite cone; returns m results.
 
-    The generators are checked and symmetrized as :class:`SymSpan` does.  A
-    span with a non-finite entry is ``inconclusive`` and a zero span
-    infeasible, with witness I/n.  Every other span goes through one start
-    screen, and those whose best start clears ``tol`` through one batched
-    Cholesky; only a span that this does not certify takes the barrier
-    solve.  ``feasible`` carries a unit coefficient vector, the smallest
-    eigenvalue of its combination and the combination's Cholesky factor;
+    The generators are checked and symmetrized by :func:`_symmetrized`.  A
+    span with a non-finite entry is ``inconclusive`` and a zero span (or one
+    of no generators) infeasible, with witness I/n.  Every other span is
+    decided in the unit of its scale, its largest generator Frobenius norm:
+    each test compares against ``tol * scale``, and every reported value is
+    in the caller's units.  The spans go through one start screen, and those
+    whose best start clears the tolerance through one batched Cholesky; only
+    a span that this does not certify takes the barrier solve.  ``feasible``
+    carries a unit coefficient vector, the smallest eigenvalue of its
+    combination and the combination's Cholesky factor;
     ``infeasible_certified`` carries a unit-trace PSD witness U with
-    ``|tr(U S_a)| < tol scale`` for every generator, scale being the largest
-    generator norm.
+    ``|tr(U S_a)| < tol scale`` for every generator.
     """
     S = _symmetrized(stack)
-    m, _, n, _ = S.shape
+    m, d, n, _ = S.shape
     out = [None] * m
     finite = np.isfinite(S).all(axis=(1, 2, 3))
     live = finite & (S * S).any(axis=(1, 2, 3))
@@ -220,16 +195,19 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
         out[i] = (PDResult("infeasible_certified", 0.0, witness=np.eye(n) / n)
                   if finite[i] else PDResult("inconclusive", float("nan")))
     idx = np.flatnonzero(live)
+    # each generator norm taken as np.linalg.norm takes it (_trace_units)
+    norms = np.sqrt([g.dot(g) for g in S[idx].reshape(-1, n * n)])
+    scales = norms.reshape(idx.size, d).max(axis=1, initial=0.0)
     units, traced = _trace_units(S[idx])
     for sel, u in ((traced, units[traced]), (~traced, None)):
-        part = idx[sel]
+        part, scale = idx[sel], scales[sel]
         if not part.size:
             continue
         starts, vals = _screen(S[part], u)
         rows = np.arange(part.size)
         k = np.argmax(vals, axis=1)
         best, best_c = vals[rows, k], starts[rows, k]
-        ok = np.flatnonzero(best > tol)
+        ok = np.flatnonzero(best > tol * scale)
         A = np.einsum("ma,maij->mij", best_c[ok], S[part[ok]])
         try:
             chol = list(np.linalg.cholesky(A))
@@ -241,5 +219,6 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
                                         coefficients=best_c[j], cholesky=L)
         for j in rows:
             if out[part[j]] is None:
-                out[part[j]] = _barrier(S[part[j]], best[j], best_c[j], tol)
+                out[part[j]] = _barrier(S[part[j]], scale[j], best[j],
+                                        best_c[j], tol)
     return out

@@ -16,7 +16,7 @@ from paracon.flag import (IrregularPoint, derived_flag, local_metricity,
                           principal_angles, regularity_scan)
 from paracon.globalmetric import (PhiSampler, fixed_subspace, global_metricity,
                                   phi_periods)
-from paracon.pdcone import SymSpan, pd_feasible
+from paracon.pdcone import pd_feasible
 from paracon.transport import (Curve, holonomy_matrix, line_curve,
                                parallel_extend, transport)
 
@@ -54,7 +54,7 @@ def test_criterion_2_sphere_flag_periods_verdict():
         assert tr.dims == [1, 1]
         one = regularity_scan(man.spec, [[v] for v in p])  # a batch of one
         lm, = local_metricity(man.spec, one.levels[-1])
-        assert lm.locally_metric
+        assert lm.status == "feasible"
     v = global_metricity(man.spec, man.base_point, man.loops, man.grid_axes,
                          rk4_steps=man.steps["rk4"],
                          quadrature_steps=man.steps["quadrature"])
@@ -113,8 +113,7 @@ def test_criterion_4_punctured_plane_pipeline_and_control():
     fang = principal_angles(fiber, h1).max()
     assert fang < 1e-5
 
-    span = SymSpan.from_fiber_vectors(man.spec.sym, fiber)
-    assert pd_feasible(span).status == "feasible"
+    assert pd_feasible(man.spec.sym.to_matrix(fiber.T)).status == "feasible"
 
     v = global_metricity(man.spec, man.base_point, man.loops, man.grid_axes,
                          rk4_steps=man.steps["rk4"],
@@ -180,7 +179,7 @@ def test_criterion_6_pathology_scan_and_verdict(tmp_path):
     for x in xs:
         one = regularity_scan(man.spec, [[x], [0.0]])  # a batch of one
         lm, = local_metricity(man.spec, one.levels[-1])
-        assert lm.locally_metric
+        assert lm.status == "feasible"
 
     doc = dict(entry.manifest_doc)
     doc.pop("expected", None)
@@ -307,7 +306,7 @@ def test_criterion_7e_pd_feasibility_against_circle_oracle():
     for _ in range(100):
         d = int(rng.integers(1, 3))
         mats = [sym.to_matrix(rng.standard_normal(3)) for _ in range(d)]
-        span = SymSpan(2, mats)
+        span = np.array(mats)
         res = pd_feasible(span)
         oracle_best = circle_grid_oracle(span)
         if res.status == "feasible":

