@@ -24,13 +24,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expr, compile_expr, diff, free_names
+from .expr import Const, Expr, Pool, compile_expr, diff, free_names
 
 __all__ = [
     "Domain", "SymIndex", "ConnectionSpec", "BundleError",
     "PointOutsideDomain", "ExpressionEvalFailure",
     "connection_matrices", "curvature_operators", "curvature_pairs",
-    "omega_stack", "curvature_stack", "covariant_curvature_stack",
+    "omega_stack", "curvature_stack", "covariant_curvature_stack", "Jet",
     "nudge_off_breakpoints",
 ]
 
@@ -86,9 +86,9 @@ class Domain:
         return env
 
     @cached_property
-    def _excluded_fns(self):
-        """Compiled excluded-set expressions, built on first use."""
-        return [compile_expr(e) for e in self.excluded]
+    def _excluded_tape(self):
+        """The excluded-set expressions as one tape, built on first use."""
+        return compile_expr(list(self.excluded))
 
     def admissible(self, point, params=None):
         try:
@@ -108,8 +108,8 @@ class Domain:
             raise PointOutsideDomain(f"point {bad.tolist()} outside chart box")
         if self.excluded:
             env = self.env(pts, params or {})
-            for fn in self._excluded_fns:
-                val = np.abs(np.asarray(fn(env), dtype=float))
+            for val in self._excluded_tape(env):
+                val = np.abs(np.asarray(val, dtype=float))
                 val = np.broadcast_to(val, (pts.shape[0],))
                 if np.any(val < self.exclusion_radius):
                     bad = pts[val < self.exclusion_radius][0]
@@ -224,8 +224,9 @@ class ConnectionSpec:
                         self._check_names(omega[i][j][k], declared)
         for e in domain.excluded:
             self._check_names(e, declared)
+        self._pool = Pool()  # interns every table expression
         self._partial_exprs = []  # per order, see _table
-        self._compiled = {}
+        self._tapes = {}
         self._conditions = None
 
     @staticmethod
@@ -244,9 +245,13 @@ class ConnectionSpec:
                 for j in range(self.N) for k in range(self.n)]
 
     def _table(self, order):
-        """Compiled partial derivatives of order ``order`` of the connection
-        entries, as ``(index, fn)``, skipping the constant +0.0; built on
-        first use from the exact :func:`diff` of the order below.
+        """The partial derivatives of order ``order`` of the connection
+        entries as ``(indices, tape)``: one :class:`~paracon.expr.Tape` that
+        returns one value per index, skipping the constant +0.0.  Built on
+        first use from the exact :func:`diff` of the order below, every
+        expression interned in the connection's one pool, so a
+        subexpression shared by several entries or orders is differentiated
+        once and evaluated once per tape call.
 
         Each index ``(t,) + entry`` addresses, after the batch axis, the array
         that :func:`_partials` fills: ``t`` numbers the derivative directions
@@ -260,22 +265,23 @@ class ConnectionSpec:
         if not exprs:  # order 0: (sorted directions, index, expr)
             exprs.append([((), idx, e) for idx, e in self._entries()])
         while len(exprs) <= order:
-            exprs.append([(dirs + (d,), idx, diff(e, self.domain.names[d]))
+            exprs.append([(dirs + (d,), idx,
+                           diff(e, self.domain.names[d], self._pool))
                           for dirs, idx, e in exprs[-1] if not _is_zero(e)
                           for d in range(dirs[-1] if dirs else 0, self.n)])
-        if order not in self._compiled:
+        if order not in self._tapes:
             pos = {dirs: t for t, dirs in enumerate(
                 combinations_with_replacement(range(self.n), order))}
-            self._compiled[order] = [
-                ((pos[dirs],) + idx, compile_expr(e))
-                for dirs, idx, e in exprs[order] if not _is_zero(e)]
-        return self._compiled[order]
+            kept = [((pos[dirs],) + idx, e)
+                    for dirs, idx, e in exprs[order] if not _is_zero(e)]
+            self._tapes[order] = ([idx for idx, _ in kept],
+                                  compile_expr([e for _, e in kept]))
+        return self._tapes[order]
 
     def _breakpoints(self):
-        """Compiled :meth:`piecewise_conditions`, built on first use."""
+        """:meth:`piecewise_conditions` as one tape, built on first use."""
         if self._conditions is None:
-            self._conditions = [compile_expr(c)
-                                for c in self.piecewise_conditions()]
+            self._conditions = compile_expr(self.piecewise_conditions())
         return self._conditions
 
     def piecewise_conditions(self):
@@ -303,8 +309,8 @@ def nudge_off_breakpoints(spec: ConnectionSpec, points, eps: float = 1e-12):
     pts = np.array(points, dtype=float)
     env = spec.domain.env(pts, spec.params)
     hit = np.zeros(len(pts), dtype=bool)
-    for fn in spec._breakpoints():
-        hit |= np.asarray(fn(env), dtype=float) == 0.0
+    for val in spec._breakpoints()(env):
+        hit |= np.asarray(val, dtype=float) == 0.0
     pts[hit] += eps
     return pts
 
@@ -314,7 +320,7 @@ def _is_zero(e: Expr) -> bool:
 
 
 def _assemble(spec: ConnectionSpec, table, points, lead, what) -> np.ndarray:
-    """Evaluate a compiled table over an (m, n) batch; shape (m, *lead, N, N).
+    """Evaluate a table's tape over an (m, n) batch; shape (m, *lead, N, N).
 
     Matrix entries fill the result directly.  Christoffel entries fill
     ``G[m, *lead, l, i]``, which the linear Gamma action maps to the fiber.
@@ -324,9 +330,10 @@ def _assemble(spec: ConnectionSpec, table, points, lead, what) -> np.ndarray:
     env = spec.domain.env(pts, spec.params)
     christoffel = spec.kind == "christoffel"
     out = np.zeros((m, *lead) + ((n, n) if christoffel else (N, N)))
+    indices, tape = table
     with np.errstate(all="ignore"):
-        for idx, fn in table:
-            out[(slice(None),) + idx] = fn(env)
+        for idx, val in zip(indices, tape(env)):
+            out[(slice(None),) + idx] = val
         if christoffel:
             out = out.reshape(-1, n * n) @ spec.sym.gamma_action
             out = np.negative(out, out=out).reshape(m, *lead, N, N)
@@ -368,18 +375,52 @@ def omega_stack(spec: ConnectionSpec, points) -> np.ndarray:
     return _partials(spec, points, 0)[:, 0]
 
 
+class Jet:
+    """The partials of Omega over one (m, n) batch by order, each order
+    evaluated once, on first use, and shared by every stack over the batch.
+
+    Order 0 comes from :func:`omega_stack`, a higher order from the
+    connection's table of that order.
+    """
+
+    def __init__(self, spec: ConnectionSpec, points):
+        self.spec = spec
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self._orders = []
+
+    def order(self, o: int) -> np.ndarray:
+        """The partials of order ``o``; shape (m, T, n_k, N, N), T numbering
+        them as :func:`_multi_indices`."""
+        while len(self._orders) <= o:
+            k = len(self._orders)
+            self._orders.append(
+                _partials(self.spec, self.points, k) if k
+                else omega_stack(self.spec, self.points)[:, None])
+        return self._orders[o]
+
+    def take(self, idx) -> "Jet":
+        """The jet at the points ``idx`` (a slice or an index array), with
+        the orders filled so far."""
+        sub = Jet(self.spec, self.points[idx])
+        sub._orders = [a[idx] for a in self._orders]
+        return sub
+
+
 def curvature_pairs(n: int):
     """Ordered coordinate pairs (i, j), i < j, indexing curvature operators."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def curvature_stack(spec: ConnectionSpec, points) -> np.ndarray:
-    """Curvature operators R_ij over an (m, n) batch; shape (m, P, N, N)."""
-    return covariant_curvature_stack(spec, points, 0)[:, 0]
+def curvature_stack(spec: ConnectionSpec, points,
+                    jet: Optional[Jet] = None) -> np.ndarray:
+    """Curvature operators R_ij over an (m, n) batch; shape (m, P, N, N).
+    ``jet`` is the batch's :class:`Jet`, as for
+    :func:`covariant_curvature_stack`."""
+    return covariant_curvature_stack(spec, points, 0, jet)[:, 0]
 
 
-def covariant_curvature_stack(spec: ConnectionSpec, points,
-                              order: int) -> np.ndarray:
+def covariant_curvature_stack(spec: ConnectionSpec, points, order: int,
+                              jet: Optional[Jet] = None) -> np.ndarray:
     """Covariant derivatives nabla_{k_order} ... nabla_{k_1} R_ij over an
     (m, n) batch; shape (m, n**order, P, N, N), the strings (k_order, ...,
     k_1) in row-major order and the pairs as :func:`curvature_pairs`.
@@ -387,21 +428,23 @@ def covariant_curvature_stack(spec: ConnectionSpec, points,
     ``nabla_k T = d_k T + [Omega_k, T]`` acts on the fiber, and the base
     indices are labels.  Every term is exact, by the Leibniz rule: the
     partials of R up to ``order`` come from those of Omega up to
-    ``order + 1``, and each nabla_k maps the partials of a stack up to some
-    order to those of its derivative up to one order less.
+    ``order + 1``, which ``jet``, the batch's :class:`Jet` (a new one when
+    omitted), supplies, and each nabla_k maps the partials of a stack up to
+    some order to those of its derivative up to one order less.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, n, N = pts.shape[0], spec.n, spec.N
     pairs = curvature_pairs(n)
     if not pairs:
         return np.zeros((m, n ** order, 0, N, N))
+    jet = Jet(spec, pts) if jet is None else jet
     # d^alpha Omega_k, (m, n_k, N, N), by count vector alpha
-    omega = {(0,) * n: omega_stack(spec, pts)}
-    for o in range(1, order + 2):
-        stack = _partials(spec, pts, o)
+    omega = {}
+    for o in range(order + 2):
+        stack = jet.order(o)
         omega.update((a, stack[:, t])
                      for t, a in enumerate(_multi_indices(n, o)))
-    jet = {}  # d^alpha of the current stack, (m, strings, P, N, N)
+    dT = {}  # d^alpha of the current stack, (m, strings, P, N, N)
     for o in range(order + 1):
         for a in _multi_indices(n, o):
             R = np.empty((m, 1, len(pairs), N, N))
@@ -411,22 +454,22 @@ def covariant_curvature_stack(spec: ConnectionSpec, points,
                     r += c * np.matmul(omega[b][:, i], omega[rest][:, j])
                     r -= c * np.matmul(omega[b][:, j], omega[rest][:, i])
                 R[:, 0, idx] = r
-            jet[a] = R
+            dT[a] = R
     for top in range(order - 1, -1, -1):
         # d^a nabla_k T = d^(a+e_k) T + sum_b C(a, b) [d^b Omega_k, d^(a-b) T]
         nxt = {}
         for a in (a for o in range(top + 1) for a in _multi_indices(n, o)):
             parts = []
             for k in range(n):
-                t = jet[_up(a, k)].copy()
+                t = dT[_up(a, k)].copy()
                 for b, rest, c in _leibniz(a):
                     om = omega[b][:, None, None, k]
-                    t += c * (np.matmul(om, jet[rest])
-                              - np.matmul(jet[rest], om))
+                    t += c * (np.matmul(om, dT[rest])
+                              - np.matmul(dT[rest], om))
                 parts.append(t)
             nxt[a] = np.concatenate(parts, axis=1)
-        jet = nxt
-    return jet[(0,) * n]
+        dT = nxt
+    return dT[(0,) * n]
 
 
 def connection_matrices(spec: ConnectionSpec, point) -> np.ndarray:

@@ -20,9 +20,11 @@ annihilates s.  The second fundamental kernel of level L is therefore its
 intersection with the kernel of nabla^(L+1) R.
 
 One batched engine computes every flag: ``_flag`` runs the level loop over
-an (m, n) batch, and its level steps :func:`curvature_kernel` and
-:func:`second_fundamental_kernel` take the whole batch, grouping points by
-dimension where an SVD needs one shape.
+an (m, n) batch, :func:`curvature_kernel` over the whole batch and
+:func:`second_fundamental_kernel` over slices of at most ``_SLICE`` points,
+grouping points by dimension where an SVD needs one shape.  Every level
+reads the batch's :class:`~paracon.bundle.Jet`, so each order of the
+partials of Omega is evaluated once per point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import (ConnectionSpec, covariant_curvature_stack,
+from .bundle import (ConnectionSpec, Jet, covariant_curvature_stack,
                      curvature_stack, nudge_off_breakpoints)
 
 __all__ = [
@@ -50,8 +52,8 @@ _TINY_SIGMA = 1e-12
 _TINY_CUTOFF = 1e-10
 # column norms within this relative distance of the largest tie for a pivot
 _PIVOT_TIE = 1e-8
-# points per covariant-derivative evaluation, which bounds the memory of the
-# partials of Omega over a large batch
+# points per slice of the flag's levels after the first, which bounds the
+# memory of the higher partials of Omega over a large batch
 _SLICE = 256
 
 
@@ -249,7 +251,8 @@ class FlagLevel:
     level: int = 0
 
     def take(self, idx) -> "FlagLevel":
-        """The level at the points of the index array ``idx``; a copy."""
+        """The level at the points ``idx``: a copy for an index array, views
+        for a slice."""
         return FlagLevel(self.dims[idx], self.bases[idx], self.gaps[idx],
                          self.rank_tol, self.level)
 
@@ -259,12 +262,14 @@ class FlagLevel:
 
 
 def curvature_kernel(spec: ConnectionSpec, points,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> FlagLevel:
+                     rank_tol: float = DEFAULT_RANK_TOL,
+                     jet: Optional[Jet] = None) -> FlagLevel:
     """Flag level 0 at one point or an (m, n) batch: the common kernel of all
-    curvature operators."""
+    curvature operators.  ``jet`` is the batch's :class:`Jet`, if it has
+    one."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec.domain.require_admissible(pts, spec.params)
-    R = curvature_stack(spec, pts)
+    R = curvature_stack(spec, pts, jet=jet)
     m, P, N, _ = R.shape
     if P == 0:  # one-dimensional chart: no curvature constraints
         return FlagLevel(np.full(m, N), np.broadcast_to(np.eye(N), (m, N, N)),
@@ -277,7 +282,8 @@ def curvature_kernel(spec: ConnectionSpec, points,
 
 
 def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
-                              rank_tol: float = DEFAULT_RANK_TOL) -> FlagLevel:
+                              rank_tol: float = DEFAULT_RANK_TOL,
+                              jet: Optional[Jet] = None) -> FlagLevel:
     """The next flag level after ``V`` at one point or an (m, n) batch: the
     kernel of the second fundamental form of V.
 
@@ -286,45 +292,64 @@ def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
     coefficient kernel of ``(nabla^(L+1) R) V``, pulled back into the fiber.
     A direction counts as annihilated below ``rank_tol`` times the
     Frobenius norm of ``nabla^(L+1) R``, the scale of its rounding on V.
-    A zero or full V is its own kernel.
+    A zero or full V is its own kernel.  ``jet`` is the batch's
+    :class:`Jet`, if it has one; the whole batch is evaluated at once.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     N = spec.N
     out = V.take(np.arange(len(pts)))
     out.level += 1
     cut = np.flatnonzero((V.dims > 0) & (V.dims < N))
-    for start in range(0, cut.size, _SLICE):
-        part = cut[start:start + _SLICE]
-        D = covariant_curvature_stack(spec, pts[part], out.level)
-        D = D.reshape(len(part), -1, N)
-        scale = np.linalg.norm(D, axis=(1, 2))
-        for d, g in _groups(V.dims[part]):
-            idx = part[g]
-            Vb = V.bases[idx, :, :d]
-            dims, gaps, vt = _kernels(np.matmul(D[g], Vb), rank_tol,
-                                      rank_tol * scale[g])
-            out.dims[idx], out.gaps[idx], out.bases[idx] = dims, gaps, 0.0
-            for dd, h in _groups(dims):
-                out.bases[idx[h], :, :dd] = np.matmul(
-                    Vb[h], vt[h, d - dd:].transpose(0, 2, 1))
+    if not cut.size:
+        return out
+    jet = Jet(spec, pts) if jet is None else jet
+    if cut.size < len(pts):
+        jet = jet.take(cut)
+    D = covariant_curvature_stack(spec, pts[cut], out.level, jet)
+    D = D.reshape(cut.size, -1, N)
+    scale = np.linalg.norm(D, axis=(1, 2))
+    for d, g in _groups(V.dims[cut]):
+        idx = cut[g]
+        Vb = V.bases[idx, :, :d]
+        dims, gaps, vt = _kernels(np.matmul(D[g], Vb), rank_tol,
+                                  rank_tol * scale[g])
+        out.dims[idx], out.gaps[idx], out.bases[idx] = dims, gaps, 0.0
+        for dd, h in _groups(dims):
+            out.bases[idx[h], :, :dd] = np.matmul(
+                Vb[h], vt[h, d - dd:].transpose(0, 2, 1))
     return out
 
 
-def _flag(spec, pts, rank_tol, max_levels=None):
+def _flag(spec, pts, rank_tol, max_levels=None, jet=None):
     """The flag's one level loop, over an (m, n) batch of points.
 
     Each point runs until its dimension stabilizes or dies; one still
     running at level ``max_levels`` (default N + 1) raises
     :class:`MaxLevelsExceeded`.  Returns the levels (each over the whole
     batch; a point that stopped keeps its last subspace) and each point's
-    last level.
+    last level.  ``jet``, the batch's :class:`Jet` (a new one when omitted),
+    ends up holding Omega over the batch.  Level 0 fills its orders 0 and 1;
+    the later levels run in slices of ``_SLICE`` points, each on its part of
+    the jet.
     """
     if max_levels is None:
         max_levels = spec.N + 1
+    jet = Jet(spec, pts) if jet is None else jet
+    first = curvature_kernel(spec, pts, rank_tol, jet)
+    return _concat([_levels(spec, pts[part], first.take(part), rank_tol,
+                            max_levels, jet.take(part))
+                    for part in (slice(s, s + _SLICE)
+                                 for s in range(0, len(pts), _SLICE))])
+
+
+def _levels(spec, pts, first, rank_tol, max_levels, jet):
+    """:func:`_flag` over one slice from its level 0, ``first``; every level
+    reads ``jet``, narrowed to the points still running."""
     m = len(pts)
-    levels = [curvature_kernel(spec, pts, rank_tol)]
+    levels = [first]
     last = np.full(m, -1)
     prev = np.full(m, spec.N)
+    live = np.arange(m)  # the points of the jet
     while True:
         cur = levels[-1]
         last[(last < 0) & ((cur.dims == prev) | (cur.dims == 0))] = cur.level
@@ -334,14 +359,30 @@ def _flag(spec, pts, rank_tol, max_levels=None):
         if cur.level >= max_levels:
             raise MaxLevelsExceeded(f"flag at {pts[active[0]].tolist()} did "
                                     f"not stabilize in {max_levels} levels")
+        if active.size < live.size:
+            jet, live = jet.take(np.searchsorted(live, active)), active
         step = second_fundamental_kernel(spec, pts[active], cur.take(active),
-                                         rank_tol)
+                                         rank_tol, jet)
         nxt = cur.take(np.arange(m))
         nxt.level += 1
         nxt.dims[active], nxt.bases[active], nxt.gaps[active] = \
             step.dims, step.bases, step.gaps
         prev = cur.dims
         levels.append(nxt)
+
+
+def _concat(parts):
+    """The levels and last levels of a batch from those of its consecutive
+    slices; a slice that stopped early keeps its last level."""
+    if len(parts) == 1:
+        return parts[0]
+    out = []
+    for k in range(max(len(levels) for levels, _ in parts)):
+        lvs = [levels[min(k, len(levels) - 1)] for levels, _ in parts]
+        dims, bases, gaps = (np.concatenate([getattr(lv, f) for lv in lvs])
+                             for f in ("dims", "bases", "gaps"))
+        out.append(FlagLevel(dims, bases, gaps, lvs[0].rank_tol, k))
+    return out, np.concatenate([last for _, last in parts])
 
 
 @dataclass
@@ -385,15 +426,17 @@ def derived_flag(spec: ConnectionSpec, point,
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
                          rank_tol: float = DEFAULT_RANK_TOL,
-                         max_levels: Optional[int] = None) -> np.ndarray:
+                         max_levels: Optional[int] = None,
+                         jet: Optional[Jet] = None) -> np.ndarray:
     """Terminal flag bases over a batch of points; shape (m, N, d_terminal).
 
     Requires the flag dimensions to be uniform across the batch at every
     level: the first point whose dimensions differ from the first point's
-    raises :class:`IrregularPoint`, naming the level.
+    raises :class:`IrregularPoint`, naming the level.  ``jet``, a
+    :class:`Jet` over the batch, is left holding Omega there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    levels, _ = _flag(spec, pts, rank_tol, max_levels)
+    levels, _ = _flag(spec, pts, rank_tol, max_levels, jet)
     dims = np.stack([lv.dims for lv in levels], axis=1)  # (m, levels)
     differ = dims != dims[0]
     if differ.any():

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pdcone
-from .bundle import ConnectionSpec, omega_stack
+from .bundle import ConnectionSpec, Jet
 from .expr import Expr, compile_expr, diff
 from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
@@ -106,10 +106,11 @@ class PhiSampler:
         # diagonal pairs occupy the first n fiber slots
         return vecs[:, : self.spec.n].sum(axis=1)
 
-    def generators(self, points) -> np.ndarray:
-        """Tracked unit sections at an (m, n) batch of points; shape (m, N)."""
+    def generators(self, points, jet: Optional[Jet] = None) -> np.ndarray:
+        """Tracked unit sections at an (m, n) batch of points; shape (m, N).
+        ``jet``, a :class:`Jet` over the batch, is left holding Omega."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        bases = batch_terminal_bases(self.spec, pts, self.rank_tol)
+        bases = batch_terminal_bases(self.spec, pts, self.rank_tol, jet=jet)
         proj = np.einsum("mia,ma->mi", bases,
                          np.einsum("mia,i->ma", bases, self.base_generator))
         norms = np.linalg.norm(proj, axis=1)
@@ -126,20 +127,19 @@ class PhiSampler:
     def __call__(self, points, gauge: Optional[Expr] = None) -> np.ndarray:
         """Phi at an (m, n) batch of points; shape (m, n)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s = self.generators(pts)
-        omega = omega_stack(self.spec, pts)  # (m, n, N, N)
+        jet = Jet(self.spec, pts)
+        s = self.generators(pts, jet)
+        omega = jet.order(0)[:, 0]  # (m, n, N, N), as the flag evaluated it
         phi = np.einsum("mi,mkij,mj->mk", s, omega, s)
         if gauge is not None:
             env = self.spec.domain.env(pts, self.spec.params)
-
-            def values(e):
-                return np.broadcast_to(compile_expr(e)(env), (len(pts),))
-
-            f = values(gauge)
+            f = np.broadcast_to(compile_expr(gauge)(env), (len(pts),))
             if not np.all(f > 0.0):  # NaN is not positive either
                 raise GlobalError("gauge factor must be positive")
-            for k, name in enumerate(self.spec.domain.names):
-                phi[:, k] += values(diff(gauge, name)) / f
+            partials = compile_expr([diff(gauge, x)
+                                     for x in self.spec.domain.names])
+            for k, d in enumerate(partials(env)):
+                phi[:, k] += np.broadcast_to(d, (len(pts),)) / f
         return phi
 
 

@@ -22,7 +22,8 @@ from .expr import ExprError, parse_expr
 from .transport import Curve
 
 __all__ = ["Manifest", "ManifestError", "load_manifest", "manifest_from_dict",
-           "manifest_digest", "DEFAULT_TOLERANCES", "DEFAULT_STEPS"]
+           "manifest_digest", "DEFAULT_TOLERANCES", "DEFAULT_STEPS",
+           "PD_TOL_MIN"]
 
 DEFAULT_TOLERANCES = {
     "rank_tol": 1e-7,
@@ -33,6 +34,9 @@ DEFAULT_TOLERANCES = {
 }
 DEFAULT_STEPS = {"rk4": 4096, "quadrature": 4096}
 _GRID_INSET = 0.1
+# pdcone decides in units of each span's largest generator norm; below this
+# (a few dozen rounding units) rounding, not the span, decides feasibility
+PD_TOL_MIN = 1e-14
 
 
 class ManifestError(ValueError):
@@ -212,6 +216,36 @@ def _build_grid(doc, domain: Domain) -> list:
     raise ManifestError("/grid", "grid needs 'values' or 'counts'")
 
 
+def _build_tolerances(doc) -> dict:
+    """The tolerances, each a finite number > 0: ``rank_tol`` below 1,
+    ``pd_tol`` at least :data:`PD_TOL_MIN`; only ``period_tol`` may be null
+    (its default, which scales with each loop's length)."""
+    tol = dict(DEFAULT_TOLERANCES)
+    for k, v in doc.get("tolerances", {}).items():
+        if k == "stencil_h":
+            # a no-op, kept so older manifests load: the flag takes exact
+            # covariant derivatives and has no difference step
+            continue
+        ptr = f"/tolerances/{k}"
+        if k not in tol:
+            raise ManifestError(ptr, "unknown tolerance")
+        if v is None and k == "period_tol":
+            tol[k] = None
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ManifestError(ptr, f"expected a number, got {v!r}")
+        v = float(v)
+        if not (math.isfinite(v) and v > 0.0):
+            raise ManifestError(ptr, f"must be finite and > 0, got {v!r}")
+        if k == "rank_tol" and v >= 1.0:
+            raise ManifestError(ptr, f"must be below 1, got {v!r}")
+        if k == "pd_tol" and v < PD_TOL_MIN:
+            raise ManifestError(ptr, f"must be at least {PD_TOL_MIN:g}, "
+                                     f"got {v!r}")
+        tol[k] = v
+    return tol
+
+
 def manifest_from_dict(doc: dict) -> Manifest:
     if not isinstance(doc, dict):
         raise ManifestError("", "manifest must be a JSON object")
@@ -227,15 +261,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
     loops = _build_loops(doc, domain, params)
     grid_axes = _build_grid(doc, domain)
 
-    tol = dict(DEFAULT_TOLERANCES)
-    for k, v in doc.get("tolerances", {}).items():
-        if k == "stencil_h":
-            # a no-op, kept so older manifests load: the flag takes exact
-            # covariant derivatives and has no difference step
-            continue
-        if k not in tol:
-            raise ManifestError(f"/tolerances/{k}", "unknown tolerance")
-        tol[k] = None if v is None else float(v)
+    tol = _build_tolerances(doc)
     steps = dict(DEFAULT_STEPS)
     for k, v in doc.get("steps", {}).items():
         if k not in steps:

@@ -82,8 +82,8 @@ class Curve:
         self.t1 = float(t1)
         self.name = name
         self.params = dict(params or {})
-        self._pos = [compile_expr(e) for e in exprs]
-        self._vel = [compile_expr(diff(e, "t")) for e in exprs]
+        self._pos = compile_expr(list(exprs))
+        self._vel = compile_expr([diff(e, "t") for e in exprs])
         mismatch = domain.wrap_delta(self.point(self.t1) - self.point(self.t0))
         self.closed = bool(np.max(np.abs(mismatch)) < _CLOSURE_TOL)
 
@@ -95,15 +95,15 @@ class Curve:
     def points(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         env = self._env(ts)
-        cols = [np.broadcast_to(np.asarray(f(env), dtype=float), ts.shape)
-                for f in self._pos]
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+                for v in self._pos(env)]
         return np.stack(cols, axis=-1)
 
     def velocities(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         env = self._env(ts)
-        cols = [np.broadcast_to(np.asarray(f(env), dtype=float), ts.shape)
-                for f in self._vel]
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+                for v in self._vel(env)]
         return np.stack(cols, axis=-1)
 
     def point(self, t) -> np.ndarray:

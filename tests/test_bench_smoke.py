@@ -39,13 +39,26 @@ def test_benchmark_traced_fine_grid_pass_is_correct():
     assert metrics["pdcone.pd_feasible.calls"]["value"] == 1
 
 
+# the public entry points the derivative tables and the flag's jet must go
+# through, so that the tracer sees them
+_CONTRACT = ("expr.diff", "expr.compile_expr", "bundle.omega_stack",
+             "bundle.curvature_stack", "flag.curvature_kernel")
+
+
+def _assert_called(metrics, names):
+    for name in names:
+        assert metrics[f"{name}.calls"]["value"] >= 1, name
+
+
 def test_benchmark_traced_corpus_pass_is_correct():
     # the only workload on which the tracer requires phi_periods and
     # batch_terminal_bases to run
-    _traced_pass("corpus")
+    metrics = _traced_pass("corpus")["metrics"]
+    _assert_called(metrics, _CONTRACT + ("flag.second_fundamental_kernel",
+                                         "flag.batch_terminal_bases"))
 
 
 def test_benchmark_traced_loops_3d_pass_is_correct():
     # the only workload that runs 16384-step transport, under the tracer's
     # checks that transport is exercised and that phi_periods is bypassed
-    _traced_pass("loops-3d")
+    _assert_called(_traced_pass("loops-3d")["metrics"], _CONTRACT)

@@ -259,3 +259,12 @@ def test_non_finite_entry_raises(kind):
         omega_stack(spec, pts)
     with pytest.raises(ExpressionEvalFailure, match="not finite"):
         curvature_stack(spec, pts)
+
+
+def test_order_four_table_is_a_small_tape():
+    # hash-consing keeps smooth-pathology's order-4 table a DAG: as a tree
+    # of closures it had 178,287 nodes
+    from paracon.corpus import get_entry
+    indices, tape = get_entry("smooth-pathology").manifest().spec._table(4)
+    assert len(indices) == 15
+    assert len(tape) < 1000

@@ -242,3 +242,117 @@ def test_compile_matches_evaluate_on_arrays():
     got = fn({"x": xs, "k": 1.5})
     want = [evaluate(e, EvalContext({"x": float(x)}, {"k": 1.5})) for x in xs]
     assert np.allclose(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the tape against the closure-tree compiler it replaced, kept as a reference
+
+_REF_UNARY = {
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+}
+_REF_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+               "div": np.divide, "pow": np.power}
+_REF_CMP = {"lt": np.less, "le": np.less_equal,
+            "gt": np.greater, "ge": np.greater_equal}
+
+
+def _closure_compile(e):
+    """One closure per tree node, each evaluated once per occurrence."""
+    if isinstance(e, Const):
+        v = e.value
+        return lambda env: v
+    if isinstance(e, Name):
+        return lambda env: env[e.name]
+    if isinstance(e, Unary):
+        f, arg = _REF_UNARY[e.op], _closure_compile(e.arg)
+        return lambda env: f(arg(env))
+    if isinstance(e, Binary):
+        f = _REF_BINARY[e.op]
+        left, right = _closure_compile(e.left), _closure_compile(e.right)
+        return lambda env: f(left(env), right(env))
+    cmp = _REF_CMP[e.cmp]
+    lhs, rhs = _closure_compile(e.lhs), _closure_compile(e.rhs)
+    then, other = _closure_compile(e.then), _closure_compile(e.other)
+
+    def piecewise_fn(env):
+        with np.errstate(all="ignore"):
+            cond = cmp(lhs(env), rhs(env))
+            a = then(env)
+            b = other(env)
+        return np.where(cond, a, b)
+
+    return piecewise_fn
+
+
+def _bits(values, m):
+    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (m,))
+                     for v in values]).view(np.uint64)
+
+
+@pytest.mark.parametrize("entry", ["sphere", "s1-line-bundle",
+                                   "punctured-plane", "smooth-pathology",
+                                   "flat-trivial", "dtheta-obstruction"])
+def test_tables_match_closure_compiler_bit_for_bit(entry):
+    from paracon.bundle import _is_zero
+    from paracon.corpus import get_entry
+    man = get_entry(entry).manifest()
+    spec = man.spec
+    rng = np.random.default_rng(14)
+    pts = np.stack([rng.uniform(min(a), max(a), 40) for a in man.grid_axes],
+                   axis=1)
+    env = spec.domain.env(pts, spec.params)
+    top = 4 if entry == "smooth-pathology" else 3
+    for order in range(top + 1):
+        indices, tape = spec._table(order)
+        exprs = [e for _, _, e in spec._partial_exprs[order]
+                 if not _is_zero(e)]
+        assert len(exprs) == len(indices)
+        if not exprs:
+            continue
+        with np.errstate(all="ignore"):
+            got = _bits(tape(env), len(pts))
+            want = _bits([_closure_compile(e)(env) for e in exprs], len(pts))
+        assert np.array_equal(got, want), (entry, order)
+
+
+def test_tape_keeps_both_zero_signs():
+    x = Name("x")
+    tape = compile_expr([Const(0.0), Const(-0.0), Binary("add", x, Const(0.0)),
+                         Binary("add", x, Const(-0.0))])
+    vals = tape({"x": -0.0})
+    assert np.signbit(vals).tolist() == [False, True, False, True]
+    assert len(tape) == 2  # the two sums stay two instructions
+
+
+def test_tape_piecewise_branch_stays_silent():
+    # pytest turns RuntimeWarnings into errors for this suite
+    quiet = parse_expr("if(x > 0, 1/x, 0)")
+    xs = np.array([0.0, 2.0])
+    assert compile_expr(quiet)({"x": xs}).tolist() == [0.0, 0.5]
+    # a subexpression also used outside every piecewise node still warns
+    with pytest.raises(RuntimeWarning):
+        compile_expr([quiet, parse_expr("1/x")])({"x": xs})
+
+
+def test_tape_evaluates_shared_subexpressions_once():
+    e = parse_expr("sin(x)*sin(x) + exp(sin(x))")
+    tape = compile_expr([e, parse_expr("sin(x)")])
+    assert len(tape) == 4  # sin, mul, exp, add: every sin(x) is one
+    xs = np.linspace(-1, 1, 7)
+    got = tape({"x": xs})
+    assert np.array_equal(got[0], _closure_compile(e)({"x": xs}))
+    assert np.array_equal(got[1], np.sin(xs))
+
+
+def test_pool_interns_by_structure_and_bits():
+    from paracon.expr import Pool
+    pool = Pool()
+    a = pool.intern(parse_expr("x*y + 1"))
+    b = pool.intern(parse_expr("x*y + 1"))
+    assert a is b
+    assert pool.intern(Const(0.0)) is not pool.intern(Const(-0.0))
+    # diff is memoized per (node, variable) and its result is interned
+    d = diff(a, "x", pool)
+    assert diff(b, "x", pool) is d
+    assert d is pool.intern(Name("y"))

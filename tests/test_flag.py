@@ -512,6 +512,43 @@ def _two_chain_spec():
 _TWO_CHAIN_AXES = [[-0.7, -0.3, 0.4, 0.8], [-0.6, 0.5]]
 
 
+def test_sliced_flag_matches_one_slice_bit_for_bit(monkeypatch):
+    # slices of 3 points stop at different levels ([1, 0] and [2, 1, 1]);
+    # joined, they are the one-slice flag
+    spec = _two_chain_spec()
+    pts = np.array([[x, y] for y in (-0.6, 0.5)
+                    for x in (-0.7, -0.3, -0.5, 0.4, 0.8, 0.6)])
+    want_levels, want_last = flagmod._flag(spec, pts, 1e-7)
+    monkeypatch.setattr(flagmod, "_SLICE", 3)
+    levels, last = flagmod._flag(spec, pts, 1e-7)
+    assert np.array_equal(last, want_last)
+    assert len(levels) == len(want_levels) == 3
+    for lv, want in zip(levels, want_levels):
+        assert lv.level == want.level
+        for field in ("dims", "bases", "gaps"):
+            assert np.array_equal(getattr(lv, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("slice_size", [256, 2])
+def test_flag_evaluates_each_partial_order_once_per_point(monkeypatch,
+                                                          slice_size):
+    # [4, 3, 2, 2] reads the partials of Omega up to order 4; one batch
+    # evaluates each order once at each point, also when it runs in slices
+    from paracon import bundle
+    monkeypatch.setattr(flagmod, "_SLICE", slice_size)
+    evaluated = {}
+    partials = bundle._partials
+
+    def counting(spec, points, order):
+        evaluated[order] = evaluated.get(order, 0) + len(points)
+        return partials(spec, points, order)
+
+    monkeypatch.setattr(bundle, "_partials", counting)
+    rep = regularity_scan(_deep_flag_spec(), [[0.2, 0.5], [0.1, 0.4, 0.7]])
+    assert all(rep.trace(i).dims == [4, 3, 2, 2] for i in range(6))
+    assert evaluated == {order: 6 for order in range(5)}
+
+
 def _assert_scan_matches_derived_flag(spec, axes):
     rep = regularity_scan(spec, axes)
     for i, p in enumerate(rep.points):

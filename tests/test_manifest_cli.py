@@ -86,6 +86,40 @@ def test_manifest_errors_carry_json_pointers():
         manifest_from_dict(minimal_doc(tolerances={"bogus": 1.0}))
 
 
+@pytest.mark.parametrize("key, value, why", [
+    ("rank_tol", None, "expected a number"),
+    ("holonomy_tol", None, "expected a number"),
+    ("pd_tol", None, "expected a number"),
+    ("fixed_tol", None, "expected a number"),
+    ("rank_tol", 2.0, "below 1"),
+    ("rank_tol", 1.0, "below 1"),
+    ("rank_tol", float("nan"), "finite and > 0"),
+    ("holonomy_tol", float("inf"), "finite and > 0"),
+    ("fixed_tol", 0.0, "finite and > 0"),
+    ("period_tol", -1e-4, "finite and > 0"),
+    ("pd_tol", 1e-20, "at least 1e-14"),
+    ("pd_tol", "1e-8", "expected a number"),
+    ("holonomy_tol", True, "expected a number"),
+])
+def test_cli_rejects_bad_tolerance(tmp_path, capsys, key, value, why):
+    # each used to end in a traceback or in a decision rounding made
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(minimal_doc(tolerances={key: value})))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"/tolerances/{key}" in err and why in err
+    assert "Traceback" not in err
+
+
+def test_manifest_keeps_valid_tolerances():
+    man = manifest_from_dict(minimal_doc(tolerances={
+        "period_tol": None, "pd_tol": 1e-14, "rank_tol": 0.5,
+        "holonomy_tol": 1, "fixed_tol": 1e-3}))
+    assert man.tolerances == {"rank_tol": 0.5, "holonomy_tol": 1.0,
+                              "period_tol": None, "pd_tol": 1e-14,
+                              "fixed_tol": 1e-3}
+
+
 def test_manifest_digest_is_stable():
     a = manifest_from_dict(minimal_doc())
     b = manifest_from_dict(minimal_doc())
