@@ -15,12 +15,13 @@ instead of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -64,30 +65,62 @@ def _join(texts, nl, brackets="[]"):
             if texts else brackets)
 
 
-def _rows(a: np.ndarray, nl, cut=None) -> list:
-    """Text of each ``a[i]`` opened at the indent ``nl``, as ``json.dumps``
-    writes ``a.tolist()``, cut to its first ``cut[i]`` entries along the
-    last axis where ``cut`` is given.  The scalar texts are made in one pass
-    and fill a template of one row."""
-    if cut is not None:
-        out = [None] * len(a)
-        for d in set(cut.tolist()):
-            idx = np.flatnonzero(cut == d)
-            for i, text in zip(idx.tolist(), _rows(a[idx, ..., :d], nl)):
-                out[i] = text
-        return out
-    flat = a.ravel().tolist()
-    if a.dtype.kind in "fiu":
-        cells = list(map(repr, flat))
-        for i in np.flatnonzero(~np.isfinite(a.ravel())).tolist():
-            cells[i] = "null"
+def _slots(shape, nl) -> str:
+    """JSON text of an array of ``shape`` opened at the indent ``nl``, with a
+    ``%s`` slot for each scalar."""
+    if not shape:
+        return "%s"
+    return _join([_slots(shape[1:], nl + "  ")] * shape[0], nl)
+
+
+def _cells(a: np.ndarray) -> np.ndarray:
+    """The JSON text of each scalar of ``a``, as an object array of its
+    shape.  In an array of 256 or more scalars (grid coordinates, flag dims
+    and statuses repeat) each distinct value's text is made once, numbers
+    told apart by their bits so that 0.0 and -0.0 stay two texts."""
+    flat, inv, kind = a.ravel(), None, a.dtype.kind
+    if kind in "biufU" and flat.size >= 256:
+        keys = flat if kind == "U" else flat.view(f"u{a.itemsize}")
+        keys, inv = np.unique(keys, return_inverse=True)
+        flat = keys if kind == "U" else keys.view(a.dtype)
+    if kind in "fiu":
+        cells = np.array(list(map(repr, flat.tolist())), dtype=object)
+        cells[~np.isfinite(flat)] = "null"
     else:
-        cells = [_text(x, nl + "  " * (a.ndim - 1)) for x in flat]
-    size = math.prod(a.shape[1:])
-    template = _text(np.full(a.shape[1:], "%s").tolist(), nl)
-    template = template.replace('"%s"', "%s")  # one slot per scalar
-    return [template % tuple(cells[i * size:(i + 1) * size])
-            for i in range(len(a))]
+        cells = np.array([_text(v, "") for v in flat.tolist()], dtype=object)
+    return (cells if inv is None else cells[inv]).reshape(a.shape)
+
+
+def _records(obj: Rows, nl) -> str:
+    """JSON text of the records of ``obj`` opened at the indent ``nl``.  The
+    records are grouped by the widths they are cut to; each group's cells,
+    laid side by side, fill its record template repeated once per record with
+    one ``%``.  With several groups, a NUL, which no JSON text holds, parts
+    each group's text into its records."""
+    keys = sorted(obj.columns)
+    cells = [_cells(obj.columns[k]) for k in keys]
+    cuts = [obj.cut[k].tolist() if k in obj.cut else None for k in keys]
+    texts = np.empty(len(cells[0]) if keys else 0, dtype=object)
+    sigs = list(zip(*[c for c in cuts if c is not None])) or [()] * len(texts)
+    groups = dict.fromkeys(sigs, slice(None))
+    if len(groups) > 1:
+        groups = {sig: [] for sig in groups}
+        for i, sig in enumerate(sigs):
+            groups[sig].append(i)
+    for sig, idx in groups.items():
+        widths, heads, parts = iter(sig), [], []
+        for k, c, cut in zip(keys, cells, cuts):
+            c = c[idx] if cut is None else c[idx, ..., :next(widths)]
+            heads.append(encode_basestring(k).replace("%", "%%") + ": "
+                         + _slots(c.shape[1:], nl + "    "))
+            parts.append(c.reshape(len(c), -1))
+        record = _join(heads, nl + "  ", "{}")
+        rows = np.concatenate(parts, axis=1)
+        values = tuple(rows.ravel().tolist())
+        if len(groups) == 1:
+            return _join([record] * len(rows), nl) % values
+        texts[idx] = ("\0".join([record] * len(rows)) % values).split("\0")
+    return _join(texts.tolist(), nl)
 
 
 def _text(obj, nl) -> str:
@@ -109,15 +142,9 @@ def _text(obj, nl) -> str:
     if isinstance(obj, (list, tuple)):
         return _join([_text(v, inner) for v in obj], nl)
     if isinstance(obj, np.ndarray):
-        return (_join(_rows(obj, inner), nl) if obj.ndim
-                else _text(obj.item(), nl))
+        return _slots(obj.shape, nl) % tuple(_cells(obj).ravel().tolist())
     if isinstance(obj, Rows):
-        keys = sorted(obj.columns)
-        heads = [encode_basestring(k) + ": " for k in keys]
-        cols = [_rows(obj.columns[k], inner + "  ", obj.cut.get(k))
-                for k in keys]
-        return _join([_join(list(map(str.__add__, heads, texts)), inner, "{}")
-                      for texts in zip(*cols)], nl)
+        return _records(obj, nl)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -140,16 +167,22 @@ def _finalize(report: dict) -> tuple:
     # report); only top-level keys start a line with two spaces and a quote
     after = json.dumps(min(k for k in report if k > "report_digest"),
                        ensure_ascii=False)
-    at = body.index(f"\n  {after}: ".encode("utf-8")) + 1
+    at = body.rindex(f"\n  {after}: ".encode("utf-8")) + 1
     view = memoryview(body)
     return (view[:at], f'  "report_digest": "{digest}",\n'.encode("utf-8"),
             view[at:])
 
 
+def _header(man: Manifest, command: str, **fields) -> dict:
+    """A report of ``command``: tool and manifest keys, and ``fields``."""
+    return dict(tool_version=__version__, command=command,
+                manifest_id=man.id, manifest_digest=man.digest(), **fields)
+
+
 def _scan_dict(scan):
     return {
         "grid_axes": scan.axes,
-        "dims": scan.dims,
+        "dims": scan.levels[-1].dims,
         "regular_on_grid": scan.regular_on_grid,
         "jumps": [{"from": a, "to": b, "dim_from": da, "dim_to": db}
                   for a, b, da, db in scan.jumps],
@@ -181,13 +214,7 @@ def _verdict_dict(v: GlobalVerdict):
         "notes": v.notes,
     }
     if v.pd_result is not None:
-        out["pd"] = {
-            "status": v.pd_result.status,
-            "best_lambda": v.pd_result.best_lambda,
-            "coefficients": v.pd_result.coefficients,
-            "cholesky": v.pd_result.cholesky,
-            "witness": v.pd_result.witness,
-        }
+        out["pd"] = asdict(v.pd_result)
     if v.phi is not None:
         out["phi_periods"] = {
             "loops": v.phi.loop_names,
@@ -215,29 +242,21 @@ def build_report(man: Manifest, command: str) -> tuple:
     verdict = (global_metricity(*inputs, **options)
                if spec.kind == "christoffel" else None)
     an = Analysis(*inputs, **options) if verdict is None else verdict.analysis
-    report = {
-        "tool_version": __version__,
-        "command": command,
-        "manifest_id": man.id,
-        "manifest_digest": man.digest(),
-        "effective": {
-            "tolerances": man.tolerances,
-            "steps": man.steps,
-        },
-        "caveats": [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT],
-    }
+    report = _header(man, command, effective={
+        "tolerances": man.tolerances, "steps": man.steps},
+        caveats=[LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT])
     exit_code = 0
 
     scan = an.scan
     report["regularity"] = _scan_dict(scan)
     report["flag_traces"] = _flag_rows(scan)
-    report["local_metricity"] = None if spec.kind != "christoffel" else Rows({
-        "point": scan.points,
-        "locally_metric": np.array([lm.status == "feasible"
-                                    for lm in an.local]),
-        "status": np.array([lm.status for lm in an.local]),
-        "best_lambda": np.array([lm.best_lambda for lm in an.local]),
-    })
+    report["local_metricity"] = None
+    if spec.kind == "christoffel":
+        status, best = map(np.array, zip(*[(lm.status, lm.best_lambda)
+                                           for lm in an.local]))
+        report["local_metricity"] = Rows({
+            "point": scan.points, "locally_metric": status == "feasible",
+            "status": status, "best_lambda": best})
 
     try:
         report["holonomy"] = [_holonomy_dict(h) for h in an.holonomies]
@@ -285,8 +304,7 @@ def _format_text(report: dict) -> str:
         lines.append(f"  flag dims {tr['dims']}, terminal dim "
                      f"{tr['terminal_dim']}")
     traces = report.get("flag_traces") or []
-    chains = Counter(str(t["dims"]) for t in traces)
-    for chain, count in chains.items():
+    for chain, count in Counter(str(t["dims"]) for t in traces).items():
         lines.append(f"  flag dims {chain} at {count} of {len(traces)} points")
     hol = report.get("holonomy")
     if hol:
@@ -354,16 +372,10 @@ def run(command: str, manifest_path: str, args) -> int:
         point = _parse_point(args.point, man)
         scan = regularity_scan(man.spec, point[:, None],
                                rank_tol=man.tolerances["rank_tol"])
-        report = {
-            "tool_version": __version__, "command": "flag",
-            "manifest_id": man.id, "manifest_digest": man.digest(),
-            "flag_trace": _flag_rows(scan).record(0),
-            "caveats": [CHART_ONLY_CAVEAT],
-        }
-        _write_report(_finalize(report), args.out, args.format)
-        return 0
-
-    if command == "holonomy":
+        pieces, code = _finalize(_header(
+            man, "flag", flag_trace=_flag_rows(scan).record(0),
+            caveats=[CHART_ONLY_CAVEAT])), 0
+    elif command == "holonomy":
         loop = next((l for l in man.loops if l.name == args.loop), None)
         if loop is None:
             print(f"no loop named {args.loop!r} in manifest", file=sys.stderr)
@@ -378,17 +390,12 @@ def run(command: str, manifest_path: str, args) -> int:
         except DefectTooLarge as exc:
             print(f"holonomy defect too large: {exc}", file=sys.stderr)
             return 2
-        report = {
-            "tool_version": __version__, "command": "holonomy",
-            "manifest_id": man.id, "manifest_digest": man.digest(),
-            "holonomy": dict(_holonomy_dict(h),
-                             wtilde_rank=an.base_trace.terminal.dim),
-            "caveats": [CHART_ONLY_CAVEAT],
-        }
-        _write_report(_finalize(report), args.out, args.format)
-        return 0
-
-    _, pieces, code = build_report(man, command)
+        pieces, code = _finalize(_header(
+            man, "holonomy", holonomy=dict(
+                _holonomy_dict(h), wtilde_rank=an.base_trace.terminal.dim),
+            caveats=[CHART_ONLY_CAVEAT])), 0
+    else:
+        _, pieces, code = build_report(man, command)
     _write_report(pieces, args.out, args.format)
     return code
 
@@ -401,15 +408,14 @@ def _run_corpus(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 1
     checks, _ = run_entry(entry)
-    all_ok = True
     for c in checks:
-        mark = "PASS" if c.ok else "FAIL"
-        print(f"{mark} {entry.id}.{c.name}: {c.detail}")
-        all_ok = all_ok and c.ok
-    return 0 if all_ok else 1
+        print(f"{'PASS' if c.ok else 'FAIL'} {entry.id}.{c.name}: {c.detail}")
+    return 0 if all(c.ok for c in checks) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="paracon",
         description="Decide whether a chart connection is locally and "
@@ -418,9 +424,8 @@ def main(argv=None) -> int:
                         version=f"paracon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=True):
-        if manifest:
-            p.add_argument("manifest", help="path to the manifest JSON")
+    def common(p):
+        p.add_argument("manifest", help="path to the manifest JSON")
         p.add_argument("--out", default="./report.json",
                        help="report output path (default ./report.json)")
         p.add_argument("--steps", type=int, default=None,
@@ -443,7 +448,11 @@ def main(argv=None) -> int:
     p_cor.add_argument("--id", required=True, help="corpus entry id")
     p_cor.add_argument("--param", action="append", metavar="NAME=VALUE")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "corpus":
             return _run_corpus(args)

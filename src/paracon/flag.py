@@ -519,13 +519,11 @@ def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,
     from . import pdcone
     if spec.kind != "christoffel":
         raise NotSym2Bundle("local metricity is defined on the Sym^2 bundle only")
-    out = [None] * len(terminal.dims)
+    out = np.empty(len(terminal.dims), dtype=object)
     for d, idx in _groups(terminal.dims):
         for start in range(0, idx.size, _SLICE):
             part = idx[start:start + _SLICE]
             vecs = np.ascontiguousarray(
                 terminal.bases[part, :, :d].transpose(0, 2, 1))  # (m, d, N)
-            for i, res in zip(part, pdcone.pd_feasible_batch(
-                    spec.sym.to_matrix(vecs), tol)):
-                out[i] = res
-    return out
+            out[part] = pdcone.pd_feasible_batch(spec.sym.to_matrix(vecs), tol)
+    return out.tolist()

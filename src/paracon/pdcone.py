@@ -67,15 +67,26 @@ def _try_cholesky(A):
         return None
 
 
+def _norms(X):
+    """The Euclidean norm of each row of a 2-D array, bit for bit as
+    ``np.linalg.norm`` takes it of the row alone: a row's matmul with itself
+    is its ``dot``; a sum along the batch axis can differ in the last bit."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+
+
+def _scales(stack):
+    """The largest generator Frobenius norm of each span of an (m, d, n, n)
+    stack (0 for a span of no generators)."""
+    m, d, n, _ = stack.shape
+    norms = _norms(stack.reshape(-1, n * n)).reshape(m, d)
+    return norms.max(axis=1, initial=0.0)
+
+
 def _trace_units(stack):
     """The unit trace direction of each span of an (m, d, n, n) stack, and
-    whether it exists (False for a span of traceless generators).
-
-    Each norm is ``sqrt(t.dot(t))`` span by span, as ``np.linalg.norm`` takes
-    it; a norm along an axis of the batch can differ in the last bit.
-    """
+    whether it exists (False for a span of traceless generators)."""
     traces = np.trace(stack, axis1=2, axis2=3)
-    norms = np.sqrt([t.dot(t) for t in traces])
+    norms = _norms(traces)
     traced = norms > 0
     units = np.zeros_like(traces)
     units[traced] = traces[traced] / norms[traced, None]
@@ -191,13 +202,11 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
     out = [None] * m
     finite = np.isfinite(S).all(axis=(1, 2, 3))
     live = finite & (S * S).any(axis=(1, 2, 3))
-    for i in np.flatnonzero(~live):
+    for i, f in zip(np.flatnonzero(~live).tolist(), finite[~live].tolist()):
         out[i] = (PDResult("infeasible_certified", 0.0, witness=np.eye(n) / n)
-                  if finite[i] else PDResult("inconclusive", float("nan")))
+                  if f else PDResult("inconclusive", float("nan")))
     idx = np.flatnonzero(live)
-    # each generator norm taken as np.linalg.norm takes it (_trace_units)
-    norms = np.sqrt([g.dot(g) for g in S[idx].reshape(-1, n * n)])
-    scales = norms.reshape(idx.size, d).max(axis=1, initial=0.0)
+    scales = _scales(S[idx])
     units, traced = _trace_units(S[idx])
     for sel, u in ((traced, units[traced]), (~traced, None)):
         part, scale = idx[sel], scales[sel]
@@ -210,15 +219,17 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
         ok = np.flatnonzero(best > tol * scale)
         A = np.einsum("ma,maij->mij", best_c[ok], S[part[ok]])
         try:
-            chol = list(np.linalg.cholesky(A))
+            chol = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             chol = [_try_cholesky(a) for a in A]
-        for j, L in zip(ok, chol):
+        rest = np.ones(part.size, dtype=bool)
+        at, best_l = part.tolist(), best.tolist()
+        for j, L in zip(ok.tolist(), chol):
             if L is not None:
-                out[part[j]] = PDResult("feasible", float(best[j]),
-                                        coefficients=best_c[j], cholesky=L)
-        for j in rows:
-            if out[part[j]] is None:
-                out[part[j]] = _barrier(S[part[j]], scale[j], best[j],
-                                        best_c[j], tol)
+                out[at[j]] = PDResult("feasible", best_l[j],
+                                      coefficients=best_c[j], cholesky=L)
+                rest[j] = False
+        for j in np.flatnonzero(rest).tolist():
+            out[at[j]] = _barrier(S[at[j]], scale[j], best_l[j], best_c[j],
+                                  tol)
     return out

@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from paracon.cli import Rows, _finalize, build_report, canonical_json, main
+from paracon import __version__
+from paracon.cli import (Rows, _finalize, _parser, build_report,
+                         canonical_json, main)
 from paracon.corpus import ENTRY_IDS, get_entry, load_corpus
-from paracon.manifest import ManifestError, manifest_from_dict
+from paracon.manifest import ManifestError, load_manifest, manifest_from_dict
 
 
 def minimal_doc(**over):
@@ -476,6 +478,34 @@ _WRITER_CASES = {
                  cut={"b": np.array([2, 0, 1, 2]),
                       "d": np.array([3, 2, 1, 1])}),
     "no records": Rows({"p": np.zeros((0, 2)), "s": np.zeros(0, bool)}),
+    # records alternate between three cut signatures: the grouping by
+    # signature must put each record back at its place
+    "three cut signatures": Rows(
+        {"b": np.arange(54.0).reshape(9, 3, 2), "i": np.arange(9),
+         "d": np.arange(27).reshape(9, 3) - 13},
+        cut={"b": np.array([2, 1, 0] * 3), "d": np.array([3, 1, 2] * 3)}),
+    "cut of width 0": Rows({"b": np.ones((3, 2, 4)), "p": np.arange(3.0)},
+                           cut={"b": np.zeros(3, int)}),
+    "repeated bools and strings": Rows(
+        {"t": np.arange(300) % 3 == 0,
+         "s": np.array(["feasible", "inconclusive", "ü"] * 100),
+         "o": np.array(["x"] * 300)}),
+    "non-finite in a cut column": Rows(
+        {"g": np.array([[np.nan, 1.0, np.inf], [-np.inf, np.nan, -0.0],
+                        [0.0, np.inf, np.nan]])},
+        cut={"g": np.array([3, 2, 1])}),
+    # arrays of 256 or more numbers: each distinct value's text made once
+    "large number arrays": {
+        "f": np.tile([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1,
+                      5e-324, 1e16, -2.5], 40),
+        "f32": np.tile(np.float32([0.1, -0.0, 3.0]), 100),
+        "i": np.tile(np.arange(-5, 5), (40, 1)),
+        "u": np.arange(300, dtype=np.uint8),
+        "nan bits": np.array([0x7FF8000000000001, 0xFFF0000000000001,
+                              0x7FF0000000000000] * 100,
+                             dtype=np.uint64).view(np.float64)},
+    "keys with percent signs": Rows({"%s": np.arange(2.0), "a%%d": np.ones(2),
+                                     "%": np.array(["%s", "%"])}),
 }
 
 
@@ -493,3 +523,68 @@ def test_writer_matches_stdlib_encoder_on_analyze_reports(entry_id):
     ref = _reference_json(report)
     assert canonical_json(report) == ref
     assert b"".join(pieces) == ref.encode("utf-8")
+
+
+def _sphere_shaped_rows(m=900):
+    """Columns shaped as a sphere flag's report over an m-point grid."""
+    rng = np.random.default_rng(15)
+    side = int(np.sqrt(m))
+    axes = np.linspace(0.3, 2.8, side), np.linspace(0.6, 5.6, m // side)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")],
+                   axis=1)
+    last = rng.integers(0, 2, m)
+    dims = np.where(np.arange(2) <= last[:, None], [3, 1], 0)
+    return Rows({
+        "point": pts,
+        "dims": dims,
+        "stabilization_level": last,
+        "terminal_dim": dims[np.arange(m), last],
+        "terminal_basis": rng.standard_normal((m, 3, 1)),
+        "sv_gap": np.where(rng.random(m) < 0.1, np.inf, rng.random(m)),
+    }, cut={"dims": last + 1, "terminal_basis": np.ones(m, int)})
+
+
+def test_writer_matches_stdlib_encoder_on_sphere_shaped_rows():
+    rows = _sphere_shaped_rows()
+    assert canonical_json({"r": rows}) == _reference_json({"r": rows})
+
+
+def test_writer_matches_stdlib_encoder_on_the_fine_grid_report():
+    doc = dict(get_entry("sphere").manifest_doc, loops=[])
+    doc.pop("expected", None)
+    (lo, hi), pad = doc["coords"][0]["range"], 0.1 * np.pi
+    doc["grid"] = {"values": [
+        np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 30).tolist(),
+        np.linspace(pad + 0.1, 2 * np.pi - pad, 30).tolist()]}
+    report, pieces, _ = build_report(manifest_from_dict(doc), "analyze")
+    assert len(report["flag_traces"].columns["point"]) == 900
+    ref = _reference_json(report)
+    assert canonical_json(report) == ref
+    assert b"".join(pieces) == ref.encode("utf-8")
+
+
+def test_cli_parser_is_built_once_and_keeps_no_arguments(tmp_path):
+    man = _write_manifest(tmp_path, "punctured-plane")
+    with_k, without = tmp_path / "k5.json", tmp_path / "k.json"
+    assert main(["analyze", str(man), "--out", str(with_k), "--param",
+                 "k=0.5", "--steps", "1024"]) == 0
+    parser = _parser()
+    main(["analyze", str(man), "--out", str(without), "--steps", "1024"])
+    assert _parser() is parser
+    fresh = load_manifest(str(man))
+    fresh.steps = {"rk4": 1024, "quadrature": 1024}
+    assert without.read_bytes() == b"".join(build_report(fresh, "analyze")[1])
+    assert json.loads(with_k.read_bytes())["global_verdict"]["fixed_dim"] == 3
+    assert json.loads(without.read_bytes())["global_verdict"]["fixed_dim"] \
+        != 3
+
+
+def test_cli_version_and_usage_errors_exit_as_argparse_does(capsys):
+    for argv, code in ((["--version"], 0), (["analyze"], 2),
+                       (["bogus"], 2), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert out == f"paracon {__version__}\n" * 2
+    assert err.count("usage: paracon") == 2

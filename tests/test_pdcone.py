@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from paracon.bundle import SymIndex
-from paracon.pdcone import (_trace_units, _try_cholesky, pd_feasible,
+from paracon.pdcone import (_scales, _trace_units, _try_cholesky, pd_feasible,
                             pd_feasible_batch)
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -344,6 +344,17 @@ def test_trace_units_take_each_norm_as_the_reference_does():
             for S, unit in zip(stack, units):
                 traces = np.array([np.trace(M) for M in S])
                 assert _same_bits(unit, traces / np.linalg.norm(traces))
+
+
+def test_scales_take_each_norm_as_the_reference_does():
+    # one batched matmul gives each row's own dot, bit for bit
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, 4, 6):
+        for d in range(1, 11):
+            stack = rng.standard_normal((40, d, n, n)) * rng.choice(
+                [1e-150, 1.0, 1e150], (40, 1, 1, 1))
+            for S, scale in zip(stack, _scales(stack)):
+                assert _same_bits(scale, max(np.linalg.norm(M) for M in S))
 
 
 def test_pd_feasible_batch_checks_its_generators():
