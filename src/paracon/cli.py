@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -77,7 +77,8 @@ def _cells(a: np.ndarray) -> np.ndarray:
     """The JSON text of each scalar of ``a``, as an object array of its
     shape.  In an array of 256 or more scalars (grid coordinates, flag dims
     and statuses repeat) each distinct value's text is made once, numbers
-    told apart by their bits so that 0.0 and -0.0 stay two texts."""
+    told apart by their bits so that 0.0 and -0.0 stay two texts; in smaller
+    ones ``np.unique`` costs more than the texts it saves."""
     flat, inv, kind = a.ravel(), None, a.dtype.kind
     if kind in "biufU" and flat.size >= 256:
         keys = flat if kind == "U" else flat.view(f"u{a.itemsize}")
@@ -173,12 +174,6 @@ def _finalize(report: dict) -> tuple:
             view[at:])
 
 
-def _header(man: Manifest, command: str, **fields) -> dict:
-    """A report of ``command``: tool and manifest keys, and ``fields``."""
-    return dict(tool_version=__version__, command=command,
-                manifest_id=man.id, manifest_digest=man.digest(), **fields)
-
-
 def _scan_dict(scan):
     return {
         "grid_axes": scan.axes,
@@ -214,7 +209,13 @@ def _verdict_dict(v: GlobalVerdict):
         "notes": v.notes,
     }
     if v.pd_result is not None:
-        out["pd"] = asdict(v.pd_result)
+        out["pd"] = {
+            "status": v.pd_result.status,
+            "best_lambda": v.pd_result.best_lambda,
+            "coefficients": v.pd_result.coefficients,
+            "cholesky": v.pd_result.cholesky,
+            "witness": v.pd_result.witness,
+        }
     if v.phi is not None:
         out["phi_periods"] = {
             "loops": v.phi.loop_names,
@@ -242,9 +243,17 @@ def build_report(man: Manifest, command: str) -> tuple:
     verdict = (global_metricity(*inputs, **options)
                if spec.kind == "christoffel" else None)
     an = Analysis(*inputs, **options) if verdict is None else verdict.analysis
-    report = _header(man, command, effective={
-        "tolerances": man.tolerances, "steps": man.steps},
-        caveats=[LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT])
+    report = {
+        "tool_version": __version__,
+        "command": command,
+        "manifest_id": man.id,
+        "manifest_digest": man.digest(),
+        "effective": {
+            "tolerances": man.tolerances,
+            "steps": man.steps,
+        },
+        "caveats": [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT],
+    }
     exit_code = 0
 
     scan = an.scan
@@ -304,7 +313,8 @@ def _format_text(report: dict) -> str:
         lines.append(f"  flag dims {tr['dims']}, terminal dim "
                      f"{tr['terminal_dim']}")
     traces = report.get("flag_traces") or []
-    for chain, count in Counter(str(t["dims"]) for t in traces).items():
+    chains = Counter(str(t["dims"]) for t in traces)
+    for chain, count in chains.items():
         lines.append(f"  flag dims {chain} at {count} of {len(traces)} points")
     hol = report.get("holonomy")
     if hol:
@@ -372,10 +382,16 @@ def run(command: str, manifest_path: str, args) -> int:
         point = _parse_point(args.point, man)
         scan = regularity_scan(man.spec, point[:, None],
                                rank_tol=man.tolerances["rank_tol"])
-        pieces, code = _finalize(_header(
-            man, "flag", flag_trace=_flag_rows(scan).record(0),
-            caveats=[CHART_ONLY_CAVEAT])), 0
-    elif command == "holonomy":
+        report = {
+            "tool_version": __version__, "command": "flag",
+            "manifest_id": man.id, "manifest_digest": man.digest(),
+            "flag_trace": _flag_rows(scan).record(0),
+            "caveats": [CHART_ONLY_CAVEAT],
+        }
+        _write_report(_finalize(report), args.out, args.format)
+        return 0
+
+    if command == "holonomy":
         loop = next((l for l in man.loops if l.name == args.loop), None)
         if loop is None:
             print(f"no loop named {args.loop!r} in manifest", file=sys.stderr)
@@ -390,12 +406,17 @@ def run(command: str, manifest_path: str, args) -> int:
         except DefectTooLarge as exc:
             print(f"holonomy defect too large: {exc}", file=sys.stderr)
             return 2
-        pieces, code = _finalize(_header(
-            man, "holonomy", holonomy=dict(
-                _holonomy_dict(h), wtilde_rank=an.base_trace.terminal.dim),
-            caveats=[CHART_ONLY_CAVEAT])), 0
-    else:
-        _, pieces, code = build_report(man, command)
+        report = {
+            "tool_version": __version__, "command": "holonomy",
+            "manifest_id": man.id, "manifest_digest": man.digest(),
+            "holonomy": dict(_holonomy_dict(h),
+                             wtilde_rank=an.base_trace.terminal.dim),
+            "caveats": [CHART_ONLY_CAVEAT],
+        }
+        _write_report(_finalize(report), args.out, args.format)
+        return 0
+
+    _, pieces, code = build_report(man, command)
     _write_report(pieces, args.out, args.format)
     return code
 
@@ -408,9 +429,12 @@ def _run_corpus(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 1
     checks, _ = run_entry(entry)
+    all_ok = True
     for c in checks:
-        print(f"{'PASS' if c.ok else 'FAIL'} {entry.id}.{c.name}: {c.detail}")
-    return 0 if all(c.ok for c in checks) else 1
+        mark = "PASS" if c.ok else "FAIL"
+        print(f"{mark} {entry.id}.{c.name}: {c.detail}")
+        all_ok = all_ok and c.ok
+    return 0 if all_ok else 1
 
 
 @functools.cache
@@ -424,8 +448,9 @@ def _parser() -> argparse.ArgumentParser:
                         version=f"paracon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("manifest", help="path to the manifest JSON")
+    def common(p, manifest=True):
+        if manifest:
+            p.add_argument("manifest", help="path to the manifest JSON")
         p.add_argument("--out", default="./report.json",
                        help="report output path (default ./report.json)")
         p.add_argument("--steps", type=int, default=None,

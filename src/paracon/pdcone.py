@@ -74,14 +74,6 @@ def _norms(X):
     return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
 
-def _scales(stack):
-    """The largest generator Frobenius norm of each span of an (m, d, n, n)
-    stack (0 for a span of no generators)."""
-    m, d, n, _ = stack.shape
-    norms = _norms(stack.reshape(-1, n * n)).reshape(m, d)
-    return norms.max(axis=1, initial=0.0)
-
-
 def _trace_units(stack):
     """The unit trace direction of each span of an (m, d, n, n) stack, and
     whether it exists (False for a span of traceless generators)."""
@@ -206,7 +198,8 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
         out[i] = (PDResult("infeasible_certified", 0.0, witness=np.eye(n) / n)
                   if f else PDResult("inconclusive", float("nan")))
     idx = np.flatnonzero(live)
-    scales = _scales(S[idx])
+    norms = _norms(S[idx].reshape(-1, n * n))
+    scales = norms.reshape(idx.size, d).max(axis=1, initial=0.0)
     units, traced = _trace_units(S[idx])
     for sel, u in ((traced, units[traced]), (~traced, None)):
         part, scale = idx[sel], scales[sel]

@@ -87,17 +87,24 @@ class Curve:
         mismatch = domain.wrap_delta(self.point(self.t1) - self.point(self.t0))
         self.closed = bool(np.max(np.abs(mismatch)) < _CLOSURE_TOL)
 
-    def _eval(self, tape, ts) -> np.ndarray:
-        """The tape's n values at the parameters ``ts``, stacked last."""
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
-                         for v in tape({"t": ts, **self.params})], axis=-1)
+    def _env(self, ts):
+        env = {"t": np.asarray(ts, dtype=float)}
+        env.update(self.params)
+        return env
 
     def points(self, ts) -> np.ndarray:
-        return self._eval(self._pos, ts)
+        ts = np.asarray(ts, dtype=float)
+        env = self._env(ts)
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+                for v in self._pos(env)]
+        return np.stack(cols, axis=-1)
 
     def velocities(self, ts) -> np.ndarray:
-        return self._eval(self._vel, ts)
+        ts = np.asarray(ts, dtype=float)
+        env = self._env(ts)
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+                for v in self._vel(env)]
+        return np.stack(cols, axis=-1)
 
     def point(self, t) -> np.ndarray:
         return self.points(np.array([t]))[0]
@@ -298,20 +305,31 @@ def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
             raise PointOutsideDomain(
                 f"extension ball exits the domain at {q.tolist()}")
 
-    def leg(a, b, v):  # v transported along the segment from a to b
-        if np.allclose(a, b, atol=1e-15):
-            return v
-        seg = line_curve(spec.domain, a, b, params=spec.params)
-        return transport(spec, seg, v, steps).final
+    values = np.empty((len(nodes), spec.N))
+    for i, q in enumerate(nodes):
+        if np.allclose(q, p, atol=1e-15):
+            values[i] = w
+            continue
+        ray = line_curve(spec.domain, p, q, params=spec.params)
+        values[i] = transport(spec, ray, w, steps).final
 
-    values = np.array([leg(p, q, w) for q in nodes]).reshape(-1, spec.N)
     residual = 0.0
     far = np.argsort(-np.linalg.norm(nodes - p, axis=1))[:check_pairs]
     for i in far:
         q = nodes[i]
         corner = p.copy()
         corner[0] = q[0]
-        if spec.domain.admissible(corner, spec.params):
-            v_two = leg(corner, q, leg(p, corner, w))
-            residual = max(residual, float(np.linalg.norm(values[i] - v_two)))
+        if not spec.domain.admissible(corner, spec.params):
+            continue
+        if np.allclose(corner, p, atol=1e-15):
+            v_mid = w
+        else:
+            v_mid = transport(spec, line_curve(spec.domain, p, corner,
+                                               params=spec.params), w, steps).final
+        if np.allclose(corner, q, atol=1e-15):
+            v_two = v_mid
+        else:
+            v_two = transport(spec, line_curve(spec.domain, corner, q,
+                                               params=spec.params), v_mid, steps).final
+        residual = max(residual, float(np.linalg.norm(values[i] - v_two)))
     return SampledSection(nodes, values, residual)

@@ -453,6 +453,25 @@ def _reference_json(doc):
                       ensure_ascii=False) + "\n"
 
 
+def _sphere_shaped_rows(m=900):
+    """Columns shaped as a sphere flag's report over an m-point grid."""
+    rng = np.random.default_rng(15)
+    side = int(np.sqrt(m))
+    axes = np.linspace(0.3, 2.8, side), np.linspace(0.6, 5.6, m // side)
+    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")],
+                   axis=1)
+    last = rng.integers(0, 2, m)
+    dims = np.where(np.arange(2) <= last[:, None], [3, 1], 0)
+    return Rows({
+        "point": pts,
+        "dims": dims,
+        "stabilization_level": last,
+        "terminal_dim": dims[np.arange(m), last],
+        "terminal_basis": rng.standard_normal((m, 3, 1)),
+        "sv_gap": np.where(rng.random(m) < 0.1, np.inf, rng.random(m)),
+    }, cut={"dims": last + 1, "terminal_basis": np.ones(m, int)})
+
+
 _WRITER_CASES = {
     "floats": [-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"),
                float("-inf"), 0.1, -2.5e-300, 1.7976931348623157e308],
@@ -506,6 +525,7 @@ _WRITER_CASES = {
                              dtype=np.uint64).view(np.float64)},
     "keys with percent signs": Rows({"%s": np.arange(2.0), "a%%d": np.ones(2),
                                      "%": np.array(["%s", "%"])}),
+    "sphere-shaped rows": _sphere_shaped_rows(),
 }
 
 
@@ -523,30 +543,6 @@ def test_writer_matches_stdlib_encoder_on_analyze_reports(entry_id):
     ref = _reference_json(report)
     assert canonical_json(report) == ref
     assert b"".join(pieces) == ref.encode("utf-8")
-
-
-def _sphere_shaped_rows(m=900):
-    """Columns shaped as a sphere flag's report over an m-point grid."""
-    rng = np.random.default_rng(15)
-    side = int(np.sqrt(m))
-    axes = np.linspace(0.3, 2.8, side), np.linspace(0.6, 5.6, m // side)
-    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")],
-                   axis=1)
-    last = rng.integers(0, 2, m)
-    dims = np.where(np.arange(2) <= last[:, None], [3, 1], 0)
-    return Rows({
-        "point": pts,
-        "dims": dims,
-        "stabilization_level": last,
-        "terminal_dim": dims[np.arange(m), last],
-        "terminal_basis": rng.standard_normal((m, 3, 1)),
-        "sv_gap": np.where(rng.random(m) < 0.1, np.inf, rng.random(m)),
-    }, cut={"dims": last + 1, "terminal_basis": np.ones(m, int)})
-
-
-def test_writer_matches_stdlib_encoder_on_sphere_shaped_rows():
-    rows = _sphere_shaped_rows()
-    assert canonical_json({"r": rows}) == _reference_json({"r": rows})
 
 
 def test_writer_matches_stdlib_encoder_on_the_fine_grid_report():

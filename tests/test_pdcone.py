@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from paracon.bundle import SymIndex
-from paracon.pdcone import (_scales, _trace_units, _try_cholesky, pd_feasible,
+from paracon.pdcone import (_norms, _trace_units, _try_cholesky, pd_feasible,
                             pd_feasible_batch)
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -346,15 +346,15 @@ def test_trace_units_take_each_norm_as_the_reference_does():
                 assert _same_bits(unit, traces / np.linalg.norm(traces))
 
 
-def test_scales_take_each_norm_as_the_reference_does():
+def test_generator_norms_take_each_norm_as_the_reference_does():
     # one batched matmul gives each row's own dot, bit for bit
     rng = np.random.default_rng(15)
     for n in (1, 2, 3, 4, 6):
         for d in range(1, 11):
-            stack = rng.standard_normal((40, d, n, n)) * rng.choice(
-                [1e-150, 1.0, 1e150], (40, 1, 1, 1))
-            for S, scale in zip(stack, _scales(stack)):
-                assert _same_bits(scale, max(np.linalg.norm(M) for M in S))
+            stack = rng.standard_normal((40 * d, n, n)) * rng.choice(
+                [1e-150, 1.0, 1e150], (40 * d, 1, 1))
+            for M, norm in zip(stack, _norms(stack.reshape(-1, n * n))):
+                assert _same_bits(norm, np.linalg.norm(M))
 
 
 def test_pd_feasible_batch_checks_its_generators():
