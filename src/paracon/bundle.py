@@ -29,7 +29,7 @@ from .expr import Const, Expr, Pool, compile_expr, diff, free_names
 __all__ = [
     "Domain", "SymIndex", "ConnectionSpec", "BundleError",
     "PointOutsideDomain", "ExpressionEvalFailure",
-    "connection_matrices", "curvature_operators", "curvature_pairs",
+    "curvature_pairs",
     "omega_stack", "curvature_stack", "covariant_curvature_stack", "Jet",
     "nudge_off_breakpoints",
 ]
@@ -138,7 +138,6 @@ class SymIndex:
             [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.N = len(self.pairs)
         assert self.N == n * (n + 1) // 2
-        self._index = {p: a for a, p in enumerate(self.pairs)}
         # basis matrices E_A, shape (N, n, n)
         basis = np.zeros((self.N, n, n))
         for a, (i, j) in enumerate(self.pairs):
@@ -163,18 +162,10 @@ class SymIndex:
             M[:, b, A, :] += E[:, a, :].T
         return M.reshape(n * n, N * N)
 
-    def index_of(self, i, j):
-        return self._index[(min(i, j), max(i, j))]
-
     def to_matrix(self, vec):
         """Coefficient vector -> symmetric n x n matrix."""
         v = np.asarray(vec, dtype=float)
         return np.einsum("...a,aij->...ij", v, self.basis)
-
-    def to_vec(self, mat):
-        """Symmetric matrix -> coefficient vector (reads entries at i <= j)."""
-        m = np.asarray(mat, dtype=float)
-        return np.stack([m[..., i, j] for i, j in self.pairs], axis=-1)
 
 
 class ConnectionSpec:
@@ -470,20 +461,3 @@ def covariant_curvature_stack(spec: ConnectionSpec, points, order: int,
             nxt[a] = np.concatenate(parts, axis=1)
         dT = nxt
     return dT[(0,) * n]
-
-
-def connection_matrices(spec: ConnectionSpec, point) -> np.ndarray:
-    """Stack of n matrices Omega_k at a point; shape (n, N, N)."""
-    p = np.asarray(point, dtype=float)
-    spec.domain.require_admissible(p, spec.params)
-    return omega_stack(spec, p)[0]
-
-
-def curvature_operators(spec: ConnectionSpec, point) -> np.ndarray:
-    """Stack of curvature operators R_ij (i < j) at a point; shape (P, N, N).
-
-    Pair order matches :func:`curvature_pairs`.
-    """
-    p = np.asarray(point, dtype=float)
-    spec.domain.require_admissible(p, spec.params)
-    return curvature_stack(spec, p)[0]

@@ -471,7 +471,6 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("global", help="global metricity verdict"))
     p_cor = sub.add_parser("corpus", help="run a built-in golden entry")
     p_cor.add_argument("--id", required=True, help="corpus entry id")
-    p_cor.add_argument("--param", action="append", metavar="NAME=VALUE")
 
     return parser
 

@@ -1,15 +1,15 @@
-"""Closed-form scalar expression DSL: parser, evaluator, exact symbolic
-derivative, and a compiler to a tape over hash-consed subexpressions.
+"""Closed-form scalar expression DSL: parser, exact symbolic derivative, and
+a compiler to a tape over hash-consed subexpressions.
 
 Connections, curves and domain predicates are written in this little language.
 Grammar (tightest first): pow ``^`` (right assoc) > unary minus > ``* /`` >
 ``+ -``; function calls ``f(a)``; conditionals ``if(a < b, x, y)`` with one of
 ``< <= > >=``.  The bare name ``pi`` parses as the constant.
 
-ASTs are immutable; :func:`evaluate` and :func:`diff` are pure, so expressions
-may be shared freely.  A :class:`Pool` interns them, one node per distinct
-subexpression, and memoizes :func:`diff` over its nodes, so a derivative
-table is a DAG however deep its order.  :func:`compile_expr` turns a list of
+ASTs are immutable and :func:`diff` is pure, so expressions may be shared
+freely.  A :class:`Pool` interns them, one node per distinct subexpression,
+and memoizes :func:`diff` over its nodes, so a derivative table is a DAG
+however deep its order.  :func:`compile_expr` turns a list of
 expressions into one :class:`Tape`, a straight-line program that evaluates
 each distinct subexpression once per call.
 """
@@ -27,8 +27,8 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Name", "Unary", "Binary", "Piecewise",
-    "EvalContext", "ExprError", "ParseError", "EvalError",
-    "Pool", "Tape", "parse_expr", "evaluate", "diff", "to_text",
+    "ExprError", "ParseError", "EvalError",
+    "Pool", "Tape", "parse_expr", "diff", "to_text",
     "compile_expr", "free_names",
 ]
 
@@ -92,26 +92,6 @@ class Piecewise(Expr):
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 _CMP_TOKENS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-
-
-@dataclass(frozen=True)
-class EvalContext:
-    """Name bindings for evaluation; every name bound exactly once."""
-
-    variables: dict
-    parameters: dict
-
-    def __post_init__(self):
-        dup = set(self.variables) & set(self.parameters)
-        if dup:
-            raise EvalError(f"names bound more than once: {sorted(dup)}")
-
-    def lookup(self, name):
-        if name in self.variables:
-            return self.variables[name]
-        if name in self.parameters:
-            return self.parameters[name]
-        raise EvalError(f"unbound name '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -358,69 +338,6 @@ def free_names(e: Expr) -> set:
     if isinstance(e, Piecewise):
         return (free_names(e.lhs) | free_names(e.rhs)
                 | free_names(e.then) | free_names(e.other))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# evaluation (scalar; exactly one piecewise branch is touched)
-
-
-def evaluate(e: Expr, ctx: EvalContext) -> float:
-    """Evaluate to an IEEE double; domain failures name the sub-expression."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Name):
-        return float(ctx.lookup(e.name))
-    if isinstance(e, Unary):
-        a = evaluate(e.arg, ctx)
-        if e.op == "neg":
-            return -a
-        if e.op == "sin":
-            return math.sin(a)
-        if e.op == "cos":
-            return math.cos(a)
-        if e.op == "tan":
-            return math.tan(a)
-        if e.op == "exp":
-            return math.exp(a)
-        if e.op == "log":
-            if a <= 0.0:
-                raise EvalError(f"log of non-positive value in '{to_text(e)}'")
-            return math.log(a)
-        if e.op == "sqrt":
-            if a < 0.0:
-                raise EvalError(f"sqrt of negative value in '{to_text(e)}'")
-            return math.sqrt(a)
-        if e.op == "abs":
-            return abs(a)
-        raise EvalError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        a = evaluate(e.left, ctx)
-        b = evaluate(e.right, ctx)
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-        if e.op == "div":
-            if b == 0.0:
-                raise EvalError(f"division by zero in '{to_text(e)}'")
-            return a / b
-        if e.op == "pow":
-            if a < 0.0 and b != int(b):
-                raise EvalError(
-                    f"non-integer power of negative base in '{to_text(e)}'")
-            if a == 0.0 and b < 0.0:
-                raise EvalError(f"zero raised to negative power in '{to_text(e)}'")
-            return float(a ** b)
-        raise EvalError(f"unknown binary op {e.op!r}")
-    if isinstance(e, Piecewise):
-        lhs = evaluate(e.lhs, ctx)
-        rhs = evaluate(e.rhs, ctx)
-        taken = {"lt": lhs < rhs, "le": lhs <= rhs,
-                 "gt": lhs > rhs, "ge": lhs >= rhs}[e.cmp]
-        return evaluate(e.then if taken else e.other, ctx)
     raise TypeError(f"not an Expr: {e!r}")
 
 

@@ -40,7 +40,7 @@ from .bundle import (ConnectionSpec, Jet, covariant_curvature_stack,
 
 __all__ = [
     "Subspace", "FlagLevel", "FlagTrace", "RegularityReport", "FlagError",
-    "IrregularPoint", "MaxLevelsExceeded", "NotSym2Bundle", "EmptyGrid",
+    "IrregularPoint", "NotSym2Bundle", "EmptyGrid",
     "kernel_intersection", "curvature_kernel", "second_fundamental_kernel",
     "derived_flag", "regularity_scan", "local_metricity",
     "principal_angles", "canonical_basis", "batch_terminal_bases",
@@ -72,10 +72,6 @@ class IrregularPoint(FlagError):
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 
-class MaxLevelsExceeded(FlagError):
-    pass
-
-
 class NotSym2Bundle(FlagError):
     pass
 
@@ -96,7 +92,6 @@ class Subspace:
     ambient_dim: int
     basis: np.ndarray  # (N, d), orthonormal columns
     sv_gap: float = math.inf
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -118,18 +113,6 @@ class Subspace:
     @classmethod
     def full(cls, n):
         return cls(n, np.eye(n))
-
-    def project(self, vectors):
-        """Orthogonal projection of (..., N) vectors onto the subspace."""
-        v = np.asarray(vectors, dtype=float)
-        return v @ self.basis @ self.basis.T
-
-    def contains(self, vector, tol=1e-8):
-        v = np.asarray(vector, dtype=float)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return True
-        return np.linalg.norm(v - self.project(v)) <= tol * nv
 
 
 def principal_angles(a, b) -> np.ndarray:
@@ -231,8 +214,7 @@ def kernel_intersection(mats, rank_tol: float = DEFAULT_RANK_TOL,
         raise ValueError("at least one matrix required")
     N = mats[0].shape[1]
     dims, gaps, vt = _kernels(np.vstack(mats)[None], rank_tol, abs_floor)
-    return Subspace(N, vt[0, N - dims[0]:].T, sv_gap=float(gaps[0]),
-                    rank_tol=rank_tol)
+    return Subspace(N, vt[0, N - dims[0]:].T, sv_gap=float(gaps[0]))
 
 
 @dataclass
@@ -247,18 +229,17 @@ class FlagLevel:
     dims: np.ndarray  # (m,) int
     bases: np.ndarray  # (m, N, D)
     gaps: np.ndarray  # (m,)
-    rank_tol: float
     level: int = 0
 
     def take(self, idx) -> "FlagLevel":
         """The level at the points ``idx``: a copy for an index array, views
         for a slice."""
         return FlagLevel(self.dims[idx], self.bases[idx], self.gaps[idx],
-                         self.rank_tol, self.level)
+                         self.level)
 
     def __getitem__(self, i) -> Subspace:
         return Subspace(self.bases.shape[1], self.bases[i, :, :self.dims[i]],
-                        sv_gap=float(self.gaps[i]), rank_tol=self.rank_tol)
+                        sv_gap=float(self.gaps[i]))
 
 
 def curvature_kernel(spec: ConnectionSpec, points,
@@ -273,12 +254,12 @@ def curvature_kernel(spec: ConnectionSpec, points,
     m, P, N, _ = R.shape
     if P == 0:  # one-dimensional chart: no curvature constraints
         return FlagLevel(np.full(m, N), np.broadcast_to(np.eye(N), (m, N, N)),
-                         np.full(m, math.inf), rank_tol)
+                         np.full(m, math.inf))
     dims, gaps, vt = _kernels(R.reshape(m, P * N, N), rank_tol, 0.0)
     bases = np.zeros((m, N, dims.max(initial=0)))
     for d, idx in _groups(dims):
         bases[idx, :, :d] = vt[idx, N - d:].transpose(0, 2, 1)
-    return FlagLevel(dims, bases, gaps, rank_tol)
+    return FlagLevel(dims, bases, gaps)
 
 
 def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
@@ -320,31 +301,32 @@ def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
     return out
 
 
-def _flag(spec, pts, rank_tol, max_levels=None, jet=None):
+def _flag(spec, pts, rank_tol, jet=None):
     """The flag's one level loop, over an (m, n) batch of points.
 
-    Each point runs until its dimension stabilizes or dies; one still
-    running at level ``max_levels`` (default N + 1) raises
-    :class:`MaxLevelsExceeded`.  Returns the levels (each over the whole
-    batch; a point that stopped keeps its last subspace) and each point's
-    last level.  ``jet``, the batch's :class:`Jet` (a new one when omitted),
-    ends up holding Omega over the batch.  Level 0 fills its orders 0 and 1;
-    the later levels run in slices of ``_SLICE`` points, each on its part of
-    the jet.
+    Each point runs until its dimension stabilizes or dies.  Returns the
+    levels (each over the whole batch; a point that stopped keeps its last
+    subspace) and each point's last level.  ``jet``, the batch's
+    :class:`Jet` (a new one when omitted), ends up holding Omega over the
+    batch.  Level 0 fills its orders 0 and 1; the later levels run in slices
+    of ``_SLICE`` points, each on its part of the jet.
     """
-    if max_levels is None:
-        max_levels = spec.N + 1
     jet = Jet(spec, pts) if jet is None else jet
     first = curvature_kernel(spec, pts, rank_tol, jet)
     return _concat([_levels(spec, pts[part], first.take(part), rank_tol,
-                            max_levels, jet.take(part))
+                            jet.take(part))
                     for part in (slice(s, s + _SLICE)
                                  for s in range(0, len(pts), _SLICE))])
 
 
-def _levels(spec, pts, first, rank_tol, max_levels, jet):
+def _levels(spec, pts, first, rank_tol, jet):
     """:func:`_flag` over one slice from its level 0, ``first``; every level
-    reads ``jet``, narrowed to the points still running."""
+    reads ``jet``, narrowed to the points still running.
+
+    The loop ends by level N - 1: a kernel is never larger than the level it
+    is taken in, and a point stops once its dim is unchanged (the fiber's N
+    counting as the dim before level 0) or zero, so a running point's dim
+    falls strictly from N."""
     m = len(pts)
     levels = [first]
     last = np.full(m, -1)
@@ -356,9 +338,6 @@ def _levels(spec, pts, first, rank_tol, max_levels, jet):
         active = np.flatnonzero(last < 0)
         if not active.size:
             return levels, last
-        if cur.level >= max_levels:
-            raise MaxLevelsExceeded(f"flag at {pts[active[0]].tolist()} did "
-                                    f"not stabilize in {max_levels} levels")
         if active.size < live.size:
             jet, live = jet.take(np.searchsorted(live, active)), active
         step = second_fundamental_kernel(spec, pts[active], cur.take(active),
@@ -381,7 +360,7 @@ def _concat(parts):
         lvs = [levels[min(k, len(levels) - 1)] for levels, _ in parts]
         dims, bases, gaps = (np.concatenate([getattr(lv, f) for lv in lvs])
                              for f in ("dims", "bases", "gaps"))
-        out.append(FlagLevel(dims, bases, gaps, lvs[0].rank_tol, k))
+        out.append(FlagLevel(dims, bases, gaps, k))
     return out, np.concatenate([last for _, last in parts])
 
 
@@ -410,23 +389,16 @@ def _trace(point, levels, last, i) -> FlagTrace:
 
 
 def derived_flag(spec: ConnectionSpec, point,
-                 max_levels: Optional[int] = None,
                  rank_tol: float = DEFAULT_RANK_TOL) -> FlagTrace:
     """Iterate the flag at a point until the dimension stabilizes or dies.
-
-    Dimensions must strictly decrease before stabilization, so the level of
-    stabilization never exceeds the fiber dimension; exceeding ``max_levels``
-    signals tolerance trouble and raises :class:`MaxLevelsExceeded`.  A
-    point on a piecewise breakpoint is first nudged off it.
-    """
+    A point on a piecewise breakpoint is first nudged off it."""
     p = nudge_off_breakpoints(spec, [point])
-    levels, last = _flag(spec, p, rank_tol, max_levels)
+    levels, last = _flag(spec, p, rank_tol)
     return _trace(p[0], levels, int(last[0]), 0)
 
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
                          rank_tol: float = DEFAULT_RANK_TOL,
-                         max_levels: Optional[int] = None,
                          jet: Optional[Jet] = None) -> np.ndarray:
     """Terminal flag bases over a batch of points; shape (m, N, d_terminal).
 
@@ -436,7 +408,7 @@ def batch_terminal_bases(spec: ConnectionSpec, points,
     :class:`Jet` over the batch, is left holding Omega there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    levels, _ = _flag(spec, pts, rank_tol, max_levels, jet)
+    levels, _ = _flag(spec, pts, rank_tol, jet)
     dims = np.stack([lv.dims for lv in levels], axis=1)  # (m, levels)
     differ = dims != dims[0]
     if differ.any():

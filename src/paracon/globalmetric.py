@@ -292,8 +292,8 @@ class Analysis:
     ``base_trace`` (flag at the base point), ``holonomies`` (one per declared
     loop), ``fixed`` (their common fixed subspace) and ``verdict`` (PD
     feasibility of the fixed space and the rank-one period cross-check).
-    Reading a stage runs the stages it needs first.  The settings are those
-    of :func:`global_metricity`.
+    Reading a stage runs the stages it needs first.  The keyword settings
+    are described at :func:`global_metricity`.
     """
 
     spec: ConnectionSpec
@@ -390,18 +390,15 @@ class Analysis:
         fiber_basis = canonical_basis(trace.terminal.basis @ fixed.basis)
         m = fixed.dim
 
-        pd_res = None
+        # a zero fixed space is a span of no generators, which is infeasible
+        pd_res = pdcone.pd_feasible(spec.sym.to_matrix(fiber_basis.T),
+                                    tol=self.pd_tol)
         if m == 0:
-            pd_status = "infeasible_certified"
             notes.append("no holonomy-fixed directions: no global parallel "
                          "sections at all")
-        else:
-            pd_res = pdcone.pd_feasible(spec.sym.to_matrix(fiber_basis.T),
-                                        tol=self.pd_tol)
-            pd_status = pd_res.status
 
         status = {"feasible": "metric", "infeasible_certified": "not_metric",
-                  "inconclusive": "inconclusive"}[pd_status]
+                  "inconclusive": "inconclusive"}[pd_res.status]
         rank_wm = m if status == "metric" else 0
 
         phi = None
@@ -439,16 +436,10 @@ class Analysis:
 
 
 def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
-                     grid_axes, *,
-                     rank_tol: float = DEFAULT_RANK_TOL,
-                     holonomy_tol: float = 1e-5,
-                     fixed_tol: float = DEFAULT_FIXED_TOL,
-                     pd_tol: float = 1e-8,
-                     rk4_steps: int = 4096,
-                     quadrature_steps: int = 4096,
-                     period_tol: Optional[float] = None) -> GlobalVerdict:
+                     grid_axes, **options) -> GlobalVerdict:
     """Full global pipeline: regularity scan, flag, holonomy, fixed subspace,
-    PD feasibility, and the rank-one period cross-check.
+    PD feasibility, and the rank-one period cross-check.  ``options`` are
+    the keyword settings of :class:`Analysis`, with its defaults.
 
     Regularity on the sample grid is a precondition of the global theory;
     any dimension jump short-circuits to ``not_regular``.  An irregular
@@ -459,10 +450,7 @@ def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
     (``fixed_tol`` and ``holonomy_tol``, or the loop's period tolerance).
     The verdict's ``analysis`` keeps every stage.
     """
-    an = Analysis(spec, point, loops, grid_axes, rank_tol=rank_tol,
-                  holonomy_tol=holonomy_tol, fixed_tol=fixed_tol,
-                  pd_tol=pd_tol, rk4_steps=rk4_steps,
-                  quadrature_steps=quadrature_steps, period_tol=period_tol)
+    an = Analysis(spec, point, loops, grid_axes, **options)
     # only the returned copy points at the analysis: a cached verdict that did
     # would form a cycle keeping every stage alive until garbage collection
     return replace(an.verdict, analysis=an)

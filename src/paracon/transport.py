@@ -35,7 +35,7 @@ from .expr import Binary, Const, Expr, Name, compile_expr, diff
 from .flag import Subspace
 
 __all__ = [
-    "Curve", "TransportResult", "HolonomyResult", "TransportError",
+    "Curve", "HolonomyResult", "TransportError",
     "CurveNotClosed", "DefectTooLarge", "transport", "holonomy_matrix",
     "parallel_extend", "line_curve", "doubling_levels", "converged",
 ]
@@ -115,32 +115,6 @@ class Curve:
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         return float(trapezoid(speed, ts))
 
-    def reversed(self) -> "Curve":
-        # substitute t -> t0 + t1 - t
-        sub = Binary("sub", Const(self.t0 + self.t1), Name("t"))
-        rev = [_substitute(e, "t", sub) for e in self.exprs]
-        return Curve(self.domain, rev, self.t0, self.t1,
-                     name=self.name + "~rev", params=self.params)
-
-
-def _substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    from .expr import Binary as B, Const as C, Name as N, Piecewise as P, Unary as U
-    if isinstance(e, C):
-        return e
-    if isinstance(e, N):
-        return replacement if e.name == name else e
-    if isinstance(e, U):
-        return U(e.op, _substitute(e.arg, name, replacement))
-    if isinstance(e, B):
-        return B(e.op, _substitute(e.left, name, replacement),
-                 _substitute(e.right, name, replacement))
-    if isinstance(e, P):
-        return P(e.cmp, _substitute(e.lhs, name, replacement),
-                 _substitute(e.rhs, name, replacement),
-                 _substitute(e.then, name, replacement),
-                 _substitute(e.other, name, replacement))
-    raise TypeError(f"not an Expr: {e!r}")
-
 
 def line_curve(domain: Domain, start, end, params: Optional[dict] = None,
                name: str = "segment") -> Curve:
@@ -152,11 +126,6 @@ def line_curve(domain: Domain, start, end, params: Optional[dict] = None,
         exprs.append(Binary("add", Const(float(a)),
                             Binary("mul", Name("t"), Const(float(b - a)))))
     return Curve(domain, exprs, 0.0, 1.0, name=name, params=params)
-
-
-@dataclass
-class TransportResult:
-    final: np.ndarray
 
 
 def _generators(spec: ConnectionSpec, curve: Curve, ts) -> np.ndarray:
@@ -189,8 +158,9 @@ def _compose(E: np.ndarray) -> np.ndarray:
 
 
 def transport(spec: ConnectionSpec, curve: Curve, v0,
-              steps: int = 4096) -> TransportResult:
-    """Parallel transport of a fiber vector (or basis matrix) along a curve."""
+              steps: int = 4096) -> np.ndarray:
+    """Parallel transport of a fiber vector (or basis matrix) along a curve;
+    the transported vector (or matrix)."""
     if steps < 16:
         raise TransportError("at least 16 RK4 steps required")
     v = np.asarray(v0, dtype=float)
@@ -204,7 +174,7 @@ def transport(spec: ConnectionSpec, curve: Curve, v0,
         nA = _generators(spec, curve, ts[2 * start:2 * stop + 1])
         np.negative(nA, out=nA)
         v = v + _compose(_step_maps(nA, h)) @ v
-    return TransportResult(v[:, 0] if single else v)
+    return v[:, 0] if single else v
 
 
 def doubling_levels(cap: int) -> list:
@@ -257,7 +227,7 @@ def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
     B = wtilde.basis
     H = estimate = None
     for s in [steps] if target is None else doubling_levels(steps):
-        T = transport(spec, loop, B, s).final
+        T = transport(spec, loop, B, s)
         H, coarse = B.T @ T, H
         if coarse is not None:
             estimate = float(np.abs(H - coarse).max(initial=0.0)) / 15.0
@@ -280,20 +250,16 @@ class SampledSection:
 
 
 def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
-                    grid_res: int = 3, steps: int = 256,
-                    wtilde: Optional[Subspace] = None,
-                    check_pairs: int = 6) -> SampledSection:
+                    grid_res: int = 3, steps: int = 256) -> SampledSection:
     """Sample the local parallel section through w on a coordinate ball.
 
     The value at each grid node is the transport of w along the straight
     coordinate ray from the base point; the reported residual is the largest
     disagreement against transport along an axis-aligned two-leg path over a
-    deterministic sample of nodes.
+    deterministic sample of nodes, the six farthest from the base point.
     """
     p = np.asarray(point, dtype=float)
     w = np.asarray(w, dtype=float)
-    if wtilde is not None and not wtilde.contains(w, tol=1e-6):
-        raise TransportError("vector does not lie in the terminal subspace")
     axes = [np.linspace(p[i] - radius, p[i] + radius, grid_res)
             for i in range(spec.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -311,10 +277,10 @@ def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
             values[i] = w
             continue
         ray = line_curve(spec.domain, p, q, params=spec.params)
-        values[i] = transport(spec, ray, w, steps).final
+        values[i] = transport(spec, ray, w, steps)
 
     residual = 0.0
-    far = np.argsort(-np.linalg.norm(nodes - p, axis=1))[:check_pairs]
+    far = np.argsort(-np.linalg.norm(nodes - p, axis=1))[:6]
     for i in far:
         q = nodes[i]
         corner = p.copy()
@@ -325,11 +291,11 @@ def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
             v_mid = w
         else:
             v_mid = transport(spec, line_curve(spec.domain, p, corner,
-                                               params=spec.params), w, steps).final
+                                               params=spec.params), w, steps)
         if np.allclose(corner, q, atol=1e-15):
             v_two = v_mid
         else:
             v_two = transport(spec, line_curve(spec.domain, corner, q,
-                                               params=spec.params), v_mid, steps).final
+                                               params=spec.params), v_mid, steps)
         residual = max(residual, float(np.linalg.norm(values[i] - v_two)))
     return SampledSection(nodes, values, residual)

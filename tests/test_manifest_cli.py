@@ -188,6 +188,20 @@ def test_cli_analyze_writes_deterministic_report(tmp_path, capsys):
     assert any("loops generating" in c for c in report["caveats"])
 
 
+def test_zero_fixed_subspace_reports_its_pd_certificate(tmp_path):
+    # dtheta-obstruction's holonomy fixes no direction: the empty span is
+    # certified infeasible with the witness I/n, and the verdict is unchanged
+    man = _write_manifest(tmp_path, "dtheta-obstruction")
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(man), "--out", str(out)]) == 0
+    gv = json.loads(out.read_text())["global_verdict"]
+    assert (gv["status"], gv["fixed_dim"], gv["rank_wm"]) == ("not_metric", 0, 0)
+    assert gv["pd"] == {"status": "infeasible_certified", "best_lambda": 0.0,
+                        "coefficients": None, "cholesky": None,
+                        "witness": [[0.5, 0.0], [0.0, 0.5]]}
+    assert any(n.startswith("no holonomy-fixed directions") for n in gv["notes"])
+
+
 def test_cli_report_keys_are_lower_snake_case(tmp_path):
     man = _write_manifest(tmp_path, "flat-trivial")
     out = tmp_path / "r.json"
@@ -584,3 +598,11 @@ def test_cli_version_and_usage_errors_exit_as_argparse_does(capsys):
     out, err = capsys.readouterr()
     assert out == f"paracon {__version__}\n" * 2
     assert err.count("usage: paracon") == 2
+
+
+def test_corpus_command_takes_no_param_override(capsys):
+    # goldens hold only at an entry's own parameters
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--id", "flat-trivial", "--param", "k=1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --param k=1" in capsys.readouterr().err
