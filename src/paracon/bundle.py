@@ -11,13 +11,14 @@ re-indexed through :class:`SymIndex`.  Curvature is
     R_ij = d_i Omega_j - d_j Omega_i + Omega_i Omega_j - Omega_j Omega_i
 
 with the overall sign pinned by the sphere-connection golden values in the
-test suite.
+test suite.  A :class:`Jet` holds the partials of Omega over one batch of
+points and builds each d^alpha nabla^j R from them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 from typing import Optional, Sequence
@@ -367,17 +368,27 @@ def omega_stack(spec: ConnectionSpec, points) -> np.ndarray:
 
 
 class Jet:
-    """The partials of Omega over one (m, n) batch by order, each order
-    evaluated once, on first use, and shared by every stack over the batch.
+    """The partials of Omega and the covariant derivatives of curvature over
+    one (m, n) batch, each evaluated once, on first use, and shared by every
+    stack over the batch.
 
-    Order 0 comes from :func:`omega_stack`, a higher order from the
-    connection's table of that order.
+    Order o of Omega comes from :func:`omega_stack` (o = 0) or the
+    connection's table of that order.  The curvature side is a triangle:
+    for each j, one array holds d^alpha nabla^j R for every |alpha| <= s - j,
+    rows by degree and as :func:`_degree` within one, where s is the highest
+    order built so far.  Asking for order s + 1 builds the antidiagonal
+    j + |alpha| = s + 1 and nothing else, since by the Leibniz rule
+    ``d^a nabla_k T = d^(a+e_k) T + sum_b C(a, b) [d^b Omega_k, d^(a-b) T]``
+    reads T's rows up to one degree higher.  :meth:`take` slices both sides,
+    so the flag's level L + 1 reads the rows its level L built.
     """
 
     def __init__(self, spec: ConnectionSpec, points):
         self.spec = spec
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self._orders = []
+        # j -> (m, rows, n**j, P, N, N), d^alpha nabla^j R by row
+        self._nabla = []
 
     def order(self, o: int) -> np.ndarray:
         """The partials of order ``o``; shape (m, T, n_k, N, N), T numbering
@@ -389,12 +400,143 @@ class Jet:
                 else omega_stack(self.spec, self.points)[:, None])
         return self._orders[o]
 
+    def curvature(self, order: int) -> np.ndarray:
+        """nabla^order R over the batch, laid out as
+        :func:`covariant_curvature_stack` returns it; it may share memory
+        with the jet's rows."""
+        m, n, N = len(self.points), self.spec.n, self.spec.N
+        if n < 2:  # one-dimensional chart: no curvature operators
+            return np.zeros((m, n ** order, 0, N, N))
+        while len(self._nabla) <= order:
+            self._antidiagonal(len(self._nabla))
+        return np.ascontiguousarray(self._nabla[order][:, 0])
+
+    def _antidiagonal(self, s: int):
+        """Build the antidiagonal j + |alpha| = s of the triangle, j = 0 up.
+        Each Leibniz term position takes one gather per factor and one
+        ``matmul`` over all the entries with a term there, which lead their
+        block; every entry takes the operations of its sum in the order
+        :func:`_curvature_terms` and :func:`_nabla_terms` list them."""
+        m, n, N = len(self.points), self.spec.n, self.spec.N
+        P = len(curvature_pairs(n))
+        top = self.order(s + 1).reshape(m, -1, N, N)  # row * n + k
+        low = (np.concatenate(self._orders[:s + 1], axis=1) if s
+               else self._orders[0]).reshape(m, -1, N, N)
+        (plus, minus), terms = _curvature_terms(n, s)
+        block = np.take(top, plus, axis=1) - np.take(top, minus, axis=1)
+        for e, left, right, c in terms:
+            prod = np.matmul(np.take(low, left, axis=1),
+                             np.take(low, right, axis=1))
+            if c is not None:
+                prod *= c[:, None, None]
+            block[:, :e] += prod[:, :e]
+            block[:, :e] -= prod[:, e:]
+        block = block.reshape(m, -1, 1, P, N, N)
+        for j in range(s + 1):
+            if j:  # d^alpha nabla^j R, |alpha| = s - j, from nabla^(j-1) R
+                src = self._nabla[j - 1]
+                src = src.reshape(m, src.shape[1], -1, N, N)
+                first, terms = _nabla_terms(n, s - j)
+                block = np.take(src, first, axis=1)
+                for e, om, rest, c in terms:
+                    om = np.take(low, om, axis=1)[:, :, None]
+                    t = np.take(src, rest, axis=1)
+                    t = np.matmul(om, t) - np.matmul(t, om)
+                    if c is not None:
+                        t *= c[:, None, None, None]
+                    block[:, :e] += t
+                block = block.reshape(m, -1, n ** j, P, N, N)
+            if j < len(self._nabla):
+                self._nabla[j] = np.concatenate([self._nabla[j], block],
+                                                axis=1)
+            else:
+                self._nabla.append(block)
+
     def take(self, idx) -> "Jet":
         """The jet at the points ``idx`` (a slice or an index array), with
-        the orders filled so far."""
+        the orders and the triangle filled so far."""
         sub = Jet(self.spec, self.points[idx])
         sub._orders = [a[idx] for a in self._orders]
+        sub._nabla = [a[idx] for a in self._nabla]
         return sub
+
+
+@lru_cache(maxsize=None)
+def _degree(n: int, degree: int) -> list:
+    """The count vectors of one degree in the order a :class:`Jet`'s
+    triangle holds them: most Leibniz terms first, then as
+    :func:`_multi_indices`, so that the entries with a term at any position
+    lead their block."""
+    return sorted(_multi_indices(n, degree),
+                  key=lambda a: -prod(x + 1 for x in a))
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int, degree: int, omega: bool = False) -> dict:
+    """The row of each count vector of degree at most ``degree`` in a
+    :class:`Jet`'s triangle, or with ``omega`` in its partials of Omega up
+    to that order laid side by side: by degree, and within one as
+    :func:`_degree` or :func:`_multi_indices` lists them."""
+    within = _multi_indices if omega else _degree
+    return {a: r for r, a in enumerate(
+        a for o in range(degree + 1) for a in within(n, o))}
+
+
+def _by_position(terms):
+    """Entry e's Leibniz terms ``terms[e]`` (index tuples ending in the
+    coefficient; no entry has more than one before it) by position: the
+    number of entries with a term there, each index as an array and the
+    coefficients, None where all are 1."""
+    out = []
+    for t in range(len(terms[0])):
+        *cols, c = zip(*(ts[t] for ts in terms if len(ts) > t))
+        out.append((len(c), *map(np.array, cols),
+                    None if set(c) == {1} else np.array(c, dtype=float)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _curvature_terms(n: int, degree: int):
+    """Index tables of d^alpha R, |alpha| = ``degree``, over the entries
+    (alpha, pair), alpha as :func:`_degree` lists them and the pairs as
+    :func:`curvature_pairs`.
+
+    ``d^a R_ij = d^(a+e_i) Omega_j - d^(a+e_j) Omega_i + sum_b C(a, b)
+    (d^b Omega_i d^(a-b) Omega_j - d^b Omega_j d^(a-b) Omega_i)``, each
+    product added, then subtracted, in :func:`_leibniz` order.  Returns the
+    rows ``t * n + k`` of the first two terms in Omega's partials of order
+    ``degree + 1`` and, by position, the number of entries, the factors of
+    the added products then of the subtracted ones, as rows ``row * n + k``
+    of Omega's partials up to order ``degree``, and the coefficients."""
+    up = {a: t for t, a in enumerate(_multi_indices(n, degree + 1))}
+    rows = _rows(n, degree, omega=True)
+    entries = [(a, i, j) for a in _degree(n, degree)
+               for i, j in curvature_pairs(n)]
+    first = (np.array([up[_up(a, i)] * n + j for a, i, j in entries]),
+             np.array([up[_up(a, j)] * n + i for a, i, j in entries]))
+    terms = _by_position([[(rows[b] * n + i, rows[b] * n + j,
+                            rows[r] * n + j, rows[r] * n + i, c)
+                           for b, r, c in _leibniz(a)]
+                          for a, i, j in entries])
+    return first, [(e, np.concatenate([bi, bj]), np.concatenate([rj, ri]),
+                    None if c is None else np.concatenate([c, c]))
+                   for e, bi, bj, rj, ri, c in terms]
+
+
+@lru_cache(maxsize=None)
+def _nabla_terms(n: int, degree: int):
+    """Index tables of d^alpha nabla_k T, |alpha| = ``degree``, over the
+    entries (alpha, k), alpha as :func:`_degree` lists them: the row of
+    d^(alpha+e_k) T and, by position, the number of entries, the Omega row
+    ``row(b) * n + k`` and the T row ``row(alpha - b)`` of each term and
+    the coefficients, in :func:`_leibniz` order."""
+    rows = _rows(n, degree + 1)
+    omega = _rows(n, degree, omega=True)
+    entries = [(a, k) for a in _degree(n, degree) for k in range(n)]
+    first = np.array([rows[_up(a, k)] for a, k in entries])
+    return first, _by_position([[(omega[b] * n + k, rows[r], c)
+                                 for b, r, c in _leibniz(a)]
+                                for a, k in entries])
 
 
 def curvature_pairs(n: int):
@@ -417,47 +559,10 @@ def covariant_curvature_stack(spec: ConnectionSpec, points, order: int,
     k_1) in row-major order and the pairs as :func:`curvature_pairs`.
 
     ``nabla_k T = d_k T + [Omega_k, T]`` acts on the fiber, and the base
-    indices are labels.  Every term is exact, by the Leibniz rule: the
-    partials of R up to ``order`` come from those of Omega up to
-    ``order + 1``, which ``jet``, the batch's :class:`Jet` (a new one when
-    omitted), supplies, and each nabla_k maps the partials of a stack up to
-    some order to those of its derivative up to one order less.
+    indices are labels.  Every term is exact, by the Leibniz rule.  The
+    stack is read from ``jet``, the batch's :class:`Jet` (a new one when
+    omitted), which builds each d^alpha nabla^j R it needs once: asking for
+    the next order adds one antidiagonal of its triangle.  The result may
+    share memory with the jet.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, n, N = pts.shape[0], spec.n, spec.N
-    pairs = curvature_pairs(n)
-    if not pairs:
-        return np.zeros((m, n ** order, 0, N, N))
-    jet = Jet(spec, pts) if jet is None else jet
-    # d^alpha Omega_k, (m, n_k, N, N), by count vector alpha
-    omega = {}
-    for o in range(order + 2):
-        stack = jet.order(o)
-        omega.update((a, stack[:, t])
-                     for t, a in enumerate(_multi_indices(n, o)))
-    dT = {}  # d^alpha of the current stack, (m, strings, P, N, N)
-    for o in range(order + 1):
-        for a in _multi_indices(n, o):
-            R = np.empty((m, 1, len(pairs), N, N))
-            for idx, (i, j) in enumerate(pairs):
-                r = omega[_up(a, i)][:, j] - omega[_up(a, j)][:, i]
-                for b, rest, c in _leibniz(a):
-                    r += c * np.matmul(omega[b][:, i], omega[rest][:, j])
-                    r -= c * np.matmul(omega[b][:, j], omega[rest][:, i])
-                R[:, 0, idx] = r
-            dT[a] = R
-    for top in range(order - 1, -1, -1):
-        # d^a nabla_k T = d^(a+e_k) T + sum_b C(a, b) [d^b Omega_k, d^(a-b) T]
-        nxt = {}
-        for a in (a for o in range(top + 1) for a in _multi_indices(n, o)):
-            parts = []
-            for k in range(n):
-                t = dT[_up(a, k)].copy()
-                for b, rest, c in _leibniz(a):
-                    om = omega[b][:, None, None, k]
-                    t += c * (np.matmul(om, dT[rest])
-                              - np.matmul(dT[rest], om))
-                parts.append(t)
-            nxt[a] = np.concatenate(parts, axis=1)
-        dT = nxt
-    return dT[(0,) * n]
+    return (Jet(spec, points) if jet is None else jet).curvature(order)

@@ -299,23 +299,26 @@ def build_report(man: Manifest, command: str) -> tuple:
 
 
 def _format_text(report: dict) -> str:
+    """The text summary of a report, read from the report as built."""
     lines = [f"paracon {report['tool_version']}: {report['command']} "
              f"(manifest {report['manifest_id'] or 'unnamed'})"]
     reg = report.get("regularity")
     if reg:
         lines.append(f"  regular on grid: {reg['regular_on_grid']}; "
-                     f"terminal dims {reg['dims']}")
+                     f"terminal dims {reg['dims'].tolist()}")
         for j in reg["jumps"]:
             lines.append(f"  jump {j['from']} (dim {j['dim_from']}) -> "
                          f"{j['to']} (dim {j['dim_to']})")
     tr = report.get("flag_trace")
     if tr:
-        lines.append(f"  flag dims {tr['dims']}, terminal dim "
+        lines.append(f"  flag dims {tr['dims'].tolist()}, terminal dim "
                      f"{tr['terminal_dim']}")
-    traces = report.get("flag_traces") or []
-    chains = Counter(str(t["dims"]) for t in traces)
-    for chain, count in chains.items():
-        lines.append(f"  flag dims {chain} at {count} of {len(traces)} points")
+    traces = report.get("flag_traces")
+    if traces:
+        dims, cut = traces.columns["dims"].tolist(), traces.cut["dims"]
+        chains = Counter(str(d[:c]) for d, c in zip(dims, cut.tolist()))
+        for chain, count in chains.items():
+            lines.append(f"  flag dims {chain} at {count} of {len(dims)} points")
     hol = report.get("holonomy")
     if hol:
         for h in ([hol] if isinstance(hol, dict) else hol):
@@ -339,12 +342,13 @@ def _format_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(pieces: tuple, out_path: str, fmt: str):
+def _write_report(report: dict, pieces: tuple, out_path: str, fmt: str):
+    """Write the report's canonical pieces to ``out_path``; print its text
+    summary or the path."""
     with open(out_path, "wb") as fh:
         fh.writelines(pieces)
     if fmt == "text":
-        # the summary reads the report as written, in plain JSON values
-        sys.stdout.write(_format_text(json.loads(b"".join(pieces))))
+        sys.stdout.write(_format_text(report))
     else:
         print(f"report written to {out_path}")
 
@@ -388,7 +392,7 @@ def run(command: str, manifest_path: str, args) -> int:
             "flag_trace": _flag_rows(scan).record(0),
             "caveats": [CHART_ONLY_CAVEAT],
         }
-        _write_report(_finalize(report), args.out, args.format)
+        _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
     if command == "holonomy":
@@ -413,11 +417,11 @@ def run(command: str, manifest_path: str, args) -> int:
                              wtilde_rank=an.base_trace.terminal.dim),
             "caveats": [CHART_ONLY_CAVEAT],
         }
-        _write_report(_finalize(report), args.out, args.format)
+        _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
-    _, pieces, code = build_report(man, command)
-    _write_report(pieces, args.out, args.format)
+    report, pieces, code = build_report(man, command)
+    _write_report(report, pieces, args.out, args.format)
     return code
 
 

@@ -24,7 +24,9 @@ an (m, n) batch, :func:`curvature_kernel` over the whole batch and
 :func:`second_fundamental_kernel` over slices of at most ``_SLICE`` points,
 grouping points by dimension where an SVD needs one shape.  Every level
 reads the batch's :class:`~paracon.bundle.Jet`, so each order of the
-partials of Omega is evaluated once per point.
+partials of Omega and each d^alpha nabla^j R is evaluated once per point:
+level L + 1 builds only the jet's next antidiagonal over the rows level L
+left.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ certificate is reached the status ``inconclusive`` is reported rather than
 coerced.
 
 A screen comes first: the starts (the generators, their negatives, and plus
-and minus the trace direction) of every span of a batch go through one
-``eigvalsh``, and the spans whose best start clears the tolerance through one
-batched Cholesky.  Each span the screen does not certify gets a log-barrier
-Newton solve (Boyd and Vandenberghe, *Convex Optimization*, ch. 11), whose
-iterates give the primal combination and, from ``F^-1``, the dual witness.
+and minus the trace direction where it is not one of those) of every span of
+a batch go through one ``eigvalsh``, and the spans whose best start clears
+the tolerance through one batched Cholesky.  Each span the screen does not
+certify gets a log-barrier Newton solve (Boyd and Vandenberghe, *Convex
+Optimization*, ch. 11), whose iterates give the primal combination and, from
+``F^-1``, the dual witness.
 The tolerance is relative: each span is judged in the unit of its largest
 generator norm, so a span and its positive multiples get the same answer.
 :func:`pd_feasible` is :func:`pd_feasible_batch` on a batch of one span.
@@ -85,12 +86,19 @@ def _trace_units(stack):
     return units, traced
 
 
+def _signed_unit_rows(units):
+    """Which rows of an (m, d) array are exactly +-e_a for some a."""
+    return (np.count_nonzero(units, axis=1) == 1) & \
+        (np.abs(units).max(axis=1, initial=0.0) == 1.0)
+
+
 def _screen(stack, units):
     """The start screen over an (m, d, n, n) stack of nonzero spans: every
     start's combination goes through one batched ``eigvalsh``.
 
     A span's starts are the rows e_a and -e_a, then +-``units[i]`` (its unit
-    trace direction; ``units`` is None for spans of traceless generators).
+    trace direction; ``units`` is None for spans of traceless generators and
+    for those whose direction is exactly +-e_a, which the first rows hold).
     Returns the starts, (m, K, d), and the smallest eigenvalue of each
     start's combination, (m, K).
     """
@@ -201,6 +209,9 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
     norms = _norms(S[idx].reshape(-1, n * n))
     scales = norms.reshape(idx.size, d).max(axis=1, initial=0.0)
     units, traced = _trace_units(S[idx])
+    # a unit trace direction of exactly +-e_a repeats the starts +-e_a, as on
+    # every span of one generator with a normal trace, so it is dropped
+    traced &= ~_signed_unit_rows(units)
     for sel, u in ((traced, units[traced]), (~traced, None)):
         part, scale = idx[sel], scales[sel]
         if not part.size:

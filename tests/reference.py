@@ -1,12 +1,19 @@
 """Reference implementations the tests compare the library against: a scalar
-expression evaluator, independent of the compiled tape, and curve reversal.
+expression evaluator, independent of the compiled tape, curve reversal, the
+per-pair Leibniz loops of the covariant curvature stack and the text summary
+of a report read back from its JSON.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
+from paracon.bundle import (Jet, _leibniz, _multi_indices, _up,
+                            curvature_pairs)
 from paracon.expr import (Binary, Const, EvalError, Expr, Name, Piecewise,
                           Unary, to_text)
 from paracon.transport import Curve
@@ -116,3 +123,91 @@ def _substitute(e: Expr, name: str, replacement: Expr) -> Expr:
                          _substitute(e.then, name, replacement),
                          _substitute(e.other, name, replacement))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def covariant_curvature_stack(spec, points, order: int) -> np.ndarray:
+    """nabla^order R over an (m, n) batch, laid out as
+    :func:`paracon.bundle.covariant_curvature_stack` returns it, built from a
+    fresh jet's partials of Omega by one loop over (alpha, pair, beta) and
+    one over (alpha, k, beta).  Every entry takes the same operations in the
+    same order as the library's batched tables, so the bits agree."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m, n, N = pts.shape[0], spec.n, spec.N
+    pairs = curvature_pairs(n)
+    if not pairs:
+        return np.zeros((m, n ** order, 0, N, N))
+    jet = Jet(spec, pts)
+    # d^alpha Omega_k, (m, n_k, N, N), by count vector alpha
+    omega = {}
+    for o in range(order + 2):
+        stack = jet.order(o)
+        omega.update((a, stack[:, t])
+                     for t, a in enumerate(_multi_indices(n, o)))
+    dT = {}  # d^alpha of the current stack, (m, strings, P, N, N)
+    for o in range(order + 1):
+        for a in _multi_indices(n, o):
+            R = np.empty((m, 1, len(pairs), N, N))
+            for idx, (i, j) in enumerate(pairs):
+                r = omega[_up(a, i)][:, j] - omega[_up(a, j)][:, i]
+                for b, rest, c in _leibniz(a):
+                    r += c * np.matmul(omega[b][:, i], omega[rest][:, j])
+                    r -= c * np.matmul(omega[b][:, j], omega[rest][:, i])
+                R[:, 0, idx] = r
+            dT[a] = R
+    for top in range(order - 1, -1, -1):
+        # d^a nabla_k T = d^(a+e_k) T + sum_b C(a, b) [d^b Omega_k, d^(a-b) T]
+        nxt = {}
+        for a in (a for o in range(top + 1) for a in _multi_indices(n, o)):
+            parts = []
+            for k in range(n):
+                t = dT[_up(a, k)].copy()
+                for b, rest, c in _leibniz(a):
+                    om = omega[b][:, None, None, k]
+                    t += c * (np.matmul(om, dT[rest])
+                              - np.matmul(dT[rest], om))
+                parts.append(t)
+            nxt[a] = np.concatenate(parts, axis=1)
+        dT = nxt
+    return dT[(0,) * n]
+
+
+def format_text(report: dict) -> str:
+    """The text summary of a report as parsed from its written JSON."""
+    lines = [f"paracon {report['tool_version']}: {report['command']} "
+             f"(manifest {report['manifest_id'] or 'unnamed'})"]
+    reg = report.get("regularity")
+    if reg:
+        lines.append(f"  regular on grid: {reg['regular_on_grid']}; "
+                     f"terminal dims {reg['dims']}")
+        for j in reg["jumps"]:
+            lines.append(f"  jump {j['from']} (dim {j['dim_from']}) -> "
+                         f"{j['to']} (dim {j['dim_to']})")
+    tr = report.get("flag_trace")
+    if tr:
+        lines.append(f"  flag dims {tr['dims']}, terminal dim "
+                     f"{tr['terminal_dim']}")
+    traces = report.get("flag_traces") or []
+    chains = Counter(str(t["dims"]) for t in traces)
+    for chain, count in chains.items():
+        lines.append(f"  flag dims {chain} at {count} of {len(traces)} points")
+    hol = report.get("holonomy")
+    if hol:
+        for h in ([hol] if isinstance(hol, dict) else hol):
+            lines.append(f"  holonomy[{h['loop']}]: defect {h['defect']:.2e}")
+    gv = report.get("global_verdict")
+    if gv:
+        lines.append(f"  global status: {gv['status']} "
+                     f"(rank_wm {gv['rank_wm']}, "
+                     f"wtilde rank {gv['wtilde_rank']})")
+        if gv.get("phi_periods"):
+            lines.append(f"  phi periods: {gv['phi_periods']['periods']}")
+        for n in gv.get("notes", []):
+            lines.append(f"  note: {n}")
+    fb = report.get("flat_bundle")
+    if fb:
+        lines.append(f"  flat bundle: rank {fb['wtilde_rank']}, fixed "
+                     f"{fb['fixed_dim']}, parallel frame "
+                     f"{fb['parallel_frame']}")
+    for c in report.get("caveats", []):
+        lines.append(f"  caveat: {c}")
+    return "\n".join(lines) + "\n"

@@ -25,10 +25,6 @@ def _traced_pass(workload):
     return result
 
 
-def test_benchmark_traced_deep_flag_pass_is_correct():
-    _traced_pass("deep-flag")
-
-
 def test_benchmark_traced_fine_grid_pass_is_correct():
     # the tracer asserts that pd_feasible and local_metricity run here and
     # that transport is bypassed
@@ -48,6 +44,13 @@ _CONTRACT = ("expr.diff", "expr.compile_expr", "bundle.omega_stack",
 def _assert_called(metrics, names):
     for name in names:
         assert metrics[f"{name}.calls"]["value"] >= 1, name
+
+
+def test_benchmark_traced_deep_flag_pass_is_correct():
+    # the workload whose deep flags read the jet's covariant rows: they must
+    # still come through the traced layers
+    _assert_called(_traced_pass("deep-flag")["metrics"],
+                   _CONTRACT + ("flag.second_fundamental_kernel",))
 
 
 def test_benchmark_traced_corpus_pass_is_correct():

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from paracon.bundle import (ConnectionSpec, Domain, ExpressionEvalFailure,
-                            PointOutsideDomain, SymIndex, curvature_pairs,
+import reference
+from paracon.bundle import (ConnectionSpec, Domain, ExpressionEvalFailure, Jet,
+                            PointOutsideDomain, SymIndex,
+                            covariant_curvature_stack, curvature_pairs,
                             curvature_stack, nudge_off_breakpoints,
                             omega_stack)
 from paracon.expr import compile_expr, diff, parse_expr
 from paracon.transport import line_curve, transport
 from reference import EvalContext, evaluate
+
+TWO_PI = 2.0 * np.pi
 
 
 def test_sym_index_bijection_and_weights():
@@ -268,3 +272,86 @@ def test_order_four_table_is_a_small_tape():
     indices, tape = get_entry("smooth-pathology").manifest().spec._table(4)
     assert len(indices) == 15
     assert len(tape) < 1000
+
+
+def _jet_charts():
+    """(name, spec, points) for the jet tests: the deep-flag workload's
+    N = 5 matrix connection (n = 2, one pair), the cone x line Christoffel
+    chart (n = 3, three pairs), a curved 3-D Christoffel chart whose
+    partials of every order are nonzero, and a 1-D chart (no pairs)."""
+    z = parse_expr("0")
+    omega = [[[z, z] for _ in range(5)] for _ in range(5)]
+    omega[1][4] = [parse_expr("exp(y)"), z]
+    for i, j in ((2, 3), (4, 0), (0, 3)):
+        omega[i][j] = [z, parse_expr("y")]
+    box = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    deep = ConnectionSpec(box, kind="matrix", fiber_dim=5, omega=omega)
+    cone = ConnectionSpec(
+        Domain(names=("r", "theta", "z"), lows=(0.2, 0.0, -1.0),
+               highs=(3.0, TWO_PI, 1.0), periods=(None, TWO_PI, None)),
+        kind="christoffel", params={"k": 0.3},
+        gamma={(0, 1, 1): parse_expr("-k^2*r"),
+               (1, 0, 1): parse_expr("1/r"), (1, 1, 0): parse_expr("1/r")})
+    curved = ConnectionSpec(
+        Domain(names=("x", "y", "z"), lows=(-1.0,) * 3, highs=(1.0,) * 3),
+        kind="christoffel",
+        gamma={(0, 1, 1): parse_expr("sin(x)*z"),
+               (1, 0, 2): parse_expr("exp(y) - z^2"),
+               (2, 1, 0): parse_expr("x*y*z + cos(y)"),
+               (0, 2, 2): parse_expr("cos(y + z)*x")})
+    line = ConnectionSpec(Domain(names=("x",), lows=(-1.0,), highs=(1.0,)),
+                          kind="matrix", fiber_dim=2,
+                          omega=[[[parse_expr("x")], [parse_expr("1")]],
+                                 [[parse_expr("exp(x)")], [z]]])
+    rng = np.random.default_rng(17)
+    return [("deep-flag", deep, rng.uniform(0.05, 0.9, (9, 2))),
+            ("cone-line", cone, rng.uniform([0.5, 0.0, -0.8],
+                                            [2.5, 6.0, 0.8], (9, 3))),
+            ("curved-3d", curved, rng.uniform(-0.8, 0.8, (6, 3))),
+            ("line", line, rng.uniform(-0.8, 0.8, (5, 1)))]
+
+
+@pytest.mark.parametrize("name,spec,pts", _jet_charts(),
+                         ids=[c[0] for c in _jet_charts()])
+def test_jet_covariant_stacks_match_the_per_pair_reference(name, spec, pts):
+    # the batched Leibniz tables give the bits of one loop per (alpha,
+    # pair, beta) and per (alpha, k, beta); so do a fresh jet per order,
+    # one jet filled order by order, and the part of a partly filled jet
+    m, n, N, P = len(pts), spec.n, spec.N, len(curvature_pairs(spec.n))
+    filled = Jet(spec, pts)
+    part = np.array([4, 0, 3])
+    for order in range(4):
+        want = reference.covariant_curvature_stack(spec, pts, order)
+        assert want.shape == (m, n ** order, P, N, N)
+        assert _same_bits(covariant_curvature_stack(spec, pts, order), want)
+        # the jet taken before this order was built, then filled on its own
+        sub = filled.take(part)
+        assert _same_bits(covariant_curvature_stack(spec, pts, order, filled),
+                          want)
+        assert _same_bits(sub.curvature(order), want[part])
+        assert _same_bits(filled.take(slice(1, 4)).curvature(order),
+                          want[1:4])
+    assert _same_bits(curvature_stack(spec, pts, filled),
+                      reference.covariant_curvature_stack(spec, pts, 0)[:, 0])
+
+
+def test_jet_builds_each_covariant_row_once():
+    # asking for order 3 after orders 0-2 adds only the antidiagonal
+    # j + |alpha| = 3: rows already built are carried over, not rebuilt
+    _, spec, pts = _jet_charts()[0]
+    jet = Jet(spec, pts)
+    jet.curvature(2)
+    sizes = [a.shape[1] for a in jet._nabla]
+    assert sizes == [6, 3, 1]  # |alpha| <= 2, 1 and 0
+    for a in jet._nabla:  # a marker no build would write
+        a[...] = 7.0
+    sub = jet.take(slice(2, 5))
+    jet.curvature(3)
+    sub.curvature(3)
+    for j in (jet, sub):
+        assert [a.shape[1] for a in j._nabla] == [10, 6, 3, 1]
+        for a, old in zip(j._nabla, sizes):
+            assert np.all(a[:, :old] == 7.0)
+            assert not np.any(a[:, old:] == 7.0)
+    # a lower order is read back, not rebuilt
+    assert np.all(jet.curvature(1) == 7.0)

@@ -11,6 +11,7 @@ from paracon.cli import (Rows, _finalize, _parser, build_report,
                          canonical_json, main)
 from paracon.corpus import ENTRY_IDS, get_entry, load_corpus
 from paracon.manifest import ManifestError, load_manifest, manifest_from_dict
+from reference import format_text
 
 
 def minimal_doc(**over):
@@ -282,6 +283,39 @@ def _deep_flag_doc():
                 {"name": "y", "range": [-2.0, 2.0]}],
         connection={"kind": "matrix", "fiber_dim": 5, "omega": omega},
         base_point=[0.3, 0.1], grid={"values": [[0.2, 0.5], [0.1, 0.4, 0.7]]})
+
+
+def _workload_manifests(tmp_path):
+    """The seed-1 manifests of the benchmark's three scaled workloads."""
+    import os
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return [job.manifest_path for name in ("fine-grid", "deep-flag",
+                                           "loops-3d")
+            for job in WORKLOADS[name](root, str(tmp_path), 1)]
+
+
+def test_text_summary_reads_as_the_written_report(tmp_path, capsys):
+    # the summary comes from the report as built; it must print what the
+    # summary of the written JSON, read back, prints
+    runs = []
+    for eid in ENTRY_IDS:
+        path = str(_write_manifest(tmp_path, eid))
+        man = load_manifest(path)
+        point = ",".join(repr(float(v)) for v in man.base_point)
+        runs += [["analyze", path], ["global", path],
+                 ["flag", path, "--point", point]]
+        runs += [["holonomy", path, "--loop", loop.name] for loop in man.loops]
+    runs += [["analyze", path] for path in _workload_manifests(tmp_path)]
+    out = tmp_path / "r.json"
+    for argv in runs:
+        main(argv + ["--out", str(out), "--format", "text"])
+        text = capsys.readouterr().out
+        assert text == format_text(json.loads(out.read_bytes())), argv
 
 
 def test_cli_text_format(tmp_path, capsys):

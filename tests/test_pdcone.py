@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from paracon import pdcone
 from paracon.bundle import SymIndex
 from paracon.pdcone import (_norms, _trace_units, _try_cholesky, pd_feasible,
                             pd_feasible_batch)
@@ -397,3 +398,48 @@ def test_non_finite_span_is_inconclusive(bad):
     # in a batch, beside a span that the screen certifies
     got = pd_feasible_batch(np.array([mats, [np.eye(2)]]))
     assert [r.status for r in got] == ["inconclusive", "feasible"]
+
+
+def test_unit_trace_starts_that_repeat_a_generator_are_dropped(monkeypatch):
+    # one-generator spans of either trace sign (their unit trace direction
+    # is exactly +-e_1), a two-generator span with one traced generator
+    # (+-e_2), a trace whose square is subnormal (|u| != 1, kept), traceless
+    # spans and spans the barrier decides; with the duplicates, a start and
+    # its repeat tie, and argmax takes the first
+    t = 1.5e-160
+    spans = [[np.diag([2.0, 1.0])], [np.diag([-2.0, -1.0])],
+             [np.diag([3.0, -1.0])], [np.diag([1.0, -3.0])],
+             [np.diag([t, 0.0])], [np.diag([1.0, -1.0])],
+             [np.array([[0.0, 1.0], [1.0, 0.0]])],
+             [np.diag([1.0, -1.0]), np.diag([0.5, 2.0])],
+             [np.array([[1.0, 2.0], [2.0, 1.0]])]]
+    units, _ = _trace_units(np.array([s[:1] for s in spans[:5]]))
+    assert units[:4, 0].tolist() == [1.0, -1.0, 1.0, -1.0]
+    assert abs(units[4, 0]) != 1.0
+    screen = pdcone._screen
+
+    def run(batch, starts):
+        def recorded(stack, u):
+            out = screen(stack, u)
+            starts.append(out[0].shape)
+            return out
+        with monkeypatch.context() as m:
+            m.setattr(pdcone, "_screen", recorded)
+            return pd_feasible_batch(batch)
+
+    # (spans, starts, d) of each screen call: the traced group, then the rest
+    for d, drop, keep in ((1, [(1, 4, 1), (7, 2, 1)], [(6, 4, 1), (2, 2, 1)]),
+                          (2, [(1, 4, 2)], [(1, 6, 2)])):
+        batch = np.array([s for s in spans if len(s) == d])
+        drops, keeps = [], []
+        got = run(batch, drops)
+        with monkeypatch.context() as m:  # the screen with the duplicates
+            m.setattr(pdcone, "_signed_unit_rows",
+                      lambda u: np.zeros(len(u), dtype=bool))
+            want = run(batch, keeps)
+        for a, b in zip(got, want, strict=True):
+            assert a.status == b.status
+            for field in ("best_lambda", "coefficients", "cholesky",
+                          "witness"):
+                assert _same_bits(getattr(a, field), getattr(b, field))
+        assert (drops, keeps) == (drop, keep)
