@@ -4,10 +4,11 @@ regular case via holonomy-fixed subspaces plus positive-definite feasibility.
 For a regular connection, the global parallel sections of the terminal
 subspace are the vectors fixed by every declared holonomy generator; the
 connection is globally metric exactly when that fixed space meets the open
-positive-definite cone.  When the terminal subspace has rank one the same
-question is answered by vanishing of the periods of the 1-form defined by
-``nabla s = s (x) Phi`` for a tracked positive generator section s, and the
-two criteria are cross-checked against each other.
+positive-definite cone.  When the terminal subspace has rank one and a
+positive-definite generator, the same question is answered by vanishing of
+the periods of the 1-form defined by ``nabla s = s (x) Phi``, which is the
+frame-free trace form ``tr(P Omega)`` of the projector P on the terminal
+subspace, and the two criteria are cross-checked against each other.
 
 Everything here is conditional on the declared loops generating the
 fundamental group of the chart domain, which the tool cannot verify; every
@@ -33,9 +34,8 @@ from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
                         converged, doubling_levels, holonomy_matrix)
 
 __all__ = [
-    "GlobalError", "RankNotOne", "GeneratorNotPD", "PhiSampler", "PhiPeriods",
-    "GlobalVerdict", "Analysis", "phi_periods", "fixed_subspace",
-    "global_metricity",
+    "GlobalError", "PhiPeriods", "GlobalVerdict", "Analysis", "phi_form",
+    "phi_periods", "fixed_subspace", "global_metricity",
     "LOOP_GENERATION_CAVEAT", "CHART_ONLY_CAVEAT", "DEFAULT_FIXED_TOL",
 ]
 
@@ -43,7 +43,6 @@ DEFAULT_FIXED_TOL = 1e-6
 # step doubling stops once its error estimate is this fraction of the
 # smallest tolerance the value feeds
 _TARGET_FRACTION = 1e-3
-_TRACE_TOL = 1e-8  # smallest |trace| of a tracked unit section
 
 LOOP_GENERATION_CAVEAT = (
     "conditional on declared loops generating the fundamental group of the "
@@ -56,91 +55,35 @@ class GlobalError(RuntimeError):
     pass
 
 
-class RankNotOne(GlobalError):
-    pass
+def phi_form(spec: ConnectionSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
+             gauge: Optional[Expr] = None) -> np.ndarray:
+    """The trace form ``Phi_k = tr(P Omega_k)`` at an (m, n) batch of points,
+    where P is the orthogonal projector on the terminal subspace; shape (m, n).
 
-
-class GeneratorNotPD(GlobalError):
-    """The tracked generator is not positive-definite, so the de Rham
-    criterion does not apply (the connection is not locally metric there)."""
-
-
-class PhiSampler:
-    """Callable sampler of the 1-form Phi defined by ``nabla s = s (x) Phi``.
-
-    The tracked section s(q) is the normalized projection of the base-point
-    generator onto the terminal subspace at q, sign-fixed to positive trace;
-    for a rank-one terminal subspace this is the unit positive-trace
-    generator.  A near-vanishing projection or trace marks a tracker
-    discontinuity (sign flip) and raises :class:`GeneratorNotPD`.
-
-    Phi is exact, with no differencing: s has unit Euclidean norm, so
-    ``<s, d_k s> = 0``, and ``nabla_k s = d_k s + Omega_k s = Phi_k s`` gives
-    ``Phi_k = s^T Omega_k s``.  A ``gauge`` f > 0 (a DSL expression) rescales
-    the section to f s, which adds the exact ``d_k f / f`` from the compiled
-    derivatives of f; it realizes other sections of the positive cone for
+    With B an orthonormal terminal basis, ``tr(P Omega_k) = sum_a b_a^T
+    Omega_k b_a``, the same for every orthonormal frame, so no section is
+    tracked and a sign never flips.  On a rank-one terminal subspace it is
+    the 1-form of ``nabla s = s (x) Phi`` for either unit generator s:
+    ``<s, d_k s> = 0`` gives ``Phi_k = s^T Omega_k s``, exactly, with no
+    differencing.  A ``gauge`` f > 0 (a DSL expression) rescales the section
+    to f s, which adds the exact ``d_k f / f`` from the compiled derivatives
+    of f; it realizes other sections of the positive cone for
     gauge-invariance checks.
     """
-
-    def __init__(self, spec: ConnectionSpec, base_point, wtilde: Optional[Subspace] = None,
-                 rank_tol: float = DEFAULT_RANK_TOL, pd_tol: float = 1e-8):
-        if spec.kind != "christoffel":
-            raise NotSym2Bundle("Phi tracking needs the Sym^2 fiber")
-        self.spec = spec
-        self.base_point = np.asarray(base_point, dtype=float)
-        self.rank_tol = rank_tol
-        if wtilde is None:
-            wtilde = derived_flag(spec, base_point, rank_tol=rank_tol).terminal
-        if wtilde.dim != 1:
-            raise RankNotOne(f"terminal subspace has rank {wtilde.dim}, not 1")
-        g = wtilde.basis[:, 0]
-        g = g * np.sign(self._traces(g[None, :])[0] or 1.0)
-        if pdcone.pd_feasible(spec.sym.to_matrix(g[None]),
-                              tol=pd_tol).status != "feasible":
-            raise GeneratorNotPD(
-                "terminal generator is not positive-definite; the connection "
-                "is not locally metric at the base point")
-        self.base_generator = g
-
-    def _traces(self, vecs):
-        # diagonal pairs occupy the first n fiber slots
-        return vecs[:, : self.spec.n].sum(axis=1)
-
-    def generators(self, points, jet: Optional[Jet] = None) -> np.ndarray:
-        """Tracked unit sections at an (m, n) batch of points; shape (m, N).
-        ``jet``, a :class:`Jet` over the batch, is left holding Omega."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        bases = batch_terminal_bases(self.spec, pts, self.rank_tol, jet=jet)
-        proj = np.einsum("mia,ma->mi", bases,
-                         np.einsum("mia,i->ma", bases, self.base_generator))
-        norms = np.linalg.norm(proj, axis=1)
-        if np.min(norms) < 0.5:
-            raise GeneratorNotPD(
-                "tracked generator projection degenerates along the sample "
-                "set (possible sign flip of the terminal line bundle)")
-        s = proj / norms[:, None]
-        tr = self._traces(s)
-        if np.min(np.abs(tr)) < _TRACE_TOL:
-            raise GeneratorNotPD("tracked generator trace crosses zero")
-        return s * np.sign(tr)[:, None]
-
-    def __call__(self, points, gauge: Optional[Expr] = None) -> np.ndarray:
-        """Phi at an (m, n) batch of points; shape (m, n)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        jet = Jet(self.spec, pts)
-        s = self.generators(pts, jet)
-        omega = jet.order(0)[:, 0]  # (m, n, N, N), as the flag evaluated it
-        phi = np.einsum("mi,mkij,mj->mk", s, omega, s)
-        if gauge is not None:
-            env = self.spec.domain.env(pts, self.spec.params)
-            f = np.broadcast_to(compile_expr(gauge)(env), (len(pts),))
-            if not np.all(f > 0.0):  # NaN is not positive either
-                raise GlobalError("gauge factor must be positive")
-            partials = compile_expr([diff(gauge, x)
-                                     for x in self.spec.domain.names])
-            for k, d in enumerate(partials(env)):
-                phi[:, k] += np.broadcast_to(d, (len(pts),)) / f
-        return phi
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    jet = Jet(spec, pts)
+    bases = batch_terminal_bases(spec, pts, rank_tol, jet=jet)
+    omega = jet.order(0)[:, 0]  # (m, n, N, N), as the flag evaluated it
+    phi = np.einsum("mia,mkij,mja->mk", bases, omega, bases)
+    if gauge is not None:
+        env = spec.domain.env(pts, spec.params)
+        f = np.broadcast_to(compile_expr(gauge)(env), (len(pts),))
+        if not np.all(f > 0.0):  # NaN is not positive either
+            raise GlobalError("gauge factor must be positive")
+        partials = compile_expr([diff(gauge, x) for x in spec.domain.names])
+        for k, d in enumerate(partials(env)):
+            phi[:, k] += np.broadcast_to(d, (len(pts),)) / f
+    return phi
 
 
 @dataclass
@@ -156,11 +99,12 @@ class PhiPeriods:
         return max((abs(p) for p in self.periods), default=0.0)
 
 
-def phi_periods(sampler: PhiSampler, loops: Sequence[Curve],
+def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
                 quadrature_steps: int = 4096,
                 gauge: Optional[Expr] = None, *,
+                rank_tol: float = DEFAULT_RANK_TOL,
                 target=None) -> PhiPeriods:
-    """Trapezoid-rule loop periods of the sampled Phi.
+    """Trapezoid-rule loop periods of :func:`phi_form`.
 
     For closed loops the trapezoid rule over the uniform parameter grid
     coincides with the left-endpoint sum, which is what is computed.
@@ -187,10 +131,12 @@ def phi_periods(sampler: PhiSampler, loops: Sequence[Curve],
         for m in levels:
             stride = quadrature_steps // m
             if phi is None:
-                phi = sampler(loop.points(ts[::stride]), gauge=gauge)
+                phi = phi_form(spec, loop.points(ts[::stride]), rank_tol,
+                               gauge)
             else:
                 # the previous level's points are the even ones of this one
-                new = sampler(loop.points(ts[stride::2 * stride]), gauge=gauge)
+                new = phi_form(spec, loop.points(ts[stride::2 * stride]),
+                               rank_tol, gauge)
                 phi = np.stack([phi, new], axis=1).reshape(m, -1)
             vel = loop.velocities(ts[::stride])
             dt = (loop.t1 - loop.t0) / m
@@ -404,29 +350,36 @@ class Analysis:
         phi = None
         period_tols = []
         if wrank == 1 and self.loops:
-            try:
-                sampler = PhiSampler(spec, trace.point, trace.terminal,
-                                     rank_tol=self.rank_tol,
-                                     pd_tol=self.pd_tol)
+            # a Christoffel connection moves the line by congruence, so a PD
+            # generator stays PD along every loop; an indefinite one need not
+            line = spec.sym.to_matrix(trace.terminal.basis.T)
+            if pdcone.pd_feasible(line, tol=self.pd_tol).status != "feasible":
+                notes.append(
+                    "de Rham route skipped: terminal generator is not "
+                    "positive-definite; the connection is not locally metric "
+                    "at the base point")
+            else:
                 tols = [(self.period_tol if self.period_tol is not None
                          else 1e-4 * (1.0 + loop.length()))
                         for loop in self.loops]
-                phi = phi_periods(sampler, self.loops, self.quadrature_steps,
-                                  target=[_TARGET_FRACTION * t for t in tols])
-                period_tols = tols
-                periods_zero = all(abs(p) < tol for p, tol
-                                   in zip(phi.periods, period_tols))
-                if status in ("metric", "not_metric"):
-                    if periods_zero != (status == "metric"):
+                try:
+                    phi = phi_periods(spec, self.loops, self.quadrature_steps,
+                                      rank_tol=self.rank_tol,
+                                      target=[_TARGET_FRACTION * t
+                                              for t in tols])
+                except IrregularPoint as exc:
+                    notes.append(f"de Rham route failed: {exc}")
+                else:
+                    period_tols = tols
+                    periods_zero = all(abs(p) < tol
+                                       for p, tol in zip(phi.periods, tols))
+                    if (status in ("metric", "not_metric")
+                            and periods_zero != (status == "metric")):
                         notes.append(
                             "rank-one period criterion disagrees with the "
                             "holonomy criterion; downgrading to inconclusive")
                         status = "inconclusive"
                         rank_wm = 0
-            except GeneratorNotPD as exc:
-                notes.append(f"de Rham route skipped: {exc}")
-            except (RankNotOne, IrregularPoint) as exc:
-                notes.append(f"de Rham route failed: {exc}")
 
         return GlobalVerdict(status, True, wtilde_rank=wrank,
                              fixed=fixed, fixed_fiber_basis=fiber_basis,

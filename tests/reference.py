@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against: a scalar
 expression evaluator, independent of the compiled tape, curve reversal, the
-per-pair Leibniz loops of the covariant curvature stack and the text summary
-of a report read back from its JSON.
+per-pair Leibniz loops of the covariant curvature stack, a tracked unit
+section of a rank-one terminal line and the text summary of a report read
+back from its JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from paracon.bundle import (Jet, _leibniz, _multi_indices, _up,
                             curvature_pairs)
 from paracon.expr import (Binary, Const, EvalError, Expr, Name, Piecewise,
                           Unary, to_text)
+from paracon.flag import batch_terminal_bases
 from paracon.transport import Curve
 
 
@@ -169,6 +171,20 @@ def covariant_curvature_stack(spec, points, order: int) -> np.ndarray:
             nxt[a] = np.concatenate(parts, axis=1)
         dT = nxt
     return dT[(0,) * n]
+
+
+def tracked_sections(spec, base_point, points) -> np.ndarray:
+    """Unit sections of a rank-one terminal line at an (m, n) batch of points;
+    shape (m, N).  The base point's generator is projected onto each point's
+    line, normalized and signed to positive trace (the diagonal pairs are
+    the first n fiber slots), so the sections vary smoothly wherever the
+    projection and the trace stay away from zero."""
+    g = batch_terminal_bases(spec, base_point)[0, :, 0]
+    g = g * np.sign(g[:spec.n].sum())
+    bases = batch_terminal_bases(spec, points)
+    proj = np.einsum("mia,ma->mi", bases, np.einsum("mia,i->ma", bases, g))
+    s = proj / np.linalg.norm(proj, axis=1)[:, None]
+    return s * np.sign(s[:, :spec.n].sum(axis=1))[:, None]
 
 
 def format_text(report: dict) -> str:

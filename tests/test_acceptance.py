@@ -14,8 +14,7 @@ from paracon.corpus import get_entry
 from paracon.expr import diff, parse_expr
 from paracon.flag import (IrregularPoint, derived_flag, local_metricity,
                           principal_angles, regularity_scan)
-from paracon.globalmetric import (PhiSampler, fixed_subspace, global_metricity,
-                                  phi_periods)
+from paracon.globalmetric import fixed_subspace, global_metricity, phi_periods
 from paracon.pdcone import pd_feasible
 from paracon.transport import (Curve, holonomy_matrix, line_curve,
                                parallel_extend, transport)
@@ -321,19 +320,18 @@ def test_criterion_7e_pd_feasibility_against_circle_oracle():
 
 def test_criterion_7f_phi_period_gauge_invariance():
     man = get_entry("dtheta-obstruction").manifest()
-    sampler = PhiSampler(man.spec, man.base_point)
     loop = man.loops[0]
-    base = phi_periods(sampler, [loop], 512).periods[0]
+    base = phi_periods(man.spec, [loop], 512).periods[0]
     rng = np.random.default_rng(760)
     worst = 0.0
     for _ in range(100):
         a, b, c = rng.uniform(-0.8, 0.8, 3)
         gauge = parse_expr(f"exp({a}*sin(theta) + {b}*cos(theta) + {c}*r)")
-        shifted = phi_periods(sampler, [loop], 512, gauge=gauge).periods[0]
+        shifted = phi_periods(man.spec, [loop], 512, gauge=gauge).periods[0]
         drift = abs(shifted - base)
         worst = max(worst, drift)
         assert drift < 1e-6
-    _ok("7f", f"100 positive rescalings of the tracked section, worst period "
+    _ok("7f", f"100 positive rescalings of the unit section, worst period "
               f"drift {worst:.2e} < 1e-6")
 
 

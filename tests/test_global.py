@@ -5,14 +5,14 @@ from dataclasses import replace
 
 from paracon import globalmetric
 from paracon.bundle import ConnectionSpec, Domain, omega_stack
+from paracon.corpus import get_entry
 from paracon.expr import parse_expr
 from paracon.flag import (NotSym2Bundle, Subspace, canonical_basis,
                           derived_flag, principal_angles)
-from paracon.globalmetric import (Analysis, GeneratorNotPD, GlobalError,
-                                  PhiSampler,
-                                  RankNotOne, fixed_subspace, global_metricity,
-                                  phi_periods)
+from paracon.globalmetric import (Analysis, GlobalError, fixed_subspace,
+                                  global_metricity, phi_form, phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
+from reference import tracked_sections
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,26 +30,24 @@ def plane_loop(domain, params=None):
                  name="around-origin", params=params)
 
 
-# --- phi tracking -----------------------------------------------------------
+# --- the Phi form -----------------------------------------------------------
 
 def test_phi_vanishes_along_sphere_band_loop(sphere_spec):
-    # the tracked generator depends only on theta, so Phi has no azimuthal
+    # the terminal line depends only on theta, so Phi has no azimuthal
     # component at all; along a band loop the sampled form vanishes pointwise
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     band = band_loops(sphere_spec.domain)[0]
     ts = np.linspace(0, TWO_PI, 48, endpoint=False)
-    phi = sampler(band.points(ts))
+    phi = phi_form(sphere_spec, band.points(ts))
     tangential = np.sum(phi * band.velocities(ts), axis=1)
     assert np.abs(tangential).max() < 1e-6
 
 
 def test_phi_theta_component_is_the_normalization_gradient(sphere_spec):
     # off the band direction Phi is the exact form -d log ||(1, sin^2, 0)||,
-    # the gauge contribution of unit-norm tracking; closed-form oracle
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
+    # the gauge contribution of a unit-norm section; closed-form oracle
     thetas = np.array([0.7, 1.2, 2.1])
     pts = np.stack([thetas, np.full(3, 2.0)], axis=1)
-    phi = sampler(pts)
+    phi = phi_form(sphere_spec, pts)
     s2 = np.sin(thetas) ** 2
     want = -2.0 * s2 * np.sin(thetas) * np.cos(thetas) / (1.0 + s2 ** 2)
     assert np.abs(phi[:, 0] - want).max() < 1e-6
@@ -57,46 +55,45 @@ def test_phi_theta_component_is_the_normalization_gradient(sphere_spec):
 
 
 def test_phi_gauge_rescaling_adds_exact_gradient(sphere_spec):
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     pts = np.array([[np.pi / 3, 1.0], [1.2, 2.0], [2.0, 0.3], [0.8, 5.0]])
-    base = sampler(pts)
+    base = phi_form(sphere_spec, pts)
     # f = e^theta rescaling shifts Phi by d(log f) = dtheta
-    shifted = sampler(pts, gauge=parse_expr("exp(theta)"))
+    shifted = phi_form(sphere_spec, pts, gauge=parse_expr("exp(theta)"))
     assert np.abs((shifted - base) - np.array([1.0, 0.0])).max() < 1e-6
 
 
 def test_phi_theta_component_is_exact(sphere_spec):
     # Phi_k = s^T Omega_k s for the unit section s, with no differencing: the
     # closed form holds to rounding, not to a truncation error
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     thetas = np.array([0.3, 0.7, 1.2, 2.1, 2.9])
     pts = np.stack([thetas, np.array([2.0, 0.1, 4.0, 5.5, 3.0])], axis=1)
     s2 = np.sin(thetas) ** 2
     want = -2.0 * s2 * np.sin(thetas) * np.cos(thetas) / (1.0 + s2 ** 2)
-    assert np.abs(sampler(pts)[:, 0] - want).max() < 1e-13
+    assert np.abs(phi_form(sphere_spec, pts)[:, 0] - want).max() < 1e-13
 
 
 def test_phi_gauge_shift_is_exact(sphere_spec):
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     pts = np.array([[np.pi / 3, 1.0], [1.2, 2.0], [2.0, 0.3], [0.8, 5.0]])
-    shifted = sampler(pts, gauge=parse_expr("exp(theta)"))
-    assert np.abs((shifted - sampler(pts)) - np.array([1.0, 0.0])).max() < 1e-13
+    shifted = phi_form(sphere_spec, pts, gauge=parse_expr("exp(theta)"))
+    base = phi_form(sphere_spec, pts)
+    assert np.abs((shifted - base) - np.array([1.0, 0.0])).max() < 1e-13
 
 
-def _central_difference_phi(sampler, spec, pts, h):
-    """Phi by central differences of the tracked section, the reference the
+def _central_difference_phi(spec, base, pts, h):
+    """Phi by central differences of a tracked section, the reference the
     exact route replaced: <d_k s + Omega_k s, s> with d_k s differenced at
     step h.  Also returns the largest |d_k s + Omega_k s - Phi_k s| with the
     exact Phi, which vanishes only with the +Omega convention."""
-    s = sampler.generators(pts)
+    s = tracked_sections(spec, base, pts)
     omega = omega_stack(spec, pts)
-    exact = sampler(pts)
+    exact = phi_form(spec, pts)
     phi = np.empty_like(exact)
     residual = 0.0
     for k in range(pts.shape[1]):
         e = np.zeros(pts.shape[1])
         e[k] = h
-        ds = (sampler.generators(pts + e) - sampler.generators(pts - e)) / (2 * h)
+        ds = (tracked_sections(spec, base, pts + e)
+              - tracked_sections(spec, base, pts - e)) / (2 * h)
         nabla = ds + np.einsum("mij,mj->mi", omega[:, k], s)
         phi[:, k] = np.sum(nabla * s, axis=1)
         residual = max(residual,
@@ -113,10 +110,9 @@ def test_phi_matches_central_differences_to_second_order(which, sphere_spec,
     else:
         spec, base = dtheta_spec, (1.0, 0.0)
         pts = np.array([[1.0, 0.3], [2.0, 2.5], [0.8, 5.0]])
-    sampler = PhiSampler(spec, base)
     errs = []
     for h in (1e-3, 1e-4):
-        ref, exact, residual = _central_difference_phi(sampler, spec, pts, h)
+        ref, exact, residual = _central_difference_phi(spec, base, pts, h)
         assert np.abs(exact).max() > 0.1  # a test where Phi is not zero
         errs.append(np.abs(ref - exact).max())
         assert errs[-1] < h * h
@@ -128,68 +124,61 @@ def test_phi_matches_central_differences_to_second_order(which, sphere_spec,
 @pytest.mark.parametrize("gauge", ["theta - 1", "sqrt(theta - 1)"])
 def test_phi_rejects_a_gauge_that_is_not_positive(gauge, sphere_spec):
     # negative at theta = 0.7, or NaN there, which must not pass as positive
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     pts = np.array([[0.7, 2.0], [2.1, 4.0]])
     with np.errstate(invalid="ignore"), \
             pytest.raises(GlobalError, match="gauge factor must be positive"):
-        sampler(pts, gauge=parse_expr(gauge))
+        phi_form(sphere_spec, pts, gauge=parse_expr(gauge))
 
 
 def test_phi_zero_for_flat_restricted_line(flat_spec):
-    iden = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    sub = Subspace(3, iden[:, None])
-    sampler = PhiSampler(flat_spec, (0.0, 0.0), wtilde=sub)
+    # Omega = 0, so the trace form vanishes on every subspace, the identity
+    # line among them, whatever the terminal subspace is
     pts = np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 1.0]])
-    assert np.abs(sampler(pts)).max() < 1e-10
+    assert np.abs(phi_form(flat_spec, pts)).max() < 1e-10
 
 
-def test_phi_form_requires_rank_one(plane_spec):
-    with pytest.raises(RankNotOne):
-        PhiSampler(plane_spec, (1.0, 0.0))
-
-
-def test_phi_form_requires_pd_generator(flat_spec):
-    cross = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(GeneratorNotPD):
-        PhiSampler(flat_spec, (0.0, 0.0), wtilde=Subspace(3, cross[:, None]))
-
-
-def test_phi_form_requires_sym2(circle_line_spec):
-    with pytest.raises(NotSym2Bundle):
-        PhiSampler(circle_line_spec, (0.0,))
+def test_phi_form_sums_over_a_terminal_frame(plane_spec):
+    # rank 3: tr(P Omega_k) = sum_a b_a^T Omega_k b_a for an orthonormal
+    # terminal frame, and any rotation of that frame gives the same form
+    pts = np.array([[1.0, 0.0], [0.5, 2.0], [2.5, 4.0]])
+    omega = omega_stack(plane_spec, pts)
+    rot, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    want = np.zeros((len(pts), 2))
+    for i, p in enumerate(pts):
+        basis = derived_flag(plane_spec, p).terminal.basis @ rot
+        assert basis.shape == (plane_spec.N, 3)
+        for b in basis.T:
+            want[i] += np.einsum("i,kij,j->k", b, omega[i], b)
+    assert np.abs(phi_form(plane_spec, pts) - want).max() < 1e-13
 
 
 def test_phi_periods_sphere_loops_vanish(sphere_spec):
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
-    out = phi_periods(sampler, band_loops(sphere_spec.domain), 512)
+    out = phi_periods(sphere_spec, band_loops(sphere_spec.domain), 512)
     assert out.max_abs() < 1e-6
     assert out.loop_names == ["band", "sweep"]
     assert len(out.samples[0]) == 512
 
 
 def test_phi_period_dtheta_obstruction(dtheta_spec):
-    sampler = PhiSampler(dtheta_spec, (1.0, 0.0))
     loop = plane_loop(dtheta_spec.domain)
-    out = phi_periods(sampler, [loop], 1024)
+    out = phi_periods(dtheta_spec, [loop], 1024)
     assert out.periods[0] == pytest.approx(TWO_PI, abs=1e-4 * (1 + TWO_PI))
 
 
 def test_phi_period_gauge_invariance(dtheta_spec):
-    sampler = PhiSampler(dtheta_spec, (1.0, 0.0))
     loop = plane_loop(dtheta_spec.domain)
-    base = phi_periods(sampler, [loop], 512).periods[0]
+    base = phi_periods(dtheta_spec, [loop], 512).periods[0]
     # single-valued positive rescalings leave loop periods unchanged
-    shifted = phi_periods(sampler, [loop], 512,
+    shifted = phi_periods(dtheta_spec, [loop], 512,
                           gauge=parse_expr("exp(sin(theta) + r/2)")).periods[0]
     assert abs(shifted - base) < 1e-6
 
 
 def test_phi_periods_reject_open_curves(sphere_spec):
-    sampler = PhiSampler(sphere_spec, (np.pi / 3, 1.0))
     arc = Curve(sphere_spec.domain, [parse_expr("pi/3"), parse_expr("t")],
                 0.0, 1.0)
     with pytest.raises(GlobalError, match="closed"):
-        phi_periods(sampler, [arc])
+        phi_periods(sphere_spec, [arc])
 
 
 @pytest.mark.parametrize("cap,target", [(1024, -1.0), (1025, 1.0)])
@@ -197,12 +186,10 @@ def test_phi_periods_reaching_the_cap_are_the_fixed_point_periods(
         cap, target, sphere_spec, dtheta_spec):
     # a target no estimate meets, or an odd cap (a single level), ends at the
     # cap: the same points, periods and samples as without a target
-    for spec, point, loops in (
-            (sphere_spec, (np.pi / 3, 1.0), band_loops(sphere_spec.domain)),
-            (dtheta_spec, (1.0, 0.0), [plane_loop(dtheta_spec.domain)])):
-        sampler = PhiSampler(spec, point)
-        fixed = phi_periods(sampler, loops, cap)
-        capped = phi_periods(sampler, loops, cap, target=target)
+    for spec, loops in ((sphere_spec, band_loops(sphere_spec.domain)),
+                        (dtheta_spec, [plane_loop(dtheta_spec.domain)])):
+        fixed = phi_periods(spec, loops, cap)
+        capped = phi_periods(spec, loops, cap, target=target)
         assert capped.points == fixed.points == [cap] * len(loops)
         assert capped.periods == fixed.periods
         for a, b in zip(capped.samples, fixed.samples):
@@ -213,13 +200,30 @@ def test_phi_periods_reaching_the_cap_are_the_fixed_point_periods(
 
 
 def test_phi_period_doubling_never_stops_below_256_points(dtheta_spec):
-    sampler = PhiSampler(dtheta_spec, (1.0, 0.0))
     loop = plane_loop(dtheta_spec.domain)
-    out = phi_periods(sampler, [loop, loop], 4096, target=[1.0, 1e-12])
+    out = phi_periods(dtheta_spec, [loop, loop], 4096, target=[1.0, 1e-12])
     assert out.points == [256, 256]
     assert [len(s) for s in out.samples] == [256, 256]
     assert out.periods[0] == pytest.approx(TWO_PI, abs=1e-12)
     assert max(out.error_estimates) <= 1e-12
+
+
+@pytest.mark.parametrize("eid", ["sphere", "s1-line-bundle", "punctured-plane",
+                                 "dtheta-obstruction"])
+def test_trace_form_periods_match_the_holonomy_determinant(eid):
+    # Liouville's formula: the holonomy of the terminal subspace around a
+    # loop has log|det H| = -oint tr(P Omega), at every rank and on any
+    # fiber (s1-line-bundle is a matrix connection, punctured-plane has a
+    # rank-3 terminal subspace)
+    man = get_entry(eid).manifest()
+    an = Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
+                  **man.pipeline_options())
+    out = phi_periods(man.spec, man.loops, man.steps["quadrature"],
+                      rank_tol=an.rank_tol, target=1e-9)
+    assert len(an.holonomies) == len(out.periods) > 0
+    for h, period in zip(an.holonomies, out.periods):
+        log_det = np.log(abs(np.linalg.det(h.matrix)))
+        assert abs(period + log_det) <= 1e-6
 
 
 # --- fixed subspaces --------------------------------------------------------
@@ -514,31 +518,73 @@ def test_piecewise_connection_holonomy_runs_to_the_cap():
     assert abs(h.matrix[0, 0] - closed) < 1e-3
     assert (v.status, v.fixed.dim) == ("not_metric", 0)
     # the period cross-check agrees with the one over every cap point
-    sampler = PhiSampler(spec, [0.0], an.base_trace.terminal)
-    at_cap, = phi_periods(sampler, [loop], 4096).periods
+    at_cap, = phi_periods(spec, [loop], 4096).periods
     assert abs(v.phi.periods[0]) > v.period_tols[0]
     assert abs(at_cap) > v.period_tols[0]
 
 
-def test_degenerating_tracked_line_ends_in_the_same_note():
-    # Levi-Civita of exp(2x) dx^2 + exp(-2x) dy^2: the terminal line is the
-    # metric's, which turns from near dy^2 at x = -1.5 to near dx^2 at
-    # x = 1.5, so the base generator's projection degenerates along a loop
-    # between them, as it does over every point of the fixed-point rule
+def _degenerating_gamma(cut=None):
+    """Levi-Civita of exp(2x) dx^2 + exp(-2x) dy^2, or, with a ``cut``, the
+    same symbols for x < cut and the flat connection beyond."""
+    gamma = {(0, 0, 0): "1", (0, 1, 1): "exp(-4*x)", (1, 0, 1): "-1",
+             (1, 1, 0): "-1"}
+    return {key: parse_expr(e if cut is None else f"if(x < {cut}, {e}, 0)")
+            for key, e in gamma.items()}
+
+
+def test_degenerating_tracked_line_runs_the_period_route():
+    # the terminal line is the metric's, which turns from near dy^2 at
+    # x = -1.5 to near dx^2 at x = 1.5: a section tracked from the base
+    # point's generator degenerates along the loop, but tr(P Omega) needs no
+    # section, and the loop goes out and back, so its period is zero
     dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
-    spec = ConnectionSpec(dom, kind="christoffel", gamma={
-        (0, 0, 0): parse_expr("1"), (0, 1, 1): parse_expr("exp(-4*x)"),
-        (1, 0, 1): parse_expr("-1"), (1, 1, 0): parse_expr("-1")})
+    spec = ConnectionSpec(dom, kind="christoffel", gamma=_degenerating_gamma())
     loop = Curve(dom, [parse_expr("-1.5 + 1.5*(1 - cos(t))"),
                        parse_expr("0")], 0.0, TWO_PI, name="out-and-back")
     v = global_metricity(spec, [-1.5, 0.0], [loop],
                          [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
-    sampler = PhiSampler(spec, [-1.5, 0.0])
-    with pytest.raises(GeneratorNotPD) as exc:
-        phi_periods(sampler, [loop], 4096)
-    assert "projection degenerates" in str(exc.value)
-    assert v.notes == [f"de Rham route skipped: {exc.value}"]
+    assert (v.status, v.notes) == ("metric", [])
+    assert abs(v.phi.periods[0]) < v.period_tols[0]
+
+
+def test_indefinite_terminal_line_skips_the_de_rham_route():
+    # Gamma^x_xx = y, Gamma^y_yy = x is the Levi-Civita connection of
+    # e^(xy) (dx dy + dy dx): the terminal line is spanned by dx dy, which is
+    # indefinite, so the verdict is not_metric.  A congruence keeps a PD
+    # line PD, but an indefinite one may change sign, so the de Rham route
+    # does not apply; its period would be zero and disagree with the verdict
+    dom = Domain(names=("x", "y"), lows=(-1.0, -1.0), highs=(1.0, 1.0))
+    spec = ConnectionSpec(dom, kind="christoffel", gamma={
+        (0, 0, 0): parse_expr("y"), (1, 1, 1): parse_expr("x")})
+    loop = Curve(dom, [parse_expr("0.2 + 0.5*cos(t)"),
+                       parse_expr("0.1 + 0.5*sin(t)")], 0.0, TWO_PI,
+                 name="circle")
+    v = global_metricity(spec, [0.7, 0.1], [loop],
+                         [[-0.5, 0.0, 0.5], [-0.5, 0.5]])
+    assert np.abs(np.abs(v.analysis.base_trace.terminal.basis[:, 0])
+                  - [0.0, 0.0, 1.0]).max() < 1e-12
+    assert v.status == "not_metric" and v.phi is None
+    assert v.notes == [
+        "de Rham route skipped: terminal generator is not positive-definite; "
+        "the connection is not locally metric at the base point"]
+    period, = phi_periods(spec, [loop], 256).periods
+    assert abs(period) < 1e-4 * (1.0 + loop.length())
+
+
+def test_flag_jump_along_a_loop_fails_the_de_rham_route():
+    # the degenerating connection cut to flat at x = 0.5: the grid stays at
+    # x <= 0, where the terminal line has rank one, but the loop crosses
+    # into the flat region, where the terminal subspace is the whole fiber
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    spec = ConnectionSpec(dom, kind="christoffel",
+                          gamma=_degenerating_gamma(cut=0.5))
+    loop = Curve(dom, [parse_expr("0.3 - 0.5*cos(t)"),
+                       parse_expr("0.5*sin(t)")], 0.0, TWO_PI, name="across")
+    v = global_metricity(spec, [-0.2, 0.0], [loop],
+                         [[-1.0, -0.5, 0.0], [-1.0, 1.0]])
     assert v.status == "metric" and v.phi is None
+    note, = v.notes
+    assert note.startswith("de Rham route failed: flag dimension jump at ")
 
 
 def test_global_requires_sym2(circle_line_spec):
