@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expr, Pool, compile_expr, diff, free_names
+from .expr import (Binary, Const, Expr, Piecewise, Pool, compile_expr, diff,
+                   free_names, split)
 
 __all__ = [
     "Domain", "SymIndex", "ConnectionSpec", "BundleError",
@@ -277,21 +278,14 @@ class ConnectionSpec:
         return self._conditions
 
     def piecewise_conditions(self):
-        """All (lhs - rhs) condition expressions appearing in the spec."""
-        conds = []
-
-        def walk(e):
-            from .expr import Binary, Piecewise, Unary
+        """All (lhs - rhs) condition expressions appearing in the spec, each
+        piecewise node's before those inside it."""
+        conds, todo = [], [e for _, e in reversed(self._entries())]
+        while todo:
+            e = todo.pop()
             if isinstance(e, Piecewise):
                 conds.append(Binary("sub", e.lhs, e.rhs))
-                walk(e.lhs); walk(e.rhs); walk(e.then); walk(e.other)
-            elif isinstance(e, Unary):
-                walk(e.arg)
-            elif isinstance(e, Binary):
-                walk(e.left); walk(e.right)
-
-        for _, e in self._entries():
-            walk(e)
+            todo.extend(reversed(split(e)[1]))
         return conds
 
 

@@ -36,7 +36,8 @@ from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
 from .manifest import Manifest, ManifestError, load_manifest
 from .transport import DefectTooLarge, TransportError
 
-__all__ = ["main", "run", "build_report", "canonical_json", "Rows"]
+__all__ = ["main", "run", "build_report", "exit_code", "canonical_json",
+           "Rows"]
 
 MATRIX_KIND_CAVEAT = ("fiber is an abstract bundle (kind=matrix): the metric "
                       "question is not posed; reporting flat-bundle data only")
@@ -232,6 +233,26 @@ def _holonomy_dict(h):
             "steps": h.steps, "error_estimate": h.error_estimate}
 
 
+def _header(man: Manifest, command: str, caveats: list) -> dict:
+    """The fields that every report of a manifest carries."""
+    return {"tool_version": __version__, "command": command,
+            "manifest_id": man.id, "manifest_digest": man.digest(),
+            "caveats": caveats}
+
+
+def exit_code(an: Analysis) -> int:
+    """Exit code of a completed ``analyze`` or ``global`` run: 2 when it
+    gives no definite answer, a Sym^2 verdict that is inconclusive or not
+    regular or an abstract bundle whose holonomy stage failed; else 0."""
+    if an.spec.kind == "christoffel":
+        return 2 if an.verdict.status in ("inconclusive", "not_regular") else 0
+    try:
+        an.holonomies
+    except (IrregularPoint, DefectTooLarge):
+        return 2
+    return 0
+
+
 def build_report(man: Manifest, command: str) -> tuple:
     """Report of the ``analyze`` or ``global`` command; returns
     (report, its canonical JSON as the pieces from :func:`_finalize`,
@@ -243,19 +264,8 @@ def build_report(man: Manifest, command: str) -> tuple:
     verdict = (global_metricity(*inputs, **options)
                if spec.kind == "christoffel" else None)
     an = Analysis(*inputs, **options) if verdict is None else verdict.analysis
-    report = {
-        "tool_version": __version__,
-        "command": command,
-        "manifest_id": man.id,
-        "manifest_digest": man.digest(),
-        "effective": {
-            "tolerances": man.tolerances,
-            "steps": man.steps,
-        },
-        "caveats": [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT],
-    }
-    exit_code = 0
-
+    report = _header(man, command, [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT])
+    report["effective"] = {"tolerances": man.tolerances, "steps": man.steps}
     scan = an.scan
     report["regularity"] = _scan_dict(scan)
     report["flag_traces"] = _flag_rows(scan)
@@ -275,16 +285,11 @@ def build_report(man: Manifest, command: str) -> tuple:
 
     if verdict is not None:
         report["global_verdict"] = _verdict_dict(verdict)
-        if verdict.status in ("inconclusive", "not_regular"):
-            exit_code = 2
     else:
         # abstract fiber: report the flat-bundle answer instead
         report["caveats"].append(MATRIX_KIND_CAVEAT)
-        report["global_verdict"] = None
-        if report["holonomy"] is None:
-            report["flat_bundle"] = None
-            exit_code = 2
-        else:
+        report["global_verdict"] = report["flat_bundle"] = None
+        if report["holonomy"] is not None:
             terminal, fixed = an.base_trace.terminal, an.fixed
             report["flat_bundle"] = {
                 "wtilde_rank": terminal.dim,
@@ -295,7 +300,7 @@ def build_report(man: Manifest, command: str) -> tuple:
 
     for name, seconds in an.timings:
         print(f"[paracon] {name}: {seconds:.3f}s", file=sys.stderr)
-    return report, _finalize(report), exit_code
+    return report, _finalize(report), exit_code(an)
 
 
 def _format_text(report: dict) -> str:
@@ -386,12 +391,8 @@ def run(command: str, manifest_path: str, args) -> int:
         point = _parse_point(args.point, man)
         scan = regularity_scan(man.spec, point[:, None],
                                rank_tol=man.tolerances["rank_tol"])
-        report = {
-            "tool_version": __version__, "command": "flag",
-            "manifest_id": man.id, "manifest_digest": man.digest(),
-            "flag_trace": _flag_rows(scan).record(0),
-            "caveats": [CHART_ONLY_CAVEAT],
-        }
+        report = dict(_header(man, "flag", [CHART_ONLY_CAVEAT]),
+                      flag_trace=_flag_rows(scan).record(0))
         _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
@@ -410,13 +411,9 @@ def run(command: str, manifest_path: str, args) -> int:
         except DefectTooLarge as exc:
             print(f"holonomy defect too large: {exc}", file=sys.stderr)
             return 2
-        report = {
-            "tool_version": __version__, "command": "holonomy",
-            "manifest_id": man.id, "manifest_digest": man.digest(),
-            "holonomy": dict(_holonomy_dict(h),
-                             wtilde_rank=an.base_trace.terminal.dim),
-            "caveats": [CHART_ONLY_CAVEAT],
-        }
+        report = dict(_header(man, "holonomy", [CHART_ONLY_CAVEAT]),
+                      holonomy=dict(_holonomy_dict(h),
+                                    wtilde_rank=an.base_trace.terminal.dim))
         _write_report(report, _finalize(report), args.out, args.format)
         return 0
 

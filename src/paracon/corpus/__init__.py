@@ -16,10 +16,11 @@ from typing import Optional
 import numpy as np
 
 from ..bundle import ConnectionSpec
+from ..cli import exit_code
 from ..expr import compile_expr, parse_expr
 from ..flag import principal_angles
 from ..globalmetric import Analysis
-from ..manifest import Manifest, ManifestError, manifest_from_dict
+from ..manifest import Manifest, ManifestError, manifest_from_dict, with_params
 from ..transport import parallel_extend, transport
 
 __all__ = ["CorpusEntry", "CheckResult", "load_corpus", "get_entry",
@@ -36,10 +37,7 @@ class CorpusEntry:
     expected: dict
 
     def manifest(self, overrides: Optional[dict] = None) -> Manifest:
-        doc = json.loads(json.dumps(self.manifest_doc))
-        if overrides:
-            doc.setdefault("params", {}).update(overrides)
-        return manifest_from_dict(doc)
+        return manifest_from_dict(with_params(self.manifest_doc, overrides))
 
 
 @dataclass
@@ -89,7 +87,8 @@ def _analysis(man: Manifest) -> Analysis:
 
 
 def run_entry(entry: CorpusEntry):
-    """Run the pipeline on one entry and compare against its goldens.
+    """Run the pipeline on one entry and compare against its goldens, one
+    check or more per key of the ``expected`` block.
 
     Each check reads the stage it needs from one staged analysis, so no
     stage runs twice and stages no check needs do not run at all.
@@ -190,10 +189,11 @@ def run_entry(entry: CorpusEntry):
         ok, worst, count = True, 0.0, 0
         for row in ps["formulas"]:
             w = _eval_vectors(spec, [row], man.base_point)[:, 0]
-            sec = parallel_extend(spec, man.base_point, w, ps["radius"],
-                                  ps["grid_res"], steps=512)
-            count = len(sec.nodes)
-            for q, v in zip(sec.nodes, sec.values):
+            nodes, values = parallel_extend(spec, man.base_point, w,
+                                            ps["radius"], ps["grid_res"],
+                                            steps=512)
+            count = len(nodes)
+            for q, v in zip(nodes, values):
                 want_v = _eval_vectors(spec, [row], q)[:, 0]
                 rel = np.abs(v - want_v).max() / max(1.0, np.abs(want_v).max())
                 worst = max(worst, rel)
@@ -221,16 +221,21 @@ def run_entry(entry: CorpusEntry):
             record("phi_period_max", False, "no periods computed")
         if "phi_periods" in exp:
             for want in exp["phi_periods"]:
-                loop = next(l for l in man.loops if l.name == want["loop"])
-                ptol = want.get("tol", 1e-4 * (1.0 + loop.length()))
                 if verdict.phi is None:
                     record(f"phi_period[{want['loop']}]", False,
                            "no periods computed")
                     continue
-                got = verdict.phi.periods[verdict.phi.loop_names.index(want["loop"])]
+                i = verdict.phi.loop_names.index(want["loop"])
+                got = verdict.phi.periods[i]
+                ptol = want.get("tol", verdict.period_tols[i])
                 record(f"phi_period[{want['loop']}]",
                        abs(got - want["value"]) < ptol,
                        f"period {got:.6f} vs {want['value']:.6f}")
+
+    if "exit_code" in exp:
+        code = exit_code(an)
+        record("exit_code", code == exp["exit_code"]["value"],
+               f"exit_code={code}")
 
     if "controls" in exp:
         for i, ctrl in enumerate(exp["controls"]):

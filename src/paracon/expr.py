@@ -29,7 +29,7 @@ __all__ = [
     "Expr", "Const", "Name", "Unary", "Binary", "Piecewise",
     "ExprError", "ParseError", "EvalError",
     "Pool", "Tape", "parse_expr", "diff", "to_text",
-    "compile_expr", "free_names",
+    "compile_expr", "free_names", "split",
 ]
 
 
@@ -173,27 +173,22 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {val!r}", off)
         return e
 
-    def expr(self):
-        e = self.term()
+    def chain(self, ops, operand):
+        """Operands joined left-associatively by the operator tokens of
+        ``ops``, a map from each token to its binary op."""
+        e = operand()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = Binary("add" if val == "+" else "sub", e, rhs)
-            else:
+            if kind != "op" or val not in ops:
                 return e
+            self.next()
+            e = Binary(ops[val], e, operand())
+
+    def expr(self):
+        return self.chain({"+": "add", "-": "sub"}, self.term)
 
     def term(self):
-        e = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                e = Binary("mul" if val == "*" else "div", e, rhs)
-            else:
-                return e
+        return self.chain({"*": "mul", "/": "div"}, self.unary)
 
     def unary(self):
         kind, val, _ = self.peek()
@@ -325,25 +320,8 @@ def to_text(e: Expr) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def free_names(e: Expr) -> set:
-    """All names referenced by the expression."""
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Name):
-        return {e.name}
-    if isinstance(e, Unary):
-        return free_names(e.arg)
-    if isinstance(e, Binary):
-        return free_names(e.left) | free_names(e.right)
-    if isinstance(e, Piecewise):
-        return (free_names(e.lhs) | free_names(e.rhs)
-                | free_names(e.then) | free_names(e.other))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 # ---------------------------------------------------------------------------
-# hash-consing and the exact derivative
-
+# the one node split every tree walk goes through
 
 _SPLIT = {
     Const: lambda e: (e.value, ()),
@@ -354,13 +332,25 @@ _SPLIT = {
 }
 
 
-def _split(e: Expr):
+def split(e: Expr):
     """A node as ``(head, children)``, where ``type(e)(head, *children)``
     rebuilds it."""
     try:
         return _SPLIT[type(e)](e)
     except KeyError:
         raise TypeError(f"not an Expr: {e!r}") from None
+
+
+def free_names(e: Expr) -> set:
+    """All names referenced by the expression."""
+    head, kids = split(e)
+    if isinstance(e, Name):
+        return {head}
+    return set().union(*map(free_names, kids))
+
+
+# ---------------------------------------------------------------------------
+# hash-consing and the exact derivative
 
 
 # A node's intern key is its type, its op and the identities of its interned
@@ -388,7 +378,7 @@ class Pool:
         """The pool's node structurally equal to ``e``, with the same bits."""
         node = self._seen.get(id(e))
         if node is None:
-            head, kids = _split(e)
+            head, kids = split(e)
             node = self._make(type(e), head, *map(self.intern, kids))
             self._seen[id(e)] = node
             self._held.append(e)
@@ -587,16 +577,9 @@ class Tape:
             if s is not None:
                 return s
             cls = type(e)
-            if cls is Const:
-                head = e.value
-                key = (cls, _bits(head))
-            elif cls is Name:
-                head = e.name
-                key = (cls, head)
-            else:
-                head, kids = _split(e)
-                args = tuple(map(emit, kids))
-                key = (cls, head, args)
+            head, kids = split(e)
+            args = tuple(map(emit, kids))
+            key = (cls, _bits(head) if cls is Const else head, args)
             s = by_key.get(key)
             if s is None:
                 s = by_key[key] = len(init)

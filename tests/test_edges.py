@@ -1,8 +1,11 @@
 """Edge-of-contract checks: degenerate dimensions, unbounded charts, and
 error paths the main suites do not reach."""
 
+import ast
 import importlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,9 @@ from paracon.flag import (FlagError, Subspace, derived_flag, local_metricity,
 from paracon.globalmetric import global_metricity
 from paracon.manifest import manifest_from_dict
 from paracon.transport import DefectTooLarge
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "paracon"
 
 
 def test_one_dimensional_chart_with_scaling_connection():
@@ -172,3 +178,36 @@ def test_every_public_name_resolves(module):
     assert mod.__all__
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"paracon.{module}.__all__ names {missing}"
+    # what one module of the package imports from another is public there
+    private = sorted(_sibling_imports(f"paracon.{module}") - set(mod.__all__))
+    assert not private, f"paracon.{module} is imported for {private}"
+
+
+def _sibling_imports(module):
+    """The names that the modules of the package import from ``module``."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        package = ["paracon", *path.relative_to(SRC).parent.parts]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                base = package[:len(package) - node.level + 1]
+                if ".".join(base + [node.module]) == module:
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+# names deleted from the package; \b keeps a longer name from matching
+_REMOVED = re.compile(r"\b(SampledSection|_split)\b")
+
+
+def test_no_source_or_test_names_a_removed_name():
+    # a docstring, comment or test that names deleted code misleads readers
+    here = Path(__file__).resolve()
+    stale = [f"{path.relative_to(ROOT)}:{i}"
+             for path in sorted([*SRC.rglob("*.py"),
+                                 *(ROOT / "tests").rglob("*.py")])
+             if path != here
+             for i, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), 1)
+             if _REMOVED.search(line)]
+    assert not stale, f"removed names still referenced at {stale}"

@@ -347,9 +347,9 @@ def test_independent_parallel_sections_count(plane_spec):
     d = term.dim
     sections = []
     for a in range(d):
-        sec = parallel_extend(plane_spec, p, term.basis[:, a], 0.25,
-                              grid_res=3, steps=128)
-        sections.append(sec.values)
+        _, values = parallel_extend(plane_spec, p, term.basis[:, a], 0.25,
+                                    grid_res=3, steps=128)
+        sections.append(values)
     for node in range(len(sections[0])):
         mat = np.stack([s[node] for s in sections], axis=1)
         assert np.linalg.svd(mat, compute_uv=False)[-1] > 1e-6

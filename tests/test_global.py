@@ -12,7 +12,7 @@ from paracon.flag import (NotSym2Bundle, Subspace, canonical_basis,
 from paracon.globalmetric import (Analysis, GlobalError, fixed_subspace,
                                   global_metricity, phi_form, phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
-from reference import tracked_sections
+from reference import log_gradient, rescaled_period, tracked_sections
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,11 +55,24 @@ def test_phi_theta_component_is_the_normalization_gradient(sphere_spec):
 
 
 def test_phi_gauge_rescaling_adds_exact_gradient(sphere_spec):
+    # the section f s, f = e^theta, has the form Phi + d(log f) = Phi + dtheta:
+    # <nabla_k (f s), f s> / |f s|^2 by central differences of f s
+    base, h = (np.pi / 3, 1.0), 1e-4
     pts = np.array([[np.pi / 3, 1.0], [1.2, 2.0], [2.0, 0.3], [0.8, 5.0]])
-    base = phi_form(sphere_spec, pts)
-    # f = e^theta rescaling shifts Phi by d(log f) = dtheta
-    shifted = phi_form(sphere_spec, pts, gauge=parse_expr("exp(theta)"))
-    assert np.abs((shifted - base) - np.array([1.0, 0.0])).max() < 1e-6
+
+    def section(q):
+        return tracked_sections(sphere_spec, base, q) * np.exp(q[:, :1])
+
+    f = parse_expr("exp(theta)")
+    want = phi_form(sphere_spec, pts) + log_gradient(sphere_spec, f, pts)
+    s, omega = section(pts), omega_stack(sphere_spec, pts)
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = h
+        ds = (section(pts + e) - section(pts - e)) / (2 * h)
+        nabla = ds + np.einsum("mij,mj->mi", omega[:, k], s)
+        got = np.sum(nabla * s, axis=1) / np.sum(s * s, axis=1)
+        assert np.abs(got - want[:, k]).max() < 1e-6
 
 
 def test_phi_theta_component_is_exact(sphere_spec):
@@ -73,9 +86,10 @@ def test_phi_theta_component_is_exact(sphere_spec):
 
 
 def test_phi_gauge_shift_is_exact(sphere_spec):
+    # d log f comes from the exact derivative of f, with no differencing
     pts = np.array([[np.pi / 3, 1.0], [1.2, 2.0], [2.0, 0.3], [0.8, 5.0]])
-    shifted = phi_form(sphere_spec, pts, gauge=parse_expr("exp(theta)"))
     base = phi_form(sphere_spec, pts)
+    shifted = base + log_gradient(sphere_spec, parse_expr("exp(theta)"), pts)
     assert np.abs((shifted - base) - np.array([1.0, 0.0])).max() < 1e-13
 
 
@@ -121,15 +135,6 @@ def test_phi_matches_central_differences_to_second_order(which, sphere_spec,
     assert errs[1] < errs[0] / 50.0  # the error falls like h^2
 
 
-@pytest.mark.parametrize("gauge", ["theta - 1", "sqrt(theta - 1)"])
-def test_phi_rejects_a_gauge_that_is_not_positive(gauge, sphere_spec):
-    # negative at theta = 0.7, or NaN there, which must not pass as positive
-    pts = np.array([[0.7, 2.0], [2.1, 4.0]])
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(GlobalError, match="gauge factor must be positive"):
-        phi_form(sphere_spec, pts, gauge=parse_expr(gauge))
-
-
 def test_phi_zero_for_flat_restricted_line(flat_spec):
     # Omega = 0, so the trace form vanishes on every subspace, the identity
     # line among them, whatever the terminal subspace is
@@ -167,11 +172,35 @@ def test_phi_period_dtheta_obstruction(dtheta_spec):
 
 def test_phi_period_gauge_invariance(dtheta_spec):
     loop = plane_loop(dtheta_spec.domain)
-    base = phi_periods(dtheta_spec, [loop], 512).periods[0]
+    out = phi_periods(dtheta_spec, [loop], 512)
+    base = out.periods[0]
     # single-valued positive rescalings leave loop periods unchanged
-    shifted = phi_periods(dtheta_spec, [loop], 512,
-                          gauge=parse_expr("exp(sin(theta) + r/2)")).periods[0]
+    shifted = rescaled_period(dtheta_spec, loop, out.samples[0],
+                              parse_expr("exp(sin(theta) + r/2)"))
     assert abs(shifted - base) < 1e-6
+
+
+@pytest.mark.parametrize("eid,fixed_dim,calls",
+                         [("sphere", 1, 1), ("dtheta-obstruction", 0, 2)])
+def test_verdict_decides_a_terminal_line_once(eid, fixed_dim, calls,
+                                              monkeypatch):
+    # sphere's fixed space is its whole terminal line, so the de Rham guard
+    # reads the fixed space's decision; dtheta-obstruction's is zero, and
+    # the guard decides the line on its own
+    man = get_entry(eid).manifest()
+    an = Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
+                  **man.pipeline_options())
+    assert an.fixed.dim == fixed_dim
+    original, seen = globalmetric.pdcone.pd_feasible, []
+
+    def counted(*args, **kwargs):
+        seen.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(globalmetric.pdcone, "pd_feasible", counted)
+    verdict = an.verdict
+    assert len(seen) == calls
+    assert verdict.phi is not None  # the guard let the de Rham route run
 
 
 def test_phi_periods_reject_open_curves(sphere_spec):

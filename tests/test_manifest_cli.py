@@ -9,7 +9,7 @@ import pytest
 from paracon import __version__
 from paracon.cli import (Rows, _finalize, _parser, build_report,
                          canonical_json, main)
-from paracon.corpus import ENTRY_IDS, get_entry, load_corpus
+from paracon.corpus import ENTRY_IDS, get_entry, load_corpus, run_entry
 from paracon.manifest import ManifestError, load_manifest, manifest_from_dict
 from reference import format_text
 
@@ -349,10 +349,28 @@ def test_cli_bad_manifest_exits_one(tmp_path, capsys):
     assert "/base_point" in capsys.readouterr().err
 
 
-def test_cli_corpus_command(capsys):
-    assert main(["corpus", "--id", "flat-trivial"]) == 0
+@pytest.mark.parametrize("eid", ENTRY_IDS)
+def test_cli_corpus_command(eid, capsys):
+    assert main(["corpus", "--id", eid]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert out.count(f"PASS {eid}.exit_code: ") == 1
+
+
+# the check names of the keys that give one check per list item
+_CHECKS_OF = {"holonomy": "holonomy", "phi_period": "phi_periods",
+              "control": "controls"}
+
+
+def test_every_expected_key_yields_a_check():
+    # a golden that no check reads passes whatever the pipeline gives
+    for entry in load_corpus():
+        checks, _ = run_entry(entry)
+        names = {c.name.split("[")[0] for c in checks}
+        read = {_CHECKS_OF.get(n, n) for n in names}
+        unread = [k for k in entry.expected
+                  if k != "provenance" and k not in read]
+        assert not unread, f"{entry.id}: no check reads {unread}"
 
 
 def test_cli_corpus_unknown_id(capsys):

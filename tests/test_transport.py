@@ -8,7 +8,7 @@ from paracon.transport import (Curve, CurveNotClosed, DefectTooLarge,
                                TransportError, doubling_levels,
                                holonomy_matrix, line_curve, parallel_extend,
                                transport)
-from reference import reversed_curve
+from reference import reversed_curve, two_leg_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -338,21 +338,23 @@ def test_holonomy_defect_detects_non_invariant_subspace(plane_spec):
 
 def test_parallel_extend_flat_constant(flat_spec):
     w = np.array([1.0, -2.0, 0.5])
-    sec = parallel_extend(flat_spec, (0.0, 0.0), w, radius=0.5, grid_res=4)
-    assert np.abs(sec.values - w).max() < 1e-10
-    assert sec.residual < 1e-10
+    nodes, values = parallel_extend(flat_spec, (0.0, 0.0), w, radius=0.5,
+                                    grid_res=4)
+    assert np.abs(values - w).max() < 1e-10
+    assert two_leg_residual(flat_spec, (0.0, 0.0), w, nodes, values) < 1e-10
 
 
 def test_parallel_extend_sphere_metric_direction(sphere_spec):
     p = np.array([np.pi / 3, 1.0])
     w = np.array([1.0, np.sin(np.pi / 3) ** 2, 0.0])
-    sec = parallel_extend(sphere_spec, p, w, radius=0.3, grid_res=4, steps=256)
-    for q, v in zip(sec.nodes, sec.values):
+    nodes, values = parallel_extend(sphere_spec, p, w, radius=0.3,
+                                    grid_res=4, steps=256)
+    for q, v in zip(nodes, values):
         want = np.array([1.0, np.sin(q[0]) ** 2, 0.0])
         assert np.abs(v - want).max() <= 1e-4 * max(1.0, np.abs(want).max())
     # the terminal bundle is regular on the ball, so rays and two-leg paths
     # agree even though the full connection is curved
-    assert sec.residual < 1e-6
+    assert two_leg_residual(sphere_spec, p, w, nodes, values, 256) < 1e-6
 
 
 def test_parallel_extend_punctured_plane_h2(plane_spec):
@@ -365,10 +367,11 @@ def test_parallel_extend_punctured_plane_h2(plane_spec):
                          -k * r * r * np.sin(2 * k * th),
                          r * np.cos(2 * k * th)])
 
-    sec = parallel_extend(plane_spec, p, h2(p), radius=0.4, grid_res=4,
-                          steps=256)
-    assert sec.residual < 1e-6  # flat connection: path independent
-    for q, v in zip(sec.nodes, sec.values):
+    nodes, values = parallel_extend(plane_spec, p, h2(p), radius=0.4,
+                                    grid_res=4, steps=256)
+    # flat connection: path independent
+    assert two_leg_residual(plane_spec, p, h2(p), nodes, values, 256) < 1e-6
+    for q, v in zip(nodes, values):
         want = h2(q)
         rel = np.abs(v - want).max() / max(1.0, np.abs(want).max())
         assert rel < 1e-4
