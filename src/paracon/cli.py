@@ -32,8 +32,8 @@ from .expr import ExprError
 from .flag import (IrregularPoint, NotSym2Bundle, canonical_basis,
                    regularity_scan)
 from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
-                           Analysis, GlobalVerdict, global_metricity)
-from .manifest import Manifest, ManifestError, load_manifest
+                           Analysis, GlobalVerdict)
+from .manifest import Manifest, ManifestError, build_steps, load_manifest
 from .transport import DefectTooLarge, TransportError
 
 __all__ = ["main", "run", "build_report", "exit_code", "canonical_json",
@@ -257,13 +257,11 @@ def build_report(man: Manifest, command: str) -> tuple:
     """Report of the ``analyze`` or ``global`` command; returns
     (report, its canonical JSON as the pieces from :func:`_finalize`,
     exit_code).  Every stage is read from one staged analysis."""
-    spec, options = man.spec, man.pipeline_options()
-    inputs = (spec, man.base_point, man.loops, man.grid_axes)
-    # a Sym^2 verdict comes from the library entry point, and its analysis
-    # carries the stages read below, so none of them runs twice
-    verdict = (global_metricity(*inputs, **options)
-               if spec.kind == "christoffel" else None)
-    an = Analysis(*inputs, **options) if verdict is None else verdict.analysis
+    spec = man.spec
+    an = Analysis(spec, man.base_point, man.loops, man.grid_axes,
+                  **man.pipeline_options())
+    # the verdict first, so the stages run, and print, in the verdict's order
+    verdict = an.verdict if spec.kind == "christoffel" else None
     report = _header(man, command, [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT])
     report["effective"] = {"tolerances": man.tolerances, "steps": man.steps}
     scan = an.scan
@@ -384,7 +382,7 @@ def run(command: str, manifest_path: str, args) -> int:
     overrides = _apply_cli_overrides(args)
     man = load_manifest(manifest_path, overrides)
     if args.steps is not None:
-        man.steps = {"rk4": int(args.steps), "quadrature": int(args.steps)}
+        man.steps = build_steps(dict.fromkeys(man.steps, args.steps))
 
     if command == "flag":
         # the one-node grid at the point: its flag as derived_flag gives it

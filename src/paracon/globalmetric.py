@@ -18,7 +18,7 @@ verdict carries that caveat.
 from __future__ import annotations
 
 import time
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -170,12 +170,10 @@ def fixed_subspace(holonomies: Sequence[HolonomyResult],
 
 @dataclass
 class GlobalVerdict:
-    """Outcome of the global pipeline with certificates and diagnostics; from
-    :func:`global_metricity` it carries the staged run in ``analysis``."""
+    """Outcome of the global pipeline with certificates and diagnostics."""
 
     status: str  # metric | not_metric | inconclusive | not_regular
     regular_on_grid: bool
-    analysis: Optional["Analysis"] = field(default=None, repr=False)
     wtilde_rank: Optional[int] = None
     fixed: Optional[Subspace] = None
     fixed_fiber_basis: Optional[np.ndarray] = None
@@ -225,8 +223,13 @@ class Analysis:
     ``base_trace`` (flag at the base point), ``holonomies`` (one per declared
     loop), ``fixed`` (their common fixed subspace) and ``verdict`` (PD
     feasibility of the fixed space and the rank-one period cross-check).
-    Reading a stage runs the stages it needs first.  The keyword settings
-    are described at :func:`global_metricity`.
+    Reading a stage runs the stages it needs first.  ``rank_tol``,
+    ``fixed_tol`` and ``pd_tol`` set the rank and PD decisions;
+    ``holonomy_tol`` bounds each holonomy's defect.  ``rk4_steps`` and
+    ``quadrature_steps`` are caps: each holonomy and each period doubles its
+    steps or points until its error estimate is at most 1e-3 of the smallest
+    tolerance it feeds (``fixed_tol`` and ``holonomy_tol``, or the loop's
+    ``period_tol``, by default ``1e-4 * (1 + loop length)``).
     """
 
     spec: ConnectionSpec
@@ -293,106 +296,95 @@ class Analysis:
     @_stage
     def verdict(self) -> GlobalVerdict:
         """Global metricity; see :func:`global_metricity`."""
-        spec = self.spec
-        if spec.kind != "christoffel":
-            raise NotSym2Bundle("global metricity is posed on the Sym^2 bundle")
-        if not self.scan.regular_on_grid:
-            return GlobalVerdict("not_regular", False, notes=[
-                "terminal dimension varies over the sample grid; the global "
-                "existence problem is not posed"])
-        try:
-            trace = self.base_trace
-        except IrregularPoint as exc:
-            return GlobalVerdict("inconclusive", True,
-                                 notes=[f"base-point flag failed: {exc}"])
-        wrank = trace.terminal.dim
-        if wrank == 0:
-            return GlobalVerdict("not_metric", True, wtilde_rank=0,
-                                 rank_tau_reported=0, notes=[
-                                     "terminal subspace is zero: no nonzero "
-                                     "parallel sections exist even locally"])
-        try:
-            fixed = self.fixed
-        except DefectTooLarge as exc:
-            return GlobalVerdict("inconclusive", True, wtilde_rank=wrank,
-                                 notes=[f"holonomy defect exceeded tolerance: "
-                                        f"{exc}"])
-        notes = []
-        # (N, m), a function of the fixed span alone: noise in H must not flip
-        # or rotate the basis that the PD screen starts from and reports
-        fiber_basis = canonical_basis(trace.terminal.basis @ fixed.basis)
-        m = fixed.dim
-
-        # a zero fixed space is a span of no generators, which is infeasible
-        pd_res = pdcone.pd_feasible(spec.sym.to_matrix(fiber_basis.T),
-                                    tol=self.pd_tol)
-        if m == 0:
-            notes.append("no holonomy-fixed directions: no global parallel "
-                         "sections at all")
-
-        status = {"feasible": "metric", "infeasible_certified": "not_metric",
-                  "inconclusive": "inconclusive"}[pd_res.status]
-        rank_wm = m if status == "metric" else 0
-
-        phi = None
-        period_tols = []
-        if wrank == 1 and self.loops:
-            # a Christoffel connection moves the line by congruence, so a PD
-            # generator stays PD along every loop; an indefinite one need
-            # not.  pd_res decided a fixed space that is the whole line
-            line = (pd_res if m == 1 else pdcone.pd_feasible(
-                spec.sym.to_matrix(trace.terminal.basis.T), tol=self.pd_tol))
-            if line.status != "feasible":
-                notes.append(
-                    "de Rham route skipped: terminal generator is not "
-                    "positive-definite; the connection is not locally metric "
-                    "at the base point")
-            else:
-                tols = [(self.period_tol if self.period_tol is not None
-                         else 1e-4 * (1.0 + loop.length()))
-                        for loop in self.loops]
-                try:
-                    phi = phi_periods(spec, self.loops, self.quadrature_steps,
-                                      rank_tol=self.rank_tol,
-                                      target=[_TARGET_FRACTION * t
-                                              for t in tols])
-                except IrregularPoint as exc:
-                    notes.append(f"de Rham route failed: {exc}")
-                else:
-                    period_tols = tols
-                    periods_zero = all(abs(p) < tol
-                                       for p, tol in zip(phi.periods, tols))
-                    if (status in ("metric", "not_metric")
-                            and periods_zero != (status == "metric")):
-                        notes.append(
-                            "rank-one period criterion disagrees with the "
-                            "holonomy criterion; downgrading to inconclusive")
-                        status = "inconclusive"
-                        rank_wm = 0
-
-        return GlobalVerdict(status, True, wtilde_rank=wrank,
-                             fixed=fixed, fixed_fiber_basis=fiber_basis,
-                             rank_wm=rank_wm, rank_tau_reported=wrank - m,
-                             pd_result=pd_res, phi=phi,
-                             period_tols=period_tols, notes=notes)
+        return global_metricity(self)
 
 
-def global_metricity(spec: ConnectionSpec, point, loops: Sequence[Curve],
-                     grid_axes, **options) -> GlobalVerdict:
-    """Full global pipeline: regularity scan, flag, holonomy, fixed subspace,
-    PD feasibility, and the rank-one period cross-check.  ``options`` are
-    the keyword settings of :class:`Analysis`, with its defaults.
+def global_metricity(an: Analysis) -> GlobalVerdict:
+    """The verdict of ``an``: PD feasibility of the holonomy-fixed subspace,
+    cross-checked on a rank-one terminal line by the Phi periods.
 
     Regularity on the sample grid is a precondition of the global theory;
     any dimension jump short-circuits to ``not_regular``.  An irregular
-    base-point flag or a holonomy defect above ``holonomy_tol`` ends in
-    ``inconclusive``.  ``rk4_steps`` and ``quadrature_steps`` are caps:
-    each holonomy and each period doubles its steps or points until its
-    error estimate is at most 1e-3 of the smallest tolerance it feeds
-    (``fixed_tol`` and ``holonomy_tol``, or the loop's period tolerance).
-    The verdict's ``analysis`` keeps every stage.
+    base-point flag, a holonomy defect above ``holonomy_tol`` or periods
+    that disagree with the holonomy criterion end in ``inconclusive``.
     """
-    an = Analysis(spec, point, loops, grid_axes, **options)
-    # only the returned copy points at the analysis: a cached verdict that did
-    # would form a cycle keeping every stage alive until garbage collection
-    return replace(an.verdict, analysis=an)
+    spec = an.spec
+    if spec.kind != "christoffel":
+        raise NotSym2Bundle("global metricity is posed on the Sym^2 bundle")
+    if not an.scan.regular_on_grid:
+        return GlobalVerdict("not_regular", False, notes=[
+            "terminal dimension varies over the sample grid; the global "
+            "existence problem is not posed"])
+    try:
+        trace = an.base_trace
+    except IrregularPoint as exc:
+        return GlobalVerdict("inconclusive", True,
+                             notes=[f"base-point flag failed: {exc}"])
+    wrank = trace.terminal.dim
+    if wrank == 0:
+        return GlobalVerdict("not_metric", True, wtilde_rank=0,
+                             rank_tau_reported=0, notes=[
+                                 "terminal subspace is zero: no nonzero "
+                                 "parallel sections exist even locally"])
+    try:
+        fixed = an.fixed
+    except DefectTooLarge as exc:
+        return GlobalVerdict("inconclusive", True, wtilde_rank=wrank, notes=[
+            f"holonomy defect exceeded tolerance: {exc}"])
+    notes = []
+    # (N, m), a function of the fixed span alone: noise in H must not flip
+    # or rotate the basis that the PD screen starts from and reports
+    fiber_basis = canonical_basis(trace.terminal.basis @ fixed.basis)
+    m = fixed.dim
+
+    # a zero fixed space is a span of no generators, which is infeasible
+    pd_res = pdcone.pd_feasible(spec.sym.to_matrix(fiber_basis.T),
+                                tol=an.pd_tol)
+    if m == 0:
+        notes.append("no holonomy-fixed directions: no global parallel "
+                     "sections at all")
+
+    status = {"feasible": "metric", "infeasible_certified": "not_metric",
+              "inconclusive": "inconclusive"}[pd_res.status]
+    rank_wm = m if status == "metric" else 0
+
+    phi = None
+    period_tols = []
+    if wrank == 1 and an.loops:
+        # a Christoffel connection moves the line by congruence, so a PD
+        # generator stays PD along every loop; an indefinite one need
+        # not.  pd_res decided a fixed space that is the whole line
+        line = (pd_res if m == 1 else pdcone.pd_feasible(
+            spec.sym.to_matrix(trace.terminal.basis.T), tol=an.pd_tol))
+        if line.status != "feasible":
+            notes.append(
+                "de Rham route skipped: terminal generator is not "
+                "positive-definite; the connection is not locally metric "
+                "at the base point")
+        else:
+            tols = [(an.period_tol if an.period_tol is not None
+                     else 1e-4 * (1.0 + loop.length()))
+                    for loop in an.loops]
+            try:
+                phi = phi_periods(spec, an.loops, an.quadrature_steps,
+                                  rank_tol=an.rank_tol,
+                                  target=[_TARGET_FRACTION * t for t in tols])
+            except IrregularPoint as exc:
+                notes.append(f"de Rham route failed: {exc}")
+            else:
+                period_tols = tols
+                periods_zero = all(abs(p) < tol
+                                   for p, tol in zip(phi.periods, tols))
+                if (status in ("metric", "not_metric")
+                        and periods_zero != (status == "metric")):
+                    notes.append(
+                        "rank-one period criterion disagrees with the "
+                        "holonomy criterion; downgrading to inconclusive")
+                    status = "inconclusive"
+                    rank_wm = 0
+
+    return GlobalVerdict(status, True, wtilde_rank=wrank,
+                         fixed=fixed, fixed_fiber_basis=fiber_basis,
+                         rank_wm=rank_wm, rank_tau_reported=wrank - m,
+                         pd_result=pd_res, phi=phi,
+                         period_tols=period_tols, notes=notes)

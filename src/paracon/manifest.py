@@ -19,11 +19,11 @@ import numpy as np
 
 from .bundle import ConnectionSpec, Domain
 from .expr import ExprError, parse_expr
-from .transport import Curve
+from .transport import MIN_RK4_STEPS, Curve
 
 __all__ = ["Manifest", "ManifestError", "load_manifest", "manifest_from_dict",
-           "manifest_digest", "with_params", "DEFAULT_TOLERANCES",
-           "DEFAULT_STEPS", "PD_TOL_MIN"]
+           "manifest_digest", "with_params", "build_steps",
+           "DEFAULT_TOLERANCES", "DEFAULT_STEPS", "PD_TOL_MIN"]
 
 DEFAULT_TOLERANCES = {
     "rank_tol": 1e-7,
@@ -73,7 +73,7 @@ class Manifest:
         return manifest_digest(self.raw)
 
     def pipeline_options(self) -> dict:
-        """Keyword settings of ``global_metricity`` and ``Analysis``."""
+        """Keyword settings of ``Analysis``."""
         return dict(self.tolerances, rk4_steps=self.steps["rk4"],
                     quadrature_steps=self.steps["quadrature"])
 
@@ -92,6 +92,18 @@ def _require(doc, key, pointer, typ=None):
         raise ManifestError(f"{pointer}/{key}",
                             f"expected {typ.__name__}, got {type(val).__name__}")
     return val
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require_count(v, pointer, least: int):
+    """Reject ``v`` unless it is an integer (not a bool) of at least
+    ``least``."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ManifestError(pointer, f"expected an integer of at least "
+                                     f"{least}, got {v!r}")
 
 
 def _build_domain(doc) -> Domain:
@@ -198,6 +210,11 @@ def _build_grid(doc, domain: Domain) -> list:
         axes = grid["values"]
         if len(axes) != domain.dim:
             raise ManifestError("/grid/values", "one value list per coordinate")
+        for i, axis in enumerate(axes):
+            if not (isinstance(axis, list) and axis
+                    and all(map(_is_number, axis))):
+                raise ManifestError(f"/grid/values/{i}", "expected a non-empty "
+                                    f"list of numbers, got {axis!r}")
         return [[float(v) for v in axis] for axis in axes]
     if "counts" in grid:
         counts = grid["counts"]
@@ -205,15 +222,29 @@ def _build_grid(doc, domain: Domain) -> list:
             raise ManifestError("/grid/counts", "one count per coordinate")
         axes = []
         for i, cnt in enumerate(counts):
+            _require_count(cnt, f"/grid/counts/{i}", 1)
             lo, hi = domain.lows[i], domain.highs[i]
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ManifestError(f"/grid/counts/{i}",
                                     "counts need a finite coordinate range")
             span = hi - lo
             axes.append(list(np.linspace(lo + _GRID_INSET * span,
-                                         hi - _GRID_INSET * span, int(cnt))))
+                                         hi - _GRID_INSET * span, cnt)))
         return axes
     raise ManifestError("/grid", "grid needs 'values' or 'counts'")
+
+
+def build_steps(steps: dict) -> dict:
+    """The step caps over their defaults, each an integer: ``rk4`` at least
+    :data:`transport.MIN_RK4_STEPS`, the fewest a transport takes, and
+    ``quadrature`` at least 1."""
+    out = dict(DEFAULT_STEPS)
+    for k, v in steps.items():
+        if k not in out:
+            raise ManifestError(f"/steps/{k}", "unknown step setting")
+        _require_count(v, f"/steps/{k}", MIN_RK4_STEPS if k == "rk4" else 1)
+        out[k] = v
+    return out
 
 
 def _build_tolerances(doc) -> dict:
@@ -232,7 +263,7 @@ def _build_tolerances(doc) -> dict:
         if v is None and k == "period_tol":
             tol[k] = None
             continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ManifestError(ptr, f"expected a number, got {v!r}")
         v = float(v)
         if not (math.isfinite(v) and v > 0.0):
@@ -262,11 +293,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
     grid_axes = _build_grid(doc, domain)
 
     tol = _build_tolerances(doc)
-    steps = dict(DEFAULT_STEPS)
-    for k, v in doc.get("steps", {}).items():
-        if k not in steps:
-            raise ManifestError(f"/steps/{k}", "unknown step setting")
-        steps[k] = int(v)
+    steps = build_steps(doc.get("steps", {}))
     # the top-level "seed" and "pd_restarts" are no-ops, kept so older
     # manifests load: PD feasibility is deterministic and has no restarts
     return Manifest(doc, domain, spec, base, loops, grid_axes, tol, steps)

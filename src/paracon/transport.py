@@ -35,12 +35,13 @@ from .expr import Binary, Const, Expr, Name, compile_expr, diff
 from .flag import Subspace
 
 __all__ = [
-    "Curve", "HolonomyResult", "TransportError",
+    "Curve", "HolonomyResult", "TransportError", "MIN_RK4_STEPS",
     "CurveNotClosed", "DefectTooLarge", "transport", "holonomy_matrix",
     "parallel_extend", "line_curve", "doubling_levels", "converged",
 ]
 
 _CLOSURE_TOL = 1e-9
+MIN_RK4_STEPS = 16
 # RK4 steps per chunk: generators are evaluated and step maps composed for one
 # chunk at a time, which bounds the memory of a long transport
 _CHUNK = 1024
@@ -156,8 +157,8 @@ def transport(spec: ConnectionSpec, curve: Curve, v0,
               steps: int = 4096) -> np.ndarray:
     """Parallel transport of a fiber vector (or basis matrix) along a curve;
     the transported vector (or matrix)."""
-    if steps < 16:
-        raise TransportError("at least 16 RK4 steps required")
+    if steps < MIN_RK4_STEPS:
+        raise TransportError(f"at least {MIN_RK4_STEPS} RK4 steps required")
     v = np.asarray(v0, dtype=float)
     single = v.ndim == 1
     if single:
@@ -232,8 +233,6 @@ def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
     if defect >= holonomy_tol:
         raise DefectTooLarge(
             f"transport left the terminal subspace (defect {defect:.3e})")
-    if H.size and abs(np.linalg.det(H)) < 1e-12:
-        raise TransportError("holonomy matrix is numerically singular")
     return HolonomyResult(p, loop.name, H, defect, s, estimate)
 
 

@@ -14,7 +14,7 @@ from paracon.corpus import get_entry
 from paracon.expr import diff, parse_expr
 from paracon.flag import (IrregularPoint, derived_flag, local_metricity,
                           principal_angles, regularity_scan)
-from paracon.globalmetric import fixed_subspace, global_metricity, phi_periods
+from paracon.globalmetric import Analysis, fixed_subspace, phi_periods
 from paracon.pdcone import pd_feasible
 from paracon.transport import (Curve, holonomy_matrix, line_curve,
                                parallel_extend, transport)
@@ -55,9 +55,9 @@ def test_criterion_2_sphere_flag_periods_verdict():
         one = regularity_scan(man.spec, [[v] for v in p])  # a batch of one
         lm, = local_metricity(man.spec, one.levels[-1])
         assert lm.status == "feasible"
-    v = global_metricity(man.spec, man.base_point, man.loops, man.grid_axes,
-                         rk4_steps=man.steps["rk4"],
-                         quadrature_steps=man.steps["quadrature"])
+    v = Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
+                 rk4_steps=man.steps["rk4"],
+                 quadrature_steps=man.steps["quadrature"]).verdict
     assert v.phi is not None and len(v.phi.periods) == 2
     assert v.phi.max_abs() < 1e-6
     assert v.status == "metric"
@@ -115,9 +115,9 @@ def test_criterion_4_punctured_plane_pipeline_and_control():
 
     assert pd_feasible(man.spec.sym.to_matrix(fiber.T)).status == "feasible"
 
-    v = global_metricity(man.spec, man.base_point, man.loops, man.grid_axes,
-                         rk4_steps=man.steps["rk4"],
-                         quadrature_steps=man.steps["quadrature"])
+    v = Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
+                 rk4_steps=man.steps["rk4"],
+                 quadrature_steps=man.steps["quadrature"]).verdict
     assert v.status == "metric" and v.rank_wm == 1
 
     man5 = entry.manifest({"k": 0.5})

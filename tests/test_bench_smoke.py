@@ -59,6 +59,8 @@ def test_benchmark_traced_corpus_pass_is_correct():
     metrics = _traced_pass("corpus")["metrics"]
     _assert_called(metrics, _CONTRACT + ("flag.second_fundamental_kernel",
                                          "flag.batch_terminal_bases"))
+    # one verdict per Sym^2 entry: five of the six are Christoffel
+    assert metrics["globalmetric.global_metricity.calls"]["value"] == 5
 
 
 def test_benchmark_traced_loops_3d_pass_is_correct():

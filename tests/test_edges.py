@@ -12,10 +12,11 @@ import pytest
 
 from paracon.bundle import ConnectionSpec, Domain
 from paracon.cli import main
+from paracon.corpus import get_entry
 from paracon.expr import parse_expr
 from paracon.flag import (FlagError, Subspace, derived_flag, local_metricity,
                           regularity_scan)
-from paracon.globalmetric import global_metricity
+from paracon.globalmetric import Analysis
 from paracon.manifest import manifest_from_dict
 from paracon.transport import DefectTooLarge
 
@@ -32,7 +33,7 @@ def test_one_dimensional_chart_with_scaling_connection():
     assert tr.dims == [1]
     lm, = local_metricity(spec, regularity_scan(spec, [[0.3]]).levels[-1])
     assert lm.status == "feasible"
-    v = global_metricity(spec, [0.3], [], [[-1.0, 0.0, 1.0]])
+    v = Analysis(spec, [0.3], [], [[-1.0, 0.0, 1.0]]).verdict
     assert v.status == "metric"
     assert v.rank_wm == 1
 
@@ -50,8 +51,8 @@ def test_three_dimensional_flat_chart():
     assert spec.N == 6
     tr = derived_flag(spec, (0.1, -0.2, 0.3))
     assert tr.dims == [6]
-    v = global_metricity(spec, [0.0, 0.0, 0.0], [],
-                         [[-0.5, 0.5], [-0.5, 0.5], [0.0]])
+    v = Analysis(spec, [0.0, 0.0, 0.0], [],
+                 [[-0.5, 0.5], [-0.5, 0.5], [0.0]]).verdict
     assert v.status == "metric"
     assert v.rank_wm == 6
 
@@ -82,8 +83,8 @@ def test_global_downgrades_on_defect(monkeypatch, plane_spec):
     from paracon.transport import Curve
     loop = Curve(plane_spec.domain, [parse_expr("1"), parse_expr("t")],
                  0.0, 2 * np.pi, name="c", params=plane_spec.params)
-    v = gm.global_metricity(plane_spec, [1.0, 0.0], [loop],
-                            [[1.0, 2.0], [0.5, 3.5]])
+    v = gm.Analysis(plane_spec, [1.0, 0.0], [loop],
+                    [[1.0, 2.0], [0.5, 3.5]]).verdict
     assert v.status == "inconclusive"
     assert any("defect" in n for n in v.notes)
 
@@ -108,17 +109,42 @@ def test_failed_stage_is_remembered_not_rerun(monkeypatch, plane_spec):
     assert len(calls) == 1
 
 
-def test_global_verdict_frees_its_analysis_without_gc(flat_spec):
-    import gc
-    import weakref
-    gc.disable()
-    try:
-        v = global_metricity(flat_spec, [0.0, 0.0], [], [[-1.0, 1.0], [0.0]])
-        ref = weakref.ref(v.analysis)
-        del v
-        assert ref() is None  # no reference cycle holds the stages
-    finally:
-        gc.enable()
+def _contracting_circle(tmp_path, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_contracting_sym2_holonomy_is_a_verdict(tmp_path):
+    # Gamma^theta_theta_theta = c on the circle: H = exp(4 pi c), 4.2e-17 at
+    # c = -3, numerically singular; H - I has full rank, so nothing is fixed
+    c, two_pi = -3.0, 2 * np.pi
+    report = _contracting_circle(tmp_path, {
+        "coords": [{"name": "theta", "range": [0.0, two_pi],
+                    "period": two_pi}],
+        "connection": {"kind": "christoffel",
+                       "gamma": {"theta": {"theta,theta": str(c)}}},
+        "base_point": [0.0],
+        "loops": [{"name": "circle", "exprs": ["t"],
+                   "t_range": [0.0, two_pi]}],
+        "grid": {"values": [[0.5, 2.0, 3.5, 5.0]]},
+    })
+    gv = report["global_verdict"]
+    assert (gv["status"], gv["fixed_dim"]) == ("not_metric", 0)
+    period, = gv["phi_periods"]["periods"]
+    tol, = gv["phi_periods"]["period_tols"]
+    assert abs(period - (-4 * np.pi * c)) < tol
+
+
+def test_contracting_flat_bundle_holonomy_is_a_verdict(tmp_path):
+    # s1-line-bundle with Omega = 6: H = exp(-12 pi), numerically singular
+    doc = json.loads(json.dumps(get_entry("s1-line-bundle").manifest_doc))
+    doc.pop("expected")
+    doc["connection"]["omega"] = [[["6"]]]
+    report = _contracting_circle(tmp_path, doc)
+    assert report["flat_bundle"]["fixed_dim"] == 0
 
 
 def test_cli_unknown_loop_and_missing_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ from paracon.expr import parse_expr
 from paracon.flag import (NotSym2Bundle, Subspace, canonical_basis,
                           derived_flag, principal_angles)
 from paracon.globalmetric import (Analysis, GlobalError, fixed_subspace,
-                                  global_metricity, phi_form, phi_periods)
+                                  phi_form, phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
 from reference import log_gradient, rescaled_period, tracked_sections
 
@@ -358,14 +358,14 @@ CONE_GRID = [[0.6, 1.4, 2.2], [0.5, 2.5, 4.5], [-0.5, 0.5]]
 
 def _cone_line_verdict():
     spec, loops = cone_line_spec()
-    return global_metricity(spec, [1.0, 0.0, 0.0], loops, CONE_GRID,
-                            rk4_steps=2048)
+    return Analysis(spec, [1.0, 0.0, 0.0], loops, CONE_GRID,
+                    rk4_steps=2048).verdict
 
 
 def _plane_verdict(spec):
-    return global_metricity(spec, [1.0, 0.0],
-                            [plane_loop(spec.domain, spec.params)],
-                            PLANE_GRID, rk4_steps=2048, quadrature_steps=256)
+    return Analysis(spec, [1.0, 0.0],
+                    [plane_loop(spec.domain, spec.params)],
+                    PLANE_GRID, rk4_steps=2048, quadrature_steps=256).verdict
 
 
 @pytest.mark.parametrize("eps", [1e-12, -1e-12])
@@ -436,9 +436,9 @@ PLANE_GRID = [[0.5, 1.0, 1.5, 2.0, 2.5],
 
 
 def test_global_punctured_plane_is_metric(plane_spec):
-    v = global_metricity(plane_spec, [1.0, 0.0],
-                         [plane_loop(plane_spec.domain, plane_spec.params)],
-                         PLANE_GRID, rk4_steps=2048, quadrature_steps=256)
+    v = Analysis(plane_spec, [1.0, 0.0],
+                 [plane_loop(plane_spec.domain, plane_spec.params)],
+                 PLANE_GRID, rk4_steps=2048, quadrature_steps=256).verdict
     assert v.status == "metric"
     assert v.rank_wm == 1
     assert v.wtilde_rank == 3
@@ -450,27 +450,27 @@ def test_global_punctured_plane_is_metric(plane_spec):
 def test_global_half_integer_control_has_full_fixed_space():
     from conftest import punctured_plane_spec
     spec = punctured_plane_spec(k=0.5)
-    v = global_metricity(spec, [1.0, 0.0],
-                         [plane_loop(spec.domain, spec.params)],
-                         PLANE_GRID, rk4_steps=2048, quadrature_steps=256)
+    v = Analysis(spec, [1.0, 0.0],
+                 [plane_loop(spec.domain, spec.params)],
+                 PLANE_GRID, rk4_steps=2048, quadrature_steps=256).verdict
     assert v.status == "metric"
     assert v.rank_wm == 3
     assert v.fixed.dim == 3
 
 
 def test_global_pathology_short_circuits(pathology_spec):
-    v = global_metricity(pathology_spec, [0.5, 0.0], [],
-                         [[-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0], [0.0]])
+    v = Analysis(pathology_spec, [0.5, 0.0], [],
+                 [[-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0], [0.0]]).verdict
     assert v.status == "not_regular"
     assert not v.regular_on_grid
     assert v.rank_wm == 0
 
 
 def test_global_sphere_with_band_loops(sphere_spec):
-    v = global_metricity(sphere_spec, [np.pi / 3, 1.0],
-                         band_loops(sphere_spec.domain),
-                         [[0.6, 1.5, 2.4], [0.5, 3.5]],
-                         rk4_steps=2048, quadrature_steps=512)
+    v = Analysis(sphere_spec, [np.pi / 3, 1.0],
+                 band_loops(sphere_spec.domain),
+                 [[0.6, 1.5, 2.4], [0.5, 3.5]],
+                 rk4_steps=2048, quadrature_steps=512).verdict
     assert v.status == "metric"
     assert v.rank_wm == 1
     assert v.phi is not None
@@ -478,16 +478,16 @@ def test_global_sphere_with_band_loops(sphere_spec):
 
 
 def test_global_sphere_no_loops_uses_simple_connectivity(sphere_spec):
-    v = global_metricity(sphere_spec, [np.pi / 3, 1.0], [],
-                         [[0.6, 1.5, 2.4], [0.5, 3.5]])
+    v = Analysis(sphere_spec, [np.pi / 3, 1.0], [],
+                 [[0.6, 1.5, 2.4], [0.5, 3.5]]).verdict
     assert v.status == "metric"
     assert v.rank_wm == 1
     assert v.fixed.dim == 1
 
 
 def test_global_flat_no_loops_full_rank(flat_spec):
-    v = global_metricity(flat_spec, [0.0, 0.0], [],
-                         [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+    v = Analysis(flat_spec, [0.0, 0.0], [],
+                 [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]).verdict
     assert v.status == "metric"
     assert v.rank_wm == 3
     assert v.rank_tau_reported == 0
@@ -495,9 +495,9 @@ def test_global_flat_no_loops_full_rank(flat_spec):
 
 def test_global_dtheta_obstruction_not_metric(dtheta_spec):
     loop = plane_loop(dtheta_spec.domain)
-    v = global_metricity(dtheta_spec, [1.0, 0.0], [loop],
-                         [[0.8, 1.3, 1.8, 2.3], [0.5, 1.6, 2.7, 3.8, 4.9, 6.0]],
-                         rk4_steps=2048, quadrature_steps=512)
+    v = Analysis(dtheta_spec, [1.0, 0.0], [loop],
+                 [[0.8, 1.3, 1.8, 2.3], [0.5, 1.6, 2.7, 3.8, 4.9, 6.0]],
+                 rk4_steps=2048, quadrature_steps=512).verdict
     assert v.status == "not_metric"
     assert v.rank_wm == 0
     assert v.fixed.dim == 0
@@ -535,9 +535,9 @@ def test_piecewise_connection_holonomy_runs_to_the_cap():
     spec = ConnectionSpec(dom, kind="christoffel", gamma={
         (0, 0, 0): parse_expr("if(theta < 2, 0.3, -0.2)")})
     loop = Curve(dom, [parse_expr("t")], 0.0, TWO_PI, name="circle")
-    v = global_metricity(spec, [0.0], [loop], [[0.5, 1.5, 3.0, 5.0]],
-                         rk4_steps=4096, quadrature_steps=4096)
-    an = v.analysis
+    an = Analysis(spec, [0.0], [loop], [[0.5, 1.5, 3.0, 5.0]],
+                  rk4_steps=4096, quadrature_steps=4096)
+    v = an.verdict
     h, = an.holonomies
     assert h.steps == 4096
     assert h.error_estimate > 1e-3 * min(an.fixed_tol, an.holonomy_tol)
@@ -570,8 +570,8 @@ def test_degenerating_tracked_line_runs_the_period_route():
     spec = ConnectionSpec(dom, kind="christoffel", gamma=_degenerating_gamma())
     loop = Curve(dom, [parse_expr("-1.5 + 1.5*(1 - cos(t))"),
                        parse_expr("0")], 0.0, TWO_PI, name="out-and-back")
-    v = global_metricity(spec, [-1.5, 0.0], [loop],
-                         [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
+    v = Analysis(spec, [-1.5, 0.0], [loop],
+                 [[-1.0, 0.0, 1.0], [-1.0, 1.0]]).verdict
     assert (v.status, v.notes) == ("metric", [])
     assert abs(v.phi.periods[0]) < v.period_tols[0]
 
@@ -588,9 +588,9 @@ def test_indefinite_terminal_line_skips_the_de_rham_route():
     loop = Curve(dom, [parse_expr("0.2 + 0.5*cos(t)"),
                        parse_expr("0.1 + 0.5*sin(t)")], 0.0, TWO_PI,
                  name="circle")
-    v = global_metricity(spec, [0.7, 0.1], [loop],
-                         [[-0.5, 0.0, 0.5], [-0.5, 0.5]])
-    assert np.abs(np.abs(v.analysis.base_trace.terminal.basis[:, 0])
+    an = Analysis(spec, [0.7, 0.1], [loop], [[-0.5, 0.0, 0.5], [-0.5, 0.5]])
+    v = an.verdict
+    assert np.abs(np.abs(an.base_trace.terminal.basis[:, 0])
                   - [0.0, 0.0, 1.0]).max() < 1e-12
     assert v.status == "not_metric" and v.phi is None
     assert v.notes == [
@@ -609,8 +609,8 @@ def test_flag_jump_along_a_loop_fails_the_de_rham_route():
                           gamma=_degenerating_gamma(cut=0.5))
     loop = Curve(dom, [parse_expr("0.3 - 0.5*cos(t)"),
                        parse_expr("0.5*sin(t)")], 0.0, TWO_PI, name="across")
-    v = global_metricity(spec, [-0.2, 0.0], [loop],
-                         [[-1.0, -0.5, 0.0], [-1.0, 1.0]])
+    v = Analysis(spec, [-0.2, 0.0], [loop],
+                 [[-1.0, -0.5, 0.0], [-1.0, 1.0]]).verdict
     assert v.status == "metric" and v.phi is None
     note, = v.notes
     assert note.startswith("de Rham route failed: flag dimension jump at ")
@@ -618,15 +618,15 @@ def test_flag_jump_along_a_loop_fails_the_de_rham_route():
 
 def test_global_requires_sym2(circle_line_spec):
     with pytest.raises(NotSym2Bundle):
-        global_metricity(circle_line_spec, [0.0], [], [[0.5, 2.0]])
+        Analysis(circle_line_spec, [0.0], [], [[0.5, 2.0]]).verdict
 
 
 def test_metric_verdict_fixed_vectors_transport_home(plane_spec):
     # the certified fixed vectors are global parallel sections: transporting
     # them around every declared loop returns them
     loop = plane_loop(plane_spec.domain, plane_spec.params)
-    v = global_metricity(plane_spec, [1.0, 0.0], [loop], PLANE_GRID,
-                         rk4_steps=2048, quadrature_steps=256)
+    v = Analysis(plane_spec, [1.0, 0.0], [loop], PLANE_GRID,
+                 rk4_steps=2048, quadrature_steps=256).verdict
     assert v.status == "metric"
     for a in range(v.fixed_fiber_basis.shape[1]):
         w = v.fixed_fiber_basis[:, a]
@@ -636,14 +636,14 @@ def test_metric_verdict_fixed_vectors_transport_home(plane_spec):
 
 def test_rank_one_criteria_agree_on_corpus(sphere_spec, dtheta_spec):
     # vanishing periods and the holonomy route decide identically
-    v1 = global_metricity(sphere_spec, [np.pi / 3, 1.0],
-                          band_loops(sphere_spec.domain),
-                          [[0.6, 1.5, 2.4], [0.5, 3.5]],
-                          rk4_steps=1024, quadrature_steps=256)
+    v1 = Analysis(sphere_spec, [np.pi / 3, 1.0],
+                  band_loops(sphere_spec.domain),
+                  [[0.6, 1.5, 2.4], [0.5, 3.5]],
+                  rk4_steps=1024, quadrature_steps=256).verdict
     assert v1.status == "metric" and v1.phi.max_abs() < 1e-4
 
     loop = plane_loop(dtheta_spec.domain)
-    v2 = global_metricity(dtheta_spec, [1.0, 0.0], [loop],
-                          [[0.8, 1.3, 1.8, 2.3], [0.5, 2.7, 4.9]],
-                          rk4_steps=1024, quadrature_steps=256)
+    v2 = Analysis(dtheta_spec, [1.0, 0.0], [loop],
+                  [[0.8, 1.3, 1.8, 2.3], [0.5, 2.7, 4.9]],
+                  rk4_steps=1024, quadrature_steps=256).verdict
     assert v2.status == "not_metric" and v2.phi.max_abs() > 1.0

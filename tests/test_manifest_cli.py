@@ -123,6 +123,40 @@ def test_manifest_keeps_valid_tolerances():
                               "fixed_tol": 1e-3}
 
 
+@pytest.mark.parametrize("patch, argv, pointer", [
+    ({"steps": {"quadrature": 0}}, [], "/steps/quadrature"),
+    ({"steps": {"rk4": "abc"}}, [], "/steps/rk4"),
+    ({"steps": {"rk4": True}}, [], "/steps/rk4"),
+    ({"steps": {"rk4": 8}}, [], "/steps/rk4"),
+    ({}, ["--steps", "8"], "/steps/rk4"),
+    ({"grid": {"values": [[], [1.0]]}}, [], "/grid/values/0"),
+    ({"grid": {"values": [["a"], [1.0]]}}, [], "/grid/values/0"),
+    ({"grid": {"counts": [0, 3]}}, [], "/grid/counts/0"),
+    ({"grid": {"counts": ["a", 3]}}, [], "/grid/counts/0"),
+    ({"grid": {"counts": [3.5, 3]}}, [], "/grid/counts/0"),
+])
+def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
+                                        pointer):
+    # each used to end in a traceback, be truncated without a message, or
+    # (rk4 true, read as 1) fail only in the transport
+    doc = dict(get_entry("sphere").manifest_doc, **patch)
+    doc.pop("expected")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json"),
+                 *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"manifest error: {pointer}: ")
+    assert "Traceback" not in err
+
+
+def test_manifest_accepts_the_least_steps_and_grid():
+    man = manifest_from_dict(minimal_doc(steps={"rk4": 16, "quadrature": 1},
+                                         grid={"counts": [1, 2]}))
+    assert man.steps == {"rk4": 16, "quadrature": 1}
+    assert man.grid_axes == [[-0.8], [-0.8, 0.8]]
+
+
 def test_manifest_digest_is_stable():
     a = manifest_from_dict(minimal_doc())
     b = manifest_from_dict(minimal_doc())
@@ -412,6 +446,8 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     holos = _count_calls(monkeypatch, "paracon.transport", "holonomy_matrix")
     locals_ = _count_calls(monkeypatch, "paracon.flag", "local_metricity")
     pds = _count_calls(monkeypatch, "paracon.pdcone", "pd_feasible")
+    verdicts = _count_calls(monkeypatch, "paracon.globalmetric",
+                            "global_metricity")
     out = tmp_path / "r.json"
     assert main(["analyze", str(man), "--out", str(out),
                  "--steps", "512"]) == 0
@@ -425,6 +461,7 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     # pd_feasible is the verdict's
     assert len(locals_) == 1
     assert len(pds) == 1
+    assert len(verdicts) == 1
 
 
 def test_corrupted_corpus_file_is_reported(monkeypatch):
