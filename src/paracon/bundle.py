@@ -398,9 +398,6 @@ class Jet:
         """nabla^order R over the batch, laid out as
         :func:`covariant_curvature_stack` returns it; it may share memory
         with the jet's rows."""
-        m, n, N = len(self.points), self.spec.n, self.spec.N
-        if n < 2:  # one-dimensional chart: no curvature operators
-            return np.zeros((m, n ** order, 0, N, N))
         while len(self._nabla) <= order:
             self._antidiagonal(len(self._nabla))
         return np.ascontiguousarray(self._nabla[order][:, 0])
@@ -425,11 +422,11 @@ class Jet:
                 prod *= c[:, None, None]
             block[:, :e] += prod[:, :e]
             block[:, :e] -= prod[:, e:]
-        block = block.reshape(m, -1, 1, P, N, N)
+        block = block.reshape(m, len(_degree(n, s)), 1, P, N, N)
         for j in range(s + 1):
             if j:  # d^alpha nabla^j R, |alpha| = s - j, from nabla^(j-1) R
                 src = self._nabla[j - 1]
-                src = src.reshape(m, src.shape[1], -1, N, N)
+                src = src.reshape(m, src.shape[1], n ** (j - 1) * P, N, N)
                 first, terms = _nabla_terms(n, s - j)
                 block = np.take(src, first, axis=1)
                 for e, om, rest, c in terms:
@@ -439,7 +436,8 @@ class Jet:
                     if c is not None:
                         t *= c[:, None, None, None]
                     block[:, :e] += t
-                block = block.reshape(m, -1, n ** j, P, N, N)
+                block = block.reshape(m, len(_degree(n, s - j)), n ** j, P,
+                                      N, N)
             if j < len(self._nabla):
                 self._nabla[j] = np.concatenate([self._nabla[j], block],
                                                 axis=1)
@@ -482,7 +480,7 @@ def _by_position(terms):
     number of entries with a term there, each index as an array and the
     coefficients, None where all are 1."""
     out = []
-    for t in range(len(terms[0])):
+    for t in range(len(terms[0]) if terms else 0):
         *cols, c = zip(*(ts[t] for ts in terms if len(ts) > t))
         out.append((len(c), *map(np.array, cols),
                     None if set(c) == {1} else np.array(c, dtype=float)))
@@ -506,8 +504,8 @@ def _curvature_terms(n: int, degree: int):
     rows = _rows(n, degree, omega=True)
     entries = [(a, i, j) for a in _degree(n, degree)
                for i, j in curvature_pairs(n)]
-    first = (np.array([up[_up(a, i)] * n + j for a, i, j in entries]),
-             np.array([up[_up(a, j)] * n + i for a, i, j in entries]))
+    first = (np.array([up[_up(a, i)] * n + j for a, i, j in entries], int),
+             np.array([up[_up(a, j)] * n + i for a, i, j in entries], int))
     terms = _by_position([[(rows[b] * n + i, rows[b] * n + j,
                             rows[r] * n + j, rows[r] * n + i, c)
                            for b, r, c in _leibniz(a)]
@@ -527,7 +525,7 @@ def _nabla_terms(n: int, degree: int):
     rows = _rows(n, degree + 1)
     omega = _rows(n, degree, omega=True)
     entries = [(a, k) for a in _degree(n, degree) for k in range(n)]
-    first = np.array([rows[_up(a, k)] for a, k in entries])
+    first = np.array([rows[_up(a, k)] for a, k in entries], int)
     return first, _by_position([[(omega[b] * n + k, rows[r], c)
                                  for b, r, c in _leibniz(a)]
                                 for a, k in entries])
