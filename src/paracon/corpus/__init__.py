@@ -71,14 +71,19 @@ def get_entry(entry_id: str) -> CorpusEntry:
     raise KeyError(f"no corpus entry {entry_id!r}")
 
 
-def _eval_vectors(spec: ConnectionSpec, exprs, point):
-    """Evaluate a list of fiber coefficient expressions at a point."""
-    env = spec.domain.env(np.asarray(point, dtype=float), spec.params)
-    out = []
-    for row in exprs:
-        out.append([float(np.asarray(compile_expr(parse_expr(t))(env)).ravel()[0])
-                    for t in row])
-    return np.array(out).T  # columns are the declared vectors
+def _vectors(spec: ConnectionSpec, rows):
+    """The fiber vectors that rows of coefficient expressions declare,
+    compiled once, as a function of an (m, n) batch of points or one point;
+    shape (m, N, len(rows)), the vectors as columns."""
+    tape = compile_expr([parse_expr(t) for row in rows for t in row])
+
+    def at(points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        vals = [np.broadcast_to(np.asarray(v, dtype=float), len(pts))
+                for v in tape(spec.domain.env(pts, spec.params))]
+        return np.stack(vals, axis=1).reshape(len(pts), len(rows),
+                                              -1).transpose(0, 2, 1)
+    return at
 
 
 def _analysis(man: Manifest) -> Analysis:
@@ -128,8 +133,8 @@ def run_entry(entry: CorpusEntry):
 
     if "terminal_direction" in exp:
         tr = an.base_trace
-        want = _eval_vectors(spec, [exp["terminal_direction"]["value"]],
-                             man.base_point)
+        want = _vectors(spec, [exp["terminal_direction"]["value"]])(
+            man.base_point)[0]
         want /= np.linalg.norm(want)
         ang = principal_angles(tr.terminal.basis, want).max()
         record("terminal_direction", ang < exp["terminal_direction"]["tol"],
@@ -149,7 +154,7 @@ def run_entry(entry: CorpusEntry):
             h = next(x for x in an.holonomies if x.loop_name == want["loop"])
             H = h.matrix
             if "basis" in want:
-                C = _eval_vectors(spec, want["basis"], man.base_point)
+                C = _vectors(spec, want["basis"])(man.base_point)[0]
                 S = an.base_trace.terminal.basis.T @ C
                 H = np.linalg.solve(S, H @ S)
             err = np.abs(H - np.array(want["matrix"])).max()
@@ -163,8 +168,8 @@ def run_entry(entry: CorpusEntry):
                    f"dim={fixed.dim}")
         if "fixed_direction" in exp:
             fiber = terminal.basis @ fixed.basis
-            want = _eval_vectors(spec, [exp["fixed_direction"]["value"]],
-                                 man.base_point)
+            want = _vectors(spec, [exp["fixed_direction"]["value"]])(
+                man.base_point)[0]
             want /= np.linalg.norm(want)
             ang = principal_angles(fiber, want).max()
             record("fixed_direction", ang < exp["fixed_direction"]["tol"],
@@ -188,16 +193,17 @@ def run_entry(entry: CorpusEntry):
         ps = exp["parallel_sections"]
         ok, worst, count = True, 0.0, 0
         for row in ps["formulas"]:
-            w = _eval_vectors(spec, [row], man.base_point)[:, 0]
+            section = _vectors(spec, [row])
+            w = section(man.base_point)[0, :, 0]
             nodes, values = parallel_extend(spec, man.base_point, w,
                                             ps["radius"], ps["grid_res"],
                                             steps=512)
             count = len(nodes)
-            for q, v in zip(nodes, values):
-                want_v = _eval_vectors(spec, [row], q)[:, 0]
-                rel = np.abs(v - want_v).max() / max(1.0, np.abs(want_v).max())
-                worst = max(worst, rel)
-                ok = ok and rel < ps["rel_tol"]
+            want_v = section(nodes)[:, :, 0]
+            rel = (np.abs(values - want_v).max(axis=1)
+                   / np.maximum(1.0, np.abs(want_v).max(axis=1)))
+            worst = max(worst, rel.max(initial=0.0))
+            ok = ok and bool(np.all(rel < ps["rel_tol"]))
         ok = ok and count >= ps.get("min_nodes", 1)
         record("parallel_sections", ok,
                f"{count} nodes, worst rel err {worst:.2e}")
