@@ -79,10 +79,9 @@ def _vectors(spec: ConnectionSpec, rows):
 
     def at(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = [np.broadcast_to(np.asarray(v, dtype=float), len(pts))
+        vals = [np.broadcast_to(v, len(pts))
                 for v in tape(spec.domain.env(pts, spec.params))]
-        return np.stack(vals, axis=1).reshape(len(pts), len(rows),
-                                              -1).transpose(0, 2, 1)
+        return np.array(vals, dtype=float).reshape(len(rows), -1, len(pts)).T
     return at
 
 

@@ -99,8 +99,7 @@ def _is_number(v) -> bool:
 
 
 def _require_count(v, pointer, least: int):
-    """Reject ``v`` unless it is an integer (not a bool) of at least
-    ``least``."""
+    """Reject anything but an integer (not a bool) of at least ``least``."""
     if isinstance(v, bool) or not isinstance(v, int) or v < least:
         raise ManifestError(pointer, f"expected an integer of at least "
                                      f"{least}, got {v!r}")
@@ -208,17 +207,17 @@ def _build_grid(doc, domain: Domain) -> list:
         raise ManifestError("/grid", "missing required field")
     if "values" in grid:
         axes = grid["values"]
-        if len(axes) != domain.dim:
+        if not isinstance(axes, list) or len(axes) != domain.dim:
             raise ManifestError("/grid/values", "one value list per coordinate")
         for i, axis in enumerate(axes):
             if not (isinstance(axis, list) and axis
                     and all(map(_is_number, axis))):
-                raise ManifestError(f"/grid/values/{i}", "expected a non-empty "
-                                    f"list of numbers, got {axis!r}")
+                raise ManifestError(f"/grid/values/{i}", f"expected a "
+                                    f"non-empty list of numbers, got {axis!r}")
         return [[float(v) for v in axis] for axis in axes]
     if "counts" in grid:
         counts = grid["counts"]
-        if len(counts) != domain.dim:
+        if not isinstance(counts, list) or len(counts) != domain.dim:
             raise ManifestError("/grid/counts", "one count per coordinate")
         axes = []
         for i, cnt in enumerate(counts):
@@ -238,6 +237,8 @@ def build_steps(steps: dict) -> dict:
     """The step caps over their defaults, each an integer: ``rk4`` at least
     :data:`transport.MIN_RK4_STEPS`, the fewest a transport takes, and
     ``quadrature`` at least 1."""
+    if not isinstance(steps, dict):
+        raise ManifestError("/steps", f"expected an object, got {steps!r}")
     out = dict(DEFAULT_STEPS)
     for k, v in steps.items():
         if k not in out:

@@ -109,7 +109,7 @@ def test_failed_stage_is_remembered_not_rerun(monkeypatch, plane_spec):
     assert len(calls) == 1
 
 
-def _contracting_circle(tmp_path, doc):
+def _analyze_doc(tmp_path, doc):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
@@ -121,7 +121,7 @@ def test_contracting_sym2_holonomy_is_a_verdict(tmp_path):
     # Gamma^theta_theta_theta = c on the circle: H = exp(4 pi c), 4.2e-17 at
     # c = -3, numerically singular; H - I has full rank, so nothing is fixed
     c, two_pi = -3.0, 2 * np.pi
-    report = _contracting_circle(tmp_path, {
+    report = _analyze_doc(tmp_path, {
         "coords": [{"name": "theta", "range": [0.0, two_pi],
                     "period": two_pi}],
         "connection": {"kind": "christoffel",
@@ -143,7 +143,7 @@ def test_contracting_flat_bundle_holonomy_is_a_verdict(tmp_path):
     doc = json.loads(json.dumps(get_entry("s1-line-bundle").manifest_doc))
     doc.pop("expected")
     doc["connection"]["omega"] = [[["6"]]]
-    report = _contracting_circle(tmp_path, doc)
+    report = _analyze_doc(tmp_path, doc)
     assert report["flat_bundle"]["fixed_dim"] == 0
 
 

@@ -124,11 +124,13 @@ def test_manifest_keeps_valid_tolerances():
 
 
 @pytest.mark.parametrize("patch, argv, pointer", [
+    ({"steps": 4096}, [], "/steps"),
     ({"steps": {"quadrature": 0}}, [], "/steps/quadrature"),
     ({"steps": {"rk4": "abc"}}, [], "/steps/rk4"),
     ({"steps": {"rk4": True}}, [], "/steps/rk4"),
     ({"steps": {"rk4": 8}}, [], "/steps/rk4"),
     ({}, ["--steps", "8"], "/steps/rk4"),
+    ({"grid": {"values": 1.0}}, [], "/grid/values"),
     ({"grid": {"values": [[], [1.0]]}}, [], "/grid/values/0"),
     ({"grid": {"values": [["a"], [1.0]]}}, [], "/grid/values/0"),
     ({"grid": {"counts": [0, 3]}}, [], "/grid/counts/0"),
