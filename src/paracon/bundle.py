@@ -217,6 +217,9 @@ class ConnectionSpec:
                         self._check_names(omega[i][j][k], declared)
         for e in domain.excluded:
             self._check_names(e, declared)
+        # the chart coordinates some entry names: the flag reads no other
+        named = set().union(*(free_names(e) for _, e in self._entries()))
+        self.coords = [i for i, c in enumerate(domain.names) if c in named]
         self._pool = Pool()  # interns every table expression
         self._partial_exprs = []  # per order, see _table
         self._tapes = {}

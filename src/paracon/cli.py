@@ -358,7 +358,11 @@ def _write_report(report: dict, pieces: tuple, out_path: str, fmt: str):
 
 def _parse_point(text: str, man: Manifest):
     # trailing coordinates may be omitted; they fall back to the base point
-    parts = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        parts = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ManifestError("/point", f"expected numbers, got {text!r}") \
+            from None
     dim = man.domain.dim
     if not 1 <= len(parts) <= dim:
         raise ManifestError("/point", f"expected 1..{dim} coordinates")
@@ -373,7 +377,11 @@ def _apply_cli_overrides(args):
         if "=" not in item:
             raise ManifestError("/param", f"expected name=value, got {item!r}")
         name, value = item.split("=", 1)
-        overrides[name] = float(value)
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise ManifestError(f"/params/{name}", f"expected a number, "
+                                                   f"got {value!r}") from None
     return overrides
 
 

@@ -436,6 +436,8 @@ class RegularityReport:
     dims: list  # terminal dim per point
     regular_on_grid: bool
     jumps: list  # (point_a, point_b, dim_a, dim_b)
+    reps: np.ndarray  # the node the flag ran at for each class
+    classes: np.ndarray  # (m,) each node's class, an index into reps
 
     def trace(self, i) -> FlagTrace:
         """Point i's flag as a :class:`FlagTrace`, as :func:`derived_flag`
@@ -447,18 +449,29 @@ def regularity_scan(spec: ConnectionSpec, axes,
                     rank_tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
     """Derived flag at every node of a product grid, in one batch.
 
-    ``axes`` is one list of sample values per coordinate.  The verdict is
-    true exactly when every point produced the same terminal dimension;
-    ``jumps`` lists each pair of neighbouring nodes whose terminal dims
-    differ, axis by axis and in row-major order within an axis.
+    ``axes`` is one list of sample values per coordinate.  Nodes that agree
+    on the axes of ``spec.coords`` form a class with one flag: the batch
+    holds each class's node with index 0 on every other axis, and its
+    levels are copied to the rest.  The verdict is true exactly when every
+    point produced the same terminal dimension; ``jumps`` lists each pair
+    of neighbouring nodes whose terminal dims differ, axis by axis and in
+    row-major order within an axis.
     """
     axes = [list(map(float, a)) for a in axes]
     if len(axes) != spec.n or any(len(a) == 0 for a in axes):
         raise EmptyGrid("grid needs at least one sample per coordinate")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
+    # a node's class is its indices on the axes of spec.coords
+    reps = np.arange(len(pts)).reshape(mesh[0].shape)[tuple(
+        slice(None) if i in spec.coords else slice(1) for i in range(spec.n))]
+    classes = np.broadcast_to(np.arange(reps.size).reshape(reps.shape),
+                              mesh[0].shape).ravel()
+    reps = reps.ravel()
     flag_pts = nudge_off_breakpoints(spec, pts)
-    levels, last = _flag(spec, flag_pts, rank_tol)
+    spec.domain.require_admissible(flag_pts, spec.params)
+    levels, last = _flag(spec, flag_pts[reps], rank_tol)
+    levels, last = [lv.take(classes) for lv in levels], last[classes]
 
     grid = levels[-1].dims.reshape(mesh[0].shape)
     jumps = []
@@ -471,7 +484,7 @@ def regularity_scan(spec: ConnectionSpec, axes,
                           int(grid[tuple(a)]), int(grid[tuple(b)])))
     dims = levels[-1].dims.tolist()
     return RegularityReport(axes, pts, flag_pts, levels, last, dims,
-                            len(set(dims)) == 1, jumps)
+                            len(set(dims)) == 1, jumps, reps, classes)
 
 
 def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import pdcone
 from .bundle import ConnectionSpec, Jet
+from .expr import free_names
 from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
                    batch_terminal_bases, canonical_basis, derived_flag,
@@ -105,13 +106,24 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
     SIAM Rev. 56, 2014: the rule converges geometrically on a smooth
     periodic integrand), or to the cap.  A run that reaches the cap
     evaluates the same points, and returns the same periods and samples,
-    as a run without a target.
+    as a run without a target.  A loop whose expressions for
+    ``spec.coords`` do not name ``t`` has one Phi at every point, which is
+    evaluated once per level once every point is checked for admissibility.
     """
     targets = target if np.ndim(target) else [target] * len(loops)
     out = PhiPeriods([], [], [], [], [])
     for loop, tgt in zip(loops, targets, strict=True):
         if not loop.closed:
             raise GlobalError(f"loop '{loop.name}' is not closed")
+        still = not any("t" in free_names(loop.exprs[i]) for i in spec.coords)
+
+        def sample(ts):
+            pts = loop.points(ts)
+            if not still:
+                return phi_form(spec, pts, rank_tol)
+            spec.domain.require_admissible(pts, spec.params)
+            return np.repeat(phi_form(spec, pts[:1], rank_tol), len(pts), 0)
+
         ts = np.linspace(loop.t0, loop.t1, quadrature_steps, endpoint=False)
         levels = ([quadrature_steps] if tgt is None
                   else doubling_levels(quadrature_steps))
@@ -119,11 +131,10 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
         for m in levels:
             stride = quadrature_steps // m
             if phi is None:
-                phi = phi_form(spec, loop.points(ts[::stride]), rank_tol)
+                phi = sample(ts[::stride])
             else:
                 # the previous level's points are the even ones of this one
-                new = phi_form(spec, loop.points(ts[stride::2 * stride]),
-                               rank_tol)
+                new = sample(ts[stride::2 * stride])
                 phi = np.stack([phi, new], axis=1).reshape(m, -1)
             vel = loop.velocities(ts[::stride])
             dt = (loop.t1 - loop.t0) / m
@@ -259,8 +270,11 @@ class Analysis:
     @_stage
     def local(self) -> list:
         """The PD feasibility of every grid point's terminal span: one
-        batched call over the scan's terminal level."""
-        return local_metricity(self.spec, self.scan.levels[-1], self.pd_tol)
+        batched call over the terminal level of the scan's classes."""
+        scan = self.scan
+        local = local_metricity(self.spec, scan.levels[-1].take(scan.reps),
+                                self.pd_tol)
+        return [local[c] for c in scan.classes.tolist()]
 
     @_stage
     def base_trace(self) -> FlagTrace:

@@ -85,6 +85,8 @@ def manifest_digest(doc: dict) -> str:
 
 
 def _require(doc, key, pointer, typ=None):
+    if not isinstance(doc, dict):
+        raise ManifestError(pointer, f"expected an object, got {doc!r}")
     if key not in doc:
         raise ManifestError(f"{pointer}/{key}", "missing required field")
     val = doc[key]
@@ -94,8 +96,32 @@ def _require(doc, key, pointer, typ=None):
     return val
 
 
+def _optional(doc, key, typ):
+    """The top-level field ``key``, an empty ``typ`` when it is absent."""
+    val = doc.get(key, typ())
+    if not isinstance(val, typ):
+        raise ManifestError(f"/{key}", f"expected {typ.__name__}, "
+                                       f"got {type(val).__name__}")
+    return val
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _float(v, pointer) -> float:
+    """A number of the manifest (not a bool) as a float."""
+    if not _is_number(v):
+        raise ManifestError(pointer, f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, pointer, count: int) -> list:
+    """A list of ``count`` numbers as floats."""
+    if not isinstance(v, list) or len(v) != count:
+        raise ManifestError(pointer, f"expected a list of {count} numbers, "
+                                     f"got {v!r}")
+    return [_float(x, f"{pointer}/{i}") for i, x in enumerate(v)]
 
 
 def _require_count(v, pointer, least: int):
@@ -116,19 +142,20 @@ def _build_domain(doc) -> Domain:
         rng = _require(c, "range", ptr, list)
         if len(rng) != 2:
             raise ManifestError(f"{ptr}/range", "range must be [low, high]")
-        lo = -math.inf if rng[0] is None else float(rng[0])
-        hi = math.inf if rng[1] is None else float(rng[1])
+        lo = -math.inf if rng[0] is None else _float(rng[0], f"{ptr}/range/0")
+        hi = math.inf if rng[1] is None else _float(rng[1], f"{ptr}/range/1")
         if not lo < hi:
             raise ManifestError(f"{ptr}/range", "range must be non-degenerate")
         names.append(name)
         lows.append(lo)
         highs.append(hi)
-        periods.append(float(c["period"]) if c.get("period") else None)
+        periods.append(_float(c["period"], f"{ptr}/period")
+                       if c.get("period") else None)
     if len(set(names)) != len(names):
         raise ManifestError("/coords", "coordinate names must be unique")
     excluded = tuple(_parse(f"/excluded/{i}", e)
                      for i, e in enumerate(doc.get("excluded", [])))
-    radius = float(doc.get("exclusion_radius", 1e-6))
+    radius = _float(doc.get("exclusion_radius", 1e-6), "/exclusion_radius")
     return Domain(tuple(names), tuple(lows), tuple(highs), tuple(periods),
                   excluded, radius)
 
@@ -154,7 +181,8 @@ def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
         return ConnectionSpec(domain, kind="christoffel", params=params,
                               gamma=gamma)
     if kind == "matrix":
-        N = int(_require(conn, "fiber_dim", "/connection"))
+        N = _require(conn, "fiber_dim", "/connection")
+        _require_count(N, "/connection/fiber_dim", 1)
         rows = _require(conn, "omega", "/connection", list)
         if len(rows) != N or any(len(r) != N for r in rows):
             raise ManifestError("/connection/omega",
@@ -179,7 +207,7 @@ def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
 def _build_loops(doc, domain: Domain, params: dict) -> list:
     loops = []
     names = set()
-    for i, entry in enumerate(doc.get("loops", [])):
+    for i, entry in enumerate(_optional(doc, "loops", list)):
         ptr = f"/loops/{i}"
         name = _require(entry, "name", ptr, str)
         if name in names:
@@ -189,10 +217,10 @@ def _build_loops(doc, domain: Domain, params: dict) -> list:
         if len(exprs) != domain.dim:
             raise ManifestError(f"{ptr}/exprs",
                                 "one coordinate expression per dimension")
-        t_range = _require(entry, "t_range", ptr, list)
+        t0, t1 = _numbers(_require(entry, "t_range", ptr), f"{ptr}/t_range",
+                          2)
         curve = Curve(domain, [_parse(f"{ptr}/exprs/{k}", t)
-                               for k, t in enumerate(exprs)],
-                      float(t_range[0]), float(t_range[1]),
+                               for k, t in enumerate(exprs)], t0, t1,
                       name=name, params=params)
         if not curve.closed:
             raise ManifestError(ptr, "declared loop is not closed "
@@ -253,7 +281,7 @@ def _build_tolerances(doc) -> dict:
     ``pd_tol`` at least :data:`PD_TOL_MIN`; only ``period_tol`` may be null
     (its default, which scales with each loop's length)."""
     tol = dict(DEFAULT_TOLERANCES)
-    for k, v in doc.get("tolerances", {}).items():
+    for k, v in _optional(doc, "tolerances", dict).items():
         if k == "stencil_h":
             # a no-op, kept so older manifests load: the flag takes exact
             # covariant derivatives and has no difference step
@@ -281,13 +309,12 @@ def _build_tolerances(doc) -> dict:
 def manifest_from_dict(doc: dict) -> Manifest:
     if not isinstance(doc, dict):
         raise ManifestError("", "manifest must be a JSON object")
-    params = {k: float(v) for k, v in doc.get("params", {}).items()}
+    params = {k: _float(v, f"/params/{k}")
+              for k, v in _optional(doc, "params", dict).items()}
     domain = _build_domain(doc)
     spec = _build_spec(doc, domain, params)
-    base = _require(doc, "base_point", "", list)
-    if len(base) != domain.dim:
-        raise ManifestError("/base_point", "one value per coordinate")
-    base = np.array([float(v) for v in base])
+    base = np.array(_numbers(_require(doc, "base_point", ""), "/base_point",
+                             domain.dim))
     if not domain.admissible(base, params):
         raise ManifestError("/base_point", "base point not in the domain")
     loops = _build_loops(doc, domain, params)

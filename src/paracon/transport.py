@@ -257,8 +257,16 @@ def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
             raise PointOutsideDomain(
                 f"extension ball exits the domain at {q.tolist()}")
 
+    # one ray a + t d over [0, 1], compiled once; each node sets a = p and
+    # d = q - p, the bits of line_curve(p, q)
+    names = [(f"a{k}", f"d{k}") for k in range(spec.n)]
+    exprs = [Binary("add", Name(a), Binary("mul", Name("t"), Name(d)))
+             for a, d in names]
+    ray = Curve(spec.domain, exprs, 0.0, 1.0, name="segment",
+                params=dict.fromkeys(sum(names, ()), 0.0))
     values = np.empty((len(nodes), spec.N))
     for i, q in enumerate(nodes):  # the base node's ray is constant: w itself
-        ray = line_curve(spec.domain, p, q, params=spec.params)
+        for (a, d), x, y in zip(names, p, q):
+            ray.params[a], ray.params[d] = x, y - x
         values[i] = transport(spec, ray, w, steps)
     return nodes, values

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from paracon import flag as flagmod
-from paracon.bundle import (ConnectionSpec, Domain, curvature_pairs,
-                            curvature_stack, nudge_off_breakpoints,
-                            omega_stack)
+from paracon.bundle import (ConnectionSpec, Domain, PointOutsideDomain,
+                            curvature_pairs, curvature_stack,
+                            nudge_off_breakpoints, omega_stack)
 from paracon.expr import parse_expr
 from paracon.flag import (EmptyGrid, FlagLevel, IrregularPoint,
                           NotSym2Bundle, Subspace, batch_terminal_bases,
@@ -487,12 +487,12 @@ def test_batched_terminal_names_the_first_differing_point(pathology_spec):
     assert isinstance(exc.level, int) and exc.level == 0
 
 
-def _deep_flag_spec():
+def _deep_flag_spec(e14="exp(y)"):
     # ROADMAP's N = 5 connection: flag [4, 3, 2, 2] for y > 0
     dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
     z = parse_expr("0")
     omega = [[[z, z] for _ in range(5)] for _ in range(5)]
-    omega[1][4] = [parse_expr("exp(y)"), z]
+    omega[1][4] = [parse_expr(e14), z]
     for i, j in ((2, 3), (4, 0), (0, 3)):
         omega[i][j] = [z, parse_expr("y")]
     return ConnectionSpec(dom, kind="matrix", fiber_dim=5, omega=omega)
@@ -529,11 +529,17 @@ def test_sliced_flag_matches_one_slice_bit_for_bit(monkeypatch):
             assert np.array_equal(getattr(lv, field), getattr(want, field))
 
 
-@pytest.mark.parametrize("slice_size", [256, 2])
+@pytest.mark.parametrize("slice_size, e14, classes", [
+    (256, "exp(y)", 3), (2, "exp(y)", 3),
+    (256, "exp(y + 0*x)", 6), (2, "exp(y + 0*x)", 6),
+], ids=["256", "2", "256-reads-x", "2-reads-x"])
 def test_flag_evaluates_each_partial_order_once_per_point(monkeypatch,
-                                                          slice_size):
+                                                          slice_size, e14,
+                                                          classes):
     # [4, 3, 2, 2] reads the partials of Omega up to order 4; one batch
-    # evaluates each order once at each point, also when it runs in slices
+    # evaluates each order once at each class of the 2 x 3 grid, also when
+    # it runs in slices.  A connection that reads only y has one class per
+    # y (3); one that also names x (the same values) has one per node (6)
     from paracon import bundle
     monkeypatch.setattr(flagmod, "_SLICE", slice_size)
     evaluated = {}
@@ -544,9 +550,10 @@ def test_flag_evaluates_each_partial_order_once_per_point(monkeypatch,
         return partials(spec, points, order)
 
     monkeypatch.setattr(bundle, "_partials", counting)
-    rep = regularity_scan(_deep_flag_spec(), [[0.2, 0.5], [0.1, 0.4, 0.7]])
+    rep = regularity_scan(_deep_flag_spec(e14),
+                          [[0.2, 0.5], [0.1, 0.4, 0.7]])
     assert all(rep.trace(i).dims == [4, 3, 2, 2] for i in range(6))
-    assert evaluated == {order: 6 for order in range(5)}
+    assert evaluated == {order: classes for order in range(5)}
 
 
 def _assert_scan_matches_derived_flag(spec, axes):
@@ -581,6 +588,40 @@ def test_regularity_scan_matches_derived_flag_bit_for_bit(pathology_spec):
     rep = _assert_scan_matches_derived_flag(_two_chain_spec(), _TWO_CHAIN_AXES)
     assert [rep.trace(i).dims for i in range(len(rep.points))] == \
         [[1, 0]] * 4 + [[2, 1, 1]] * 4
+
+
+def test_scan_runs_the_flag_once_per_class_bit_for_bit(sphere_spec,
+                                                      pathology_spec):
+    # sphere reads theta only: one class per theta, copied along phi
+    axes = [[0.4, 0.9, 1.3, 1.9, 2.6], [0.5, 1.5, 3.0, 5.5]]
+    rep = _assert_scan_matches_derived_flag(sphere_spec, axes)
+    assert sphere_spec.coords == [0]
+    assert rep.reps.tolist() == [0, 4, 8, 12, 16]
+    assert rep.classes.tolist() == np.repeat(np.arange(5), 4).tolist()
+
+    # cone x line reads r only, the first of three axes
+    from test_global import CONE_GRID, cone_line_spec
+    spec, _ = cone_line_spec()
+    rep = _assert_scan_matches_derived_flag(spec, CONE_GRID)
+    assert spec.coords == [0] and rep.reps.tolist() == [0, 6, 12]
+
+    # the pathology reads x only and has breakpoints at x = 0 and x = 1:
+    # every node of those classes is nudged, on every coordinate
+    axes = [[-0.5, 0.0, 0.5, 1.0, 1.5], [-0.6, 0.0, 0.4]]
+    rep = _assert_scan_matches_derived_flag(pathology_spec, axes)
+    hit = np.isin(rep.points[:, 0], [0.0, 1.0])
+    assert hit.sum() == 6
+    assert np.array_equal(rep.flag_points[hit], rep.points[hit] + 1e-12)
+    assert np.array_equal(rep.flag_points[~hit], rep.points[~hit])
+
+
+def test_scan_checks_every_node_against_the_domain(flat_spec):
+    # no entry reads y (one class), yet a node outside the box in y fails
+    # as it does when the flag runs at every node
+    assert flat_spec.coords == []
+    with pytest.raises(PointOutsideDomain,
+                       match=r"^point \[0\.5, 3\.0\] outside chart box$"):
+        regularity_scan(flat_spec, [[0.5, 1.0], [0.0, 3.0]])
 
 
 # -- the stencil flag engine the exact one replaced, kept as a reference ----

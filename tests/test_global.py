@@ -8,7 +8,7 @@ from paracon.bundle import ConnectionSpec, Domain, omega_stack
 from paracon.corpus import get_entry
 from paracon.expr import parse_expr
 from paracon.flag import (NotSym2Bundle, Subspace, canonical_basis,
-                          derived_flag, principal_angles)
+                          derived_flag, local_metricity, principal_angles)
 from paracon.globalmetric import (Analysis, GlobalError, fixed_subspace,
                                   phi_form, phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
@@ -162,6 +162,39 @@ def test_phi_periods_sphere_loops_vanish(sphere_spec):
     assert out.max_abs() < 1e-6
     assert out.loop_names == ["band", "sweep"]
     assert len(out.samples[0]) == 512
+
+
+@pytest.mark.parametrize("target", [None, 1e-9])
+def test_phi_on_a_loop_that_holds_the_read_coordinates(target, sphere_spec,
+                                                       monkeypatch):
+    # sphere reads theta alone; the band loop holds it, so each level
+    # evaluates Phi at one point, and every sample has the bits phi_form
+    # gives over the whole loop.  The sweep loop moves theta: every point
+    evaluated = []
+
+    def counting(spec, points, rank_tol):
+        evaluated.append(len(points))
+        return phi_form(spec, points, rank_tol)
+
+    monkeypatch.setattr(globalmetric, "phi_form", counting)
+    for loop in band_loops(sphere_spec.domain):
+        evaluated.clear()
+        out = phi_periods(sphere_spec, [loop], 512, target=target)
+        m, = out.points
+        assert sum(evaluated) == (len(evaluated) if loop.name == "band"
+                                  else m)
+        ts = np.linspace(loop.t0, loop.t1, 512, endpoint=False)[::512 // m]
+        assert np.array_equal(out.samples[0],
+                              phi_form(sphere_spec, loop.points(ts)))
+
+
+def test_local_stage_spreads_each_class_decision_bit_for_bit(sphere_spec):
+    axes = [[0.4, 0.9, 1.3, 1.9, 2.6], [0.5, 1.5, 3.0, 5.5]]
+    an = Analysis(sphere_spec, [1.0, 1.0], [], axes)
+    want = local_metricity(sphere_spec, an.scan.levels[-1])
+    assert len(an.scan.reps) == 5 and len(an.local) == len(want) == 20
+    assert [(lm.status, repr(lm.best_lambda)) for lm in an.local] == \
+        [(lm.status, repr(lm.best_lambda)) for lm in want]
 
 
 def test_phi_period_dtheta_obstruction(dtheta_spec):

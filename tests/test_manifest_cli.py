@@ -136,6 +136,16 @@ def test_manifest_keeps_valid_tolerances():
     ({"grid": {"counts": [0, 3]}}, [], "/grid/counts/0"),
     ({"grid": {"counts": ["a", 3]}}, [], "/grid/counts/0"),
     ({"grid": {"counts": [3.5, 3]}}, [], "/grid/counts/0"),
+    ({"params": {"k": "a"}}, [], "/params/k"),
+    ({"base_point": ["a", 1.0]}, [], "/base_point/0"),
+    ({"coords": [{"name": "theta", "range": ["a", 1.0]}]}, [],
+     "/coords/0/range/0"),
+    ({"tolerances": 5}, [], "/tolerances"),
+    ({"loops": [{"name": "l", "exprs": ["1", "t"], "t_range": [0.0]}]}, [],
+     "/loops/0/t_range"),
+    ({"loops": 5}, [], "/loops"),
+    ({}, ["--param", "k=abc"], "/params/k"),
+    ({}, ["--point", "a,b"], "/point"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
@@ -145,7 +155,8 @@ def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
     doc.pop("expected")
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json"),
+    command = "flag" if "--point" in argv else "analyze"
+    assert main([command, str(path), "--out", str(tmp_path / "r.json"),
                  *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"manifest error: {pointer}: ")
