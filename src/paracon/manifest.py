@@ -86,7 +86,8 @@ def manifest_digest(doc: dict) -> str:
 
 def _require(doc, key, pointer, typ=None):
     if not isinstance(doc, dict):
-        raise ManifestError(pointer, f"expected an object, got {doc!r}")
+        raise ManifestError(pointer, "expected dict, got "
+                                     f"{type(doc).__name__}")
     if key not in doc:
         raise ManifestError(f"{pointer}/{key}", "missing required field")
     val = doc[key]
@@ -96,12 +97,12 @@ def _require(doc, key, pointer, typ=None):
     return val
 
 
-def _optional(doc, key, typ):
-    """The top-level field ``key``, an empty ``typ`` when it is absent."""
+def _optional(doc, key, typ, pointer=""):
+    """The field ``key`` of ``doc``, an empty ``typ`` when it is absent."""
     val = doc.get(key, typ())
     if not isinstance(val, typ):
-        raise ManifestError(f"/{key}", f"expected {typ.__name__}, "
-                                       f"got {type(val).__name__}")
+        raise ManifestError(f"{pointer}/{key}", f"expected {typ.__name__}, "
+                                                f"got {type(val).__name__}")
     return val
 
 
@@ -154,7 +155,7 @@ def _build_domain(doc) -> Domain:
     if len(set(names)) != len(names):
         raise ManifestError("/coords", "coordinate names must be unique")
     excluded = tuple(_parse(f"/excluded/{i}", e)
-                     for i, e in enumerate(doc.get("excluded", [])))
+                     for i, e in enumerate(_optional(doc, "excluded", list)))
     radius = _float(doc.get("exclusion_radius", 1e-6), "/exclusion_radius")
     return Domain(tuple(names), tuple(lows), tuple(highs), tuple(periods),
                   excluded, radius)
@@ -166,11 +167,13 @@ def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
     index = {name: i for i, name in enumerate(domain.names)}
     if kind == "christoffel":
         gamma = {}
-        for upper, entries in conn.get("gamma", {}).items():
+        gammas = _optional(conn, "gamma", dict, "/connection")
+        for upper in gammas:
             if upper not in index:
                 raise ManifestError(f"/connection/gamma/{upper}",
                                     "unknown coordinate name")
-            for key, text in entries.items():
+            for key, text in _optional(gammas, upper, dict,
+                                       "/connection/gamma").items():
                 ptr = f"/connection/gamma/{upper}/{key}"
                 parts = [s.strip() for s in key.split(",")]
                 if len(parts) != 2 or any(p not in index for p in parts):
@@ -230,9 +233,7 @@ def _build_loops(doc, domain: Domain, params: dict) -> list:
 
 
 def _build_grid(doc, domain: Domain) -> list:
-    grid = doc.get("grid")
-    if grid is None:
-        raise ManifestError("/grid", "missing required field")
+    grid = _require(doc, "grid", "", dict)
     if "values" in grid:
         axes = grid["values"]
         if not isinstance(axes, list) or len(axes) != domain.dim:

@@ -146,6 +146,12 @@ def test_manifest_keeps_valid_tolerances():
     ({"loops": 5}, [], "/loops"),
     ({}, ["--param", "k=abc"], "/params/k"),
     ({}, ["--point", "a,b"], "/point"),
+    ({"connection": {"kind": "christoffel", "gamma": 5}}, [],
+     "/connection/gamma"),
+    ({"connection": {"kind": "christoffel", "gamma": {"theta": "x"}}}, [],
+     "/connection/gamma/theta"),
+    ({"excluded": 5}, [], "/excluded"),
+    ({"grid": 5}, [], "/grid"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
