@@ -250,9 +250,9 @@ def curvature_kernel(spec: ConnectionSpec, points,
                      jet: Optional[Jet] = None) -> FlagLevel:
     """Flag level 0 at one point or an (m, n) batch: the common kernel of all
     curvature operators.  ``jet`` is the batch's :class:`Jet`, if it has
-    one."""
+    one.  Like :func:`second_fundamental_kernel`, it takes points that its
+    caller has checked against the domain."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    spec.domain.require_admissible(pts, spec.params)
     R = curvature_stack(spec, pts, jet=jet)
     # a 1-D chart has P = 0 operators, and the empty stack's kernel is N-dim
     m, P, N, _ = R.shape
@@ -394,6 +394,7 @@ def derived_flag(spec: ConnectionSpec, point,
     """Iterate the flag at a point until the dimension stabilizes or dies.
     A point on a piecewise breakpoint is first nudged off it."""
     p = nudge_off_breakpoints(spec, [point])
+    spec.domain.require_admissible(p, spec.params)
     levels, last = _flag(spec, p, rank_tol)
     return _trace(p[0], levels, int(last[0]), 0)
 
@@ -409,6 +410,7 @@ def batch_terminal_bases(spec: ConnectionSpec, points,
     :class:`Jet` over the batch, is left holding Omega there.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    spec.domain.require_admissible(pts, spec.params)
     levels, _ = _flag(spec, pts, rank_tol, jet)
     dims = np.stack([lv.dims for lv in levels], axis=1)  # (m, levels)
     differ = dims != dims[0]
@@ -494,8 +496,8 @@ def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,
     ``terminal`` is the terminal flag level over a batch, such as a scan's
     ``levels[-1]``; one :class:`pdcone.PDResult` per point is returned, the
     point locally metric when its status is ``feasible``.  The spans of one
-    terminal dim go through :func:`pdcone.pd_feasible_batch` in slices of
-    ``_SLICE`` points, with the same result as one ``pd_feasible`` per
+    terminal dim go through one :func:`pdcone.pd_feasible_batch` call, and
+    its one start screen, with the same result as one ``pd_feasible`` per
     point; a zero terminal subspace is a span of no generators, which is
     infeasible.
 
@@ -507,9 +509,7 @@ def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,
         raise NotSym2Bundle("local metricity is defined on the Sym^2 bundle only")
     out = np.empty(len(terminal.dims), dtype=object)
     for d, idx in _groups(terminal.dims):
-        for start in range(0, idx.size, _SLICE):
-            part = idx[start:start + _SLICE]
-            vecs = np.ascontiguousarray(
-                terminal.bases[part, :, :d].transpose(0, 2, 1))  # (m, d, N)
-            out[part] = pdcone.pd_feasible_batch(spec.sym.to_matrix(vecs), tol)
+        vecs = np.ascontiguousarray(
+            terminal.bases[idx, :, :d].transpose(0, 2, 1))  # (m, d, N)
+        out[idx] = pdcone.pd_feasible_batch(spec.sym.to_matrix(vecs), tol)
     return out.tolist()

@@ -157,6 +157,9 @@ def _build_domain(doc) -> Domain:
     excluded = tuple(_parse(f"/excluded/{i}", e)
                      for i, e in enumerate(_optional(doc, "excluded", list)))
     radius = _float(doc.get("exclusion_radius", 1e-6), "/exclusion_radius")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ManifestError("/exclusion_radius",
+                            f"must be finite and > 0, got {radius!r}")
     return Domain(tuple(names), tuple(lows), tuple(highs), tuple(periods),
                   excluded, radius)
 
@@ -313,6 +316,10 @@ def manifest_from_dict(doc: dict) -> Manifest:
     params = {k: _float(v, f"/params/{k}")
               for k, v in _optional(doc, "params", dict).items()}
     domain = _build_domain(doc)
+    for k in params:  # it would hide a coordinate or t, or pi would hide it
+        if k in (*domain.names, "t", "pi"):
+            raise ManifestError(f"/params/{k}", "a parameter may not take the "
+                                "name of a coordinate, t or pi")
     spec = _build_spec(doc, domain, params)
     base = np.array(_numbers(_require(doc, "base_point", ""), "/base_point",
                              domain.dim))

@@ -8,13 +8,13 @@ witness that is trace-orthogonal to every generator.  When neither
 certificate is reached the status ``inconclusive`` is reported rather than
 coerced.
 
-A screen comes first: the starts (the generators, their negatives, and plus
-and minus the trace direction where it is not one of those) of every span of
-a batch go through one ``eigvalsh``, and the spans whose best start clears
-the tolerance through one batched Cholesky.  Each span the screen does not
-certify gets a log-barrier Newton solve (Boyd and Vandenberghe, *Convex
-Optimization*, ch. 11), whose iterates give the primal combination and, from
-``F^-1``, the dual witness.
+One screen comes first: the starts of every span of a batch (the
+generators, their negatives, and plus and minus the unit trace direction,
+e_1 for a span of traceless generators) go through one ``eigvalsh``, and
+the spans whose best start clears the tolerance through one batched
+Cholesky.  Each span the screen does not certify gets a log-barrier Newton
+solve (Boyd and Vandenberghe, *Convex Optimization*, ch. 11), whose
+iterates give the primal combination and, from ``F^-1``, the dual witness.
 The tolerance is relative: each span is judged in the unit of its largest
 generator norm, so a span and its positive multiples get the same answer.
 :func:`pd_feasible` is :func:`pd_feasible_batch` on a batch of one span.
@@ -86,29 +86,21 @@ def _trace_units(stack):
     return units, traced
 
 
-def _signed_unit_rows(units):
-    """Which rows of an (m, d) array are exactly +-e_a for some a."""
-    return (np.count_nonzero(units, axis=1) == 1) & \
-        (np.abs(units).max(axis=1, initial=0.0) == 1.0)
-
-
 def _screen(stack, units):
     """The start screen over an (m, d, n, n) stack of nonzero spans: every
     start's combination goes through one batched ``eigvalsh``.
 
-    A span's starts are the rows e_a and -e_a, then +-``units[i]`` (its unit
-    trace direction; ``units`` is None for spans of traceless generators and
-    for those whose direction is exactly +-e_a, which the first rows hold).
-    Returns the starts, (m, K, d), and the smallest eigenvalue of each
-    start's combination, (m, K).
+    Span i's starts are the rows e_a and -e_a, then u and -u for u =
+    ``units[i]``, a unit vector.  A start that repeats an earlier one has
+    the same combination and the same value, so ``argmax``, which takes the
+    first maximum, never picks the repeat.  Returns the
+    starts, (m, 2d + 2, d), and the smallest eigenvalue of each start's
+    combination, (m, 2d + 2).
     """
     m, d, n, _ = stack.shape
-    eye = np.eye(d)
-    rows = [eye, -eye]
-    if units is not None:
-        rows += [units[:, None], -units[:, None]]
-    starts = np.concatenate([np.broadcast_to(r, (m,) + r.shape[-2:])
-                             for r in rows], axis=1)
+    eye = np.broadcast_to(np.eye(d), (m, d, d))
+    starts = np.concatenate([eye, -eye, units[:, None], -units[:, None]],
+                            axis=1)
     combos = np.einsum("mka,maij->mkij", starts, stack)
     vals = np.linalg.eigvalsh(combos.reshape(-1, n, n))[:, 0]
     return starts, vals.reshape(m, -1)
@@ -206,34 +198,29 @@ def pd_feasible_batch(stack, tol: float = 1e-8) -> list:
         out[i] = (PDResult("infeasible_certified", 0.0, witness=np.eye(n) / n)
                   if f else PDResult("inconclusive", float("nan")))
     idx = np.flatnonzero(live)
+    if not idx.size:
+        return out
     norms = _norms(S[idx].reshape(-1, n * n))
-    scales = norms.reshape(idx.size, d).max(axis=1, initial=0.0)
+    scales = norms.reshape(idx.size, d).max(axis=1)
     units, traced = _trace_units(S[idx])
-    # a unit trace direction of exactly +-e_a repeats the starts +-e_a, as on
-    # every span of one generator with a normal trace, so it is dropped
-    traced &= ~_signed_unit_rows(units)
-    for sel, u in ((traced, units[traced]), (~traced, None)):
-        part, scale = idx[sel], scales[sel]
-        if not part.size:
-            continue
-        starts, vals = _screen(S[part], u)
-        rows = np.arange(part.size)
-        k = np.argmax(vals, axis=1)
-        best, best_c = vals[rows, k], starts[rows, k]
-        ok = np.flatnonzero(best > tol * scale)
-        A = np.einsum("ma,maij->mij", best_c[ok], S[part[ok]])
-        try:
-            chol = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            chol = [_try_cholesky(a) for a in A]
-        rest = np.ones(part.size, dtype=bool)
-        at, best_l = part.tolist(), best.tolist()
-        for j, L in zip(ok.tolist(), chol):
-            if L is not None:
-                out[at[j]] = PDResult("feasible", best_l[j],
-                                      coefficients=best_c[j], cholesky=L)
-                rest[j] = False
-        for j in np.flatnonzero(rest).tolist():
-            out[at[j]] = _barrier(S[at[j]], scale[j], best_l[j], best_c[j],
-                                  tol)
+    units[~traced, 0] = 1.0  # a span of traceless generators takes e_1
+    starts, vals = _screen(S[idx], units)
+    rows = np.arange(idx.size)
+    k = np.argmax(vals, axis=1)
+    best, best_c = vals[rows, k], starts[rows, k]
+    ok = np.flatnonzero(best > tol * scales)
+    A = np.einsum("ma,maij->mij", best_c[ok], S[idx[ok]])
+    try:
+        chol = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        chol = [_try_cholesky(a) for a in A]
+    rest = np.ones(idx.size, dtype=bool)
+    at, best_l = idx.tolist(), best.tolist()
+    for j, L in zip(ok.tolist(), chol):
+        if L is not None:
+            out[at[j]] = PDResult("feasible", best_l[j],
+                                  coefficients=best_c[j], cholesky=L)
+            rest[j] = False
+    for j in np.flatnonzero(rest).tolist():
+        out[at[j]] = _barrier(S[at[j]], scales[j], best_l[j], best_c[j], tol)
     return out

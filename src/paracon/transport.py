@@ -31,13 +31,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundle import ConnectionSpec, Domain, PointOutsideDomain, omega_stack
-from .expr import Binary, Const, Expr, Name, compile_expr, diff
+from .expr import Binary, Expr, Name, compile_expr, diff
 from .flag import Subspace
 
 __all__ = [
     "Curve", "HolonomyResult", "TransportError", "MIN_RK4_STEPS",
     "CurveNotClosed", "DefectTooLarge", "transport", "holonomy_matrix",
-    "parallel_extend", "line_curve", "doubling_levels", "converged",
+    "parallel_extend", "doubling_levels", "converged",
 ]
 
 _CLOSURE_TOL = 1e-9
@@ -110,18 +110,6 @@ class Curve:
         speed = np.linalg.norm(self.velocities(ts), axis=1)
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         return float(trapezoid(speed, ts))
-
-
-def line_curve(domain: Domain, start, end, params: Optional[dict] = None,
-               name: str = "segment") -> Curve:
-    """Straight coordinate segment from start to end, parametrized on [0, 1]."""
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    exprs = []
-    for a, b in zip(start, end):
-        exprs.append(Binary("add", Const(float(a)),
-                            Binary("mul", Name("t"), Const(float(b - a)))))
-    return Curve(domain, exprs, 0.0, 1.0, name=name, params=params)
 
 
 def _generators(spec: ConnectionSpec, curve: Curve, ts) -> np.ndarray:
@@ -258,7 +246,7 @@ def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
                 f"extension ball exits the domain at {q.tolist()}")
 
     # one ray a + t d over [0, 1], compiled once; each node sets a = p and
-    # d = q - p, the bits of line_curve(p, q)
+    # d = q - p
     names = [(f"a{k}", f"d{k}") for k in range(spec.n)]
     exprs = [Binary("add", Name(a), Binary("mul", Name("t"), Name(d)))
              for a, d in names]

@@ -2,8 +2,9 @@
 expression evaluator, independent of the compiled tape, curve reversal, the
 per-pair Leibniz loops of the covariant curvature stack, a tracked unit
 section of a rank-one terminal line, the gauge shift d log f of a rescaled
-section, the two-leg path check of a sampled parallel section and the text
-summary of a report read back from its JSON.
+section, a straight coordinate segment, the two-leg path check of a sampled
+parallel section, the PD start screen in two groups and the text summary of
+a report read back from its JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from paracon.bundle import (Jet, _leibniz, _multi_indices, _up,
 from paracon.expr import (Binary, Const, EvalError, Expr, Name, Piecewise,
                           Unary, compile_expr, diff, to_text)
 from paracon.flag import batch_terminal_bases
-from paracon.transport import Curve, line_curve, transport
+from paracon.pdcone import (PDResult, _barrier, _norms, _symmetrized,
+                            _trace_units, _try_cholesky)
+from paracon.transport import Curve, transport
 
 
 @dataclass(frozen=True)
@@ -212,6 +215,15 @@ def rescaled_period(spec, loop: Curve, samples, f: Expr) -> float:
     return float(np.sum(shifted * loop.velocities(ts)) * dt)
 
 
+def line_curve(domain, start, end, params=None, name="segment"):
+    """Straight coordinate segment from start to end, parametrized on [0, 1]."""
+    exprs = [Binary("add", Const(float(a)), Binary("mul", Name("t"),
+                                                   Const(float(b - a))))
+             for a, b in zip(np.asarray(start, dtype=float),
+                             np.asarray(end, dtype=float))]
+    return Curve(domain, exprs, 0.0, 1.0, name=name, params=params)
+
+
 def two_leg_residual(spec, point, w, nodes, values, steps: int = 256):
     """The largest disagreement between a sampled parallel section through
     w and the transport of w along an axis-aligned two-leg path, first along
@@ -233,6 +245,60 @@ def two_leg_residual(spec, point, w, nodes, values, steps: int = 256):
                                                params=spec.params), v, steps)
         residual = max(residual, float(np.linalg.norm(values[i] - v)))
     return residual
+
+
+def _two_group_screen(stack, units):
+    """The start screen over one group: the rows +-e_a, then +-``units``
+    unless it is None."""
+    m, d, n, _ = stack.shape
+    rows = [np.eye(d), -np.eye(d)]
+    if units is not None:
+        rows += [units[:, None], -units[:, None]]
+    starts = np.concatenate([np.broadcast_to(r, (m,) + r.shape[-2:])
+                             for r in rows], axis=1)
+    combos = np.einsum("mka,maij->mkij", starts, stack)
+    vals = np.linalg.eigvalsh(combos.reshape(-1, n, n))[:, 0]
+    return starts, vals.reshape(m, -1)
+
+
+def two_group_pd_feasible_batch(stack, tol: float = 1e-8) -> list:
+    """:func:`paracon.pdcone.pd_feasible_batch` with the live spans screened
+    in two groups, each with its own screen, Cholesky and barrier: the spans
+    whose unit trace direction u is not exactly +-e_a, with the starts +-e_a
+    and +-u, and the rest (u = +-e_a, or traceless) with +-e_a alone."""
+    S = _symmetrized(stack)
+    m, d, n, _ = S.shape
+    out = [None] * m
+    finite = np.isfinite(S).all(axis=(1, 2, 3))
+    live = finite & (S * S).any(axis=(1, 2, 3))
+    for i in np.flatnonzero(~live).tolist():
+        out[i] = (PDResult("infeasible_certified", 0.0, witness=np.eye(n) / n)
+                  if finite[i] else PDResult("inconclusive", float("nan")))
+    idx = np.flatnonzero(live)
+    scales = _norms(S[idx].reshape(-1, n * n)).reshape(idx.size, d).max(
+        axis=1, initial=0.0)
+    units, traced = _trace_units(S[idx])
+    traced &= ~((np.count_nonzero(units, axis=1) == 1)
+                & (np.abs(units).max(axis=1, initial=0.0) == 1.0))
+    for sel, u in ((traced, units[traced]), (~traced, None)):
+        part, scale = idx[sel], scales[sel]
+        if not part.size:
+            continue
+        starts, vals = _two_group_screen(S[part], u)
+        rows = np.arange(part.size)
+        k = np.argmax(vals, axis=1)
+        best, best_c = vals[rows, k], starts[rows, k]
+        ok = np.flatnonzero(best > tol * scale)
+        A = np.einsum("ma,maij->mij", best_c[ok], S[part[ok]])
+        chol = dict(zip(ok.tolist(), (_try_cholesky(a) for a in A)))
+        for j, i in enumerate(part.tolist()):
+            if chol.get(j) is not None:
+                out[i] = PDResult("feasible", float(best[j]),
+                                  coefficients=best_c[j], cholesky=chol[j])
+            else:
+                out[i] = _barrier(S[i], scale[j], float(best[j]), best_c[j],
+                                  tol)
+    return out
 
 
 def format_text(report: dict) -> str:

@@ -16,9 +16,9 @@ from paracon.flag import (IrregularPoint, derived_flag, local_metricity,
                           principal_angles, regularity_scan)
 from paracon.globalmetric import Analysis, fixed_subspace, phi_periods
 from paracon.pdcone import pd_feasible
-from paracon.transport import (Curve, holonomy_matrix, line_curve,
-                               parallel_extend, transport)
-from reference import EvalContext, rescaled_period, reversed_curve
+from paracon.transport import (Curve, holonomy_matrix, parallel_extend,
+                               transport)
+from reference import EvalContext, line_curve, rescaled_period, reversed_curve
 
 TWO_PI = 2.0 * np.pi
 

@@ -8,8 +8,8 @@ from paracon.bundle import (ConnectionSpec, Domain, ExpressionEvalFailure, Jet,
                             curvature_stack, nudge_off_breakpoints,
                             omega_stack)
 from paracon.expr import compile_expr, diff, parse_expr
-from paracon.transport import line_curve, transport
-from reference import EvalContext, evaluate
+from paracon.transport import transport
+from reference import EvalContext, evaluate, line_curve
 
 TWO_PI = 2.0 * np.pi
 

@@ -9,8 +9,8 @@ from paracon.corpus import get_entry
 from paracon.expr import parse_expr
 from paracon.flag import Subspace, derived_flag
 from paracon.globalmetric import fixed_subspace
-from paracon.transport import Curve, HolonomyResult, line_curve, transport
-from reference import EvalContext, evaluate
+from paracon.transport import Curve, HolonomyResult, transport
+from reference import EvalContext, evaluate, line_curve
 
 TWO_PI = 2.0 * np.pi
 

@@ -13,8 +13,9 @@ from paracon.flag import (EmptyGrid, FlagLevel, IrregularPoint,
                           curvature_kernel, derived_flag, kernel_intersection,
                           local_metricity, principal_angles, regularity_scan,
                           second_fundamental_kernel)
-from paracon.transport import line_curve, transport
-from reference import EvalContext, evaluate
+from paracon.transport import transport
+from reference import (EvalContext, evaluate, line_curve,
+                       two_group_pd_feasible_batch)
 
 
 def test_kernel_of_zero_map_is_full():
@@ -253,11 +254,10 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
+def test_batched_local_metricity_matches_per_point_bit_for_bit():
     # one call over a shuffled batch of every terminal dim d = 0 ... 6 that
-    # fits the fiber, in slices of 4 points, against one pd_feasible per point
+    # fits the fiber against one pd_feasible per point
     from paracon.pdcone import pd_feasible
-    monkeypatch.setattr(flagmod, "_SLICE", 4)
     rng = np.random.default_rng(41)
     seen = set()
     for n in (2, 3, 4):
@@ -300,6 +300,48 @@ def test_batched_local_metricity_matches_per_point_bit_for_bit(monkeypatch):
             else:
                 seen.add(want.status)
     assert seen == {"zero", "feasible", "infeasible_certified"}
+
+
+def test_local_metricity_makes_one_pd_call_per_terminal_dim(monkeypatch):
+    # 300 spans of dim 2, more than the flag's slice of 256 points, and 30
+    # of dim 1, shuffled: one pd_feasible_batch call per dim, with the bits
+    # of the reference that screens them in two groups
+    from paracon import pdcone
+    spec = ConnectionSpec(Domain(("x", "y", "z"), (-1.0,) * 3, (1.0,) * 3),
+                          kind="christoffel", gamma={})
+    N = spec.N
+    unit_trace = np.zeros(N)
+    unit_trace[:3] = 1.0 / np.sqrt(3.0)
+    rng = np.random.default_rng(43)
+    dims = rng.permutation(np.repeat([1, 2], [30, 300]))
+    level = FlagLevel(dims, np.zeros((dims.size, N, 2)),
+                      np.full(dims.size, np.inf), 1)
+    for i, d in enumerate(dims.tolist()):
+        G = rng.standard_normal((N, d))
+        if i % 3 == 1:  # traceless: no trace starts
+            G -= np.outer(unit_trace, unit_trace @ G)
+        elif i % 3 == 2:  # often won by a trace start
+            G[:, 0] += 3.0 * np.sqrt(3.0) * unit_trace
+        level.bases[i, :, :d] = np.linalg.qr(G)[0]
+    batch, calls = pdcone.pd_feasible_batch, []
+
+    def counted(stack, tol):
+        calls.append(stack.shape)
+        return batch(stack, tol)
+
+    monkeypatch.setattr(pdcone, "pd_feasible_batch", counted)
+    got = local_metricity(spec, level)
+    assert calls == [(30, 1, 3, 3), (300, 2, 3, 3)]
+    for d in (1, 2):
+        idx = np.flatnonzero(dims == d)
+        want = two_group_pd_feasible_batch(spec.sym.to_matrix(
+            level.bases[idx, :, :d].transpose(0, 2, 1)))
+        for i, w in zip(idx.tolist(), want, strict=True):
+            assert got[i].status == w.status
+            for field in ("best_lambda", "coefficients", "cholesky",
+                          "witness"):
+                assert _same_bits(getattr(got[i], field), getattr(w, field))
+    assert {r.status for r in got} == {"feasible", "infeasible_certified"}
 
 
 def test_flag_monotonicity_randomized():
@@ -622,6 +664,32 @@ def test_scan_checks_every_node_against_the_domain(flat_spec):
     with pytest.raises(PointOutsideDomain,
                        match=r"^point \[0\.5, 3\.0\] outside chart box$"):
         regularity_scan(flat_spec, [[0.5, 1.0], [0.0, 3.0]])
+
+
+def test_flag_entry_points_check_their_points(sphere_spec):
+    # derived_flag checks its nudged point and batch_terminal_bases its
+    # batch; the kernels below them take checked points
+    msg = r"^point \[-0\.5, 1\.0\] outside chart box$"
+    with pytest.raises(PointOutsideDomain, match=msg):
+        derived_flag(sphere_spec, (-0.5, 1.0))
+    with pytest.raises(PointOutsideDomain, match=msg):
+        batch_terminal_bases(sphere_spec, [(1.0, 1.0), (-0.5, 1.0)])
+
+
+def test_scan_checks_the_domain_once(monkeypatch):
+    # the cone x line chart of the loops-3d benchmark has an excluded set;
+    # the scan checks its grid once and runs the flag on checked points
+    from test_global import CONE_GRID, cone_line_spec
+    spec, _ = cone_line_spec()
+    check, checked = Domain.require_admissible, []
+
+    def counted(self, points, params=None):
+        checked.append(len(points))
+        return check(self, points, params)
+
+    monkeypatch.setattr(Domain, "require_admissible", counted)
+    regularity_scan(spec, CONE_GRID)
+    assert checked == [18]
 
 
 # -- the stencil flag engine the exact one replaced, kept as a reference ----

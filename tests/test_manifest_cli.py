@@ -152,6 +152,12 @@ def test_manifest_keeps_valid_tolerances():
      "/connection/gamma/theta"),
     ({"excluded": 5}, [], "/excluded"),
     ({"grid": 5}, [], "/grid"),
+    ({"params": {"theta": 0.5}}, [], "/params/theta"),
+    ({"params": {"t": 0.0}}, [], "/params/t"),
+    ({"params": {"pi": 3.0}}, [], "/params/pi"),
+    ({}, ["--param", "phi=1.0"], "/params/phi"),
+    ({"exclusion_radius": -1.0}, [], "/exclusion_radius"),
+    ({"exclusion_radius": 0.0}, [], "/exclusion_radius"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):

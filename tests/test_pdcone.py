@@ -8,6 +8,7 @@ from paracon import pdcone
 from paracon.bundle import SymIndex
 from paracon.pdcone import (_norms, _trace_units, _try_cholesky, pd_feasible,
                             pd_feasible_batch)
+from reference import two_group_pd_feasible_batch
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -400,46 +401,73 @@ def test_non_finite_span_is_inconclusive(bad):
     assert [r.status for r in got] == ["inconclusive", "feasible"]
 
 
-def test_unit_trace_starts_that_repeat_a_generator_are_dropped(monkeypatch):
-    # one-generator spans of either trace sign (their unit trace direction
-    # is exactly +-e_1), a two-generator span with one traced generator
-    # (+-e_2), a trace whose square is subnormal (|u| != 1, kept), traceless
-    # spans and spans the barrier decides; with the duplicates, a start and
-    # its repeat tie, and argmax takes the first
+def _assert_same_results(got, want, where=None):
+    for a, b in zip(got, want, strict=True):
+        assert a.status == b.status, where
+        for field in ("best_lambda", "coefficients", "cholesky", "witness"):
+            assert _same_bits(getattr(a, field), getattr(b, field)), \
+                (where, field)
+
+
+def test_one_screen_matches_the_two_group_screen_bit_for_bit(monkeypatch):
+    # the screen gives every span the starts +-e_a and +-u, u its unit trace
+    # direction or e_1; the reference screens the spans whose u is exactly
+    # +-e_a, and the traceless ones, without +-u.  A repeated start ties with
+    # the first and argmax takes the first, so every field keeps its bits.
+    # One-generator spans of either trace sign (u = +-e_1), a two-generator
+    # span with one traced generator (u = e_2), a trace whose square is
+    # subnormal (|u| != 1), traceless spans and spans the barrier decides:
     t = 1.5e-160
     spans = [[np.diag([2.0, 1.0])], [np.diag([-2.0, -1.0])],
              [np.diag([3.0, -1.0])], [np.diag([1.0, -3.0])],
-             [np.diag([t, 0.0])], [np.diag([1.0, -1.0])],
-             [np.array([[0.0, 1.0], [1.0, 0.0]])],
+             [np.diag([t, 0.0])], [np.diag([1.0, -1.0])], [OFFDIAG],
              [np.diag([1.0, -1.0]), np.diag([0.5, 2.0])],
              [np.array([[1.0, 2.0], [2.0, 1.0]])]]
     units, _ = _trace_units(np.array([s[:1] for s in spans[:5]]))
     assert units[:4, 0].tolist() == [1.0, -1.0, 1.0, -1.0]
     assert abs(units[4, 0]) != 1.0
-    screen = pdcone._screen
+    # and one batch that mixes them at d = 2: u off the axes, u = e_2,
+    # u = -e_2 (whose 0.0 is -0.0 in the start -e_2 that wins), traceless,
+    # and two the barrier decides, one feasible (traced, with no PD start)
+    # and one infeasible
+    mixed = np.array([[np.eye(2), np.diag([1.0, 3.0])],
+                      [np.diag([1.0, -1.0]), np.diag([0.5, 2.0])],
+                      [np.diag([1.0, -1.0]), np.diag([-0.5, -2.0])],
+                      [np.diag([1.0, -1.0]), OFFDIAG],
+                      [np.diag([1.0, -0.6]), np.diag([-3.0, 2.0])],
+                      [np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])]])
+    units, traced = _trace_units(mixed)
+    assert traced.tolist() == [True, True, True, False, True, False]
+    assert units[1:3].tolist() == [[0.0, 1.0], [0.0, -1.0]]
+    assert 0.0 not in units[[0, 4]]
+    barrier, decided = pdcone._barrier, []
 
-    def run(batch, starts):
-        def recorded(stack, u):
-            out = screen(stack, u)
-            starts.append(out[0].shape)
-            return out
-        with monkeypatch.context() as m:
-            m.setattr(pdcone, "_screen", recorded)
-            return pd_feasible_batch(batch)
+    def recorded(*args):
+        decided.append(barrier(*args))
+        return decided[-1]
 
-    # (spans, starts, d) of each screen call: the traced group, then the rest
-    for d, drop, keep in ((1, [(1, 4, 1), (7, 2, 1)], [(6, 4, 1), (2, 2, 1)]),
-                          (2, [(1, 4, 2)], [(1, 6, 2)])):
+    with monkeypatch.context() as m:
+        m.setattr(pdcone, "_barrier", recorded)
+        got = pd_feasible_batch(mixed)
+    assert [r.status for r in decided] == [
+        "infeasible_certified", "feasible", "infeasible_certified"]
+    _assert_same_results(got, two_group_pd_feasible_batch(mixed))
+    for d in (1, 2):
         batch = np.array([s for s in spans if len(s) == d])
-        drops, keeps = [], []
-        got = run(batch, drops)
-        with monkeypatch.context() as m:  # the screen with the duplicates
-            m.setattr(pdcone, "_signed_unit_rows",
-                      lambda u: np.zeros(len(u), dtype=bool))
-            want = run(batch, keeps)
-        for a, b in zip(got, want, strict=True):
-            assert a.status == b.status
-            for field in ("best_lambda", "coefficients", "cholesky",
-                          "witness"):
-                assert _same_bits(getattr(a, field), getattr(b, field))
-        assert (drops, keeps) == (drop, keep)
+        _assert_same_results(pd_feasible_batch(batch),
+                             two_group_pd_feasible_batch(batch), d)
+    # the seeded spans of every kind, also at a tolerance where the
+    # near-singular span fails its Cholesky
+    rng = np.random.default_rng(2025)
+    kinds = ("random", "tilted", "traceless", "hidden", "zero", "tiny")
+    for n in (2, 3, 4):
+        sym = SymIndex(n)
+        for d in range(1, min(6, sym.N) + 1):
+            batch = [_seeded_mats(rng, sym, d, kind) for kind in kinds]
+            if (n, d) == (2, 1):
+                batch.append([_cholesky_failing_matrix()])
+            for tol in (1e-8, 1e-20) if n == 2 else (1e-8,):
+                _assert_same_results(
+                    pd_feasible_batch(np.array(batch), tol),
+                    two_group_pd_feasible_batch(np.array(batch), tol),
+                    (n, d, tol))

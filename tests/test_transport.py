@@ -6,9 +6,8 @@ from paracon.expr import parse_expr
 from paracon.flag import Subspace, derived_flag
 from paracon.transport import (Curve, CurveNotClosed, DefectTooLarge,
                                TransportError, doubling_levels,
-                               holonomy_matrix, line_curve, parallel_extend,
-                               transport)
-from reference import reversed_curve, two_leg_residual
+                               holonomy_matrix, parallel_extend, transport)
+from reference import line_curve, reversed_curve, two_leg_residual
 
 TWO_PI = 2.0 * np.pi
 
