@@ -30,8 +30,8 @@ from .expr import (Binary, Const, Expr, Piecewise, Pool, compile_expr, diff,
 
 __all__ = [
     "Domain", "SymIndex", "ConnectionSpec", "BundleError",
-    "PointOutsideDomain", "ExpressionEvalFailure",
-    "curvature_pairs",
+    "PointOutsideDomain", "ExpressionEvalFailure", "ParameterShadows",
+    "check_params", "curvature_pairs",
     "omega_stack", "curvature_stack", "covariant_curvature_stack", "Jet",
     "nudge_off_breakpoints",
 ]
@@ -47,6 +47,22 @@ class PointOutsideDomain(BundleError):
 
 class ExpressionEvalFailure(BundleError):
     pass
+
+
+class ParameterShadows(BundleError):
+    def __init__(self, name):
+        super().__init__(f"parameter {name!r} may not take the name of a "
+                         "coordinate, t or pi")
+        self.name = name
+
+
+def check_params(params, names=()):
+    """Reject a parameter named like one of the coordinates ``names``, like
+    the curve parameter ``t`` or like ``pi``: it would hide the coordinate or
+    ``t``, or ``pi`` would hide it."""
+    for k in params:
+        if k in names or k in ("t", "pi"):
+            raise ParameterShadows(k)
 
 
 @dataclass(frozen=True)
@@ -191,6 +207,7 @@ class ConnectionSpec:
         self.domain = domain
         self.kind = kind
         self.params = dict(params or {})
+        check_params(self.params, domain.names)
         n = domain.dim
         self.n = n
         declared = set(domain.names) | set(self.params) | {"pi"}

@@ -33,7 +33,8 @@ from .flag import (IrregularPoint, NotSym2Bundle, canonical_basis,
                    regularity_scan)
 from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
                            Analysis, GlobalVerdict)
-from .manifest import Manifest, ManifestError, build_steps, load_manifest
+from .manifest import (MANIFEST_SCHEMA, Manifest, ManifestError, load_manifest,
+                       validate)
 from .transport import DefectTooLarge, TransportError
 
 __all__ = ["main", "run", "build_report", "exit_code", "canonical_json",
@@ -380,8 +381,8 @@ def _apply_cli_overrides(args):
         try:
             overrides[name] = float(value)
         except ValueError:
-            raise ManifestError(f"/params/{name}", f"expected a number, "
-                                                   f"got {value!r}") from None
+            overrides[name] = value  # the schema rejects it
+    validate(overrides, MANIFEST_SCHEMA["properties"]["params"], "/params")
     return overrides
 
 
@@ -390,7 +391,9 @@ def run(command: str, manifest_path: str, args) -> int:
     overrides = _apply_cli_overrides(args)
     man = load_manifest(manifest_path, overrides)
     if args.steps is not None:
-        man.steps = build_steps(dict.fromkeys(man.steps, args.steps))
+        steps = dict.fromkeys(man.steps, args.steps)
+        validate(steps, MANIFEST_SCHEMA["properties"]["steps"], "/steps")
+        man.steps = steps
 
     if command == "flag":
         # the one-node grid at the point: its flag as derived_flag gives it

@@ -1,6 +1,9 @@
 """Manifest ingestion: JSON documents describing a chart, a connection,
 loops, a sample grid and tolerances.
 
+Each document is validated against ``schemas/manifest.schema.json``; code
+checks only what the schema cannot say (names that must agree, shapes that
+depend on the chart's dimension, closed loops, the base point's domain).
 Validation failures carry JSON-pointer-style paths into the offending field.
 Christoffel entries are keyed ``gamma[upper]["k,i"]`` by coordinate name,
 where ``k`` is the derivative direction (first lower index); omitted entries
@@ -12,18 +15,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bundle import ConnectionSpec, Domain
+from .bundle import ConnectionSpec, Domain, ParameterShadows, check_params
 from .expr import ExprError, parse_expr
-from .transport import MIN_RK4_STEPS, Curve
+from .transport import Curve
 
 __all__ = ["Manifest", "ManifestError", "load_manifest", "manifest_from_dict",
-           "manifest_digest", "with_params", "build_steps",
-           "DEFAULT_TOLERANCES", "DEFAULT_STEPS", "PD_TOL_MIN"]
+           "manifest_digest", "with_params", "load_schema", "validate",
+           "MANIFEST_SCHEMA", "DEFAULT_TOLERANCES", "DEFAULT_STEPS"]
 
 DEFAULT_TOLERANCES = {
     "rank_tol": 1e-7,
@@ -34,9 +39,6 @@ DEFAULT_TOLERANCES = {
 }
 DEFAULT_STEPS = {"rk4": 4096, "quadrature": 4096}
 _GRID_INSET = 0.1
-# pdcone decides in units of each span's largest generator norm; below this
-# (a few dozen rounding units) rounding, not the span, decides feasibility
-PD_TOL_MIN = 1e-14
 
 
 class ManifestError(ValueError):
@@ -45,9 +47,94 @@ class ManifestError(ValueError):
         self.pointer = pointer
 
 
+def load_schema(name: str) -> dict:
+    """The JSON schema ``schemas/<name>.schema.json``."""
+    path = os.path.join(os.path.dirname(__file__), "schemas",
+                        f"{name}.schema.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# read once per process, at import: read inside a process's first analysis
+# instead, it more often raised the fine-grid benchmark's peak RSS by about
+# 1 MB of 41 (CPython 3.11, glibc)
+MANIFEST_SCHEMA = load_schema("manifest")
+
+
+_KINDS = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float), "null": type(None)}
+_NOUNS = {"object": "an object", "array": "an array", "string": "a string",
+          "boolean": "a boolean", "integer": "an integer",
+          "number": "a number", "null": "null"}
+_KEYWORDS = {"$schema", "title", "description", "type", "enum", "required",
+             "properties", "additionalProperties", "items", "minItems",
+             "maxItems", "minimum", "exclusiveMinimum", "exclusiveMaximum"}
+
+
+def validate(value, schema: dict, pointer: str = "") -> None:
+    """Check ``value`` against ``schema`` in the subset of JSON Schema
+    draft-07 the shipped schemas use (``type``, ``enum``, ``required``,
+    ``properties``, ``additionalProperties``, ``items``, ``minItems``,
+    ``maxItems``, ``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``);
+    a number must be finite, and a bool is no number.  The first failure
+    raises a :class:`ManifestError` at its JSON pointer, and any other
+    keyword but an annotation raises ``NotImplementedError``."""
+    if not _KEYWORDS.issuperset(schema):
+        raise NotImplementedError(f"{pointer}: schema keywords "
+                                  f"{sorted(schema.keys() - _KEYWORDS)}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ManifestError(pointer, f"expected one of {schema['enum']}, "
+                                     f"got {value!r}")
+    kinds = schema.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not (isinstance(value, tuple(_KINDS[k] for k in kinds)) and
+                      ("boolean" in kinds or not isinstance(value, bool))):
+        raise ManifestError(pointer, f"expected "
+                            f"{' or '.join(_NOUNS[k] for k in kinds)}, "
+                            f"got {value!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ManifestError(f"{pointer}/{key}",
+                                    "missing required field")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is False:
+                raise ManifestError(f"{pointer}/{key}", "unknown field")
+            if sub is not True:
+                validate(item, sub, f"{pointer}/{key}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ManifestError(pointer, f"expected {schema['minItems']} or "
+                                         f"more items, got {value!r}")
+        if len(value) > schema.get("maxItems", math.inf):
+            raise ManifestError(pointer, f"expected {schema['maxItems']} or "
+                                         f"fewer items, got {value!r}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                validate(item, schema["items"], f"{pointer}/{i}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        low = schema.get("exclusiveMinimum")
+        # a float's range: an integer beyond it would overflow as a float
+        if not abs(value) <= sys.float_info.max or \
+                (low is not None and value <= low):
+            why = ("expected a finite number" if low is None
+                   else f"must be finite and > {low:g}")
+            raise ManifestError(pointer, f"{why}, got {value!r}")
+        if value < schema.get("minimum", -math.inf):
+            raise ManifestError(pointer, f"must be at least "
+                                f"{schema['minimum']:g}, got {value!r}")
+        if value >= schema.get("exclusiveMaximum", math.inf):
+            raise ManifestError(pointer, f"must be below "
+                                f"{schema['exclusiveMaximum']:g}, "
+                                f"got {value!r}")
+
+
 def _parse(pointer, text):
     try:
-        return parse_expr(str(text))
+        return parse_expr(text)
     except ExprError as exc:
         raise ManifestError(pointer, f"bad expression: {exc}") from None
 
@@ -84,99 +171,40 @@ def manifest_digest(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _require(doc, key, pointer, typ=None):
-    if not isinstance(doc, dict):
-        raise ManifestError(pointer, "expected dict, got "
-                                     f"{type(doc).__name__}")
-    if key not in doc:
-        raise ManifestError(f"{pointer}/{key}", "missing required field")
-    val = doc[key]
-    if typ is not None and not isinstance(val, typ):
-        raise ManifestError(f"{pointer}/{key}",
-                            f"expected {typ.__name__}, got {type(val).__name__}")
-    return val
-
-
-def _optional(doc, key, typ, pointer=""):
-    """The field ``key`` of ``doc``, an empty ``typ`` when it is absent."""
-    val = doc.get(key, typ())
-    if not isinstance(val, typ):
-        raise ManifestError(f"{pointer}/{key}", f"expected {typ.__name__}, "
-                                                f"got {type(val).__name__}")
-    return val
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _float(v, pointer) -> float:
-    """A number of the manifest (not a bool) as a float."""
-    if not _is_number(v):
-        raise ManifestError(pointer, f"expected a number, got {v!r}")
-    return float(v)
-
-
-def _numbers(v, pointer, count: int) -> list:
-    """A list of ``count`` numbers as floats."""
-    if not isinstance(v, list) or len(v) != count:
-        raise ManifestError(pointer, f"expected a list of {count} numbers, "
-                                     f"got {v!r}")
-    return [_float(x, f"{pointer}/{i}") for i, x in enumerate(v)]
-
-
-def _require_count(v, pointer, least: int):
-    """Reject anything but an integer (not a bool) of at least ``least``."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
-        raise ManifestError(pointer, f"expected an integer of at least "
-                                     f"{least}, got {v!r}")
+def _interval(pair, pointer) -> tuple:
+    """``[low, high]`` as floats, a null end as an infinite one; low < high."""
+    lo = -math.inf if pair[0] is None else float(pair[0])
+    hi = math.inf if pair[1] is None else float(pair[1])
+    if not lo < hi:
+        raise ManifestError(pointer, f"expected low < high, got {pair!r}")
+    return lo, hi
 
 
 def _build_domain(doc) -> Domain:
-    coords = _require(doc, "coords", "", list)
-    if not coords:
-        raise ManifestError("/coords", "at least one coordinate required")
-    names, lows, highs, periods = [], [], [], []
-    for i, c in enumerate(coords):
-        ptr = f"/coords/{i}"
-        name = _require(c, "name", ptr, str)
-        rng = _require(c, "range", ptr, list)
-        if len(rng) != 2:
-            raise ManifestError(f"{ptr}/range", "range must be [low, high]")
-        lo = -math.inf if rng[0] is None else _float(rng[0], f"{ptr}/range/0")
-        hi = math.inf if rng[1] is None else _float(rng[1], f"{ptr}/range/1")
-        if not lo < hi:
-            raise ManifestError(f"{ptr}/range", "range must be non-degenerate")
-        names.append(name)
-        lows.append(lo)
-        highs.append(hi)
-        periods.append(_float(c["period"], f"{ptr}/period")
-                       if c.get("period") else None)
+    coords = doc["coords"]
+    names = [c["name"] for c in coords]
     if len(set(names)) != len(names):
         raise ManifestError("/coords", "coordinate names must be unique")
+    lows, highs = zip(*(_interval(c["range"], f"/coords/{i}/range")
+                        for i, c in enumerate(coords)))
+    periods = tuple(None if c.get("period") is None else float(c["period"])
+                    for c in coords)
     excluded = tuple(_parse(f"/excluded/{i}", e)
-                     for i, e in enumerate(_optional(doc, "excluded", list)))
-    radius = _float(doc.get("exclusion_radius", 1e-6), "/exclusion_radius")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ManifestError("/exclusion_radius",
-                            f"must be finite and > 0, got {radius!r}")
-    return Domain(tuple(names), tuple(lows), tuple(highs), tuple(periods),
-                  excluded, radius)
+                     for i, e in enumerate(doc.get("excluded", [])))
+    return Domain(tuple(names), lows, highs, periods, excluded,
+                  float(doc.get("exclusion_radius", 1e-6)))
 
 
 def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
-    conn = _require(doc, "connection", "", dict)
-    kind = _require(conn, "kind", "/connection", str)
+    conn = doc["connection"]
     index = {name: i for i, name in enumerate(domain.names)}
-    if kind == "christoffel":
+    if conn["kind"] == "christoffel":
         gamma = {}
-        gammas = _optional(conn, "gamma", dict, "/connection")
-        for upper in gammas:
+        for upper, entries in conn.get("gamma", {}).items():
             if upper not in index:
                 raise ManifestError(f"/connection/gamma/{upper}",
                                     "unknown coordinate name")
-            for key, text in _optional(gammas, upper, dict,
-                                       "/connection/gamma").items():
+            for key, text in entries.items():
                 ptr = f"/connection/gamma/{upper}/{key}"
                 parts = [s.strip() for s in key.split(",")]
                 if len(parts) != 2 or any(p not in index for p in parts):
@@ -186,45 +214,42 @@ def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
                     _parse(ptr, text)
         return ConnectionSpec(domain, kind="christoffel", params=params,
                               gamma=gamma)
-    if kind == "matrix":
-        N = _require(conn, "fiber_dim", "/connection")
-        _require_count(N, "/connection/fiber_dim", 1)
-        rows = _require(conn, "omega", "/connection", list)
-        if len(rows) != N or any(len(r) != N for r in rows):
-            raise ManifestError("/connection/omega",
-                                f"omega must be {N}x{N} lists of per-coordinate "
-                                "expressions")
-        omega = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                cell = rows[i][j]
-                ptr = f"/connection/omega/{i}/{j}"
-                if not isinstance(cell, list) or len(cell) != domain.dim:
-                    raise ManifestError(ptr, "one expression per coordinate "
-                                             "required")
-                row.append([_parse(f"{ptr}/{k}", t) for k, t in enumerate(cell)])
-            omega.append(row)
-        return ConnectionSpec(domain, kind="matrix", params=params,
-                              fiber_dim=N, omega=omega)
-    raise ManifestError("/connection/kind", f"unknown kind {kind!r}")
+    for key in ("fiber_dim", "omega"):
+        if key not in conn:
+            raise ManifestError(f"/connection/{key}",
+                                "missing required field for kind 'matrix'")
+    N, rows = conn["fiber_dim"], conn["omega"]
+    if len(rows) != N or any(len(r) != N for r in rows):
+        raise ManifestError("/connection/omega",
+                            f"omega must be {N}x{N} lists of per-coordinate "
+                            "expressions")
+    omega = []
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if len(cell) != domain.dim:
+                raise ManifestError(f"/connection/omega/{i}/{j}",
+                                    "one expression per coordinate required")
+        omega.append([[_parse(f"/connection/omega/{i}/{j}/{k}", t)
+                       for k, t in enumerate(cell)]
+                      for j, cell in enumerate(row)])
+    return ConnectionSpec(domain, kind="matrix", params=params,
+                          fiber_dim=N, omega=omega)
 
 
 def _build_loops(doc, domain: Domain, params: dict) -> list:
     loops = []
     names = set()
-    for i, entry in enumerate(_optional(doc, "loops", list)):
+    for i, entry in enumerate(doc.get("loops", [])):
         ptr = f"/loops/{i}"
-        name = _require(entry, "name", ptr, str)
+        name = entry["name"]
         if name in names:
             raise ManifestError(f"{ptr}/name", f"duplicate loop name {name!r}")
         names.add(name)
-        exprs = _require(entry, "exprs", ptr, list)
+        exprs = entry["exprs"]
         if len(exprs) != domain.dim:
             raise ManifestError(f"{ptr}/exprs",
                                 "one coordinate expression per dimension")
-        t0, t1 = _numbers(_require(entry, "t_range", ptr), f"{ptr}/t_range",
-                          2)
+        t0, t1 = _interval(entry["t_range"], f"{ptr}/t_range")
         curve = Curve(domain, [_parse(f"{ptr}/exprs/{k}", t)
                                for k, t in enumerate(exprs)], t0, t1,
                       name=name, params=params)
@@ -236,102 +261,51 @@ def _build_loops(doc, domain: Domain, params: dict) -> list:
 
 
 def _build_grid(doc, domain: Domain) -> list:
-    grid = _require(doc, "grid", "", dict)
-    if "values" in grid:
-        axes = grid["values"]
-        if not isinstance(axes, list) or len(axes) != domain.dim:
-            raise ManifestError("/grid/values", "one value list per coordinate")
-        for i, axis in enumerate(axes):
-            if not (isinstance(axis, list) and axis
-                    and all(map(_is_number, axis))):
-                raise ManifestError(f"/grid/values/{i}", f"expected a "
-                                    f"non-empty list of numbers, got {axis!r}")
-        return [[float(v) for v in axis] for axis in axes]
-    if "counts" in grid:
-        counts = grid["counts"]
-        if not isinstance(counts, list) or len(counts) != domain.dim:
-            raise ManifestError("/grid/counts", "one count per coordinate")
-        axes = []
-        for i, cnt in enumerate(counts):
-            _require_count(cnt, f"/grid/counts/{i}", 1)
-            lo, hi = domain.lows[i], domain.highs[i]
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ManifestError(f"/grid/counts/{i}",
-                                    "counts need a finite coordinate range")
-            span = hi - lo
-            axes.append(list(np.linspace(lo + _GRID_INSET * span,
-                                         hi - _GRID_INSET * span, cnt)))
-        return axes
-    raise ManifestError("/grid", "grid needs 'values' or 'counts'")
-
-
-def build_steps(steps: dict) -> dict:
-    """The step caps over their defaults, each an integer: ``rk4`` at least
-    :data:`transport.MIN_RK4_STEPS`, the fewest a transport takes, and
-    ``quadrature`` at least 1."""
-    if not isinstance(steps, dict):
-        raise ManifestError("/steps", f"expected an object, got {steps!r}")
-    out = dict(DEFAULT_STEPS)
-    for k, v in steps.items():
-        if k not in out:
-            raise ManifestError(f"/steps/{k}", "unknown step setting")
-        _require_count(v, f"/steps/{k}", MIN_RK4_STEPS if k == "rk4" else 1)
-        out[k] = v
-    return out
-
-
-def _build_tolerances(doc) -> dict:
-    """The tolerances, each a finite number > 0: ``rank_tol`` below 1,
-    ``pd_tol`` at least :data:`PD_TOL_MIN`; only ``period_tol`` may be null
-    (its default, which scales with each loop's length)."""
-    tol = dict(DEFAULT_TOLERANCES)
-    for k, v in _optional(doc, "tolerances", dict).items():
-        if k == "stencil_h":
-            # a no-op, kept so older manifests load: the flag takes exact
-            # covariant derivatives and has no difference step
-            continue
-        ptr = f"/tolerances/{k}"
-        if k not in tol:
-            raise ManifestError(ptr, "unknown tolerance")
-        if v is None and k == "period_tol":
-            tol[k] = None
-            continue
-        if not _is_number(v):
-            raise ManifestError(ptr, f"expected a number, got {v!r}")
-        v = float(v)
-        if not (math.isfinite(v) and v > 0.0):
-            raise ManifestError(ptr, f"must be finite and > 0, got {v!r}")
-        if k == "rank_tol" and v >= 1.0:
-            raise ManifestError(ptr, f"must be below 1, got {v!r}")
-        if k == "pd_tol" and v < PD_TOL_MIN:
-            raise ManifestError(ptr, f"must be at least {PD_TOL_MIN:g}, "
-                                     f"got {v!r}")
-        tol[k] = v
-    return tol
+    grid = doc["grid"]
+    key = next((k for k in ("values", "counts") if k in grid), None)
+    if key is None:
+        raise ManifestError("/grid", "grid needs 'values' or 'counts'")
+    if len(grid[key]) != domain.dim:
+        raise ManifestError(f"/grid/{key}", "one entry per coordinate")
+    if key == "values":
+        return [[float(v) for v in axis] for axis in grid["values"]]
+    axes = []
+    for i, (cnt, lo, hi) in enumerate(zip(grid["counts"], domain.lows,
+                                          domain.highs)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ManifestError(f"/grid/counts/{i}",
+                                "counts need a finite coordinate range")
+        span = hi - lo
+        axes.append(list(np.linspace(lo + _GRID_INSET * span,
+                                     hi - _GRID_INSET * span, cnt)))
+    return axes
 
 
 def manifest_from_dict(doc: dict) -> Manifest:
-    if not isinstance(doc, dict):
-        raise ManifestError("", "manifest must be a JSON object")
-    params = {k: _float(v, f"/params/{k}")
-              for k, v in _optional(doc, "params", dict).items()}
+    validate(doc, MANIFEST_SCHEMA)
+    params = {k: float(v) for k, v in doc.get("params", {}).items()}
     domain = _build_domain(doc)
-    for k in params:  # it would hide a coordinate or t, or pi would hide it
-        if k in (*domain.names, "t", "pi"):
-            raise ManifestError(f"/params/{k}", "a parameter may not take the "
-                                "name of a coordinate, t or pi")
+    try:
+        check_params(params, domain.names)
+    except ParameterShadows as exc:
+        raise ManifestError(f"/params/{exc.name}", str(exc)) from None
     spec = _build_spec(doc, domain, params)
-    base = np.array(_numbers(_require(doc, "base_point", ""), "/base_point",
-                             domain.dim))
+    base = np.array(doc["base_point"], dtype=float)
+    if len(base) != domain.dim:
+        raise ManifestError("/base_point", f"expected {domain.dim} numbers, "
+                                           f"got {doc['base_point']!r}")
     if not domain.admissible(base, params):
         raise ManifestError("/base_point", "base point not in the domain")
     loops = _build_loops(doc, domain, params)
     grid_axes = _build_grid(doc, domain)
-
-    tol = _build_tolerances(doc)
-    steps = build_steps(doc.get("steps", {}))
-    # the top-level "seed" and "pd_restarts" are no-ops, kept so older
-    # manifests load: PD feasibility is deterministic and has no restarts
+    # "stencil_h" among the tolerances, and the top-level "seed" and
+    # "pd_restarts", are no-ops kept so older manifests load: the flag takes
+    # exact covariant derivatives, and PD feasibility has no restarts
+    tol = dict(DEFAULT_TOLERANCES)
+    tol.update((k, v if v is None else float(v))
+               for k, v in doc.get("tolerances", {}).items()
+               if k != "stencil_h")
+    steps = dict(DEFAULT_STEPS, **doc.get("steps", {}))
     return Manifest(doc, domain, spec, base, loops, grid_axes, tol, steps)
 
 

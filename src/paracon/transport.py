@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bundle import ConnectionSpec, Domain, PointOutsideDomain, omega_stack
+from .bundle import (ConnectionSpec, Domain, PointOutsideDomain, check_params,
+                     omega_stack)
 from .expr import Binary, Expr, Name, compile_expr, diff
 from .flag import Subspace
 
@@ -83,6 +84,7 @@ class Curve:
         self.t1 = float(t1)
         self.name = name
         self.params = dict(params or {})
+        check_params(self.params)  # the curve's formulas see t and params
         self._pos = compile_expr(list(exprs))
         self._vel = compile_expr([diff(e, "t") for e in exprs])
         mismatch = domain.wrap_delta(self.point(self.t1) - self.point(self.t0))
@@ -90,7 +92,7 @@ class Curve:
 
     def _sample(self, tape, ts) -> np.ndarray:
         """The values of ``tape`` at the parameters ``ts``, stacked on a last
-        axis; a parameter named ``t`` overrides the curve parameter."""
+        axis."""
         ts = np.asarray(ts, dtype=float)
         cols = [np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
                 for v in tape({"t": ts, **self.params})]

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import reference
-from paracon.bundle import (ConnectionSpec, Domain, ExpressionEvalFailure, Jet,
-                            PointOutsideDomain, SymIndex,
-                            covariant_curvature_stack, curvature_pairs,
-                            curvature_stack, nudge_off_breakpoints,
-                            omega_stack)
+from paracon.bundle import (BundleError, ConnectionSpec, Domain,
+                            ExpressionEvalFailure, Jet, PointOutsideDomain,
+                            SymIndex, covariant_curvature_stack,
+                            curvature_pairs, curvature_stack,
+                            nudge_off_breakpoints, omega_stack)
 from paracon.expr import compile_expr, diff, parse_expr
 from paracon.transport import transport
 from reference import EvalContext, evaluate, line_curve
@@ -159,6 +159,14 @@ def test_undeclared_name_rejected():
     with pytest.raises(Exception, match="undeclared"):
         ConnectionSpec(dom, kind="christoffel",
                        gamma={(0, 0, 0): parse_expr("x + mystery")})
+
+
+def test_parameter_may_not_shadow_a_coordinate(sphere_spec):
+    # "theta" would replace the coordinate in every entry: at (1, 1) the
+    # terminal basis moved from [0.8161, 0.5779, 0] to [0.9746, 0.224, 0]
+    with pytest.raises(BundleError, match="'theta' may not take the name"):
+        ConnectionSpec(sphere_spec.domain, kind="christoffel",
+                       gamma=sphere_spec.gamma, params={"theta": 0.5})
 
 
 def test_nudge_off_breakpoints(pathology_spec):

@@ -123,6 +123,9 @@ def test_manifest_keeps_valid_tolerances():
                               "fixed_tol": 1e-3}
 
 
+SPHERE_THETA, SPHERE_PHI = get_entry("sphere").manifest_doc["coords"]
+
+
 @pytest.mark.parametrize("patch, argv, pointer", [
     ({"steps": 4096}, [], "/steps"),
     ({"steps": {"quadrature": 0}}, [], "/steps/quadrature"),
@@ -132,7 +135,7 @@ def test_manifest_keeps_valid_tolerances():
     ({}, ["--steps", "8"], "/steps/rk4"),
     ({"grid": {"values": 1.0}}, [], "/grid/values"),
     ({"grid": {"values": [[], [1.0]]}}, [], "/grid/values/0"),
-    ({"grid": {"values": [["a"], [1.0]]}}, [], "/grid/values/0"),
+    ({"grid": {"values": [["a"], [1.0]]}}, [], "/grid/values/0/0"),
     ({"grid": {"counts": [0, 3]}}, [], "/grid/counts/0"),
     ({"grid": {"counts": ["a", 3]}}, [], "/grid/counts/0"),
     ({"grid": {"counts": [3.5, 3]}}, [], "/grid/counts/0"),
@@ -158,12 +161,40 @@ def test_manifest_keeps_valid_tolerances():
     ({}, ["--param", "phi=1.0"], "/params/phi"),
     ({"exclusion_radius": -1.0}, [], "/exclusion_radius"),
     ({"exclusion_radius": 0.0}, [], "/exclusion_radius"),
+    ({"coords": [SPHERE_THETA, dict(SPHERE_PHI, period=0.0)]}, [],
+     "/coords/1/period"),
+    ({"coords": [SPHERE_THETA, dict(SPHERE_PHI, period=-2 * np.pi)]}, [],
+     "/coords/1/period"),
+    ({"loops": [{"name": "l", "exprs": ["1", "t"],
+                 "t_range": [2 * np.pi, 0.0]}]}, [], "/loops/0/t_range"),
+    ({"tolerances": {"stencil_h": "a"}}, [], "/tolerances/stencil_h"),
+    ({"grid": {"counts": [3.0, 3]}}, [], "/grid/counts/0"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
     # each used to end in a traceback, be truncated without a message, or
     # (rk4 true, read as 1) fail only in the transport
-    doc = dict(get_entry("sphere").manifest_doc, **patch)
+    _assert_manifest_error(tmp_path, capsys, "sphere", patch, argv, pointer)
+
+
+@pytest.mark.parametrize("entry, patch, argv, pointer", [
+    ("punctured-plane", {"params": {"k": float("nan")}}, [], "/params/k"),
+    ("punctured-plane", {"params": {"k": float("inf")}}, [], "/params/k"),
+    ("punctured-plane", {}, ["--param", "k=nan"], "/params/k"),
+    ("punctured-plane", {"params": {"k": 10 ** 400}}, [], "/params/k"),
+    ("sphere", {"grid": {"values": [[float("nan")], [0.5]]}}, [],
+     "/grid/values/0/0"),
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, entry, patch, argv,
+                                        pointer):
+    # Python's json reads NaN, Infinity and integers past a float's range;
+    # each used to fail later without a pointer, as non-finite connection
+    # entries, a point outside the box or an OverflowError
+    _assert_manifest_error(tmp_path, capsys, entry, patch, argv, pointer)
+
+
+def _assert_manifest_error(tmp_path, capsys, entry, patch, argv, pointer):
+    doc = dict(get_entry(entry).manifest_doc, **patch)
     doc.pop("expected")
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))

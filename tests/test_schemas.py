@@ -1,79 +1,44 @@
 """Schema round-trip: emitted reports and shipped manifests validate against
 the in-repo JSON schemas (the compatibility contract)."""
 
+import contextlib
 import json
-from importlib import resources
 
 import pytest
 
 from paracon.cli import main
 from paracon.corpus import load_corpus
-
-_TYPES = {
-    "object": dict, "array": list, "string": str,
-    "integer": int, "boolean": bool,
-}
+from paracon.manifest import (MANIFEST_SCHEMA, ManifestError, load_schema,
+                              validate)
+from paracon.transport import MIN_RK4_STEPS
 
 
-def _type_ok(value, names):
-    if isinstance(names, str):
-        names = [names]
-    for name in names:
-        if name == "null" and value is None:
-            return True
-        if name == "number" and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            return True
-        if name == "integer" and isinstance(value, int) \
-                and not isinstance(value, bool):
-            return True
-        if name in _TYPES and isinstance(value, _TYPES[name]) \
-                and not (name != "boolean" and isinstance(value, bool)):
-            return True
-    return False
+def _subschemas(schema):
+    yield schema
+    for sub in (*schema.get("properties", {}).values(),
+                schema.get("additionalProperties"), schema.get("items")):
+        if isinstance(sub, dict):
+            yield from _subschemas(sub)
 
 
-def validate(value, schema, path=""):
-    """Minimal validator for the schema subset the contract uses."""
-    if "enum" in schema:
-        assert value in schema["enum"], f"{path}: {value!r} not in enum"
-        return
-    names = schema.get("type")
-    if names:
-        assert _type_ok(value, names), \
-            f"{path}: {type(value).__name__} is not {names}"
-    if value is None:
-        return
-    if isinstance(value, dict):
-        for key in schema.get("required", []):
-            assert key in value, f"{path}: missing required key {key!r}"
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key, sub in value.items():
-            if key in props:
-                validate(sub, props[key], f"{path}/{key}")
-            elif isinstance(extra, dict):
-                validate(sub, extra, f"{path}/{key}")
-    elif isinstance(value, list):
-        if "minItems" in schema:
-            assert len(value) >= schema["minItems"], f"{path}: too few items"
-        if "maxItems" in schema:
-            assert len(value) <= schema["maxItems"], f"{path}: too many items"
-        item_schema = schema.get("items")
-        if isinstance(item_schema, dict):
-            for i, v in enumerate(value):
-                validate(v, item_schema, f"{path}/{i}")
+@pytest.mark.parametrize("name", ["manifest", "report"])
+def test_validator_implements_every_schema_keyword(name):
+    # a keyword the validator skipped would check nothing where it stands
+    for sub in _subschemas(load_schema(name)):
+        with contextlib.suppress(ManifestError):
+            validate(None, sub)
+    with pytest.raises(NotImplementedError, match="multipleOf"):
+        validate(3, {"type": "integer", "multipleOf": 2})
 
 
-def _schema(name):
-    text = resources.files("paracon").joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
+def test_schema_rk4_minimum_is_the_transport_floor():
+    rk4 = MANIFEST_SCHEMA["properties"]["steps"]["properties"]["rk4"]
+    assert rk4["minimum"] == MIN_RK4_STEPS
 
 
 def test_shipped_manifests_validate_against_manifest_schema():
-    schema = _schema("manifest.schema.json")
     for entry in load_corpus():
-        validate(entry.manifest_doc, schema, entry.id)
+        validate(entry.manifest_doc, MANIFEST_SCHEMA, entry.id)
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -83,7 +48,7 @@ def test_shipped_manifests_validate_against_manifest_schema():
 ])
 def test_emitted_reports_validate_against_report_schema(tmp_path, command,
                                                         extra):
-    schema = _schema("report.schema.json")
+    schema = load_schema("report")
     from paracon.corpus import get_entry
     doc = dict(get_entry("smooth-pathology").manifest_doc)
     doc.pop("expected", None)
@@ -96,7 +61,7 @@ def test_emitted_reports_validate_against_report_schema(tmp_path, command,
 
 
 def test_matrix_kind_report_validates(tmp_path):
-    schema = _schema("report.schema.json")
+    schema = load_schema("report")
     from paracon.corpus import get_entry
     doc = dict(get_entry("s1-line-bundle").manifest_doc)
     doc.pop("expected", None)
@@ -113,7 +78,7 @@ def test_matrix_kind_report_validates(tmp_path):
 ])
 def test_step_doubling_fields_validate(tmp_path, command, extra):
     # sphere: two loops, and a rank-one terminal bundle, so periods too
-    schema = _schema("report.schema.json")
+    schema = load_schema("report")
     from paracon.corpus import get_entry
     doc = dict(get_entry("sphere").manifest_doc)
     doc.pop("expected", None)
@@ -151,7 +116,7 @@ def test_irregular_base_point_is_inconclusive(tmp_path, command):
     out = tmp_path / "r.json"
     assert main([command, str(man), "--out", str(out)]) == 2
     report = json.loads(out.read_text())
-    validate(report, _schema("report.schema.json"), command)
+    validate(report, load_schema("report"), command)
     gv = report["global_verdict"]
     assert report["regularity"]["regular_on_grid"] is True
     assert gv["status"] == "inconclusive"
@@ -168,7 +133,7 @@ def test_base_flag_differing_from_regular_grid_is_inconclusive(tmp_path):
     out = tmp_path / "r.json"
     assert main(["analyze", str(man), "--out", str(out)]) == 2
     report = json.loads(out.read_text())
-    validate(report, _schema("report.schema.json"), "analyze")
+    validate(report, load_schema("report"), "analyze")
     assert report["regularity"]["dims"] == [3] * 6
     assert report["regularity"]["regular_on_grid"] is True
     gv = report["global_verdict"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paracon.bundle import ConnectionSpec, Domain, PointOutsideDomain, omega_stack
+from paracon.bundle import (BundleError, ConnectionSpec, Domain,
+                            PointOutsideDomain, omega_stack)
 from paracon.expr import parse_expr
 from paracon.flag import Subspace, derived_flag
 from paracon.transport import (Curve, CurveNotClosed, DefectTooLarge,
@@ -23,6 +24,13 @@ def test_curve_closedness_uses_periods(plane_spec):
     assert loop.closed
     arc = Curve(dom, [parse_expr("1"), parse_expr("t")], 0.0, 3.0)
     assert not arc.closed
+
+
+def test_curve_parameter_may_not_shadow_t(plane_spec):
+    # a parameter "t" would replace the curve parameter: the loop sampled
+    # (1, 0) at every t
+    with pytest.raises(BundleError, match="'t' may not take the name"):
+        circle_loop(plane_spec.domain, params={"t": 0.0})
 
 
 def test_curve_points_velocities_length(plane_spec):
