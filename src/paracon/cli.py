@@ -259,8 +259,7 @@ def build_report(man: Manifest, command: str) -> tuple:
     (report, its canonical JSON as the pieces from :func:`_finalize`,
     exit_code).  Every stage is read from one staged analysis."""
     spec = man.spec
-    an = Analysis(spec, man.base_point, man.loops, man.grid_axes,
-                  **man.pipeline_options())
+    an = man.analysis()
     # the verdict first, so the stages run, and print, in the verdict's order
     verdict = an.verdict if spec.kind == "christoffel" else None
     report = _header(man, command, [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT])
@@ -410,8 +409,7 @@ def run(command: str, manifest_path: str, args) -> int:
         if loop is None:
             print(f"no loop named {args.loop!r} in manifest", file=sys.stderr)
             return 1
-        an = Analysis(man.spec, man.base_point, [loop], man.grid_axes,
-                      **man.pipeline_options())
+        an = man.analysis([loop])
         try:
             h, = an.holonomies
         except IrregularPoint as exc:

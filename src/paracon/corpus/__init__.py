@@ -19,7 +19,6 @@ from ..bundle import ConnectionSpec
 from ..cli import exit_code
 from ..expr import compile_expr, parse_expr
 from ..flag import principal_angles
-from ..globalmetric import Analysis
 from ..manifest import Manifest, ManifestError, manifest_from_dict, with_params
 from ..transport import parallel_extend, transport
 
@@ -85,11 +84,6 @@ def _vectors(spec: ConnectionSpec, rows):
     return at
 
 
-def _analysis(man: Manifest) -> Analysis:
-    return Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
-                    **man.pipeline_options())
-
-
 def run_entry(entry: CorpusEntry):
     """Run the pipeline on one entry and compare against its goldens, one
     check or more per key of the ``expected`` block.
@@ -99,7 +93,7 @@ def run_entry(entry: CorpusEntry):
     """
     man = entry.manifest()
     spec, steps = man.spec, man.steps
-    an = _analysis(man)
+    an = man.analysis()
     exp = entry.expected
     checks = []
 
@@ -245,7 +239,7 @@ def run_entry(entry: CorpusEntry):
     if "controls" in exp:
         for i, ctrl in enumerate(exp["controls"]):
             man2 = entry.manifest(ctrl["params"])
-            fixed2 = _analysis(man2).fixed
+            fixed2 = man2.analysis().fixed
             record(f"control[{i}]", fixed2.dim == ctrl["fixed_dim"],
                    f"params {ctrl['params']}: fixed dim {fixed2.dim}")
 

@@ -31,7 +31,7 @@ from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    batch_terminal_bases, canonical_basis, derived_flag,
                    kernel_intersection, local_metricity, regularity_scan)
 from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
-                        converged, doubling_levels, holonomy_matrix)
+                        holonomy_matrix, refine)
 
 __all__ = [
     "GlobalError", "PhiPeriods", "GlobalVerdict", "Analysis", "phi_form",
@@ -98,13 +98,12 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
     For closed loops the trapezoid rule over the uniform parameter grid
     coincides with the left-endpoint sum, which is what is computed.
     Without a ``target`` each loop takes exactly ``quadrature_steps``
-    points.  With one (a number, or one per loop) that count is a cap: the
-    points of the nested levels of :func:`transport.doubling_levels` are
-    sampled coarsest first, each doubling evaluating Phi only at its new
-    odd-index points, until a level that :func:`transport.converged`
-    accepts for the estimate ``|P_m - P_{m/2}|`` (Trefethen and Weideman,
-    SIAM Rev. 56, 2014: the rule converges geometrically on a smooth
-    periodic integrand), or to the cap.  A run that reaches the cap
+    points.  With one (a number, or one per loop) that count is the cap of
+    :func:`transport.refine`, with the estimate ``|P_m - P_{m/2}|``
+    (Trefethen and Weideman, SIAM Rev. 56, 2014: the rule converges
+    geometrically on a smooth periodic integrand).  The points of each
+    level are the even ones of the next, so each doubling evaluates Phi
+    only at its new odd-index points, and a run that reaches the cap
     evaluates the same points, and returns the same periods and samples,
     as a run without a target.  A loop whose expressions for
     ``spec.coords`` do not name ``t`` has one Phi at every point, which is
@@ -125,24 +124,20 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
             return np.repeat(phi_form(spec, pts[:1], rank_tol), len(pts), 0)
 
         ts = np.linspace(loop.t0, loop.t1, quadrature_steps, endpoint=False)
-        levels = ([quadrature_steps] if tgt is None
-                  else doubling_levels(quadrature_steps))
-        phi = period = estimate = None
-        for m in levels:
+
+        def evaluate(m, coarse):
             stride = quadrature_steps // m
-            if phi is None:
+            if coarse is None:
                 phi = sample(ts[::stride])
             else:
-                # the previous level's points are the even ones of this one
                 new = sample(ts[stride::2 * stride])
-                phi = np.stack([phi, new], axis=1).reshape(m, -1)
+                phi = np.stack([coarse[0], new], axis=1).reshape(m, -1)
             vel = loop.velocities(ts[::stride])
             dt = (loop.t1 - loop.t0) / m
-            period, coarse = float(np.sum(phi * vel) * dt), period
-            if coarse is not None:
-                estimate = abs(period - coarse)
-                if converged(m, estimate, tgt):
-                    break
+            return phi, float(np.sum(phi * vel) * dt)
+
+        (phi, period), m, estimate = refine(quadrature_steps, tgt, evaluate,
+                                            lambda f, c: abs(f[1] - c[1]))
         out.loop_names.append(loop.name)
         out.periods.append(period)
         out.samples.append(phi)
@@ -237,10 +232,9 @@ class Analysis:
     Reading a stage runs the stages it needs first.  ``rank_tol``,
     ``fixed_tol`` and ``pd_tol`` set the rank and PD decisions;
     ``holonomy_tol`` bounds each holonomy's defect.  ``rk4_steps`` and
-    ``quadrature_steps`` are caps: each holonomy and each period doubles its
-    steps or points until its error estimate is at most 1e-3 of the smallest
-    tolerance it feeds (``fixed_tol`` and ``holonomy_tol``, or the loop's
-    ``period_tol``, by default ``1e-4 * (1 + loop length)``).
+    ``quadrature_steps`` cap :func:`transport.refine`, whose target is 1e-3
+    of the least tolerance a value feeds (``fixed_tol`` and ``holonomy_tol``,
+    or the loop's ``period_tol``, by default ``1e-4 * (1 + loop length)``).
     """
 
     spec: ConnectionSpec

@@ -3,7 +3,7 @@ loops, a sample grid and tolerances.
 
 Each document is validated against ``schemas/manifest.schema.json``; code
 checks only what the schema cannot say (names that must agree, shapes that
-depend on the chart's dimension, closed loops, the base point's domain).
+depend on the chart's dimension, closed loops at the base point, its domain).
 Validation failures carry JSON-pointer-style paths into the offending field.
 Christoffel entries are keyed ``gamma[upper]["k,i"]`` by coordinate name,
 where ``k`` is the derivative direction (first lower index); omitted entries
@@ -24,6 +24,7 @@ import numpy as np
 
 from .bundle import ConnectionSpec, Domain, ParameterShadows, check_params
 from .expr import ExprError, parse_expr
+from .globalmetric import Analysis
 from .transport import Curve
 
 __all__ = ["Manifest", "ManifestError", "load_manifest", "manifest_from_dict",
@@ -159,10 +160,13 @@ class Manifest:
     def digest(self) -> str:
         return manifest_digest(self.raw)
 
-    def pipeline_options(self) -> dict:
-        """Keyword settings of ``Analysis``."""
-        return dict(self.tolerances, rk4_steps=self.steps["rk4"],
-                    quadrature_steps=self.steps["quadrature"])
+    def analysis(self, loops: Optional[list] = None) -> Analysis:
+        """The staged pipeline of this manifest, around ``loops`` if given."""
+        return Analysis(self.spec, self.base_point,
+                        self.loops if loops is None else loops,
+                        self.grid_axes, **self.tolerances,
+                        rk4_steps=self.steps["rk4"],
+                        quadrature_steps=self.steps["quadrature"])
 
 
 def manifest_digest(doc: dict) -> str:
@@ -236,7 +240,7 @@ def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
                           fiber_dim=N, omega=omega)
 
 
-def _build_loops(doc, domain: Domain, params: dict) -> list:
+def _build_loops(doc, domain: Domain, params: dict, base) -> list:
     loops = []
     names = set()
     for i, entry in enumerate(doc.get("loops", [])):
@@ -256,6 +260,8 @@ def _build_loops(doc, domain: Domain, params: dict) -> list:
         if not curve.closed:
             raise ManifestError(ptr, "declared loop is not closed "
                                      "(after period reduction)")
+        if not curve.starts_at(base):
+            raise ManifestError(ptr, "loop does not start at the base point")
         loops.append(curve)
     return loops
 
@@ -296,7 +302,7 @@ def manifest_from_dict(doc: dict) -> Manifest:
                                            f"got {doc['base_point']!r}")
     if not domain.admissible(base, params):
         raise ManifestError("/base_point", "base point not in the domain")
-    loops = _build_loops(doc, domain, params)
+    loops = _build_loops(doc, domain, params, base)
     grid_axes = _build_grid(doc, domain)
     # "stencil_h" among the tolerances, and the top-level "seed" and
     # "pd_restarts", are no-ops kept so older manifests load: the flag takes
@@ -323,6 +329,6 @@ def load_manifest(path, overrides: Optional[dict] = None) -> Manifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or too many digits
             raise ManifestError("", f"invalid JSON: {exc}") from None
     return manifest_from_dict(with_params(doc, overrides))

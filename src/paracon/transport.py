@@ -16,11 +16,9 @@ to the frame in order.  Keeping the small parts, not the products ``I + E``,
 rounds no worse than the per-step loop it replaces.  Holonomy composes as
 ``H(g2 . g1) = H(g2) H(g1)`` with ``g1`` traversed first.
 
-Given an error target, a holonomy is computed by step doubling (Hairer,
-Norsett and Wanner, *Solving ODEs I*, II.4) over the nested levels of
-:func:`doubling_levels`: it stops at the first level of at least
-``_FIRST_STOP`` steps whose Richardson estimate ``|H_s - H_{s/2}|_max / 15``
-meets the target, and otherwise runs to the cap.
+Given an error target, a holonomy is computed by :func:`refine`, the step
+doubling that the Phi periods share, with the Richardson estimate
+``|H_s - H_{s/2}|_max / 15``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .flag import Subspace
 __all__ = [
     "Curve", "HolonomyResult", "TransportError", "MIN_RK4_STEPS",
     "CurveNotClosed", "DefectTooLarge", "transport", "holonomy_matrix",
-    "parallel_extend", "doubling_levels", "converged",
+    "parallel_extend", "doubling_levels", "refine",
 ]
 
 _CLOSURE_TOL = 1e-9
@@ -87,8 +85,12 @@ class Curve:
         check_params(self.params)  # the curve's formulas see t and params
         self._pos = compile_expr(list(exprs))
         self._vel = compile_expr([diff(e, "t") for e in exprs])
-        mismatch = domain.wrap_delta(self.point(self.t1) - self.point(self.t0))
-        self.closed = bool(np.max(np.abs(mismatch)) < _CLOSURE_TOL)
+        self.closed = self.starts_at(self.point(self.t1))
+
+    def starts_at(self, point) -> bool:
+        """Whether the curve starts at ``point``, up to declared periods."""
+        gap = self.domain.wrap_delta(self.point(self.t0) - point)
+        return bool(np.max(np.abs(gap)) <= _CLOSURE_TOL)
 
     def _sample(self, tape, ts) -> np.ndarray:
         """The values of ``tape`` at the parameters ``ts``, stacked on a last
@@ -173,11 +175,24 @@ def doubling_levels(cap: int) -> list:
     return levels[::-1]
 
 
-def converged(level: int, estimate: float, target: float) -> bool:
-    """Whether step doubling stops at ``level``: the level is at least
-    ``_FIRST_STOP`` and its error estimate meets the target (a NaN
-    estimate never does)."""
-    return level >= _FIRST_STOP and estimate <= target
+def refine(cap: int, target: Optional[float], evaluate, estimate) -> tuple:
+    """Step doubling (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4);
+    returns ``(value, level, estimate)``.
+
+    ``evaluate(level, coarse)`` gives a level's value from the coarser
+    level's (None at the first), and ``estimate(value, coarse)`` its error.
+    The levels of :func:`doubling_levels` run up to the first of at least
+    ``_FIRST_STOP`` whose estimate is at most ``target`` (a NaN never is),
+    or to ``cap``.  Without a target only ``cap`` runs, with estimate None.
+    """
+    value = err = None
+    for level in [cap] if target is None else doubling_levels(cap):
+        value, coarse = evaluate(level, value), value
+        if coarse is not None:
+            err = estimate(value, coarse)
+            if level >= _FIRST_STOP and err <= target:
+                break
+    return value, level, err
 
 
 @dataclass
@@ -197,28 +212,21 @@ def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
     """Transport of the terminal basis around a loop, expressed in that basis.
 
     Without a ``target`` the transport takes exactly ``steps`` RK4 steps.
-    With one, ``steps`` is a cap: one transport per level of
-    :func:`doubling_levels`, stopping at the first level that
-    :func:`converged` accepts, or at the cap.  The reprojection defect of
-    the kept level measures how far the transported basis left the
-    subspace; a large defect indicates irregularity or tolerance failure and
-    raises :class:`DefectTooLarge`.
+    With one, ``steps`` is the cap of :func:`refine`.  The reprojection
+    defect of the kept level measures how far the transported basis left
+    the subspace; a large defect indicates irregularity or tolerance
+    failure and raises :class:`DefectTooLarge`.
     """
     p = np.asarray(point, dtype=float)
     if not loop.closed:
         raise CurveNotClosed(f"loop '{loop.name}' is not closed")
-    start_gap = spec.domain.wrap_delta(loop.point(loop.t0) - p)
-    if np.max(np.abs(start_gap)) > 1e-9:
+    if not loop.starts_at(p):
         raise TransportError("loop must start at the base point")
     B = wtilde.basis
-    H = estimate = None
-    for s in [steps] if target is None else doubling_levels(steps):
-        T = transport(spec, loop, B, s)
-        H, coarse = B.T @ T, H
-        if coarse is not None:
-            estimate = float(np.abs(H - coarse).max(initial=0.0)) / 15.0
-            if converged(s, estimate, target):
-                break
+    T, s, estimate = refine(
+        steps, target, lambda level, coarse: transport(spec, loop, B, level),
+        lambda T, Tc: float(np.abs(B.T @ T - B.T @ Tc).max(initial=0.0)) / 15)
+    H = B.T @ T
     defect = float(np.linalg.norm(T - B @ H, 2)) if B.size else 0.0
     if defect >= holonomy_tol:
         raise DefectTooLarge(

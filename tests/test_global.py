@@ -221,8 +221,7 @@ def test_verdict_decides_a_terminal_line_once(eid, fixed_dim, calls,
     # reads the fixed space's decision; dtheta-obstruction's is zero, and
     # the guard decides the line on its own
     man = get_entry(eid).manifest()
-    an = Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
-                  **man.pipeline_options())
+    an = man.analysis()
     assert an.fixed.dim == fixed_dim
     original, seen = globalmetric.pdcone.pd_feasible, []
 
@@ -278,8 +277,7 @@ def test_trace_form_periods_match_the_holonomy_determinant(eid):
     # fiber (s1-line-bundle is a matrix connection, punctured-plane has a
     # rank-3 terminal subspace)
     man = get_entry(eid).manifest()
-    an = Analysis(man.spec, man.base_point, man.loops, man.grid_axes,
-                  **man.pipeline_options())
+    an = man.analysis()
     out = phi_periods(man.spec, man.loops, man.steps["quadrature"],
                       rank_tol=an.rank_tol, target=1e-9)
     assert len(an.holonomies) == len(out.periods) > 0

@@ -169,6 +169,7 @@ SPHERE_THETA, SPHERE_PHI = get_entry("sphere").manifest_doc["coords"]
                  "t_range": [2 * np.pi, 0.0]}]}, [], "/loops/0/t_range"),
     ({"tolerances": {"stencil_h": "a"}}, [], "/tolerances/stencil_h"),
     ({"grid": {"counts": [3.0, 3]}}, [], "/grid/counts/0"),
+    ({"base_point": [np.pi / 3 + 0.1, 1.0]}, [], "/loops/0"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
@@ -191,6 +192,18 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, entry, patch, argv,
     # each used to fail later without a pointer, as non-finite connection
     # entries, a point outside the box or an OverflowError
     _assert_manifest_error(tmp_path, capsys, entry, patch, argv, pointer)
+
+
+def test_cli_rejects_an_integer_past_the_conversion_limit(tmp_path, capsys):
+    # Python's json reads integers of at most 4,300 digits, and a longer one
+    # raised a plain ValueError, which ended analyze in a traceback
+    doc = dict(get_entry("punctured-plane").manifest_doc)
+    doc.pop("expected")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc).replace('"k": 0.3', '"k": ' + "7" * 5001))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "manifest error: : invalid JSON: Exceeds the limit")
 
 
 def _assert_manifest_error(tmp_path, capsys, entry, patch, argv, pointer):

@@ -7,7 +7,8 @@ from paracon.expr import parse_expr
 from paracon.flag import Subspace, derived_flag
 from paracon.transport import (Curve, CurveNotClosed, DefectTooLarge,
                                TransportError, doubling_levels,
-                               holonomy_matrix, parallel_extend, transport)
+                               holonomy_matrix, parallel_extend, refine,
+                               transport)
 from reference import line_curve, reversed_curve, two_leg_residual
 
 TWO_PI = 2.0 * np.pi
@@ -270,6 +271,51 @@ def test_doubling_levels_halve_the_cap_down_to_128():
     # an odd cap, or one whose half is below 128, is a single level
     for cap in (4097, 255, 200, 16):
         assert doubling_levels(cap) == [cap]
+
+
+def _counting(estimates):
+    """An ``evaluate`` for :func:`refine` that records each call's level and
+    coarse value and returns its level, and an ``estimate`` that reads the
+    finer level's entry of ``estimates``."""
+    calls = []
+
+    def evaluate(level, coarse):
+        calls.append((level, coarse))
+        return level
+
+    return calls, evaluate, lambda fine, coarse: estimates[fine]
+
+
+def test_refine_stops_at_the_first_level_of_256_or_more_meeting_the_target(
+        monkeypatch):
+    calls, evaluate, estimate = _counting({256: 0.5, 512: 1e-3, 1024: 0.0})
+    assert refine(1024, 1e-2, evaluate, estimate) == (512, 512, 1e-3)
+    assert [level for level, _ in calls] == [128, 256, 512]
+    # with levels from 64, level 128 has an estimate, and 0 does not end
+    # the run there
+    monkeypatch.setattr("paracon.transport._FIRST_LEVEL", 64)
+    calls, evaluate, estimate = _counting(dict.fromkeys([128, 256, 512], 0.0))
+    assert refine(512, 0.0, evaluate, estimate) == (256, 256, 0.0)
+    assert [level for level, _ in calls] == [64, 128, 256]
+
+
+def test_refine_runs_to_the_cap_on_nan_estimates():
+    calls, evaluate, estimate = _counting(dict.fromkeys([256, 512], np.nan))
+    value, level, err = refine(512, 1.0, evaluate, estimate)
+    assert (value, level, len(calls)) == (512, 512, 3) and np.isnan(err)
+
+
+@pytest.mark.parametrize("cap,target", [(4096, None), (4097, 1.0)])
+def test_refine_evaluates_a_single_level_once(cap, target):
+    calls, evaluate, estimate = _counting({})
+    assert refine(cap, target, evaluate, estimate) == (cap, cap, None)
+    assert calls == [(cap, None)]
+
+
+def test_refine_passes_each_level_the_coarser_value():
+    calls, evaluate, estimate = _counting(dict.fromkeys([256, 512, 1024], 1.0))
+    assert refine(1024, 0.0, evaluate, estimate) == (1024, 1024, 1.0)
+    assert calls == [(128, None), (256, 128), (512, 256), (1024, 512)]
 
 
 @pytest.mark.parametrize("cap,target", [(2048, -1.0), (1025, 1.0)])
