@@ -31,7 +31,7 @@ from .expr import (Binary, Const, Expr, Piecewise, Pool, compile_expr, diff,
 __all__ = [
     "Domain", "SymIndex", "ConnectionSpec", "BundleError",
     "PointOutsideDomain", "ExpressionEvalFailure", "ParameterShadows",
-    "check_params", "curvature_pairs",
+    "UndeclaredNames", "check_params", "check_names", "curvature_pairs",
     "omega_stack", "curvature_stack", "covariant_curvature_stack", "Jet",
     "nudge_off_breakpoints",
 ]
@@ -63,6 +63,24 @@ def check_params(params, names=()):
     for k in params:
         if k in names or k in ("t", "pi"):
             raise ParameterShadows(k)
+
+
+class UndeclaredNames(BundleError):
+    def __init__(self, entry, names):
+        super().__init__(f"formula {entry} names undeclared {names}")
+        self.entry = entry
+        self.names = names
+
+
+def check_names(formulas, declared):
+    """Reject a formula that names anything outside ``declared``.
+    ``formulas`` holds ``(entry, expr)`` pairs; the entry locates the
+    formula: ``(l, k, i)`` of gamma, ``(i, j, k)`` of omega, ``i`` of an
+    excluded set, or ``k`` of a curve's coordinates."""
+    for entry, e in formulas:
+        extra = free_names(e).difference(declared)
+        if extra:
+            raise UndeclaredNames(entry, sorted(extra))
 
 
 @dataclass(frozen=True)
@@ -108,16 +126,11 @@ class Domain:
         """The excluded-set expressions as one tape, built on first use."""
         return compile_expr(list(self.excluded))
 
-    def admissible(self, point, params=None):
-        try:
-            self.require_admissible(point, params)
-        except PointOutsideDomain:
-            return False
-        return True
-
     def require_admissible(self, points, params=None):
+        """Raise :class:`PointOutsideDomain` unless every point is finite,
+        inside the box on each non-periodic axis and off the excluded sets."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.ones(pts.shape[0], dtype=bool)
+        inside = np.isfinite(pts).all(axis=1)
         for i, per in enumerate(self.periods):
             if per is None:
                 inside &= (pts[:, i] > self.lows[i]) & (pts[:, i] < self.highs[i])
@@ -210,16 +223,15 @@ class ConnectionSpec:
         check_params(self.params, domain.names)
         n = domain.dim
         self.n = n
-        declared = set(domain.names) | set(self.params) | {"pi"}
 
         if kind == "christoffel":
             self.sym = SymIndex(n)
             self.N = self.sym.N
             self.gamma = dict(gamma or {})
-            for (l, k, i), e in self.gamma.items():
+            for l, k, i in self.gamma:
                 if not (0 <= l < n and 0 <= k < n and 0 <= i < n):
                     raise BundleError(f"christoffel index {(l, k, i)} out of range")
-                self._check_names(e, declared)
+            formulas = list(self.gamma.items())
             self.omega = None
         else:
             if fiber_dim is None or fiber_dim < 1:
@@ -228,12 +240,10 @@ class ConnectionSpec:
             self.sym = None
             self.gamma = None
             self.omega = omega
-            for i in range(self.N):
-                for j in range(self.N):
-                    for k in range(n):
-                        self._check_names(omega[i][j][k], declared)
-        for e in domain.excluded:
-            self._check_names(e, declared)
+            formulas = [((i, j, k), omega[i][j][k]) for i in range(self.N)
+                        for j in range(self.N) for k in range(n)]
+        check_names([*formulas, *enumerate(domain.excluded)],
+                    {*domain.names, *self.params, "pi"})
         # the chart coordinates some entry names: the flag reads no other
         named = set().union(*(free_names(e) for _, e in self._entries()))
         self.coords = [i for i, c in enumerate(domain.names) if c in named]
@@ -241,12 +251,6 @@ class ConnectionSpec:
         self._partial_exprs = []  # per order, see _table
         self._tapes = {}
         self._conditions = None
-
-    @staticmethod
-    def _check_names(e: Expr, declared):
-        extra = free_names(e) - declared
-        if extra:
-            raise BundleError(f"undeclared names {sorted(extra)} in '{e}'")
 
     # -- compiled entry tables ------------------------------------------------
 

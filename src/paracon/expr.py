@@ -28,8 +28,8 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Name", "Unary", "Binary", "Piecewise",
     "ExprError", "ParseError", "EvalError",
-    "Pool", "Tape", "parse_expr", "diff", "to_text",
-    "compile_expr", "free_names", "split",
+    "Pool", "Tape", "parse_expr", "diff", "compile_expr", "free_names",
+    "split",
 ]
 
 
@@ -53,9 +53,6 @@ class Expr:
     """Base AST node."""
 
     __slots__ = ()
-
-    def __str__(self):
-        return to_text(self)
 
 
 @dataclass(frozen=True)
@@ -258,66 +255,6 @@ class _Parser:
 def parse_expr(text: str) -> Expr:
     """Parse source text into an AST; raises :class:`ParseError` with offset."""
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# printing (round-trips through parse_expr to a structurally equal AST)
-
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def _prec(e):
-    if isinstance(e, Binary):
-        return _PREC[e.op]
-    if isinstance(e, Unary) and e.op == "neg":
-        return _PREC["neg"]
-    if isinstance(e, Const) and e.value < 0:
-        return _PREC["neg"]  # renders with a leading minus sign
-    return _PREC["atom"]
-
-
-def _fmt_const(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ExprError(f"non-finite constant {v!r} cannot be printed")
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def to_text(e: Expr) -> str:
-    """Render an AST as parseable source."""
-    if isinstance(e, Const):
-        if e.value < 0:
-            return "-" + _fmt_const(-e.value)
-        return _fmt_const(e.value)
-    if isinstance(e, Name):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            inner = to_text(e.arg)
-            if _prec(e.arg) <= _PREC["neg"]:
-                inner = f"({inner})"
-            return "-" + inner
-        return f"{e.op}({to_text(e.arg)})"
-    if isinstance(e, Binary):
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/", "pow": "^"}[e.op]
-        lp, rp = _prec(e.left), _prec(e.right)
-        p = _PREC[e.op]
-        left = to_text(e.left)
-        right = to_text(e.right)
-        # structural round-trip: the parser nests left for + - * / and
-        # right for ^, so the opposite side is parenthesized at equal
-        # precedence
-        if lp < p or (e.op == "pow" and lp == p):
-            left = f"({left})"
-        if rp < p or (e.op != "pow" and rp == p):
-            right = f"({right})"
-        return left + sym + right
-    if isinstance(e, Piecewise):
-        cmp = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}[e.cmp]
-        return (f"if({to_text(e.lhs)} {cmp} {to_text(e.rhs)}, "
-                f"{to_text(e.then)}, {to_text(e.other)})")
-    raise TypeError(f"not an Expr: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ subspace, and the two criteria are cross-checked against each other.
 
 Everything here is conditional on the declared loops generating the
 fundamental group of the chart domain, which the tool cannot verify; every
-verdict carries that caveat.
+report carries that caveat.
 """
 
 from __future__ import annotations
@@ -188,8 +188,6 @@ class GlobalVerdict:
     pd_result: Optional[pdcone.PDResult] = None
     phi: Optional[PhiPeriods] = None
     period_tols: list = field(default_factory=list)
-    caveats: list = field(default_factory=lambda: [LOOP_GENERATION_CAVEAT,
-                                                   CHART_ONLY_CAVEAT])
     notes: list = field(default_factory=list)
 
 

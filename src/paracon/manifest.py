@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import ConnectionSpec, Domain, ParameterShadows, check_params
+from .bundle import (ConnectionSpec, Domain, ParameterShadows,
+                     PointOutsideDomain, UndeclaredNames, check_params)
 from .expr import ExprError, parse_expr
 from .globalmetric import Analysis
 from .transport import Curve
@@ -199,9 +200,13 @@ def _build_domain(doc) -> Domain:
                   float(doc.get("exclusion_radius", 1e-6)))
 
 
-def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
+def _build_spec(doc, domain: Domain, params: dict,
+                pointers: dict) -> ConnectionSpec:
+    """The connection; ``pointers`` gets the pointer of each formula, keyed
+    as an :class:`~paracon.bundle.UndeclaredNames` entry names it."""
     conn = doc["connection"]
     index = {name: i for i, name in enumerate(domain.names)}
+    pointers.update((i, f"/excluded/{i}") for i in range(len(domain.excluded)))
     if conn["kind"] == "christoffel":
         gamma = {}
         for upper, entries in conn.get("gamma", {}).items():
@@ -214,8 +219,8 @@ def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
                 if len(parts) != 2 or any(p not in index for p in parts):
                     raise ManifestError(ptr, "key must be 'direction,second' "
                                              "coordinate names")
-                gamma[(index[upper], index[parts[0]], index[parts[1]])] = \
-                    _parse(ptr, text)
+                entry = (index[upper], index[parts[0]], index[parts[1]])
+                gamma[entry], pointers[entry] = _parse(ptr, text), ptr
         return ConnectionSpec(domain, kind="christoffel", params=params,
                               gamma=gamma)
     for key in ("fiber_dim", "omega"):
@@ -233,7 +238,9 @@ def _build_spec(doc, domain: Domain, params: dict) -> ConnectionSpec:
             if len(cell) != domain.dim:
                 raise ManifestError(f"/connection/omega/{i}/{j}",
                                     "one expression per coordinate required")
-        omega.append([[_parse(f"/connection/omega/{i}/{j}/{k}", t)
+        pointers.update(((i, j, k), f"/connection/omega/{i}/{j}/{k}")
+                        for j in range(N) for k in range(domain.dim))
+        omega.append([[_parse(pointers[i, j, k], t)
                        for k, t in enumerate(cell)]
                       for j, cell in enumerate(row)])
     return ConnectionSpec(domain, kind="matrix", params=params,
@@ -254,9 +261,13 @@ def _build_loops(doc, domain: Domain, params: dict, base) -> list:
             raise ManifestError(f"{ptr}/exprs",
                                 "one coordinate expression per dimension")
         t0, t1 = _interval(entry["t_range"], f"{ptr}/t_range")
-        curve = Curve(domain, [_parse(f"{ptr}/exprs/{k}", t)
-                               for k, t in enumerate(exprs)], t0, t1,
-                      name=name, params=params)
+        try:
+            curve = Curve(domain, [_parse(f"{ptr}/exprs/{k}", t)
+                                   for k, t in enumerate(exprs)], t0, t1,
+                          name=name, params=params)
+        except UndeclaredNames as exc:
+            raise ManifestError(f"{ptr}/exprs/{exc.entry}",
+                                f"undeclared names {exc.names}") from None
         if not curve.closed:
             raise ManifestError(ptr, "declared loop is not closed "
                                      "(after period reduction)")
@@ -295,13 +306,21 @@ def manifest_from_dict(doc: dict) -> Manifest:
         check_params(params, domain.names)
     except ParameterShadows as exc:
         raise ManifestError(f"/params/{exc.name}", str(exc)) from None
-    spec = _build_spec(doc, domain, params)
+    pointers = {}
+    try:
+        spec = _build_spec(doc, domain, params, pointers)
+    except UndeclaredNames as exc:
+        raise ManifestError(pointers[exc.entry],
+                            f"undeclared names {exc.names}") from None
     base = np.array(doc["base_point"], dtype=float)
     if len(base) != domain.dim:
         raise ManifestError("/base_point", f"expected {domain.dim} numbers, "
                                            f"got {doc['base_point']!r}")
-    if not domain.admissible(base, params):
-        raise ManifestError("/base_point", "base point not in the domain")
+    try:
+        domain.require_admissible(base, params)
+    except PointOutsideDomain:
+        raise ManifestError("/base_point", "base point not in the domain") \
+            from None
     loops = _build_loops(doc, domain, params, base)
     grid_axes = _build_grid(doc, domain)
     # "stencil_h" among the tolerances, and the top-level "seed" and

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bundle import (ConnectionSpec, Domain, PointOutsideDomain, check_params,
+from .bundle import (ConnectionSpec, Domain, check_names, check_params,
                      omega_stack)
 from .expr import Binary, Expr, Name, compile_expr, diff
 from .flag import Subspace
@@ -45,10 +45,8 @@ MIN_RK4_STEPS = 16
 # chunk at a time, which bounds the memory of a long transport
 _CHUNK = 1024
 # step doubling starts at the smallest nested level of at least _FIRST_LEVEL
-# steps (or points), and no level below _FIRST_STOP ends it: a coarser level
-# could alias a feature that a finer one resolves
+# steps (or points); that first level has no estimate, so it never ends a run
 _FIRST_LEVEL = 128
-_FIRST_STOP = 256
 
 
 class TransportError(RuntimeError):
@@ -83,6 +81,7 @@ class Curve:
         self.name = name
         self.params = dict(params or {})
         check_params(self.params)  # the curve's formulas see t and params
+        check_names(enumerate(self.exprs), {"t", *self.params})
         self._pos = compile_expr(list(exprs))
         self._vel = compile_expr([diff(e, "t") for e in exprs])
         self.closed = self.starts_at(self.point(self.t1))
@@ -181,16 +180,16 @@ def refine(cap: int, target: Optional[float], evaluate, estimate) -> tuple:
 
     ``evaluate(level, coarse)`` gives a level's value from the coarser
     level's (None at the first), and ``estimate(value, coarse)`` its error.
-    The levels of :func:`doubling_levels` run up to the first of at least
-    ``_FIRST_STOP`` whose estimate is at most ``target`` (a NaN never is),
-    or to ``cap``.  Without a target only ``cap`` runs, with estimate None.
+    The levels of :func:`doubling_levels` run up to the first after the
+    coarsest whose estimate is at most ``target`` (a NaN never is), or to
+    ``cap``.  Without a target only ``cap`` runs, with estimate None.
     """
     value = err = None
     for level in [cap] if target is None else doubling_levels(cap):
         value, coarse = evaluate(level, value), value
         if coarse is not None:
             err = estimate(value, coarse)
-            if level >= _FIRST_STOP and err <= target:
+            if err <= target:
                 break
     return value, level, err
 
@@ -250,10 +249,7 @@ def parallel_extend(spec: ConnectionSpec, point, w, radius: float,
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.linalg.norm(nodes - p, axis=1) <= radius + 1e-12
     nodes = nodes[keep]
-    for q in nodes:
-        if not spec.domain.admissible(q, spec.params):
-            raise PointOutsideDomain(
-                f"extension ball exits the domain at {q.tolist()}")
+    spec.domain.require_admissible(nodes, spec.params)
 
     # one ray a + t d over [0, 1], compiled once; each node sets a = p and
     # d = q - p

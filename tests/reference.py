@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paracon.bundle import (Jet, _leibniz, _multi_indices, _up,
-                            curvature_pairs)
+from paracon.bundle import (Jet, PointOutsideDomain, _leibniz,
+                            _multi_indices, _up, curvature_pairs)
 from paracon.expr import (Binary, Const, EvalError, Expr, Name, Piecewise,
-                          Unary, compile_expr, diff, to_text)
+                          Unary, compile_expr, diff)
 from paracon.flag import batch_terminal_bases
 from paracon.pdcone import (PDResult, _barrier, _norms, _symmetrized,
                             _trace_units, _try_cholesky)
@@ -66,11 +66,11 @@ def evaluate(e: Expr, ctx: EvalContext) -> float:
             return math.exp(a)
         if e.op == "log":
             if a <= 0.0:
-                raise EvalError(f"log of non-positive value in '{to_text(e)}'")
+                raise EvalError(f"log of non-positive value in {e!r}")
             return math.log(a)
         if e.op == "sqrt":
             if a < 0.0:
-                raise EvalError(f"sqrt of negative value in '{to_text(e)}'")
+                raise EvalError(f"sqrt of negative value in {e!r}")
             return math.sqrt(a)
         if e.op == "abs":
             return abs(a)
@@ -86,14 +86,14 @@ def evaluate(e: Expr, ctx: EvalContext) -> float:
             return a * b
         if e.op == "div":
             if b == 0.0:
-                raise EvalError(f"division by zero in '{to_text(e)}'")
+                raise EvalError(f"division by zero in {e!r}")
             return a / b
         if e.op == "pow":
             if a < 0.0 and b != int(b):
                 raise EvalError(
-                    f"non-integer power of negative base in '{to_text(e)}'")
+                    f"non-integer power of negative base in {e!r}")
             if a == 0.0 and b < 0.0:
-                raise EvalError(f"zero raised to negative power in '{to_text(e)}'")
+                raise EvalError(f"zero raised to negative power in {e!r}")
             return float(a ** b)
         raise EvalError(f"unknown binary op {e.op!r}")
     if isinstance(e, Piecewise):
@@ -236,7 +236,9 @@ def two_leg_residual(spec, point, w, nodes, values, steps: int = 256):
         q = nodes[i]
         corner = p.copy()
         corner[0] = q[0]
-        if not spec.domain.admissible(corner, spec.params):
+        try:
+            spec.domain.require_admissible(corner, spec.params)
+        except PointOutsideDomain:
             continue
         v = np.asarray(w, dtype=float)
         for a, b in ((p, corner), (corner, q)):

@@ -475,7 +475,6 @@ def test_global_punctured_plane_is_metric(plane_spec):
     assert v.wtilde_rank == 3
     assert v.rank_tau_reported == 2
     assert v.pd_result.status == "feasible"
-    assert any("loops generating" in c for c in v.caveats)
 
 
 def test_global_half_integer_control_has_full_fixed_space():

@@ -194,6 +194,41 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, entry, patch, argv,
     _assert_manifest_error(tmp_path, capsys, entry, patch, argv, pointer)
 
 
+SPHERE_GAMMA = get_entry("sphere").manifest_doc["connection"]["gamma"]
+SPHERE_BAND, SPHERE_SWEEP = get_entry("sphere").manifest_doc["loops"]
+
+
+def _band(*exprs):
+    return {"loops": [dict(SPHERE_BAND, exprs=list(exprs)), SPHERE_SWEEP]}
+
+
+@pytest.mark.parametrize("entry, patch, pointer", [
+    ("sphere", {"connection": {"kind": "christoffel", "gamma": dict(
+        SPHERE_GAMMA, theta={"phi,phi": "-sin(theta)*cos(theta) + q"})}},
+     "/connection/gamma/theta/phi,phi"),
+    ("s1-line-bundle", {"connection": {"kind": "matrix", "fiber_dim": 1,
+                                       "omega": [[["1 + q"]]]}},
+     "/connection/omega/0/0/0"),
+    ("sphere", {"excluded": ["theta - 3", "phi - q"]}, "/excluded/1"),
+    ("sphere", _band("pi/3", "1 + t + 0*q"), "/loops/0/exprs/1"),
+    ("sphere", _band("pi/3 + 0*theta", "1 + t"), "/loops/0/exprs/0"),
+])
+def test_cli_rejects_an_undeclared_formula_name(tmp_path, capsys, entry,
+                                                patch, pointer):
+    # a connection or excluded-set formula failed without a pointer, and a
+    # loop formula only in the transport, as an unbound name
+    _assert_manifest_error(tmp_path, capsys, entry, patch, [], pointer)
+
+
+def test_cli_flag_rejects_a_non_finite_point(tmp_path, capsys):
+    # a NaN on the periodic axis passed the box check and was reported
+    path = _write_manifest(tmp_path, "sphere")
+    assert main(["flag", str(path), "--point", "1,nan",
+                 "--out", str(tmp_path / "f.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: point [1.0, nan] ")
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_cli_rejects_an_integer_past_the_conversion_limit(tmp_path, capsys):
     # Python's json reads integers of at most 4,300 digits, and a longer one
     # raised a plain ValueError, which ended analyze in a traceback

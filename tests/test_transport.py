@@ -286,17 +286,10 @@ def _counting(estimates):
     return calls, evaluate, lambda fine, coarse: estimates[fine]
 
 
-def test_refine_stops_at_the_first_level_of_256_or_more_meeting_the_target(
-        monkeypatch):
+def test_refine_stops_at_the_first_level_of_256_or_more_meeting_the_target():
     calls, evaluate, estimate = _counting({256: 0.5, 512: 1e-3, 1024: 0.0})
     assert refine(1024, 1e-2, evaluate, estimate) == (512, 512, 1e-3)
     assert [level for level, _ in calls] == [128, 256, 512]
-    # with levels from 64, level 128 has an estimate, and 0 does not end
-    # the run there
-    monkeypatch.setattr("paracon.transport._FIRST_LEVEL", 64)
-    calls, evaluate, estimate = _counting(dict.fromkeys([128, 256, 512], 0.0))
-    assert refine(512, 0.0, evaluate, estimate) == (256, 256, 0.0)
-    assert [level for level, _ in calls] == [64, 128, 256]
 
 
 def test_refine_runs_to_the_cap_on_nan_estimates():
