@@ -88,7 +88,7 @@ class Domain:
     """Open coordinate box with optional periodic coordinates and exclusions.
 
     A point is excluded when any excluded-set expression evaluates to a value
-    with absolute value below ``exclusion_radius``.
+    with absolute value below ``exclusion_radius``, or to NaN (undefined).
     """
 
     names: tuple
@@ -139,11 +139,13 @@ class Domain:
             raise PointOutsideDomain(f"point {bad.tolist()} outside chart box")
         if self.excluded:
             env = self.env(pts, params or {})
-            for val in self._excluded_tape(env):
-                val = np.abs(np.asarray(val, dtype=float))
-                val = np.broadcast_to(val, (pts.shape[0],))
-                if np.any(val < self.exclusion_radius):
-                    bad = pts[val < self.exclusion_radius][0]
+            with np.errstate(invalid="ignore"):  # a NaN value is excluded
+                vals = self._excluded_tape(env)
+            for val in vals:
+                hit = ~(np.abs(np.broadcast_to(val, pts.shape[:1]))
+                        >= self.exclusion_radius)
+                if np.any(hit):
+                    bad = pts[hit][0]
                     raise PointOutsideDomain(
                         f"point {bad.tolist()} inside excluded set")
 

@@ -19,14 +19,17 @@ for j <= L, so nabla_k s stays in level L exactly where nabla^(L+1) R
 annihilates s.  The second fundamental kernel of level L is therefore its
 intersection with the kernel of nabla^(L+1) R.
 
-One batched engine computes every flag: ``_flag`` runs the level loop over
-an (m, n) batch, :func:`curvature_kernel` over the whole batch and
-:func:`second_fundamental_kernel` over slices of at most ``_SLICE`` points,
-grouping points by dimension where an SVD needs one shape.  Every level
-reads the batch's :class:`~paracon.bundle.Jet`, so each order of the
-partials of Omega and each d^alpha nabla^j R is evaluated once per point:
-level L + 1 builds only the jet's next antidiagonal over the rows level L
-left.
+One batched engine computes every flag: ``_flag`` checks an (m, n) batch
+against the domain once, groups its points into classes that agree bit for
+bit on ``ConnectionSpec.coords`` (the chart coordinates the connection
+names, which alone decide a point's flag), runs the level loop once per
+class and spreads the levels to every point.  :func:`curvature_kernel` runs
+over all the classes and :func:`second_fundamental_kernel` over slices of
+at most ``_SLICE`` of them, grouping points by dimension where an SVD needs
+one shape.  Every level reads the classes' :class:`~paracon.bundle.Jet`, so
+each order of the partials of Omega and each d^alpha nabla^j R is evaluated
+once per class: level L + 1 builds only the jet's next antidiagonal over
+the rows level L left.
 """
 
 from __future__ import annotations
@@ -302,22 +305,30 @@ def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
     return out
 
 
-def _flag(spec, pts, rank_tol, jet=None):
-    """The flag's one level loop, over an (m, n) batch of points.
-
-    Each point runs until its dimension stabilizes or dies.  Returns the
-    levels (each over the whole batch; a point that stopped keeps its last
-    subspace) and each point's last level.  ``jet``, the batch's
-    :class:`Jet` (a new one when omitted), ends up holding Omega over the
-    batch.  Level 0 fills its orders 0 and 1; the later levels run in slices
-    of ``_SLICE`` points, each on its part of the jet.
+def _flag(spec, pts, rank_tol):
+    """The flag's one level loop, over an (m, n) batch of points (see the
+    module docstring).  Each class runs, at its first point, until its
+    dimension stabilizes or dies.  Returns the levels over the batch (a
+    point that stopped keeps its last subspace), each point's last level,
+    each class's point in order of first occurrence (``reps``) and each
+    point's class, an index into ``reps``.  The later levels run in slices
+    of ``_SLICE`` classes, each on its part of the jet.
     """
-    jet = Jet(spec, pts) if jet is None else jet
-    first = curvature_kernel(spec, pts, rank_tol, jet)
-    return _concat([_levels(spec, pts[part], first.take(part), rank_tol,
-                            jet.take(part))
-                    for part in (slice(s, s + _SLICE)
-                                 for s in range(0, len(pts), _SLICE))])
+    spec.domain.require_admissible(pts, spec.params)
+    key = np.zeros(pts.shape)  # the bits on spec.coords, 0 elsewhere
+    key[:, spec.coords] = pts[:, spec.coords]
+    _, reps, inverse = np.unique(key.view((np.void, 8 * spec.n)).ravel(),
+                                 return_index=True, return_inverse=True)
+    order = np.argsort(reps)
+    reps, classes = reps[order], np.argsort(order)[inverse]
+    at = pts[reps]
+    jet = Jet(spec, at)
+    first = curvature_kernel(spec, at, rank_tol, jet)
+    levels, last = _concat([_levels(spec, at[part], first.take(part),
+                                    rank_tol, jet.take(part))
+                            for part in (slice(s, s + _SLICE)
+                                         for s in range(0, len(at), _SLICE))])
+    return [lv.take(classes) for lv in levels], last[classes], reps, classes
 
 
 def _levels(spec, pts, first, rank_tol, jet):
@@ -394,24 +405,21 @@ def derived_flag(spec: ConnectionSpec, point,
     """Iterate the flag at a point until the dimension stabilizes or dies.
     A point on a piecewise breakpoint is first nudged off it."""
     p = nudge_off_breakpoints(spec, [point])
-    spec.domain.require_admissible(p, spec.params)
-    levels, last = _flag(spec, p, rank_tol)
+    levels, last, _, _ = _flag(spec, p, rank_tol)
     return _trace(p[0], levels, int(last[0]), 0)
 
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
-                         rank_tol: float = DEFAULT_RANK_TOL,
-                         jet: Optional[Jet] = None) -> np.ndarray:
+                         rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Terminal flag bases over a batch of points; shape (m, N, d_terminal).
 
     Requires the flag dimensions to be uniform across the batch at every
     level: the first point whose dimensions differ from the first point's
-    raises :class:`IrregularPoint`, naming the level.  ``jet``, a
-    :class:`Jet` over the batch, is left holding Omega there.
+    raises :class:`IrregularPoint`, naming the level.  Points of one class
+    (see :func:`_flag`) get the same bits.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    spec.domain.require_admissible(pts, spec.params)
-    levels, _ = _flag(spec, pts, rank_tol, jet)
+    levels, _, _, _ = _flag(spec, pts, rank_tol)
     dims = np.stack([lv.dims for lv in levels], axis=1)  # (m, levels)
     differ = dims != dims[0]
     if differ.any():
@@ -451,29 +459,20 @@ def regularity_scan(spec: ConnectionSpec, axes,
                     rank_tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
     """Derived flag at every node of a product grid, in one batch.
 
-    ``axes`` is one list of sample values per coordinate.  Nodes that agree
-    on the axes of ``spec.coords`` form a class with one flag: the batch
-    holds each class's node with index 0 on every other axis, and its
-    levels are copied to the rest.  The verdict is true exactly when every
-    point produced the same terminal dimension; ``jumps`` lists each pair
-    of neighbouring nodes whose terminal dims differ, axis by axis and in
-    row-major order within an axis.
+    ``axes`` is one list of sample values per coordinate.  The nodes, nudged
+    off breakpoints, go to the flag engine as one batch, which runs the flag
+    once per class of nodes that agree on ``spec.coords``.  The verdict is
+    true exactly when every point produced the same terminal dimension;
+    ``jumps`` lists each pair of neighbouring nodes whose terminal dims
+    differ, axis by axis and in row-major order within an axis.
     """
     axes = [list(map(float, a)) for a in axes]
     if len(axes) != spec.n or any(len(a) == 0 for a in axes):
         raise EmptyGrid("grid needs at least one sample per coordinate")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    # a node's class is its indices on the axes of spec.coords
-    reps = np.arange(len(pts)).reshape(mesh[0].shape)[tuple(
-        slice(None) if i in spec.coords else slice(1) for i in range(spec.n))]
-    classes = np.broadcast_to(np.arange(reps.size).reshape(reps.shape),
-                              mesh[0].shape).ravel()
-    reps = reps.ravel()
     flag_pts = nudge_off_breakpoints(spec, pts)
-    spec.domain.require_admissible(flag_pts, spec.params)
-    levels, last = _flag(spec, flag_pts[reps], rank_tol)
-    levels, last = [lv.take(classes) for lv in levels], last[classes]
+    levels, last, reps, classes = _flag(spec, flag_pts, rank_tol)
 
     grid = levels[-1].dims.reshape(mesh[0].shape)
     jumps = []

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pdcone
-from .bundle import ConnectionSpec, Jet
-from .expr import free_names
+from .bundle import ConnectionSpec, omega_stack
 from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    NotSym2Bundle, RegularityReport, Subspace,
                    batch_terminal_bases, canonical_basis, derived_flag,
@@ -70,9 +69,8 @@ def phi_form(spec: ConnectionSpec, points,
     of the positive cone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    jet = Jet(spec, pts)
-    bases = batch_terminal_bases(spec, pts, rank_tol, jet=jet)
-    omega = jet.order(0)[:, 0]  # (m, n, N, N), as the flag evaluated it
+    bases = batch_terminal_bases(spec, pts, rank_tol)
+    omega = omega_stack(spec, pts)  # (m, n, N, N) at the flag's points
     return np.einsum("mia,mkij,mja->mk", bases, omega, bases)
 
 
@@ -105,32 +103,24 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
     level are the even ones of the next, so each doubling evaluates Phi
     only at its new odd-index points, and a run that reaches the cap
     evaluates the same points, and returns the same periods and samples,
-    as a run without a target.  A loop whose expressions for
-    ``spec.coords`` do not name ``t`` has one Phi at every point, which is
-    evaluated once per level once every point is checked for admissibility.
+    as a run without a target.  Each level samples Phi through one
+    :func:`phi_form` call, whose flag runs once per class of points that
+    agree on ``spec.coords``.
     """
     targets = target if np.ndim(target) else [target] * len(loops)
     out = PhiPeriods([], [], [], [], [])
     for loop, tgt in zip(loops, targets, strict=True):
         if not loop.closed:
             raise GlobalError(f"loop '{loop.name}' is not closed")
-        still = not any("t" in free_names(loop.exprs[i]) for i in spec.coords)
-
-        def sample(ts):
-            pts = loop.points(ts)
-            if not still:
-                return phi_form(spec, pts, rank_tol)
-            spec.domain.require_admissible(pts, spec.params)
-            return np.repeat(phi_form(spec, pts[:1], rank_tol), len(pts), 0)
-
         ts = np.linspace(loop.t0, loop.t1, quadrature_steps, endpoint=False)
 
         def evaluate(m, coarse):
             stride = quadrature_steps // m
             if coarse is None:
-                phi = sample(ts[::stride])
+                phi = phi_form(spec, loop.points(ts[::stride]), rank_tol)
             else:
-                new = sample(ts[stride::2 * stride])
+                new = phi_form(spec, loop.points(ts[stride::2 * stride]),
+                               rank_tol)
                 phi = np.stack([coarse[0], new], axis=1).reshape(m, -1)
             vel = loop.velocities(ts[::stride])
             dt = (loop.t1 - loop.t0) / m

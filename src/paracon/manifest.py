@@ -220,6 +220,8 @@ def _build_spec(doc, domain: Domain, params: dict,
                     raise ManifestError(ptr, "key must be 'direction,second' "
                                              "coordinate names")
                 entry = (index[upper], index[parts[0]], index[parts[1]])
+                if entry in gamma:
+                    raise ManifestError(ptr, f"same entry as {pointers[entry]}")
                 gamma[entry], pointers[entry] = _parse(ptr, text), ptr
         return ConnectionSpec(domain, kind="christoffel", params=params,
                               gamma=gamma)

@@ -506,12 +506,18 @@ def test_flag_traces_bit_identical_under_identity_reparse(sphere_spec):
 
 
 def test_batched_terminal_matches_per_point(sphere_spec, dtheta_spec):
+    assert sphere_spec.coords == dtheta_spec.coords == [0]
     rng = np.random.default_rng(4)
     for spec, lo, hi in ((sphere_spec, 0.4, 2.7), (dtheta_spec, 0.7, 2.8)):
         pts = np.stack([rng.uniform(lo, hi, 5), rng.uniform(0, 6.2, 5)], axis=1)
-        batch = batch_terminal_bases(spec, pts)
-        for i, p in enumerate(pts):
-            assert np.array_equal(batch[i], derived_flag(spec, p).terminal.basis)
+        # a repeated point, and points that share the read coordinate, share
+        # a class
+        shared = np.array([pts[2], pts[0], [pts[1, 0], 0.3], [pts[1, 0], 5.9]])
+        for batch_pts in (pts, np.vstack([pts, shared])):
+            batch = batch_terminal_bases(spec, batch_pts)
+            for i, p in enumerate(batch_pts):
+                assert np.array_equal(batch[i],
+                                      derived_flag(spec, p).terminal.basis)
 
 
 def test_batched_terminal_names_the_first_differing_point(pathology_spec):
@@ -555,9 +561,9 @@ def test_sliced_flag_matches_one_slice_bit_for_bit(monkeypatch):
     spec = _two_chain_spec()
     pts = np.array([[x, y] for y in (-0.6, 0.5)
                     for x in (-0.7, -0.3, -0.5, 0.4, 0.8, 0.6)])
-    want_levels, want_last = flagmod._flag(spec, pts, 1e-7)
+    want_levels, want_last, _, _ = flagmod._flag(spec, pts, 1e-7)
     monkeypatch.setattr(flagmod, "_SLICE", 3)
-    levels, last = flagmod._flag(spec, pts, 1e-7)
+    levels, last, _, _ = flagmod._flag(spec, pts, 1e-7)
     assert np.array_equal(last, want_last)
     assert len(levels) == len(want_levels) == 3
     for lv, want in zip(levels, want_levels):
@@ -771,7 +777,7 @@ def _assert_exact_matches_stencil(spec, points):
              for lo, hi, per in zip(dom.lows, dom.highs, dom.periods)]
     h = 1e-4 * min([s for s in spans if s is not None], default=1.0)
     want, want_last = _stencil_levels(spec, pts, h)
-    got, got_last = flagmod._flag(spec, pts, flagmod.DEFAULT_RANK_TOL)
+    got, got_last, _, _ = flagmod._flag(spec, pts, flagmod.DEFAULT_RANK_TOL)
     assert np.array_equal(got_last, want_last)
     for a, b in zip(got, want):
         assert np.array_equal(a.dims, b.dims)

@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import replace
 
-from paracon import globalmetric
+from paracon import flag as flagmod, globalmetric
 from paracon.bundle import ConnectionSpec, Domain, omega_stack
 from paracon.corpus import get_entry
 from paracon.expr import parse_expr
@@ -17,8 +17,8 @@ from reference import log_gradient, rescaled_period, tracked_sections
 TWO_PI = 2.0 * np.pi
 
 
-def band_loops(domain):
-    a = Curve(domain, [parse_expr("pi/3"), parse_expr("1 + t")], 0.0, TWO_PI,
+def band_loops(domain, band="pi/3"):
+    a = Curve(domain, [parse_expr(band), parse_expr("1 + t")], 0.0, TWO_PI,
               name="band")
     b = Curve(domain, [parse_expr("pi/3 + 0.9528024488034024*sin(t/2)^2"),
                        parse_expr("1 + t")], 0.0, TWO_PI, name="sweep")
@@ -164,25 +164,32 @@ def test_phi_periods_sphere_loops_vanish(sphere_spec):
     assert len(out.samples[0]) == 512
 
 
-@pytest.mark.parametrize("target", [None, 1e-9])
-def test_phi_on_a_loop_that_holds_the_read_coordinates(target, sphere_spec,
+@pytest.mark.parametrize("target, band", [
+    (None, "pi/3"), (1e-9, "pi/3"), (None, "pi/3 + 0*t"), (1e-9, "pi/3 + 0*t"),
+], ids=["None", "1e-09", "None-names-t", "1e-09-names-t"])
+def test_phi_on_a_loop_that_holds_the_read_coordinates(target, band,
+                                                       sphere_spec,
                                                        monkeypatch):
-    # sphere reads theta alone; the band loop holds it, so each level
-    # evaluates Phi at one point, and every sample has the bits phi_form
-    # gives over the whole loop.  The sweep loop moves theta: every point
-    evaluated = []
+    # sphere reads theta alone; the band loop holds it, also where its
+    # formula names t, so each level runs the flag at one point, and every
+    # sample has the bits phi_form gives over the whole loop.  The sweep
+    # loop moves theta: at most one flag per point of a level
+    flagged = []
+    kernel = flagmod.curvature_kernel
 
-    def counting(spec, points, rank_tol):
-        evaluated.append(len(points))
-        return phi_form(spec, points, rank_tol)
+    def counting(spec, points, *args):
+        flagged.append(len(points))
+        return kernel(spec, points, *args)
 
-    monkeypatch.setattr(globalmetric, "phi_form", counting)
-    for loop in band_loops(sphere_spec.domain):
-        evaluated.clear()
+    monkeypatch.setattr(flagmod, "curvature_kernel", counting)
+    for loop in band_loops(sphere_spec.domain, band):
+        flagged.clear()
         out = phi_periods(sphere_spec, [loop], 512, target=target)
         m, = out.points
-        assert sum(evaluated) == (len(evaluated) if loop.name == "band"
-                                  else m)
+        if loop.name == "band":
+            assert flagged == [1] * len(flagged)
+        else:
+            assert sum(flagged) <= m
         ts = np.linspace(loop.t0, loop.t1, 512, endpoint=False)[::512 // m]
         assert np.array_equal(out.samples[0],
                               phi_form(sphere_spec, loop.points(ts)))

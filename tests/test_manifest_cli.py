@@ -124,6 +124,7 @@ def test_manifest_keeps_valid_tolerances():
 
 
 SPHERE_THETA, SPHERE_PHI = get_entry("sphere").manifest_doc["coords"]
+SPHERE_GAMMA = get_entry("sphere").manifest_doc["connection"]["gamma"]
 
 
 @pytest.mark.parametrize("patch, argv, pointer", [
@@ -170,6 +171,11 @@ SPHERE_THETA, SPHERE_PHI = get_entry("sphere").manifest_doc["coords"]
     ({"tolerances": {"stencil_h": "a"}}, [], "/tolerances/stencil_h"),
     ({"grid": {"counts": [3.0, 3]}}, [], "/grid/counts/0"),
     ({"base_point": [np.pi / 3 + 0.1, 1.0]}, [], "/loops/0"),
+    # a second key for one entry: the later key overwrote the first
+    ({"connection": {"kind": "christoffel", "gamma": dict(
+        SPHERE_GAMMA,
+        theta=dict(SPHERE_GAMMA["theta"], **{"phi, phi": "0"}))}}, [],
+     "/connection/gamma/theta/phi, phi"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
@@ -194,7 +200,6 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, entry, patch, argv,
     _assert_manifest_error(tmp_path, capsys, entry, patch, argv, pointer)
 
 
-SPHERE_GAMMA = get_entry("sphere").manifest_doc["connection"]["gamma"]
 SPHERE_BAND, SPHERE_SWEEP = get_entry("sphere").manifest_doc["loops"]
 
 
@@ -227,6 +232,21 @@ def test_cli_flag_rejects_a_non_finite_point(tmp_path, capsys):
                  "--out", str(tmp_path / "f.json")]) == 1
     assert capsys.readouterr().err.startswith("error: point [1.0, nan] ")
     assert not (tmp_path / "f.json").exists()
+
+
+def test_cli_flag_rejects_a_point_where_an_excluded_set_is_undefined(
+        tmp_path, capsys):
+    # sqrt(x) - 1 is NaN at x < 0, and NaN < exclusion_radius is false, so
+    # the point passed as admissible
+    doc = dict(get_entry("flat-trivial").manifest_doc,
+               excluded=["sqrt(x) - 1"], base_point=[0.5, 0.0])
+    doc.pop("expected")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["flag", str(path), "--point=-0.5,0.1",
+                 "--out", str(tmp_path / "f.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: point [-0.5, 0.1] inside excluded set\n"
 
 
 def test_cli_rejects_an_integer_past_the_conversion_limit(tmp_path, capsys):
