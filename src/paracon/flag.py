@@ -315,12 +315,14 @@ def _flag(spec, pts, rank_tol):
     of ``_SLICE`` classes, each on its part of the jet.
     """
     spec.domain.require_admissible(pts, spec.params)
-    key = np.zeros(pts.shape)  # the bits on spec.coords, 0 elsewhere
-    key[:, spec.coords] = pts[:, spec.coords]
-    _, reps, inverse = np.unique(key.view((np.void, 8 * spec.n)).ravel(),
-                                 return_index=True, return_inverse=True)
-    order = np.argsort(reps)
-    reps, classes = reps[order], np.argsort(order)[inverse]
+    reps = classes = np.zeros(1, dtype=np.intp)  # one point is one class
+    if len(pts) > 1:
+        key = np.zeros(pts.shape)  # the bits on spec.coords, 0 elsewhere
+        key[:, spec.coords] = pts[:, spec.coords]
+        _, reps, inverse = np.unique(key.view((np.void, 8 * spec.n)).ravel(),
+                                     return_index=True, return_inverse=True)
+        order = np.argsort(reps)
+        reps, classes = reps[order], np.argsort(order)[inverse]
     at = pts[reps]
     jet = Jet(spec, at)
     first = curvature_kernel(spec, at, rank_tol, jet)

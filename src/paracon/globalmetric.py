@@ -30,7 +30,7 @@ from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
                    batch_terminal_bases, canonical_basis, derived_flag,
                    kernel_intersection, local_metricity, regularity_scan)
 from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
-                        holonomy_matrix, refine)
+                        doubling_levels, holonomy_matrix, refine)
 
 __all__ = [
     "GlobalError", "PhiPeriods", "GlobalVerdict", "Analysis", "phi_form",
@@ -100,27 +100,42 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
     :func:`transport.refine`, with the estimate ``|P_m - P_{m/2}|``
     (Trefethen and Weideman, SIAM Rev. 56, 2014: the rule converges
     geometrically on a smooth periodic integrand).  The points of each
-    level are the even ones of the next, so each doubling evaluates Phi
-    only at its new odd-index points, and a run that reaches the cap
+    level are the even ones of the next, and a run that reaches the cap
     evaluates the same points, and returns the same periods and samples,
-    as a run without a target.  Each level samples Phi through one
-    :func:`phi_form` call, whose flag runs once per class of points that
-    agree on ``spec.coords``.
+    as a run without a target.  The first level, with no estimate, never
+    ends a run: one :func:`phi_form` call samples every loop's second (or
+    one) level, and each later level samples its new odd-index points.
     """
     targets = target if np.ndim(target) else [target] * len(loops)
-    out = PhiPeriods([], [], [], [], [])
+    out, grids = PhiPeriods([], [], [], [], []), []
     for loop, tgt in zip(loops, targets, strict=True):
         if not loop.closed:
             raise GlobalError(f"loop '{loop.name}' is not closed")
         ts = np.linspace(loop.t0, loop.t1, quadrature_steps, endpoint=False)
+        m = ([quadrature_steps] if tgt is None
+             else doubling_levels(quadrature_steps))[:2][-1]
+        grids.append((ts, loop.points(ts[::quadrature_steps // m])))
 
+    def sample(pts, names):  # a flag jump names the loop of its row
+        try:
+            return phi_form(spec, pts, rank_tol)
+        except IrregularPoint as exc:  # raised at the first row at its point
+            row = np.flatnonzero((pts == exc.point).all(axis=1))[0]
+            exc.args = (f"{exc} on loop '{names[row]}'",)
+            raise
+
+    counts = [len(p) for _, p in grids]
+    batch = np.split(sample(np.concatenate([p for _, p in grids]),
+                            np.repeat([c.name for c in loops], counts)),
+                     np.cumsum(counts)[:-1]) if loops else []
+    for loop, tgt, (ts, _), first in zip(loops, targets, grids, batch):
         def evaluate(m, coarse):
             stride = quadrature_steps // m
-            if coarse is None:
-                phi = phi_form(spec, loop.points(ts[::stride]), rank_tol)
+            if m <= len(first):
+                phi = first[::len(first) // m]
             else:
-                new = phi_form(spec, loop.points(ts[stride::2 * stride]),
-                               rank_tol)
+                new = sample(loop.points(ts[stride::2 * stride]),
+                             [loop.name] * m)
                 phi = np.stack([coarse[0], new], axis=1).reshape(m, -1)
             vel = loop.velocities(ts[::stride])
             dt = (loop.t1 - loop.t0) / m

@@ -520,6 +520,25 @@ def test_batched_terminal_matches_per_point(sphere_spec, dtheta_spec):
                                       derived_flag(spec, p).terminal.basis)
 
 
+def test_one_point_flag_takes_no_class_key(sphere_spec, monkeypatch):
+    # a one-point batch is one class, so derived_flag sorts no key, and its
+    # terminal basis has the bits of the same point's row in a batch
+    cases = [(sphere_spec, np.array([[1.1, 0.4], [0.7, 2.0]])),
+             (_deep_flag_spec(), np.array([[0.3, 0.5], [-1.2, 1.5]]))]
+    want = [batch_terminal_bases(spec, pts) for spec, pts in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called on a one-point batch")
+
+    monkeypatch.setattr(flagmod.np, "unique", refuse)
+    for (spec, pts), bases in zip(cases, want):
+        for p, basis in zip(pts, bases):
+            assert np.array_equal(derived_flag(spec, p).terminal.basis, basis)
+    # the patch is live: a batch of two points sorts its key
+    with pytest.raises(AssertionError, match="np.unique"):
+        batch_terminal_bases(sphere_spec, cases[0][1])
+
+
 def test_batched_terminal_names_the_first_differing_point(pathology_spec):
     # the batch spans the band edge x0 = 0: flag [1, 1] left of it, [3] right
     pts = np.array([[-0.5, 0.0], [-0.4, 0.0], [0.5, 0.0], [0.6, 0.0]])

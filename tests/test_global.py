@@ -7,8 +7,9 @@ from paracon import flag as flagmod, globalmetric
 from paracon.bundle import ConnectionSpec, Domain, omega_stack
 from paracon.corpus import get_entry
 from paracon.expr import parse_expr
-from paracon.flag import (NotSym2Bundle, Subspace, canonical_basis,
-                          derived_flag, local_metricity, principal_angles)
+from paracon.flag import (IrregularPoint, NotSym2Bundle, Subspace,
+                          canonical_basis, derived_flag, local_metricity,
+                          principal_angles)
 from paracon.globalmetric import (Analysis, GlobalError, fixed_subspace,
                                   phi_form, phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
@@ -28,6 +29,11 @@ def band_loops(domain, band="pi/3"):
 def plane_loop(domain, params=None):
     return Curve(domain, [parse_expr("1"), parse_expr("t")], 0.0, TWO_PI,
                  name="around-origin", params=params)
+
+
+def wobble_loop(domain):
+    return Curve(domain, [parse_expr("1.5 + 0.5*sin(t)"), parse_expr("t")],
+                 0.0, TWO_PI, name="wobble")
 
 
 # --- the Phi form -----------------------------------------------------------
@@ -274,6 +280,93 @@ def test_phi_period_doubling_never_stops_below_256_points(dtheta_spec):
     assert [len(s) for s in out.samples] == [256, 256]
     assert out.periods[0] == pytest.approx(TWO_PI, abs=1e-12)
     assert max(out.error_estimates) <= 1e-12
+
+
+@pytest.mark.parametrize("pattern", [[None], [1e-9], [1e-8], [None, 1e-9],
+                                     [1e-9, None]],
+                         ids=["None", "1e-09", "1e-08", "None,1e-09",
+                              "1e-09,None"])
+def test_loops_sampled_together_match_each_loop_alone(pattern, sphere_spec,
+                                                      dtheta_spec):
+    # every loop's first levels share one phi_form call; each loop's
+    # periods, samples, points and estimates are those of a call of its own
+    # and of the left sums over phi_form at each level's points.  `bump`
+    # stops at level 256 with an estimate of 2.5e-9, or runs to the cap
+    bump = Curve(sphere_spec.domain, [
+        parse_expr("pi/3 + 0.9*exp(-50*(1 + cos(t - 0.3)))"),
+        parse_expr("1 + t")], 0.0, TWO_PI, name="bump")
+    for spec, loops in ((sphere_spec, band_loops(sphere_spec.domain) + [bump]),
+                        (dtheta_spec, [plane_loop(dtheta_spec.domain),
+                                       wobble_loop(dtheta_spec.domain)])):
+        tgts = (pattern * len(loops))[:len(loops)]
+        target = tgts[0] if len(pattern) == 1 else tgts
+        together = phi_periods(spec, loops, 512, target=target)
+        for i, (loop, tgt) in enumerate(zip(loops, tgts)):
+            alone = phi_periods(spec, [loop], 512, target=tgt)
+            assert together.loop_names[i] == loop.name
+            assert together.periods[i] == alone.periods[0]
+            assert together.points[i] == alone.points[0]
+            assert together.error_estimates[i] == alone.error_estimates[0]
+            assert np.array_equal(together.samples[i], alone.samples[0])
+            m = together.points[i]
+            assert together.periods[i] == _left_sum(spec, loop, 512, m)
+            if tgt is not None:
+                assert together.error_estimates[i] == abs(
+                    together.periods[i] - _left_sum(spec, loop, 512, m // 2))
+        if spec is sphere_spec and pattern == [1e-8]:
+            assert together.points == [256, 256, 256]
+            assert together.error_estimates[2] > 1e-9
+
+
+def _left_sum(spec, loop, cap, m):
+    ts = np.linspace(loop.t0, loop.t1, cap, endpoint=False)[::cap // m]
+    phi = phi_form(spec, loop.points(ts))
+    return float(np.sum(phi * loop.velocities(ts)) * ((loop.t1 - loop.t0) / m))
+
+
+@pytest.mark.parametrize("eid", ["sphere", "dtheta-obstruction"])
+def test_rank_one_verdict_samples_phi_in_one_flag_batch(eid, monkeypatch):
+    # both corpus Phi routes stop at the second level, which the one batch
+    # holds for every loop
+    an = get_entry(eid).manifest().analysis()
+    sizes, original = [], globalmetric.batch_terminal_bases
+
+    def counted(spec, points, *args):
+        sizes.append(len(points))
+        return original(spec, points, *args)
+
+    monkeypatch.setattr(globalmetric, "batch_terminal_bases", counted)
+    phi = an.verdict.phi
+    assert sizes == [sum(phi.points)] == [256 * len(an.loops)]
+
+
+def test_unmet_target_samples_only_the_new_odd_points(dtheta_spec,
+                                                       monkeypatch):
+    # a target no estimate meets runs levels 128, 256, 512 and 1024: after
+    # the batch of the second level each further level samples its new
+    # odd-index points, and the kept samples are phi_form's over the level
+    loops = [plane_loop(dtheta_spec.domain), wobble_loop(dtheta_spec.domain)]
+    seen, original = [], globalmetric.phi_form
+
+    def recorded(spec, points, *args):
+        seen.append(np.array(points))
+        return original(spec, points, *args)
+
+    monkeypatch.setattr(globalmetric, "phi_form", recorded)
+    out = phi_periods(dtheta_spec, loops, 1024, target=-1.0)
+    monkeypatch.undo()
+    assert out.points == [1024, 1024]
+    ts = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    want = [np.vstack([loop.points(ts[::4]) for loop in loops])]
+    for loop in loops:
+        want += [loop.points(ts[2::4]), loop.points(ts[1::2])]
+    assert len(seen) == len(want)
+    for got, pts in zip(seen, want):
+        assert np.array_equal(got, pts)
+    for loop, samples in zip(loops, out.samples):
+        assert np.array_equal(samples, phi_form(dtheta_spec, loop.points(ts)))
+        assert np.array_equal(samples[::2],
+                              phi_form(dtheta_spec, loop.points(ts[::2])))
 
 
 @pytest.mark.parametrize("eid", ["sphere", "s1-line-bundle", "punctured-plane",
@@ -637,20 +730,58 @@ def test_indefinite_terminal_line_skips_the_de_rham_route():
     assert abs(period) < 1e-4 * (1.0 + loop.length())
 
 
-def test_flag_jump_along_a_loop_fails_the_de_rham_route():
-    # the degenerating connection cut to flat at x = 0.5: the grid stays at
-    # x <= 0, where the terminal line has rank one, but the loop crosses
-    # into the flat region, where the terminal subspace is the whole fiber
+def _cut_verdict(names):
+    """The verdict on the degenerating connection cut to flat at x = 0.5,
+    with a grid at x <= 0, where the terminal line has rank one.  The loop
+    `across` crosses into the flat region, where the terminal subspace is
+    the whole fiber; `inside` stays left of the cut."""
     dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
     spec = ConnectionSpec(dom, kind="christoffel",
                           gamma=_degenerating_gamma(cut=0.5))
-    loop = Curve(dom, [parse_expr("0.3 - 0.5*cos(t)"),
-                       parse_expr("0.5*sin(t)")], 0.0, TWO_PI, name="across")
-    v = Analysis(spec, [-0.2, 0.0], [loop],
-                 [[-1.0, -0.5, 0.0], [-1.0, 1.0]]).verdict
+    xy = {"across": ("0.3 - 0.5*cos(t)", "0.5*sin(t)"),
+          "inside": ("-0.5 + 0.3*cos(t)", "0.3*sin(t)")}
+    loops = [Curve(dom, [parse_expr(e) for e in xy[name]], 0.0, TWO_PI,
+                   name=name) for name in names]
+    return Analysis(spec, [-0.2, 0.0], loops,
+                    [[-1.0, -0.5, 0.0], [-1.0, 1.0]]).verdict
+
+
+def test_flag_jump_along_a_loop_fails_the_de_rham_route():
+    v = _cut_verdict(["across"])
     assert v.status == "metric" and v.phi is None
     note, = v.notes
     assert note.startswith("de Rham route failed: flag dimension jump at ")
+    assert note.endswith(" on loop 'across'")
+
+
+def test_flag_jump_on_the_second_loop_of_the_batch_names_it():
+    # both loops' Phi samples share one batch, whose first point is
+    # `inside`'s; the point that jumps is `across`'s
+    v = _cut_verdict(["inside", "across"])
+    assert v.status == "metric" and v.phi is None
+    note, = v.notes
+    assert note.startswith("de Rham route failed: flag dimension jump at ")
+    assert note.endswith(" on loop 'across'")
+
+
+def test_a_jump_past_the_shared_batch_names_its_loop():
+    # the loop `spike` enters the flat region x > 0.5 only near
+    # t = 2 pi * 100.5 / 256, an odd node of level 512 that the batch of
+    # level 256 does not hold; the doubling there raises and names it
+    dom = Domain(names=("x", "y"), lows=(-2.0, -2.0), highs=(2.0, 2.0))
+    spec = ConnectionSpec(dom, kind="christoffel",
+                          gamma=_degenerating_gamma(cut=0.5))
+    peak = TWO_PI * 100.5 / 256
+    loops = [Curve(dom, [parse_expr(x), parse_expr("0.3*sin(t)")], 0.0,
+                   TWO_PI, name=name)
+             for name, x in (("inside", "-0.5 + 0.3*cos(t)"),
+                             ("spike", f"-0.2 + 0.75*exp(-((t - {peak!r})"
+                                       "/0.004)^2)"))]
+    ts = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    with pytest.raises(IrregularPoint) as info:
+        phi_periods(spec, loops, 1024, target=-1.0)
+    assert str(info.value).endswith(" on loop 'spike'")
+    assert np.array_equal(info.value.point, loops[1].points(ts[[402]])[0])
 
 
 def test_global_requires_sym2(circle_line_spec):
