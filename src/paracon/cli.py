@@ -1,15 +1,15 @@
 """Command-line interface: manifest ingestion, command dispatch, report emission.
 
-Commands: ``analyze`` (full pipeline), ``flag --point``, ``holonomy --loop``,
-``global``, and ``corpus --id`` (golden-value run).  Exit codes: 0 for a
-completed run with a definite verdict, 2 for a completed run that is
-inconclusive or not regular, 1 for errors.
+Commands: ``analyze`` (full pipeline), ``flag --point``, ``holonomy --loop``
+and ``corpus --id`` (golden-value run, checked against the ``analyze``
+report).  Exit codes: 0 for a completed run with a definite answer, 2 for a
+completed run without one (see :func:`exit_code`), 1 for errors.
 
 Reports are canonical JSON: UTF-8, lower_snake_case keys sorted, reals in
 shortest round-trip decimal form.  A report is a pure function of
 (manifest, steps), so two runs produce byte-identical files.  Each
-pipeline stage runs once per run, and its wall-clock time goes to stderr
-instead of the report.
+pipeline stage runs once per run; ``analyze`` prints each stage's wall-clock
+time to stderr instead of the report.
 """
 
 from __future__ import annotations
@@ -241,28 +241,24 @@ def _header(man: Manifest, command: str, caveats: list) -> dict:
             "caveats": caveats}
 
 
-def exit_code(an: Analysis) -> int:
-    """Exit code of a completed ``analyze`` or ``global`` run: 2 when it
-    gives no definite answer, a Sym^2 verdict that is inconclusive or not
-    regular or an abstract bundle whose holonomy stage failed; else 0."""
-    if an.spec.kind == "christoffel":
-        return 2 if an.verdict.status in ("inconclusive", "not_regular") else 0
-    try:
-        an.holonomies
-    except (IrregularPoint, DefectTooLarge):
-        return 2
-    return 0
+def exit_code(report: dict) -> int:
+    """Exit code of a completed ``analyze`` run, read from its report: 2
+    when it gives no definite answer (the holonomy stage failed, or the
+    Sym^2 verdict is inconclusive or not regular); else 0."""
+    status = (report["global_verdict"] or {}).get("status")
+    return 2 if report["holonomy"] is None or status in (
+        "inconclusive", "not_regular") else 0
 
 
-def build_report(man: Manifest, command: str) -> tuple:
-    """Report of the ``analyze`` or ``global`` command; returns
-    (report, its canonical JSON as the pieces from :func:`_finalize`,
-    exit_code).  Every stage is read from one staged analysis."""
+def build_report(man: Manifest, an: Analysis) -> tuple:
+    """Report of the ``analyze`` command on ``man``, every stage read from
+    its staged analysis ``an``; returns (report, its canonical JSON as the
+    pieces from :func:`_finalize`)."""
     spec = man.spec
-    an = man.analysis()
-    # the verdict first, so the stages run, and print, in the verdict's order
+    # the verdict first, so the stages run in the verdict's order
     verdict = an.verdict if spec.kind == "christoffel" else None
-    report = _header(man, command, [LOOP_GENERATION_CAVEAT, CHART_ONLY_CAVEAT])
+    report = _header(man, "analyze", [LOOP_GENERATION_CAVEAT,
+                                      CHART_ONLY_CAVEAT])
     report["effective"] = {"tolerances": man.tolerances, "steps": man.steps}
     scan = an.scan
     report["regularity"] = _scan_dict(scan)
@@ -296,9 +292,7 @@ def build_report(man: Manifest, command: str) -> tuple:
                 "parallel_frame": fixed.dim == terminal.dim,
             }
 
-    for name, seconds in an.timings:
-        print(f"[paracon] {name}: {seconds:.3f}s", file=sys.stderr)
-    return report, _finalize(report), exit_code(an)
+    return report, _finalize(report)
 
 
 def _format_text(report: dict) -> str:
@@ -424,9 +418,12 @@ def run(command: str, manifest_path: str, args) -> int:
         _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
-    report, pieces, code = build_report(man, command)
+    an = man.analysis()
+    report, pieces = build_report(man, an)
+    for name, seconds in an.timings:
+        print(f"[paracon] {name}: {seconds:.3f}s", file=sys.stderr)
     _write_report(report, pieces, args.out, args.format)
-    return code
+    return exit_code(report)
 
 
 def _run_corpus(args) -> int:
@@ -436,7 +433,7 @@ def _run_corpus(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 1
-    checks, _ = run_entry(entry)
+    checks = run_entry(entry)
     all_ok = True
     for c in checks:
         mark = "PASS" if c.ok else "FAIL"
@@ -476,7 +473,6 @@ def _parser() -> argparse.ArgumentParser:
     p_hol = sub.add_parser("holonomy", help="holonomy of one declared loop")
     common(p_hol)
     p_hol.add_argument("--loop", required=True, help="loop name")
-    common(sub.add_parser("global", help="global metricity verdict"))
     p_cor = sub.add_parser("corpus", help="run a built-in golden entry")
     p_cor.add_argument("--id", required=True, help="corpus entry id")
 

@@ -3,12 +3,15 @@ values used by the acceptance suite and the ``corpus`` command.
 
 Each entry bundles a manifest with an ``expected`` block whose every leaf
 carries its provenance tag in-file.  :func:`run_entry` executes exactly the
-checks present in that block and reports one pass/fail result per check.
+checks present in that block and reports one pass/fail result per check;
+:func:`check_report` reads those an ``analyze`` report answers from the
+report itself.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -16,14 +19,14 @@ from typing import Optional
 import numpy as np
 
 from ..bundle import ConnectionSpec
-from ..cli import exit_code
+from ..cli import build_report, exit_code
 from ..expr import compile_expr, parse_expr
 from ..flag import principal_angles
 from ..manifest import Manifest, ManifestError, manifest_from_dict, with_params
 from ..transport import parallel_extend, transport
 
 __all__ = ["CorpusEntry", "CheckResult", "load_corpus", "get_entry",
-           "run_entry", "ENTRY_IDS"]
+           "check_report", "run_entry", "ENTRY_IDS"]
 
 ENTRY_IDS = ("sphere", "s1-line-bundle", "punctured-plane",
              "smooth-pathology", "flat-trivial", "dtheta-obstruction")
@@ -43,7 +46,7 @@ class CorpusEntry:
 class CheckResult:
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
 
 
 def load_corpus():
@@ -84,94 +87,123 @@ def _vectors(spec: ConnectionSpec, rows):
     return at
 
 
-def run_entry(entry: CorpusEntry):
-    """Run the pipeline on one entry and compare against its goldens, one
+def _angle(man: Manifest, basis, row) -> float:
+    """The largest principal angle between the span of ``basis`` and the
+    fiber vector that the coefficient expressions ``row`` declare at the
+    base point."""
+    want = _vectors(man.spec, [row])(man.base_point)[0]
+    return principal_angles(basis, want / np.linalg.norm(want)).max()
+
+
+def check_report(expected: dict, report: dict, exit_code: int,
+                 man: Manifest) -> list:
+    """The checks of the goldens in ``expected`` that an ``analyze`` report
+    answers, read from the report as written (its canonical JSON, parsed)
+    and from its exit code.  ``fixed_direction``'s formula is evaluated at
+    ``man``'s base point."""
+    exp, checks = expected, []
+
+    def record(name, ok, detail):
+        checks.append(CheckResult(name, bool(ok), detail))
+
+    reg = report["regularity"]
+    if "regular" in exp:
+        record("regular", reg["regular_on_grid"] == exp["regular"]["value"],
+               f"regular_on_grid={reg['regular_on_grid']}")
+    if "terminal_dims" in exp:
+        want = exp["terminal_dims"]["value"]
+        if not isinstance(want, list):
+            want = [want] * len(reg["dims"])
+        record("terminal_dims", reg["dims"] == want, f"dims={reg['dims']}")
+    if "jumps_straddle" in exp:
+        spans = [sorted((j["from"][0], j["to"][0])) for j in reg["jumps"]]
+        record("jumps_straddle",
+               all(any(a < x < b for a, b in spans)
+                   for x in exp["jumps_straddle"]["value"]),
+               f"jumps={spans}")
+    if "local_metric_all" in exp:
+        # an abstract bundle's report decides local metricity at no point
+        flags = [r["locally_metric"] for r in report["local_metricity"] or []]
+        record("local_metric_all",
+               flags and all(flags) == exp["local_metric_all"]["value"],
+               f"true at {sum(flags)}/{len(flags)} points")
+
+    # the fixed subspace is the Sym^2 verdict's, or the flat bundle's
+    gv = report["global_verdict"] or {}
+    fb = report.get("flat_bundle") or {}
+    fixed = gv or fb
+    if "fixed_dim" in exp:
+        got = fixed.get("fixed_dim")
+        record("fixed_dim", got == exp["fixed_dim"]["value"], f"dim={got}")
+    if "fixed_direction" in exp:
+        basis = fixed.get("fixed_fiber_basis", fixed.get("fixed_basis"))
+        # a missing or zero fixed space holds no direction
+        ang = (_angle(man, np.array(basis, dtype=float),
+                      exp["fixed_direction"]["value"])
+               if basis and basis[0] else np.pi / 2)
+        record("fixed_direction", ang < exp["fixed_direction"]["tol"],
+               f"principal angle {ang:.2e}")
+    for key, got in (("parallel_frame", fb.get("parallel_frame")),
+                     ("status", gv.get("status")),
+                     ("rank_wm", gv.get("rank_wm")),
+                     ("exit_code", exit_code)):
+        if key in exp:
+            record(key, got == exp[key]["value"], f"{key}={got}")
+
+    # a period the report lacks reads as NaN, which meets no tolerance
+    pp = gv.get("phi_periods")
+    periods = (dict(zip(pp["loops"], zip(pp["periods"], pp["period_tols"])))
+               if pp else {})
+    if "phi_period_max" in exp:
+        got = max((abs(p) for p, _ in periods.values()), default=math.nan)
+        record("phi_period_max", got < exp["phi_period_max"]["tol"],
+               f"max |period| = {got:.2e}")
+    for want in exp.get("phi_periods", []):
+        got, tol = periods.get(want["loop"], (math.nan, 0.0))
+        record(f"phi_period[{want['loop']}]",
+               abs(got - want["value"]) < want.get("tol", tol),
+               f"period {got:.6f} vs {want['value']:.6f}")
+    return checks
+
+
+def run_entry(entry: CorpusEntry) -> list:
+    """Run ``analyze`` on one entry and compare against its goldens, one
     check or more per key of the ``expected`` block.
 
-    Each check reads the stage it needs from one staged analysis, so no
-    stage runs twice and stages no check needs do not run at all.
+    The goldens a report answers are read from the report as written, by
+    :func:`check_report`; the rest from the analysis that report was built
+    from, so no stage runs twice.
     """
     man = entry.manifest()
     spec, steps = man.spec, man.steps
     an = man.analysis()
+    report = json.loads(b"".join(build_report(man, an)[1]))
     exp = entry.expected
-    checks = []
+    checks = check_report(exp, report, exit_code(report), man)
 
-    def record(name, ok, detail=""):
+    def record(name, ok, detail):
         checks.append(CheckResult(name, bool(ok), detail))
 
-    if "regular" in exp:
-        record("regular", an.scan.regular_on_grid == exp["regular"]["value"],
-               f"regular_on_grid={an.scan.regular_on_grid}")
-    if "terminal_dims" in exp:
-        want = exp["terminal_dims"]["value"]
-        if isinstance(want, list):
-            ok = an.scan.dims == want
-        else:
-            ok = all(d == want for d in an.scan.dims)
-        record("terminal_dims", ok, f"dims={an.scan.dims}")
-    if "jumps_straddle" in exp:
-        straddled = []
-        for target in exp["jumps_straddle"]["value"]:
-            hit = any(pa[0] < target < pb[0] or pb[0] < target < pa[0]
-                      for pa, pb, _, _ in an.scan.jumps)
-            straddled.append(hit)
-        record("jumps_straddle", all(straddled),
-               f"jumps={[(a[0], b[0]) for a, b, _, _ in an.scan.jumps]}")
-
     if "base_trace_dims" in exp:
-        tr = an.base_trace
-        record("base_trace_dims", tr.dims == exp["base_trace_dims"]["value"],
-               f"dims={tr.dims}")
-
+        dims = an.base_trace.dims
+        record("base_trace_dims", dims == exp["base_trace_dims"]["value"],
+               f"dims={dims}")
     if "terminal_direction" in exp:
-        tr = an.base_trace
-        want = _vectors(spec, [exp["terminal_direction"]["value"]])(
-            man.base_point)[0]
-        want /= np.linalg.norm(want)
-        ang = principal_angles(tr.terminal.basis, want).max()
+        ang = _angle(man, an.base_trace.terminal.basis,
+                     exp["terminal_direction"]["value"])
         record("terminal_direction", ang < exp["terminal_direction"]["tol"],
                f"principal angle {ang:.2e}")
 
-    if "local_metric_all" in exp:
-        if spec.kind != "christoffel":
-            record("local_metric_all", False, "not a Sym^2 bundle")
-        else:
-            verdicts = [lm.status == "feasible" for lm in an.local]
-            record("local_metric_all",
-                   all(verdicts) == exp["local_metric_all"]["value"],
-                   f"true at {sum(verdicts)}/{len(verdicts)} points")
-
-    if "holonomy" in exp:
-        for want in exp["holonomy"]:
-            h = next(x for x in an.holonomies if x.loop_name == want["loop"])
-            H = h.matrix
-            if "basis" in want:
-                C = _vectors(spec, want["basis"])(man.base_point)[0]
-                S = an.base_trace.terminal.basis.T @ C
-                H = np.linalg.solve(S, H @ S)
-            err = np.abs(H - np.array(want["matrix"])).max()
-            record(f"holonomy[{want['loop']}]", err < want["tol"],
-                   f"entry err {err:.2e}, defect {h.defect:.2e}")
-
-    if "fixed_dim" in exp or "fixed_direction" in exp or "parallel_frame" in exp:
-        fixed, terminal = an.fixed, an.base_trace.terminal
-        if "fixed_dim" in exp:
-            record("fixed_dim", fixed.dim == exp["fixed_dim"]["value"],
-                   f"dim={fixed.dim}")
-        if "fixed_direction" in exp:
-            fiber = terminal.basis @ fixed.basis
-            want = _vectors(spec, [exp["fixed_direction"]["value"]])(
-                man.base_point)[0]
-            want /= np.linalg.norm(want)
-            ang = principal_angles(fiber, want).max()
-            record("fixed_direction", ang < exp["fixed_direction"]["tol"],
-                   f"principal angle {ang:.2e}")
-        if "parallel_frame" in exp:
-            has_frame = fixed.dim == terminal.dim
-            record("parallel_frame",
-                   has_frame == exp["parallel_frame"]["value"],
-                   f"fixed {fixed.dim} of {terminal.dim}")
+    for want in exp.get("holonomy", []):
+        h = next(x for x in an.holonomies if x.loop_name == want["loop"])
+        H = h.matrix
+        if "basis" in want:
+            C = _vectors(spec, want["basis"])(man.base_point)[0]
+            S = an.base_trace.terminal.basis.T @ C
+            H = np.linalg.solve(S, H @ S)
+        err = np.abs(H - np.array(want["matrix"])).max()
+        record(f"holonomy[{want['loop']}]", err < want["tol"],
+               f"entry err {err:.2e}, defect {h.defect:.2e}")
 
     if "loop_transport" in exp:
         want = exp["loop_transport"]
@@ -201,46 +233,8 @@ def run_entry(entry: CorpusEntry):
         record("parallel_sections", ok,
                f"{count} nodes, worst rel err {worst:.2e}")
 
-    verdict = None
-    needs_global = any(k in exp for k in ("status", "rank_wm",
-                                          "phi_period_max", "phi_periods"))
-    if needs_global and spec.kind == "christoffel":
-        verdict = an.verdict
-        if "status" in exp:
-            record("status", verdict.status == exp["status"]["value"],
-                   f"status={verdict.status}")
-        if "rank_wm" in exp:
-            record("rank_wm", verdict.rank_wm == exp["rank_wm"]["value"],
-                   f"rank_wm={verdict.rank_wm}")
-        if "phi_period_max" in exp and verdict.phi is not None:
-            got = verdict.phi.max_abs()
-            record("phi_period_max", got < exp["phi_period_max"]["tol"],
-                   f"max |period| = {got:.2e}")
-        elif "phi_period_max" in exp:
-            record("phi_period_max", False, "no periods computed")
-        if "phi_periods" in exp:
-            for want in exp["phi_periods"]:
-                if verdict.phi is None:
-                    record(f"phi_period[{want['loop']}]", False,
-                           "no periods computed")
-                    continue
-                i = verdict.phi.loop_names.index(want["loop"])
-                got = verdict.phi.periods[i]
-                ptol = want.get("tol", verdict.period_tols[i])
-                record(f"phi_period[{want['loop']}]",
-                       abs(got - want["value"]) < ptol,
-                       f"period {got:.6f} vs {want['value']:.6f}")
-
-    if "exit_code" in exp:
-        code = exit_code(an)
-        record("exit_code", code == exp["exit_code"]["value"],
-               f"exit_code={code}")
-
-    if "controls" in exp:
-        for i, ctrl in enumerate(exp["controls"]):
-            man2 = entry.manifest(ctrl["params"])
-            fixed2 = man2.analysis().fixed
-            record(f"control[{i}]", fixed2.dim == ctrl["fixed_dim"],
-                   f"params {ctrl['params']}: fixed dim {fixed2.dim}")
-
-    return checks, verdict
+    for i, ctrl in enumerate(exp.get("controls", [])):
+        fixed = entry.manifest(ctrl["params"]).analysis().fixed
+        record(f"control[{i}]", fixed.dim == ctrl["fixed_dim"],
+               f"params {ctrl['params']}: fixed dim {fixed.dim}")
+    return checks

@@ -185,7 +185,7 @@ def test_criterion_6_pathology_scan_and_verdict(tmp_path):
     path = tmp_path / "pathology.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
-    code = main(["global", str(path), "--out", str(out)])
+    code = main(["analyze", str(path), "--out", str(out)])
     assert code == 2
     report = json.loads(out.read_text())
     assert report["global_verdict"]["status"] == "not_regular"

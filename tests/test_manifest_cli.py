@@ -1,15 +1,18 @@
+import functools
 import hashlib
 import importlib
 import json
+import operator
 import sys
 
 import numpy as np
 import pytest
 
-from paracon import __version__
+from paracon import __version__, cli
 from paracon.cli import (Rows, _finalize, _parser, build_report,
-                         canonical_json, main)
-from paracon.corpus import ENTRY_IDS, get_entry, load_corpus, run_entry
+                         canonical_json, exit_code, main)
+from paracon.corpus import (ENTRY_IDS, check_report, get_entry, load_corpus,
+                            run_entry)
 from paracon.manifest import ManifestError, load_manifest, manifest_from_dict
 from reference import format_text
 
@@ -388,15 +391,6 @@ def test_cli_flag_command_on_pathology(tmp_path):
     assert report["flag_trace"]["terminal_dim"] == 3
 
 
-def test_cli_global_pathology_exits_two(tmp_path):
-    man = _write_manifest(tmp_path, "smooth-pathology")
-    out = tmp_path / "g.json"
-    code = main(["global", str(man), "--out", str(out)])
-    assert code == 2
-    report = json.loads(out.read_text())
-    assert report["global_verdict"]["status"] == "not_regular"
-
-
 def test_cli_holonomy_command(tmp_path):
     man = _write_manifest(tmp_path, "s1-line-bundle")
     out = tmp_path / "h.json"
@@ -465,8 +459,7 @@ def test_text_summary_reads_as_the_written_report(tmp_path, capsys):
         path = str(_write_manifest(tmp_path, eid))
         man = load_manifest(path)
         point = ",".join(repr(float(v)) for v in man.base_point)
-        runs += [["analyze", path], ["global", path],
-                 ["flag", path, "--point", point]]
+        runs += [["analyze", path], ["flag", path, "--point", point]]
         runs += [["holonomy", path, "--loop", loop.name] for loop in man.loops]
     runs += [["analyze", path] for path in _workload_manifests(tmp_path)]
     out = tmp_path / "r.json"
@@ -510,9 +503,10 @@ def test_cli_bad_manifest_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("eid", ENTRY_IDS)
 def test_cli_corpus_command(eid, capsys):
     assert main(["corpus", "--id", eid]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "PASS" in out and "FAIL" not in out
     assert out.count(f"PASS {eid}.exit_code: ") == 1
+    assert err == ""
 
 
 # the check names of the keys that give one check per list item
@@ -523,12 +517,85 @@ _CHECKS_OF = {"holonomy": "holonomy", "phi_period": "phi_periods",
 def test_every_expected_key_yields_a_check():
     # a golden that no check reads passes whatever the pipeline gives
     for entry in load_corpus():
-        checks, _ = run_entry(entry)
+        checks = run_entry(entry)
         names = {c.name.split("[")[0] for c in checks}
         read = {_CHECKS_OF.get(n, n) for n in names}
         unread = [k for k in entry.expected
                   if k != "provenance" and k not in read]
         assert not unread, f"{entry.id}: no check reads {unread}"
+
+
+# per golden that a report answers: an entry holding it, the path in the
+# parsed report of the one field to change (None: the exit code) and the
+# wrong value to put there
+_REPORT_MUTATIONS = {
+    "regular": ("sphere", ("regularity", "regular_on_grid"), False),
+    "terminal_dims": ("sphere", ("regularity", "dims", 0), 3),
+    "jumps_straddle": ("smooth-pathology", ("regularity", "jumps"), []),
+    "local_metric_all": ("sphere", ("local_metricity", 0, "locally_metric"),
+                         False),
+    "fixed_dim": ("dtheta-obstruction", ("global_verdict", "fixed_dim"), 1),
+    "fixed_direction": ("punctured-plane",
+                        ("global_verdict", "fixed_fiber_basis"),
+                        [[0.0], [0.0], [1.0]]),
+    "parallel_frame": ("s1-line-bundle", ("flat_bundle", "parallel_frame"),
+                       True),
+    "status": ("sphere", ("global_verdict", "status"), "not_metric"),
+    "rank_wm": ("sphere", ("global_verdict", "rank_wm"), 0),
+    "phi_period_max": ("sphere",
+                       ("global_verdict", "phi_periods", "periods", 0), 0.1),
+    "phi_periods": ("dtheta-obstruction",
+                    ("global_verdict", "phi_periods", "periods", 0), 0.0),
+    "exit_code": ("smooth-pathology", None, 0),
+}
+
+
+@pytest.mark.parametrize("key", list(_REPORT_MUTATIONS))
+def test_check_report_fails_exactly_the_mutated_golden(key):
+    eid, path, value = _REPORT_MUTATIONS[key]
+    entry = get_entry(eid)
+    man = entry.manifest()
+    report = json.loads(b"".join(build_report(man, man.analysis())[1]))
+    code = exit_code(report)
+    if path is None:
+        code = value
+    else:
+        *head, last = path
+        functools.reduce(operator.getitem, head, report)[last] = value
+    failed = [c.name.split("[")[0]
+              for c in check_report(entry.expected, report, code, man)
+              if not c.ok]
+    assert [_CHECKS_OF.get(n, n) for n in failed] == [key]
+
+
+def test_corpus_checks_the_written_report(monkeypatch, capsys):
+    # a wrong status in the written report fails the run, though the
+    # analysis it was written from holds the right one
+    verdict_dict = cli._verdict_dict
+    monkeypatch.setattr(cli, "_verdict_dict",
+                        lambda v: dict(verdict_dict(v), status="not_metric"))
+    assert main(["corpus", "--id", "sphere"]) == 1
+    assert "FAIL sphere.status: " in capsys.readouterr().out
+
+
+def test_matrix_kind_holonomy_failure_exits_two(tmp_path):
+    # deep-flag's connection on a regular grid of terminal dim 2, with the
+    # base point at y = 0, where the terminal dim is 3: no holonomy
+    doc = _deep_flag_doc()
+    doc.update(base_point=[0.3, 0.0],
+               grid={"values": [[0.2, 0.5], [0.4, 0.7]]},
+               loops=[{"name": "circle",
+                       "exprs": ["0.3 + 0.2*sin(t)", "0.2 - 0.2*cos(t)"],
+                       "t_range": [0.0, 2 * np.pi]}])
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    report = json.loads(out.read_bytes())
+    assert report["holonomy"] is None
+    assert report["flat_bundle"] is None and report["global_verdict"] is None
+    note, = report["notes"]
+    assert note.startswith("holonomy stage failed: ")
+    assert note.endswith("terminal dim 3 != 2 on the regular grid")
 
 
 def test_cli_corpus_unknown_id(capsys):
@@ -588,6 +655,17 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     assert len(verdicts) == 1
 
 
+def test_corpus_report_and_goldens_share_one_analysis(monkeypatch):
+    scans = _count_calls(monkeypatch, "paracon.flag", "regularity_scan")
+    flags = _count_calls(monkeypatch, "paracon.flag", "derived_flag")
+    holos = _count_calls(monkeypatch, "paracon.transport", "holonomy_matrix")
+    verdicts = _count_calls(monkeypatch, "paracon.globalmetric",
+                            "global_metricity")
+    assert main(["corpus", "--id", "sphere"]) == 0
+    assert len(scans) == len(flags) == len(verdicts) == 1
+    assert len(holos) == len(get_entry("sphere").manifest_doc["loops"]) == 2
+
+
 def test_corrupted_corpus_file_is_reported(monkeypatch):
     import paracon.corpus as corpus_mod
 
@@ -628,11 +706,10 @@ def test_finalize_splices_the_digest_at_its_sorted_place():
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_cli_reports_are_encoded_once_and_canonical(tmp_path, entry_id):
     man = _write_manifest(tmp_path, entry_id)
-    for command in ("analyze", "global"):
-        out = tmp_path / f"{command}.json"
-        assert main([command, str(man), "--out", str(out),
-                     "--steps", "512"]) in (0, 2)
-        _assert_canonical_with_digest(out.read_bytes())
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", str(man), "--out", str(out),
+                 "--steps", "512"]) in (0, 2)
+    _assert_canonical_with_digest(out.read_bytes())
 
 
 def test_cli_flag_and_holonomy_reports_are_canonical(tmp_path):
@@ -765,8 +842,8 @@ def test_writer_matches_stdlib_encoder(case):
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_writer_matches_stdlib_encoder_on_analyze_reports(entry_id):
-    report, pieces, _ = build_report(get_entry(entry_id).manifest(),
-                                     "analyze")
+    man = get_entry(entry_id).manifest()
+    report, pieces = build_report(man, man.analysis())
     ref = _reference_json(report)
     assert canonical_json(report) == ref
     assert b"".join(pieces) == ref.encode("utf-8")
@@ -779,7 +856,8 @@ def test_writer_matches_stdlib_encoder_on_the_fine_grid_report():
     doc["grid"] = {"values": [
         np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 30).tolist(),
         np.linspace(pad + 0.1, 2 * np.pi - pad, 30).tolist()]}
-    report, pieces, _ = build_report(manifest_from_dict(doc), "analyze")
+    man = manifest_from_dict(doc)
+    report, pieces = build_report(man, man.analysis())
     assert len(report["flag_traces"].columns["point"]) == 900
     ref = _reference_json(report)
     assert canonical_json(report) == ref
@@ -796,7 +874,8 @@ def test_cli_parser_is_built_once_and_keeps_no_arguments(tmp_path):
     assert _parser() is parser
     fresh = load_manifest(str(man))
     fresh.steps = {"rk4": 1024, "quadrature": 1024}
-    assert without.read_bytes() == b"".join(build_report(fresh, "analyze")[1])
+    assert without.read_bytes() == b"".join(
+        build_report(fresh, fresh.analysis())[1])
     assert json.loads(with_k.read_bytes())["global_verdict"]["fixed_dim"] == 3
     assert json.loads(without.read_bytes())["global_verdict"]["fixed_dim"] \
         != 3
@@ -804,13 +883,14 @@ def test_cli_parser_is_built_once_and_keeps_no_arguments(tmp_path):
 
 def test_cli_version_and_usage_errors_exit_as_argparse_does(capsys):
     for argv, code in ((["--version"], 0), (["analyze"], 2),
-                       (["bogus"], 2), (["--version"], 0)):
+                       (["bogus"], 2), (["global", "m.json"], 2),
+                       (["--version"], 0)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == code
     out, err = capsys.readouterr()
     assert out == f"paracon {__version__}\n" * 2
-    assert err.count("usage: paracon") == 2
+    assert err.count("usage: paracon") == 3
 
 
 def test_corpus_command_takes_no_param_override(capsys):

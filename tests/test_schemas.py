@@ -43,7 +43,6 @@ def test_shipped_manifests_validate_against_manifest_schema():
 
 @pytest.mark.parametrize("command,extra", [
     ("analyze", []),
-    ("global", []),
     ("flag", ["--point", "0.5"]),
 ])
 def test_emitted_reports_validate_against_report_schema(tmp_path, command,
@@ -107,16 +106,15 @@ IRREGULAR_BASE = {
 }
 
 
-@pytest.mark.parametrize("command", ["analyze", "global"])
-def test_irregular_base_point_is_inconclusive(tmp_path, command):
+def test_irregular_base_point_is_inconclusive(tmp_path):
     # the grid is regular, but the base point lies right of x = 0, where the
     # flag is [1, 1] and not the grid's [3]
     man = tmp_path / "m.json"
     man.write_text(json.dumps(IRREGULAR_BASE))
     out = tmp_path / "r.json"
-    assert main([command, str(man), "--out", str(out)]) == 2
+    assert main(["analyze", str(man), "--out", str(out)]) == 2
     report = json.loads(out.read_text())
-    validate(report, load_schema("report"), command)
+    validate(report, load_schema("report"), "analyze")
     gv = report["global_verdict"]
     assert report["regularity"]["regular_on_grid"] is True
     assert gv["status"] == "inconclusive"
