@@ -30,7 +30,7 @@ from . import __version__
 from .bundle import BundleError
 from .expr import ExprError
 from .flag import (IrregularPoint, NotSym2Bundle, canonical_basis,
-                   regularity_scan)
+                   derived_flag)
 from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
                            Analysis, GlobalVerdict)
 from .manifest import (MANIFEST_SCHEMA, Manifest, ManifestError, load_manifest,
@@ -53,11 +53,6 @@ class Rows:
 
     columns: dict
     cut: dict = field(default_factory=dict)
-
-    def record(self, i) -> dict:
-        """Record i, its values the cut array rows."""
-        return {k: c[i, ..., :self.cut[k][i]] if k in self.cut else c[i]
-                for k, c in self.columns.items()}
 
 
 def _join(texts, nl, brackets="[]"):
@@ -186,8 +181,17 @@ def _scan_dict(scan):
     }
 
 
+def _trace_dict(trace):
+    """One point's flag, as the ``flag`` command's record."""
+    terminal = trace.terminal
+    return {"point": trace.point, "dims": trace.dims,
+            "stabilization_level": trace.stabilization_level,
+            "terminal_dim": terminal.dim, "terminal_basis": terminal.basis,
+            "sv_gap": terminal.sv_gap}  # inf, an empty side: null
+
+
 def _flag_rows(scan) -> Rows:
-    """The flag at each point of a scan, as report records."""
+    """The flag at each point of a scan, as :func:`_trace_dict` records."""
     terminal = scan.levels[-1]
     return Rows({
         "point": scan.flag_points,
@@ -229,11 +233,6 @@ def _verdict_dict(v: GlobalVerdict):
     return out
 
 
-def _holonomy_dict(h):
-    return {"loop": h.loop_name, "matrix": h.matrix, "defect": h.defect,
-            "steps": h.steps, "error_estimate": h.error_estimate}
-
-
 def _header(man: Manifest, command: str, caveats: list) -> dict:
     """The fields that every report of a manifest carries."""
     return {"tool_version": __version__, "command": command,
@@ -241,11 +240,25 @@ def _header(man: Manifest, command: str, caveats: list) -> dict:
             "caveats": caveats}
 
 
+def _holonomies(report: dict, an: Analysis):
+    """Write ``an``'s ``base_flag`` and ``holonomy``, or null and a note."""
+    try:
+        report["base_flag"] = None
+        report["base_flag"] = _trace_dict(an.base_trace)
+        report["holonomy"] = [
+            {"loop": h.loop_name, "matrix": h.matrix, "defect": h.defect,
+             "steps": h.steps, "error_estimate": h.error_estimate}
+            for h in an.holonomies]
+    except (IrregularPoint, DefectTooLarge) as exc:
+        report["holonomy"] = None
+        report["notes"] = [f"holonomy stage failed: {exc}"]
+
+
 def exit_code(report: dict) -> int:
-    """Exit code of a completed ``analyze`` run, read from its report: 2
-    when it gives no definite answer (the holonomy stage failed, or the
-    Sym^2 verdict is inconclusive or not regular); else 0."""
-    status = (report["global_verdict"] or {}).get("status")
+    """Exit code of a completed ``analyze`` or ``holonomy`` run, read from
+    its report: 2 when it gives no definite answer (the holonomy stage
+    failed, or the Sym^2 verdict is inconclusive or not regular); else 0."""
+    status = (report.get("global_verdict") or {}).get("status")
     return 2 if report["holonomy"] is None or status in (
         "inconclusive", "not_regular") else 0
 
@@ -270,12 +283,7 @@ def build_report(man: Manifest, an: Analysis) -> tuple:
         report["local_metricity"] = Rows({
             "point": scan.points, "locally_metric": status == "feasible",
             "status": status, "best_lambda": best})
-
-    try:
-        report["holonomy"] = [_holonomy_dict(h) for h in an.holonomies]
-    except (IrregularPoint, DefectTooLarge) as exc:
-        report["holonomy"] = None
-        report["notes"] = [f"holonomy stage failed: {exc}"]
+    _holonomies(report, an)
 
     if verdict is not None:
         report["global_verdict"] = _verdict_dict(verdict)
@@ -308,7 +316,7 @@ def _format_text(report: dict) -> str:
                          f"{j['to']} (dim {j['dim_to']})")
     tr = report.get("flag_trace")
     if tr:
-        lines.append(f"  flag dims {tr['dims'].tolist()}, terminal dim "
+        lines.append(f"  flag dims {tr['dims']}, terminal dim "
                      f"{tr['terminal_dim']}")
     traces = report.get("flag_traces")
     if traces:
@@ -316,10 +324,8 @@ def _format_text(report: dict) -> str:
         chains = Counter(str(d[:c]) for d, c in zip(dims, cut.tolist()))
         for chain, count in chains.items():
             lines.append(f"  flag dims {chain} at {count} of {len(dims)} points")
-    hol = report.get("holonomy")
-    if hol:
-        for h in ([hol] if isinstance(hol, dict) else hol):
-            lines.append(f"  holonomy[{h['loop']}]: defect {h['defect']:.2e}")
+    for h in report.get("holonomy") or []:
+        lines.append(f"  holonomy[{h['loop']}]: defect {h['defect']:.2e}")
     gv = report.get("global_verdict")
     if gv:
         lines.append(f"  global status: {gv['status']} "
@@ -327,8 +333,8 @@ def _format_text(report: dict) -> str:
                      f"wtilde rank {gv['wtilde_rank']})")
         if gv.get("phi_periods"):
             lines.append(f"  phi periods: {gv['phi_periods']['periods']}")
-        for n in gv.get("notes", []):
-            lines.append(f"  note: {n}")
+    for n in (gv or {}).get("notes", []) + report.get("notes", []):
+        lines.append(f"  note: {n}")
     fb = report.get("flat_bundle")
     if fb:
         lines.append(f"  flat bundle: rank {fb['wtilde_rank']}, fixed "
@@ -353,7 +359,7 @@ def _write_report(report: dict, pieces: tuple, out_path: str, fmt: str):
 def _parse_point(text: str, man: Manifest):
     # trailing coordinates may be omitted; they fall back to the base point
     try:
-        parts = [float(v) for v in text.split(",") if v.strip()]
+        parts = [float(v) for v in text.split(",")]
     except ValueError:
         raise ManifestError("/point", f"expected numbers, got {text!r}") \
             from None
@@ -389,12 +395,10 @@ def run(command: str, manifest_path: str, args) -> int:
         man.steps = steps
 
     if command == "flag":
-        # the one-node grid at the point: its flag as derived_flag gives it
-        point = _parse_point(args.point, man)
-        scan = regularity_scan(man.spec, point[:, None],
-                               rank_tol=man.tolerances["rank_tol"])
+        trace = derived_flag(man.spec, _parse_point(args.point, man),
+                             rank_tol=man.tolerances["rank_tol"])
         report = dict(_header(man, "flag", [CHART_ONLY_CAVEAT]),
-                      flag_trace=_flag_rows(scan).record(0))
+                      flag_trace=_trace_dict(trace))
         _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
@@ -403,20 +407,10 @@ def run(command: str, manifest_path: str, args) -> int:
         if loop is None:
             print(f"no loop named {args.loop!r} in manifest", file=sys.stderr)
             return 1
-        an = man.analysis([loop])
-        try:
-            h, = an.holonomies
-        except IrregularPoint as exc:
-            print(f"irregular base point: {exc}", file=sys.stderr)
-            return 2
-        except DefectTooLarge as exc:
-            print(f"holonomy defect too large: {exc}", file=sys.stderr)
-            return 2
-        report = dict(_header(man, "holonomy", [CHART_ONLY_CAVEAT]),
-                      holonomy=dict(_holonomy_dict(h),
-                                    wtilde_rank=an.base_trace.terminal.dim))
+        report = _header(man, "holonomy", [CHART_ONLY_CAVEAT])
+        _holonomies(report, man.analysis([loop]))
         _write_report(report, _finalize(report), args.out, args.format)
-        return 0
+        return exit_code(report)
 
     an = man.analysis()
     report, pieces = build_report(man, an)

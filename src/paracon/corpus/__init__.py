@@ -5,7 +5,7 @@ Each entry bundles a manifest with an ``expected`` block whose every leaf
 carries its provenance tag in-file.  :func:`run_entry` executes exactly the
 checks present in that block and reports one pass/fail result per check;
 :func:`check_report` reads those an ``analyze`` report answers from the
-report itself.
+report itself, and only the transport checks run outside it.
 """
 
 from __future__ import annotations
@@ -88,19 +88,27 @@ def _vectors(spec: ConnectionSpec, rows):
 
 
 def _angle(man: Manifest, basis, row) -> float:
-    """The largest principal angle between the span of ``basis`` and the
-    fiber vector that the coefficient expressions ``row`` declare at the
-    base point."""
+    """The largest principal angle between the span of a report's ``basis``
+    and the fiber vector that the coefficient expressions ``row`` declare at
+    the base point; pi/2 when the span is missing or zero."""
+    if not basis or not basis[0]:
+        return np.pi / 2
     want = _vectors(man.spec, [row])(man.base_point)[0]
-    return principal_angles(basis, want / np.linalg.norm(want)).max()
+    return principal_angles(np.array(basis, dtype=float),
+                            want / np.linalg.norm(want)).max()
+
+
+def _report(man: Manifest) -> dict:
+    """The ``analyze`` report of ``man`` as written, parsed."""
+    return json.loads(b"".join(build_report(man, man.analysis())[1]))
 
 
 def check_report(expected: dict, report: dict, exit_code: int,
                  man: Manifest) -> list:
     """The checks of the goldens in ``expected`` that an ``analyze`` report
     answers, read from the report as written (its canonical JSON, parsed)
-    and from its exit code.  ``fixed_direction``'s formula is evaluated at
-    ``man``'s base point."""
+    and from its exit code.  The goldens' fiber-vector formulas are evaluated
+    at ``man``'s base point."""
     exp, checks = expected, []
 
     def record(name, ok, detail):
@@ -135,15 +143,15 @@ def check_report(expected: dict, report: dict, exit_code: int,
     if "fixed_dim" in exp:
         got = fixed.get("fixed_dim")
         record("fixed_dim", got == exp["fixed_dim"]["value"], f"dim={got}")
-    if "fixed_direction" in exp:
-        basis = fixed.get("fixed_fiber_basis", fixed.get("fixed_basis"))
-        # a missing or zero fixed space holds no direction
-        ang = (_angle(man, np.array(basis, dtype=float),
-                      exp["fixed_direction"]["value"])
-               if basis and basis[0] else np.pi / 2)
-        record("fixed_direction", ang < exp["fixed_direction"]["tol"],
-               f"principal angle {ang:.2e}")
-    for key, got in (("parallel_frame", fb.get("parallel_frame")),
+    base = report["base_flag"] or {}
+    fixed_basis = fixed.get("fixed_fiber_basis", fixed.get("fixed_basis"))
+    for key, basis in (("fixed_direction", fixed_basis),
+                       ("terminal_direction", base.get("terminal_basis"))):
+        if key in exp:
+            ang = _angle(man, basis, exp[key]["value"])
+            record(key, ang < exp[key]["tol"], f"principal angle {ang:.2e}")
+    for key, got in (("base_trace_dims", base.get("dims")),
+                     ("parallel_frame", fb.get("parallel_frame")),
                      ("status", gv.get("status")),
                      ("rank_wm", gv.get("rank_wm")),
                      ("exit_code", exit_code)):
@@ -163,6 +171,20 @@ def check_report(expected: dict, report: dict, exit_code: int,
         record(f"phi_period[{want['loop']}]",
                abs(got - want["value"]) < want.get("tol", tol),
                f"period {got:.6f} vs {want['value']:.6f}")
+
+    # a matrix is in the base point's terminal basis, a golden in ``basis``
+    hols = {h["loop"]: h for h in report["holonomy"] or []}
+    for want in exp.get("holonomy", []):
+        h, err = hols.get(want["loop"], {"defect": math.nan}), math.nan
+        if "matrix" in h and base:
+            H = np.array(h["matrix"], dtype=float)
+            if "basis" in want:
+                C = _vectors(man.spec, want["basis"])(man.base_point)[0]
+                S = np.array(base["terminal_basis"], dtype=float).T @ C
+                H = np.linalg.solve(S, H @ S)
+            err = np.abs(H - np.array(want["matrix"])).max()
+        record(f"holonomy[{want['loop']}]", err < want["tol"],
+               f"entry err {err:.2e}, defect {h['defect']:.2e}")
     return checks
 
 
@@ -170,40 +192,18 @@ def run_entry(entry: CorpusEntry) -> list:
     """Run ``analyze`` on one entry and compare against its goldens, one
     check or more per key of the ``expected`` block.
 
-    The goldens a report answers are read from the report as written, by
-    :func:`check_report`; the rest from the analysis that report was built
-    from, so no stage runs twice.
+    The goldens a report answers, the controls' too, are read from the
+    report as written, by :func:`check_report`; only the transport checks
+    ``loop_transport`` and ``parallel_sections`` run outside it.
     """
     man = entry.manifest()
     spec, steps = man.spec, man.steps
-    an = man.analysis()
-    report = json.loads(b"".join(build_report(man, an)[1]))
+    report = _report(man)
     exp = entry.expected
     checks = check_report(exp, report, exit_code(report), man)
 
     def record(name, ok, detail):
         checks.append(CheckResult(name, bool(ok), detail))
-
-    if "base_trace_dims" in exp:
-        dims = an.base_trace.dims
-        record("base_trace_dims", dims == exp["base_trace_dims"]["value"],
-               f"dims={dims}")
-    if "terminal_direction" in exp:
-        ang = _angle(man, an.base_trace.terminal.basis,
-                     exp["terminal_direction"]["value"])
-        record("terminal_direction", ang < exp["terminal_direction"]["tol"],
-               f"principal angle {ang:.2e}")
-
-    for want in exp.get("holonomy", []):
-        h = next(x for x in an.holonomies if x.loop_name == want["loop"])
-        H = h.matrix
-        if "basis" in want:
-            C = _vectors(spec, want["basis"])(man.base_point)[0]
-            S = an.base_trace.terminal.basis.T @ C
-            H = np.linalg.solve(S, H @ S)
-        err = np.abs(H - np.array(want["matrix"])).max()
-        record(f"holonomy[{want['loop']}]", err < want["tol"],
-               f"entry err {err:.2e}, defect {h.defect:.2e}")
 
     if "loop_transport" in exp:
         want = exp["loop_transport"]
@@ -234,7 +234,9 @@ def run_entry(entry: CorpusEntry) -> list:
                f"{count} nodes, worst rel err {worst:.2e}")
 
     for i, ctrl in enumerate(exp.get("controls", [])):
-        fixed = entry.manifest(ctrl["params"]).analysis().fixed
-        record(f"control[{i}]", fixed.dim == ctrl["fixed_dim"],
-               f"params {ctrl['params']}: fixed dim {fixed.dim}")
+        rep = _report(entry.manifest(ctrl["params"]))
+        got = (rep["global_verdict"] or rep["flat_bundle"] or {}).get(
+            "fixed_dim")
+        record(f"control[{i}]", got == ctrl["fixed_dim"],
+               f"params {ctrl['params']}: fixed dim {got}")
     return checks

@@ -337,11 +337,15 @@ def manifest_from_dict(doc: dict) -> Manifest:
 
 
 def with_params(doc: dict, overrides: Optional[dict]) -> dict:
-    """``doc`` with ``overrides`` patched into its parameters, as a private
-    copy; ``doc`` itself when there are none."""
+    """``doc`` with ``overrides`` patched into its declared parameters, as a
+    private copy; ``doc`` itself when there are none."""
     if overrides:
+        params = doc.get("params")
+        for name in overrides:
+            if not isinstance(params, dict) or name not in params:
+                raise ManifestError(f"/params/{name}", "undeclared parameter")
         doc = json.loads(json.dumps(doc))
-        doc.setdefault("params", {}).update(overrides)
+        doc["params"].update(overrides)
     return doc
 
 

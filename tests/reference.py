@@ -322,10 +322,8 @@ def format_text(report: dict) -> str:
     chains = Counter(str(t["dims"]) for t in traces)
     for chain, count in chains.items():
         lines.append(f"  flag dims {chain} at {count} of {len(traces)} points")
-    hol = report.get("holonomy")
-    if hol:
-        for h in ([hol] if isinstance(hol, dict) else hol):
-            lines.append(f"  holonomy[{h['loop']}]: defect {h['defect']:.2e}")
+    for h in report.get("holonomy") or []:
+        lines.append(f"  holonomy[{h['loop']}]: defect {h['defect']:.2e}")
     gv = report.get("global_verdict")
     if gv:
         lines.append(f"  global status: {gv['status']} "
@@ -333,8 +331,8 @@ def format_text(report: dict) -> str:
                      f"wtilde rank {gv['wtilde_rank']})")
         if gv.get("phi_periods"):
             lines.append(f"  phi periods: {gv['phi_periods']['periods']}")
-        for n in gv.get("notes", []):
-            lines.append(f"  note: {n}")
+    for n in (gv or {}).get("notes", []) + report.get("notes", []):
+        lines.append(f"  note: {n}")
     fb = report.get("flat_bundle")
     if fb:
         lines.append(f"  flat bundle: rank {fb['wtilde_rank']}, fixed "

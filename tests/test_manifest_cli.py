@@ -179,12 +179,25 @@ SPHERE_GAMMA = get_entry("sphere").manifest_doc["connection"]["gamma"]
         SPHERE_GAMMA,
         theta=dict(SPHERE_GAMMA["theta"], **{"phi, phi": "0"}))}}, [],
      "/connection/gamma/theta/phi, phi"),
+    # an override of a name the manifest does not declare, as punctured-plane
+    # (which declares k) and flat-trivial (which declares none) take them
+    ({"params": {"k": 0.5}}, ["--param", "kk=0.5"], "/params/kk"),
+    ({}, ["--param", "k=1"], "/params/k"),
+    # an empty field, which used to shift the later coordinates left
+    ({}, ["--point", "1,,0.5"], "/point"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
     # each used to end in a traceback, be truncated without a message, or
-    # (rk4 true, read as 1) fail only in the transport
+    # (rk4 true, read as 1) fail only in the transport; the last three
+    # exited 0 after running on other inputs than those given
     _assert_manifest_error(tmp_path, capsys, "sphere", patch, argv, pointer)
+
+
+def test_corpus_control_rejects_an_undeclared_param():
+    # corpus controls patch parameters through the same rule as --param
+    with pytest.raises(ManifestError, match="^/params/kk: "):
+        get_entry("punctured-plane").manifest({"kk": 0.5})
 
 
 @pytest.mark.parametrize("entry, patch, argv, pointer", [
@@ -397,8 +410,11 @@ def test_cli_holonomy_command(tmp_path):
     code = main(["holonomy", str(man), "--loop", "circle", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    got = report["holonomy"]["matrix"][0][0]
-    assert abs(got - np.exp(-2 * np.pi)) < 1e-9
+    # the loop's one holonomy, in the basis of the base point's terminal line
+    h, = report["holonomy"]
+    assert h["loop"] == "circle"
+    assert abs(h["matrix"][0][0] - np.exp(-2 * np.pi)) < 1e-9
+    assert report["base_flag"]["terminal_dim"] == 1
 
 
 def test_cli_analyze_matrix_kind_reports_flat_bundle(tmp_path):
@@ -547,6 +563,10 @@ _REPORT_MUTATIONS = {
     "phi_periods": ("dtheta-obstruction",
                     ("global_verdict", "phi_periods", "periods", 0), 0.0),
     "exit_code": ("smooth-pathology", None, 0),
+    "base_trace_dims": ("sphere", ("base_flag", "dims", 0), 2),
+    "terminal_direction": ("sphere", ("base_flag", "terminal_basis"),
+                           [[0], [0], [1]]),
+    "holonomy": ("punctured-plane", ("holonomy", 0, "matrix", 0, 0), 2.0),
 }
 
 
@@ -568,14 +588,38 @@ def test_check_report_fails_exactly_the_mutated_golden(key):
     assert [_CHECKS_OF.get(n, n) for n in failed] == [key]
 
 
+_NULLED_READS = {"base_trace_dims", "terminal_direction", "holonomy"}
+
+
+@pytest.mark.parametrize("eid", ENTRY_IDS)
+def test_check_report_fails_the_goldens_of_a_null_base_flag(eid):
+    # the report of a failed holonomy stage: each golden read from the
+    # base-point flag or the holonomies fails, and none raises
+    entry = get_entry(eid)
+    man = entry.manifest()
+    report = json.loads(b"".join(build_report(man, man.analysis())[1]))
+    code = exit_code(report)
+    report["base_flag"] = report["holonomy"] = None
+    failed = {c.name.split("[")[0]
+              for c in check_report(entry.expected, report, code, man)
+              if not c.ok}
+    assert failed == _NULLED_READS & set(entry.expected)
+
+
 def test_corpus_checks_the_written_report(monkeypatch, capsys):
-    # a wrong status in the written report fails the run, though the
-    # analysis it was written from holds the right one
-    verdict_dict = cli._verdict_dict
+    # a wrong status or base-point flag in the written report fails the
+    # run, though the analysis it was written from holds the right one
+    verdict_dict, trace_dict = cli._verdict_dict, cli._trace_dict
     monkeypatch.setattr(cli, "_verdict_dict",
                         lambda v: dict(verdict_dict(v), status="not_metric"))
     assert main(["corpus", "--id", "sphere"]) == 1
     assert "FAIL sphere.status: " in capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_trace_dict",
+                        lambda t: dict(trace_dict(t), dims=[2, 1]))
+    assert main(["corpus", "--id", "sphere"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 1 and "FAIL sphere.base_trace_dims: " in out
 
 
 def test_matrix_kind_holonomy_failure_exits_two(tmp_path):

@@ -43,20 +43,30 @@ def test_shipped_manifests_validate_against_manifest_schema():
 
 @pytest.mark.parametrize("command,extra", [
     ("analyze", []),
-    ("flag", ["--point", "0.5"]),
+    ("flag", ["--point"]),
+    ("holonomy", ["--loop"]),
 ])
 def test_emitted_reports_validate_against_report_schema(tmp_path, command,
                                                         extra):
+    # every corpus entry (flag: at its base point; holonomy: on each loop),
+    # and a base point off the regular grid's flag, where the holonomy
+    # stage fails
     schema = load_schema("report")
-    from paracon.corpus import get_entry
-    doc = dict(get_entry("smooth-pathology").manifest_doc)
-    doc.pop("expected", None)
-    man = tmp_path / "m.json"
-    man.write_text(json.dumps(doc))
-    out = tmp_path / f"{command}.json"
-    code = main([command, str(man), "--out", str(out)] + extra)
-    assert code in (0, 2)
-    validate(json.loads(out.read_text()), schema, command)
+    man, out = tmp_path / "m.json", tmp_path / f"{command}.json"
+    for doc in [e.manifest_doc for e in load_corpus()] + [IRREGULAR_LOOP]:
+        point = ",".join(repr(float(v)) for v in doc["base_point"])
+        tails = {"analyze": [[]], "flag": [[point]],
+                 "holonomy": [[loop["name"]] for loop in doc["loops"]]}
+        man.write_text(json.dumps(
+            {k: v for k, v in doc.items() if k != "expected"}))
+        for tail in tails[command]:
+            code = main([command, str(man), "--out", str(out)] + extra + tail)
+            assert code in (0, 2)
+            report = json.loads(out.read_text())
+            validate(report, schema, f"{doc['id']}/{command}")
+            if command != "flag":
+                assert ((report["base_flag"] is None)
+                        == (doc is IRREGULAR_LOOP))
 
 
 def test_matrix_kind_report_validates(tmp_path):
@@ -88,7 +98,8 @@ def test_step_doubling_fields_validate(tmp_path, command, extra):
     report = json.loads(out.read_text())
     validate(report, schema, command)
     hol = report["holonomy"]
-    for h in hol if command == "analyze" else [hol]:
+    assert len(hol) == (2 if command == "analyze" else 1)
+    for h in hol:
         assert 256 <= h["steps"] <= 4096
     if command == "analyze":
         pp = report["global_verdict"]["phi_periods"]
@@ -142,13 +153,23 @@ def test_base_flag_differing_from_regular_grid_is_inconclusive(tmp_path):
     assert report["holonomy"] is None
 
 
+IRREGULAR_LOOP = dict(IRREGULAR_BASE, loops=[{
+    "name": "c", "exprs": ["0.00001 + 0.5*sin(t)", "0.5 - 0.5*cos(t)"],
+    "t_range": [0.0, 6.283185307179586]}])
+
+
 def test_irregular_base_point_holonomy_exits_two(tmp_path, capsys):
-    doc = dict(IRREGULAR_BASE, loops=[{
-        "name": "c", "exprs": ["0.00001 + 0.5*sin(t)", "0.5 - 0.5*cos(t)"],
-        "t_range": [0.0, 6.283185307179586]}])
     man = tmp_path / "m.json"
-    man.write_text(json.dumps(doc))
+    man.write_text(json.dumps(IRREGULAR_LOOP))
     out = tmp_path / "h.json"
-    assert main(["holonomy", str(man), "--loop", "c", "--out", str(out)]) == 2
-    assert "irregular" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["holonomy", str(man), "--loop", "c", "--out", str(out),
+                 "--format", "text"]) == 2
+    text, err = capsys.readouterr()
+    assert err == "" and "  note: holonomy stage failed: " in text
+    # the failure is written into the report, as analyze writes it
+    report = json.loads(out.read_text())
+    validate(report, load_schema("report"), "holonomy")
+    assert report["holonomy"] is None and report["base_flag"] is None
+    note, = report["notes"]
+    assert note.startswith("holonomy stage failed: ")
+    assert "terminal dim 1 != 3 on the regular grid" in note
