@@ -363,6 +363,8 @@ def _parse_point(text: str, man: Manifest):
     except ValueError:
         raise ManifestError("/point", f"expected numbers, got {text!r}") \
             from None
+    if not all(map(math.isfinite, parts)):
+        raise ManifestError("/point", f"expected finite numbers, got {text!r}")
     dim = man.domain.dim
     if not 1 <= len(parts) <= dim:
         raise ManifestError("/point", f"expected 1..{dim} coordinates")

@@ -1,14 +1,14 @@
-"""Global metricity: the rank-1 de Rham period obstruction and the general
-regular case via holonomy-fixed subspaces plus positive-definite feasibility.
+"""Global metricity: holonomy-fixed subspaces plus positive-definite
+feasibility, checked at rank one by the de Rham periods.
 
 For a regular connection, the global parallel sections of the terminal
 subspace are the vectors fixed by every declared holonomy generator; the
 connection is globally metric exactly when that fixed space meets the open
-positive-definite cone.  When the terminal subspace has rank one and a
-positive-definite generator, the same question is answered by vanishing of
-the periods of the 1-form defined by ``nabla s = s (x) Phi``, which is the
-frame-free trace form ``tr(P Omega)`` of the projector P on the terminal
-subspace, and the two criteria are cross-checked against each other.
+positive-definite cone, the only decision made.  On a rank-one terminal
+line, the periods of the 1-form of ``nabla s = s (x) Phi``, the frame-free
+trace form ``tr(P Omega)`` of the projector P on the line, give each loop's
+holonomy again by Liouville's formula ``|det H| = exp(-period)``; values
+that disagree beyond their error estimates make the verdict inconclusive.
 
 Everything here is conditional on the declared loops generating the
 fundamental group of the chart domain, which the tool cannot verify; every
@@ -82,9 +82,6 @@ class PhiPeriods:
     points: list  # per-loop m, the points of the kept level
     # per-loop |P_m - P_{m/2}|; None where one level was run
     error_estimates: list
-
-    def max_abs(self):
-        return max((abs(p) for p in self.periods), default=0.0)
 
 
 def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
@@ -231,7 +228,7 @@ class Analysis:
     ``local`` (local metricity at every grid point, one batched call),
     ``base_trace`` (flag at the base point), ``holonomies`` (one per declared
     loop), ``fixed`` (their common fixed subspace) and ``verdict`` (PD
-    feasibility of the fixed space and the rank-one period cross-check).
+    feasibility of the fixed space, checked at rank one by the periods).
     Reading a stage runs the stages it needs first.  ``rank_tol``,
     ``fixed_tol`` and ``pd_tol`` set the rank and PD decisions;
     ``holonomy_tol`` bounds each holonomy's defect.  ``rk4_steps`` and
@@ -311,13 +308,13 @@ class Analysis:
 
 
 def global_metricity(an: Analysis) -> GlobalVerdict:
-    """The verdict of ``an``: PD feasibility of the holonomy-fixed subspace,
-    cross-checked on a rank-one terminal line by the Phi periods.
+    """The verdict of ``an``: PD feasibility of the holonomy-fixed subspace.
 
     Regularity on the sample grid is a precondition of the global theory;
     any dimension jump short-circuits to ``not_regular``.  An irregular
-    base-point flag, a holonomy defect above ``holonomy_tol`` or periods
-    that disagree with the holonomy criterion end in ``inconclusive``.
+    base-point flag, a holonomy defect above ``holonomy_tol`` or, on a
+    rank-one line (definite or not), a holonomy that breaks Liouville's
+    formula with its Phi period ends in ``inconclusive``.
     """
     spec = an.spec
     if spec.kind != "christoffel":
@@ -362,37 +359,32 @@ def global_metricity(an: Analysis) -> GlobalVerdict:
     phi = None
     period_tols = []
     if wrank == 1 and an.loops:
-        # a Christoffel connection moves the line by congruence, so a PD
-        # generator stays PD along every loop; an indefinite one need
-        # not.  pd_res decided a fixed space that is the whole line
-        line = (pd_res if m == 1 else pdcone.pd_feasible(
-            spec.sym.to_matrix(trace.terminal.basis.T), tol=an.pd_tol))
-        if line.status != "feasible":
-            notes.append(
-                "de Rham route skipped: terminal generator is not "
-                "positive-definite; the connection is not locally metric "
-                "at the base point")
+        tols = [(an.period_tol if an.period_tol is not None
+                 else 1e-4 * (1.0 + loop.length()))
+                for loop in an.loops]
+        try:
+            phi = phi_periods(spec, an.loops, an.quadrature_steps,
+                              rank_tol=an.rank_tol,
+                              target=[_TARGET_FRACTION * t for t in tols])
+        except IrregularPoint as exc:
+            notes.append(f"de Rham route failed: {exc}")
         else:
-            tols = [(an.period_tol if an.period_tol is not None
-                     else 1e-4 * (1.0 + loop.length()))
-                    for loop in an.loops]
-            try:
-                phi = phi_periods(spec, an.loops, an.quadrature_steps,
-                                  rank_tol=an.rank_tol,
-                                  target=[_TARGET_FRACTION * t for t in tols])
-            except IrregularPoint as exc:
-                notes.append(f"de Rham route failed: {exc}")
-            else:
-                period_tols = tols
-                periods_zero = all(abs(p) < tol
-                                   for p, tol in zip(phi.periods, tols))
-                if (status in ("metric", "not_metric")
-                        and periods_zero != (status == "metric")):
-                    notes.append(
-                        "rank-one period criterion disagrees with the "
-                        "holonomy criterion; downgrading to inconclusive")
-                    status = "inconclusive"
-                    rank_wm = 0
+            period_tols = tols
+            # Liouville: |det H| = exp(-period) within fixed_tol and the two
+            # error estimates (a missing one counts as 0).  H is finite, so
+            # an exp(-period) past the float range never agrees with it
+            with np.errstate(over="ignore"):
+                lines = np.exp(-np.array(phi.periods)).tolist()
+            failing = [repr(h.loop_name) for h, line, err in zip(
+                an.holonomies, lines, phi.error_estimates)
+                if not (line < np.inf and abs(abs(h.matrix[0, 0]) - line)
+                        <= an.fixed_tol + (h.error_estimate or 0.0)
+                        + (err or 0.0) * line)]
+            if failing:
+                notes.append(f"on loops {', '.join(failing)}, |det H| and "
+                             "exp(-period) differ beyond their error "
+                             "estimates; downgrading to inconclusive")
+                status, rank_wm = "inconclusive", 0
 
     return GlobalVerdict(status, True, wtilde_rank=wrank,
                          fixed=fixed, fixed_fiber_basis=fiber_basis,

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -32,14 +32,11 @@ __all__ = ["Manifest", "ManifestError", "load_manifest", "manifest_from_dict",
            "manifest_digest", "with_params", "load_schema", "validate",
            "MANIFEST_SCHEMA", "DEFAULT_TOLERANCES", "DEFAULT_STEPS"]
 
-DEFAULT_TOLERANCES = {
-    "rank_tol": 1e-7,
-    "holonomy_tol": 1e-5,
-    "period_tol": None,      # None -> 1e-4 * (1 + loop length)
-    "pd_tol": 1e-8,
-    "fixed_tol": 1e-6,
-}
-DEFAULT_STEPS = {"rk4": 4096, "quadrature": 4096}
+# the defaults of Analysis, split into the manifest's two blocks
+DEFAULT_TOLERANCES = {f.name: f.default for f in fields(Analysis)
+                      if f.default is not MISSING}
+DEFAULT_STEPS = {"rk4": DEFAULT_TOLERANCES.pop("rk4_steps"),
+                 "quadrature": DEFAULT_TOLERANCES.pop("quadrature_steps")}
 _GRID_INSET = 0.1
 
 

@@ -147,7 +147,8 @@ def _compose(E: np.ndarray) -> np.ndarray:
 def transport(spec: ConnectionSpec, curve: Curve, v0,
               steps: int = 4096) -> np.ndarray:
     """Parallel transport of a fiber vector (or basis matrix) along a curve;
-    the transported vector (or matrix)."""
+    the transported vector (or matrix).  A transport that overflows raises
+    :class:`DefectTooLarge`."""
     if steps < MIN_RK4_STEPS:
         raise TransportError(f"at least {MIN_RK4_STEPS} RK4 steps required")
     v = np.asarray(v0, dtype=float)
@@ -156,11 +157,15 @@ def transport(spec: ConnectionSpec, curve: Curve, v0,
         v = v[:, None]
     ts = np.linspace(curve.t0, curve.t1, 2 * steps + 1)
     h = (curve.t1 - curve.t0) / steps
-    for start in range(0, steps, _CHUNK):
-        stop = min(start + _CHUNK, steps)
-        nA = _generators(spec, curve, ts[2 * start:2 * stop + 1])
-        np.negative(nA, out=nA)
-        v = v + _compose(_step_maps(nA, h)) @ v
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once below
+        for start in range(0, steps, _CHUNK):
+            stop = min(start + _CHUNK, steps)
+            nA = _generators(spec, curve, ts[2 * start:2 * stop + 1])
+            np.negative(nA, out=nA)
+            v = v + _compose(_step_maps(nA, h)) @ v
+    if not np.isfinite(v).all():
+        raise DefectTooLarge(f"transport along '{curve.name}' overflowed: "
+                             "the transported vector is not finite")
     return v[:, 0] if single else v
 
 

@@ -185,6 +185,11 @@ SPHERE_GAMMA = get_entry("sphere").manifest_doc["connection"]["gamma"]
     ({}, ["--param", "k=1"], "/params/k"),
     # an empty field, which used to shift the later coordinates left
     ({}, ["--point", "1,,0.5"], "/point"),
+    # non-finite coordinates, which were reported as outside the chart box
+    # (a NaN on the periodic axis once passed that check)
+    ({}, ["--point", "nan"], "/point"),
+    ({}, ["--point", "1e400,0"], "/point"),
+    ({}, ["--point", "1,nan"], "/point"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
@@ -239,15 +244,6 @@ def test_cli_rejects_an_undeclared_formula_name(tmp_path, capsys, entry,
     # a connection or excluded-set formula failed without a pointer, and a
     # loop formula only in the transport, as an unbound name
     _assert_manifest_error(tmp_path, capsys, entry, patch, [], pointer)
-
-
-def test_cli_flag_rejects_a_non_finite_point(tmp_path, capsys):
-    # a NaN on the periodic axis passed the box check and was reported
-    path = _write_manifest(tmp_path, "sphere")
-    assert main(["flag", str(path), "--point", "1,nan",
-                 "--out", str(tmp_path / "f.json")]) == 1
-    assert capsys.readouterr().err.startswith("error: point [1.0, nan] ")
-    assert not (tmp_path / "f.json").exists()
 
 
 def test_cli_flag_rejects_a_point_where_an_excluded_set_is_undefined(
@@ -640,6 +636,35 @@ def test_matrix_kind_holonomy_failure_exits_two(tmp_path):
     note, = report["notes"]
     assert note.startswith("holonomy stage failed: ")
     assert note.endswith("terminal dim 3 != 2 on the regular grid")
+
+
+@pytest.mark.parametrize("entry, patch", [
+    # H = exp(4 pi 57) and exp(240 pi), each above the float maximum
+    ("s1-line-bundle", {"connection": {"kind": "matrix", "fiber_dim": 1,
+                                       "omega": [[["-120"]]]}}),
+    ("s1-line-bundle", {
+        "coords": [{"name": "theta", "range": [0.0, 2 * np.pi],
+                    "period": 2 * np.pi}],
+        "connection": {"kind": "christoffel",
+                       "gamma": {"theta": {"theta,theta": "57"}}},
+        "loops": [{"name": "t", "exprs": ["t"], "t_range": [0.0, 2 * np.pi]}],
+        "grid": {"values": [[0.5, 2.0, 3.5, 5.0]]}}),
+], ids=["matrix", "christoffel"])
+def test_overflowing_holonomy_fails_the_holonomy_stage(tmp_path, entry,
+                                                       patch):
+    # the transported basis overflowed, and the defect's SVD raised a
+    # LinAlgError, after both doubling levels ran to the cap on NaN
+    # estimates; no overflow warning escapes either
+    doc = dict(get_entry(entry).manifest_doc, **patch)
+    doc.pop("expected")
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    report = json.loads(out.read_bytes())
+    assert report["holonomy"] is None
+    note, = report["notes"]
+    assert note.startswith("holonomy stage failed: transport along ")
+    assert note.endswith(" overflowed: the transported vector is not finite")
 
 
 def test_cli_corpus_unknown_id(capsys):
