@@ -1,9 +1,9 @@
 """Command-line interface: manifest ingestion, command dispatch, report emission.
 
-Commands: ``analyze`` (full pipeline), ``flag --point``, ``holonomy --loop``
-and ``corpus --id`` (golden-value run, checked against the ``analyze``
-report).  Exit codes: 0 for a completed run with a definite answer, 2 for a
-completed run without one (see :func:`exit_code`), 1 for errors.
+Commands: ``analyze`` (full pipeline), ``flag --point`` and ``corpus --id``
+(golden-value run, checked against the ``analyze`` report).  Exit codes: 0
+for a completed run with a definite answer, 2 for a completed run without
+one (see :func:`exit_code`), 1 for errors.
 
 Reports are canonical JSON: UTF-8, lower_snake_case keys sorted, reals in
 shortest round-trip decimal form.  A report is a pure function of
@@ -42,6 +42,8 @@ __all__ = ["main", "run", "build_report", "exit_code", "canonical_json",
 
 MATRIX_KIND_CAVEAT = ("fiber is an abstract bundle (kind=matrix): the metric "
                       "question is not posed; reporting flat-bundle data only")
+FLAT_BUNDLE_NOT_POSED = ("terminal dimension varies over the sample grid; the "
+                         "flat-bundle question is not posed")
 
 
 @dataclass
@@ -240,27 +242,14 @@ def _header(man: Manifest, command: str, caveats: list) -> dict:
             "caveats": caveats}
 
 
-def _holonomies(report: dict, an: Analysis):
-    """Write ``an``'s ``base_flag`` and ``holonomy``, or null and a note."""
-    try:
-        report["base_flag"] = None
-        report["base_flag"] = _trace_dict(an.base_trace)
-        report["holonomy"] = [
-            {"loop": h.loop_name, "matrix": h.matrix, "defect": h.defect,
-             "steps": h.steps, "error_estimate": h.error_estimate}
-            for h in an.holonomies]
-    except (IrregularPoint, DefectTooLarge) as exc:
-        report["holonomy"] = None
-        report["notes"] = [f"holonomy stage failed: {exc}"]
-
-
 def exit_code(report: dict) -> int:
-    """Exit code of a completed ``analyze`` or ``holonomy`` run, read from
-    its report: 2 when it gives no definite answer (the holonomy stage
-    failed, or the Sym^2 verdict is inconclusive or not regular); else 0."""
+    """Exit code of a completed ``analyze`` run, read from its report: 2
+    when it gives no definite answer (the grid is not regular, the holonomy
+    stage failed or the Sym^2 verdict is inconclusive); else 0."""
     status = (report.get("global_verdict") or {}).get("status")
-    return 2 if report["holonomy"] is None or status in (
-        "inconclusive", "not_regular") else 0
+    return 2 if (not report["regularity"]["regular_on_grid"]
+                 or report["holonomy"] is None
+                 or status == "inconclusive") else 0
 
 
 def build_report(man: Manifest, an: Analysis) -> tuple:
@@ -283,7 +272,16 @@ def build_report(man: Manifest, an: Analysis) -> tuple:
         report["local_metricity"] = Rows({
             "point": scan.points, "locally_metric": status == "feasible",
             "status": status, "best_lambda": best})
-    _holonomies(report, an)
+    try:
+        report["base_flag"] = None
+        report["base_flag"] = _trace_dict(an.base_trace)
+        report["holonomy"] = [
+            {"loop": h.loop_name, "matrix": h.matrix, "defect": h.defect,
+             "steps": h.steps, "error_estimate": h.error_estimate}
+            for h in an.holonomies]
+    except (IrregularPoint, DefectTooLarge) as exc:
+        report["holonomy"] = None
+        report["notes"] = [f"holonomy stage failed: {exc}"]
 
     if verdict is not None:
         report["global_verdict"] = _verdict_dict(verdict)
@@ -291,7 +289,9 @@ def build_report(man: Manifest, an: Analysis) -> tuple:
         # abstract fiber: report the flat-bundle answer instead
         report["caveats"].append(MATRIX_KIND_CAVEAT)
         report["global_verdict"] = report["flat_bundle"] = None
-        if report["holonomy"] is not None:
+        if not scan.regular_on_grid:
+            report.setdefault("notes", []).append(FLAT_BUNDLE_NOT_POSED)
+        elif report["holonomy"] is not None:
             terminal, fixed = an.base_trace.terminal, an.fixed
             report["flat_bundle"] = {
                 "wtilde_rank": terminal.dim,
@@ -333,7 +333,9 @@ def _format_text(report: dict) -> str:
                      f"wtilde rank {gv['wtilde_rank']})")
         if gv.get("phi_periods"):
             lines.append(f"  phi periods: {gv['phi_periods']['periods']}")
-    for n in (gv or {}).get("notes", []) + report.get("notes", []):
+    # a failed holonomy stage's one note is in both blocks; print it once
+    for n in dict.fromkeys((gv or {}).get("notes", [])
+                           + report.get("notes", [])):
         lines.append(f"  note: {n}")
     fb = report.get("flat_bundle")
     if fb:
@@ -404,16 +406,6 @@ def run(command: str, manifest_path: str, args) -> int:
         _write_report(report, _finalize(report), args.out, args.format)
         return 0
 
-    if command == "holonomy":
-        loop = next((l for l in man.loops if l.name == args.loop), None)
-        if loop is None:
-            print(f"no loop named {args.loop!r} in manifest", file=sys.stderr)
-            return 1
-        report = _header(man, "holonomy", [CHART_ONLY_CAVEAT])
-        _holonomies(report, man.analysis([loop]))
-        _write_report(report, _finalize(report), args.out, args.format)
-        return exit_code(report)
-
     an = man.analysis()
     report, pieces = build_report(man, an)
     for name, seconds in an.timings:
@@ -466,9 +458,6 @@ def _parser() -> argparse.ArgumentParser:
     common(p_flag)
     p_flag.add_argument("--point", required=True,
                         help="comma-separated coordinates")
-    p_hol = sub.add_parser("holonomy", help="holonomy of one declared loop")
-    common(p_hol)
-    p_hol.add_argument("--loop", required=True, help="loop name")
     p_cor = sub.add_parser("corpus", help="run a built-in golden entry")
     p_cor.add_argument("--id", required=True, help="corpus entry id")
 

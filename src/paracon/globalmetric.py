@@ -33,7 +33,7 @@ from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
                         doubling_levels, holonomy_matrix, refine)
 
 __all__ = [
-    "GlobalError", "PhiPeriods", "GlobalVerdict", "Analysis", "phi_form",
+    "PhiPeriods", "GlobalVerdict", "Analysis", "phi_form",
     "phi_periods", "fixed_subspace", "global_metricity",
     "LOOP_GENERATION_CAVEAT", "CHART_ONLY_CAVEAT", "DEFAULT_FIXED_TOL",
 ]
@@ -48,10 +48,6 @@ LOOP_GENERATION_CAVEAT = (
     "chart domain; the tool cannot verify generation")
 CHART_ONLY_CAVEAT = (
     "verdict certified on the declared coordinate chart only")
-
-
-class GlobalError(RuntimeError):
-    pass
 
 
 def phi_form(spec: ConnectionSpec, points,
@@ -106,8 +102,6 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
     targets = target if np.ndim(target) else [target] * len(loops)
     out, grids = PhiPeriods([], [], [], [], []), []
     for loop, tgt in zip(loops, targets, strict=True):
-        if not loop.closed:
-            raise GlobalError(f"loop '{loop.name}' is not closed")
         ts = np.linspace(loop.t0, loop.t1, quadrature_steps, endpoint=False)
         m = ([quadrature_steps] if tgt is None
              else doubling_levels(quadrature_steps))[:2][-1]
@@ -148,31 +142,20 @@ def phi_periods(spec: ConnectionSpec, loops: Sequence[Curve],
     return out
 
 
-def fixed_subspace(holonomies: Sequence[HolonomyResult],
-                   dim: Optional[int] = None,
+def fixed_subspace(holonomies: Sequence[HolonomyResult], dim: int,
                    rank_tol: float = DEFAULT_RANK_TOL,
                    fixed_tol: float = DEFAULT_FIXED_TOL) -> Subspace:
-    """Common fixed vectors of the holonomy matrices, in terminal coordinates.
+    """Common fixed vectors of the (dim, dim) holonomy matrices, in terminal
+    coordinates.
 
     With no declared loops the domain is taken as simply connected and the
     full terminal subspace is returned.  ``fixed_tol`` is an absolute floor
     on the rank decision for ``H - I``, sized to sit above the integrator
     noise carried by the holonomy matrices.
     """
-    if not holonomies:
-        if dim is None:
-            raise GlobalError("dim required when no holonomies are given")
+    if not holonomies or dim == 0:
         return Subspace.full(dim)
-    d = holonomies[0].matrix.shape[0]
-    base = holonomies[0].base_point
-    for h in holonomies:
-        if h.matrix.shape != (d, d):
-            raise GlobalError("holonomy matrices must share one basis")
-        if np.max(np.abs(h.base_point - base)) > 1e-9:
-            raise GlobalError("holonomy matrices must share the base point")
-    if d == 0:
-        return Subspace(0, np.zeros((0, 0)))
-    mats = [h.matrix - np.eye(d) for h in holonomies]
+    mats = [h.matrix - np.eye(dim) for h in holonomies]
     return kernel_intersection(mats, rank_tol, abs_floor=fixed_tol)
 
 
@@ -229,7 +212,8 @@ class Analysis:
     ``base_trace`` (flag at the base point), ``holonomies`` (one per declared
     loop), ``fixed`` (their common fixed subspace) and ``verdict`` (PD
     feasibility of the fixed space, checked at rank one by the periods).
-    Reading a stage runs the stages it needs first.  ``rank_tol``,
+    Reading a stage runs the stages it needs first.  Each loop is closed
+    and starts at ``point``, as the manifest checks.  ``rank_tol``,
     ``fixed_tol`` and ``pd_tol`` set the rank and PD decisions;
     ``holonomy_tol`` bounds each holonomy's defect.  ``rk4_steps`` and
     ``quadrature_steps`` cap :func:`transport.refine`, whose target is 1e-3
@@ -288,7 +272,7 @@ class Analysis:
         """Holonomy of the terminal subspace around each declared loop."""
         trace = self.base_trace
         target = _TARGET_FRACTION * min(self.fixed_tol, self.holonomy_tol)
-        return [holonomy_matrix(self.spec, trace.point, trace.terminal, loop,
+        return [holonomy_matrix(self.spec, trace.terminal, loop,
                                 self.rk4_steps, self.holonomy_tol,
                                 target=target)
                 for loop in self.loops]
@@ -296,10 +280,8 @@ class Analysis:
     @_stage
     def fixed(self) -> Subspace:
         """Common fixed subspace of the holonomies, in terminal coordinates."""
-        return fixed_subspace(self.holonomies,
-                              dim=self.base_trace.terminal.dim,
-                              rank_tol=self.rank_tol,
-                              fixed_tol=self.fixed_tol)
+        return fixed_subspace(self.holonomies, self.base_trace.terminal.dim,
+                              self.rank_tol, self.fixed_tol)
 
     @_stage
     def verdict(self) -> GlobalVerdict:
@@ -311,10 +293,11 @@ def global_metricity(an: Analysis) -> GlobalVerdict:
     """The verdict of ``an``: PD feasibility of the holonomy-fixed subspace.
 
     Regularity on the sample grid is a precondition of the global theory;
-    any dimension jump short-circuits to ``not_regular``.  An irregular
-    base-point flag, a holonomy defect above ``holonomy_tol`` or, on a
-    rank-one line (definite or not), a holonomy that breaks Liouville's
-    formula with its Phi period ends in ``inconclusive``.
+    any dimension jump short-circuits to ``not_regular``.  A failed holonomy
+    stage (an irregular base-point flag, or a transport that overflows or
+    leaves the terminal subspace by ``holonomy_tol``) or, on a rank-one line
+    (definite or not), a holonomy that breaks Liouville's formula with its
+    Phi period ends in ``inconclusive``.
     """
     spec = an.spec
     if spec.kind != "christoffel":
@@ -323,22 +306,19 @@ def global_metricity(an: Analysis) -> GlobalVerdict:
         return GlobalVerdict("not_regular", False, notes=[
             "terminal dimension varies over the sample grid; the global "
             "existence problem is not posed"])
+    wrank = None  # until the base-point flag is known
     try:
         trace = an.base_trace
-    except IrregularPoint as exc:
-        return GlobalVerdict("inconclusive", True,
-                             notes=[f"base-point flag failed: {exc}"])
-    wrank = trace.terminal.dim
+        wrank = trace.terminal.dim
+        fixed = an.fixed
+    except (IrregularPoint, DefectTooLarge) as exc:
+        return GlobalVerdict("inconclusive", True, wtilde_rank=wrank,
+                             notes=[f"holonomy stage failed: {exc}"])
     if wrank == 0:
         return GlobalVerdict("not_metric", True, wtilde_rank=0,
                              rank_tau_reported=0, notes=[
                                  "terminal subspace is zero: no nonzero "
                                  "parallel sections exist even locally"])
-    try:
-        fixed = an.fixed
-    except DefectTooLarge as exc:
-        return GlobalVerdict("inconclusive", True, wtilde_rank=wrank, notes=[
-            f"holonomy defect exceeded tolerance: {exc}"])
     notes = []
     # (N, m), a function of the fixed span alone: noise in H must not flip
     # or rotate the basis that the PD screen starts from and reports

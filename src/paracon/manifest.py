@@ -158,10 +158,9 @@ class Manifest:
     def digest(self) -> str:
         return manifest_digest(self.raw)
 
-    def analysis(self, loops: Optional[list] = None) -> Analysis:
-        """The staged pipeline of this manifest, around ``loops`` if given."""
-        return Analysis(self.spec, self.base_point,
-                        self.loops if loops is None else loops,
+    def analysis(self) -> Analysis:
+        """The staged pipeline of this manifest."""
+        return Analysis(self.spec, self.base_point, self.loops,
                         self.grid_axes, **self.tolerances,
                         rk4_steps=self.steps["rk4"],
                         quadrature_steps=self.steps["quadrature"])

@@ -28,15 +28,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bundle import (ConnectionSpec, Domain, check_names, check_params,
-                     omega_stack)
+from .bundle import (ConnectionSpec, Domain, PointOutsideDomain, check_names,
+                     check_params, omega_stack)
 from .expr import Binary, Expr, Name, compile_expr, diff
 from .flag import Subspace
 
 __all__ = [
     "Curve", "HolonomyResult", "TransportError", "MIN_RK4_STEPS",
-    "CurveNotClosed", "DefectTooLarge", "transport", "holonomy_matrix",
-    "parallel_extend", "doubling_levels", "refine",
+    "DefectTooLarge", "transport", "holonomy_matrix", "parallel_extend",
+    "doubling_levels", "refine",
 ]
 
 _CLOSURE_TOL = 1e-9
@@ -50,10 +50,6 @@ _FIRST_LEVEL = 128
 
 
 class TransportError(RuntimeError):
-    pass
-
-
-class CurveNotClosed(TransportError):
     pass
 
 
@@ -116,9 +112,14 @@ class Curve:
 
 
 def _generators(spec: ConnectionSpec, curve: Curve, ts) -> np.ndarray:
-    """A(t) at the parameters ``ts``; shape (len(ts), N, N)."""
+    """A(t) at the parameters ``ts``; shape (len(ts), N, N).  A point
+    outside the domain raises :class:`PointOutsideDomain` naming the curve."""
     pts = curve.points(ts)
-    spec.domain.require_admissible(pts, spec.params)
+    try:
+        spec.domain.require_admissible(pts, spec.params)
+    except PointOutsideDomain as exc:
+        exc.args = (f"transport along '{curve.name}' left the domain: {exc}",)
+        raise
     vel = curve.velocities(ts)
     omega = omega_stack(spec, pts)  # (m, n, N, N)
     return np.einsum("mk,mkab->mab", vel, omega)
@@ -201,7 +202,6 @@ def refine(cap: int, target: Optional[float], evaluate, estimate) -> tuple:
 
 @dataclass
 class HolonomyResult:
-    base_point: np.ndarray
     loop_name: str
     matrix: np.ndarray  # (d, d) in the terminal-subspace basis
     defect: float
@@ -210,10 +210,11 @@ class HolonomyResult:
     error_estimate: Optional[float] = None
 
 
-def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
+def holonomy_matrix(spec: ConnectionSpec, wtilde: Subspace, loop: Curve,
                     steps: int = 4096, holonomy_tol: float = 1e-5, *,
                     target: Optional[float] = None) -> HolonomyResult:
-    """Transport of the terminal basis around a loop, expressed in that basis.
+    """Transport of the terminal basis around a closed loop, expressed in
+    that basis; ``wtilde`` is the terminal subspace at the loop's start.
 
     Without a ``target`` the transport takes exactly ``steps`` RK4 steps.
     With one, ``steps`` is the cap of :func:`refine`.  The reprojection
@@ -221,11 +222,6 @@ def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
     the subspace; a large defect indicates irregularity or tolerance
     failure and raises :class:`DefectTooLarge`.
     """
-    p = np.asarray(point, dtype=float)
-    if not loop.closed:
-        raise CurveNotClosed(f"loop '{loop.name}' is not closed")
-    if not loop.starts_at(p):
-        raise TransportError("loop must start at the base point")
     B = wtilde.basis
     T, s, estimate = refine(
         steps, target, lambda level, coarse: transport(spec, loop, B, level),
@@ -235,7 +231,7 @@ def holonomy_matrix(spec: ConnectionSpec, point, wtilde: Subspace, loop: Curve,
     if defect >= holonomy_tol:
         raise DefectTooLarge(
             f"transport left the terminal subspace (defect {defect:.3e})")
-    return HolonomyResult(p, loop.name, H, defect, s, estimate)
+    return HolonomyResult(loop.name, H, defect, s, estimate)
 
 
 def parallel_extend(spec: ConnectionSpec, point, w, radius: float,

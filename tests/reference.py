@@ -331,7 +331,9 @@ def format_text(report: dict) -> str:
                      f"wtilde rank {gv['wtilde_rank']})")
         if gv.get("phi_periods"):
             lines.append(f"  phi periods: {gv['phi_periods']['periods']}")
-    for n in (gv or {}).get("notes", []) + report.get("notes", []):
+    # a failed holonomy stage's one note is in both blocks; print it once
+    for n in dict.fromkeys((gv or {}).get("notes", [])
+                           + report.get("notes", [])):
         lines.append(f"  note: {n}")
     fb = report.get("flat_bundle")
     if fb:

@@ -75,7 +75,7 @@ def test_criterion_3_scalar_holonomy_decay():
     rel = abs(out[0] - want) / want
     assert rel < 1e-6
     tr = derived_flag(man.spec, man.base_point)
-    h = holonomy_matrix(man.spec, man.base_point, tr.terminal, loop, 4096)
+    h = holonomy_matrix(man.spec, tr.terminal, loop, 4096)
     fixed = fixed_subspace([h], dim=tr.terminal.dim)
     assert fixed.dim == 0
     assert fixed.dim < tr.terminal.dim  # no global parallel frame
@@ -91,8 +91,7 @@ def test_criterion_4_punctured_plane_pipeline_and_control():
 
     tr = derived_flag(man.spec, man.base_point)
     loop = man.loops[0]
-    h = holonomy_matrix(man.spec, man.base_point, tr.terminal, loop,
-                        man.steps["rk4"])
+    h = holonomy_matrix(man.spec, tr.terminal, loop, man.steps["rk4"])
     k = 0.3
     C = np.array([[1.0, 0.0, 1.0 / k],
                   [k * k, 0.0, -k],
@@ -123,8 +122,8 @@ def test_criterion_4_punctured_plane_pipeline_and_control():
 
     man5 = entry.manifest({"k": 0.5})
     tr5 = derived_flag(man5.spec, man5.base_point)
-    h5 = holonomy_matrix(man5.spec, man5.base_point, tr5.terminal,
-                         man5.loops[0], man5.steps["rk4"])
+    h5 = holonomy_matrix(man5.spec, tr5.terminal, man5.loops[0],
+                         man5.steps["rk4"])
     fixed5 = fixed_subspace([h5], dim=3)
     assert fixed5.dim == 3
     _ok(4, f"regular 5x8 grid of dim 3, holonomy err {herr:.2e} < 1e-5, "

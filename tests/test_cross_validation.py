@@ -92,9 +92,8 @@ def test_transport_composes_over_concatenated_curves(sphere_spec):
 def test_fixed_subspace_intersects_across_multiple_loops():
     # two commuting holonomies with different fixed spaces: the tool must
     # report the intersection, not either one alone
-    base = np.zeros(2)
-    h1 = HolonomyResult(base, "a", np.diag([np.exp(-TWO_PI), 1.0, 1.0]), 0.0)
-    h2 = HolonomyResult(base, "b", np.diag([1.0, np.exp(-TWO_PI), 1.0]), 0.0)
+    h1 = HolonomyResult("a", np.diag([np.exp(-TWO_PI), 1.0, 1.0]), 0.0)
+    h2 = HolonomyResult("b", np.diag([1.0, np.exp(-TWO_PI), 1.0]), 0.0)
     assert fixed_subspace([h1], dim=3).dim == 2
     assert fixed_subspace([h2], dim=3).dim == 2
     both = fixed_subspace([h1, h2], dim=3)
@@ -118,7 +117,7 @@ def test_torus_like_chart_with_two_generators():
              Curve(dom, [parse_expr("0"), parse_expr("t")], 0.0, TWO_PI,
                    name="v-loop")]
     from paracon.transport import holonomy_matrix
-    hs = [holonomy_matrix(spec, (0.0, 0.0), term, l, 1024) for l in loops]
+    hs = [holonomy_matrix(spec, term, l, 1024) for l in loops]
     # u-loop decays the first component, v-loop the second
     fixed = fixed_subspace(hs, dim=2)
     assert fixed.dim == 0

@@ -157,8 +157,11 @@ def test_cli_unknown_loop_and_missing_file(tmp_path, capsys):
     }
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    assert main(["holonomy", str(path), "--loop", "nope"]) == 1
-    assert "no loop" in capsys.readouterr().err
+    # loops are named only in the manifest; no command takes a loop name
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--loop", "nope"])
+    assert exc.value.code == 2
+    assert "--loop" in capsys.readouterr().err
     assert main(["analyze", str(tmp_path / "absent.json")]) == 1
 
 
@@ -175,8 +178,8 @@ def test_cli_text_format_for_subcommands(tmp_path, capsys):
     doc.pop("expected", None)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    assert main(["holonomy", str(path), "--loop", "circle",
-                 "--out", str(tmp_path / "h.json"), "--format", "text"]) == 0
+    assert main(["analyze", str(path), "--out", str(tmp_path / "a.json"),
+                 "--format", "text"]) == 0
     assert "holonomy[circle]" in capsys.readouterr().out
     assert main(["flag", str(path), "--point", "1.0",
                  "--out", str(tmp_path / "f.json"), "--format", "text"]) == 0

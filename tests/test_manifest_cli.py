@@ -400,11 +400,16 @@ def test_cli_flag_command_on_pathology(tmp_path):
     assert report["flag_trace"]["terminal_dim"] == 3
 
 
-def test_cli_holonomy_command(tmp_path):
+def test_cli_holonomy_command(tmp_path, capsys):
+    # analyze is the one way into the holonomy stage
     man = _write_manifest(tmp_path, "s1-line-bundle")
     out = tmp_path / "h.json"
-    code = main(["holonomy", str(man), "--loop", "circle", "--out", str(out)])
-    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["holonomy", str(man), "--loop", "circle", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'holonomy'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["analyze", str(man), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     # the loop's one holonomy, in the basis of the base point's terminal line
     h, = report["holonomy"]
@@ -472,7 +477,6 @@ def test_text_summary_reads_as_the_written_report(tmp_path, capsys):
         man = load_manifest(path)
         point = ",".join(repr(float(v)) for v in man.base_point)
         runs += [["analyze", path], ["flag", path, "--point", point]]
-        runs += [["holonomy", path, "--loop", loop.name] for loop in man.loops]
     runs += [["analyze", path] for path in _workload_manifests(tmp_path)]
     out = tmp_path / "r.json"
     for argv in runs:
@@ -638,6 +642,44 @@ def test_matrix_kind_holonomy_failure_exits_two(tmp_path):
     assert note.endswith("terminal dim 3 != 2 on the regular grid")
 
 
+def test_matrix_kind_on_an_irregular_grid_poses_no_flat_bundle_question(
+        tmp_path):
+    # deep-flag's connection on a grid across y = 0, where the terminal dim
+    # jumps from 2 to 3: like Sym^2's not_regular, no flat-bundle answer
+    doc = _deep_flag_doc()
+    doc.update(base_point=[0.3, 0.5],
+               grid={"values": [[0.2, 0.5], [-0.4, 0.0, 0.4, 0.7]]},
+               loops=[{"name": "circle",
+                       "exprs": ["0.1 + 0.2*cos(t)", "0.5 + 0.2*sin(t)"],
+                       "t_range": [0.0, 2 * np.pi]}])
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    report = json.loads(out.read_bytes())
+    assert report["regularity"]["regular_on_grid"] is False
+    assert report["regularity"]["dims"] == [2, 3, 2, 2, 2, 3, 2, 2]
+    assert report["flat_bundle"] is None and report["global_verdict"] is None
+    assert report["notes"] == [
+        "terminal dimension varies over the sample grid; the flat-bundle "
+        "question is not posed"]
+    # the holonomy is still reported, as it is beside a not_regular verdict
+    assert [h["loop"] for h in report["holonomy"]] == ["circle"]
+
+
+def test_loop_leaving_the_chart_is_named(tmp_path, capsys):
+    # r = 1 + 2.5 sin^2(t/2) reaches 3.5, past punctured-plane's r < 3
+    doc = dict(get_entry("punctured-plane").manifest_doc, loops=[
+        {"name": "outside", "exprs": ["1 + 2.5*sin(t/2)^2", "0"],
+         "t_range": [0.0, 2 * np.pi]}])
+    doc.pop("expected")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error: transport along 'outside' left the domain: point " in err
+    assert err.rstrip().endswith(" outside chart box")
+
+
 @pytest.mark.parametrize("entry, patch", [
     # H = exp(4 pi 57) and exp(240 pi), each above the float maximum
     ("s1-line-bundle", {"connection": {"kind": "matrix", "fiber_dim": 1,
@@ -665,6 +707,12 @@ def test_overflowing_holonomy_fails_the_holonomy_stage(tmp_path, entry,
     note, = report["notes"]
     assert note.startswith("holonomy stage failed: transport along ")
     assert note.endswith(" overflowed: the transported vector is not finite")
+    gv = report["global_verdict"]
+    if gv is not None:  # Sym^2: the verdict's one note is the report's
+        assert note == ("holonomy stage failed: transport along 't' "
+                        "overflowed: the transported vector is not finite")
+        assert (gv["status"], gv["wtilde_rank"]) == ("inconclusive", 1)
+        assert gv["notes"] == [note]
 
 
 def test_cli_corpus_unknown_id(capsys):
@@ -785,11 +833,6 @@ def test_cli_flag_and_holonomy_reports_are_canonical(tmp_path):
     man = _write_manifest(tmp_path, "punctured-plane")
     out = tmp_path / "flag.json"
     assert main(["flag", str(man), "--point", "1.0,0.5",
-                 "--out", str(out)]) == 0
-    _assert_canonical_with_digest(out.read_bytes())
-    loop = get_entry("punctured-plane").manifest_doc["loops"][0]["name"]
-    out = tmp_path / "holonomy.json"
-    assert main(["holonomy", str(man), "--loop", loop, "--steps", "512",
                  "--out", str(out)]) == 0
     _assert_canonical_with_digest(out.read_bytes())
 

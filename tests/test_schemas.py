@@ -44,29 +44,24 @@ def test_shipped_manifests_validate_against_manifest_schema():
 @pytest.mark.parametrize("command,extra", [
     ("analyze", []),
     ("flag", ["--point"]),
-    ("holonomy", ["--loop"]),
 ])
 def test_emitted_reports_validate_against_report_schema(tmp_path, command,
                                                         extra):
-    # every corpus entry (flag: at its base point; holonomy: on each loop),
-    # and a base point off the regular grid's flag, where the holonomy
-    # stage fails
+    # every corpus entry (flag: at its base point), and a base point off the
+    # regular grid's flag, where the holonomy stage fails
     schema = load_schema("report")
     man, out = tmp_path / "m.json", tmp_path / f"{command}.json"
     for doc in [e.manifest_doc for e in load_corpus()] + [IRREGULAR_LOOP]:
         point = ",".join(repr(float(v)) for v in doc["base_point"])
-        tails = {"analyze": [[]], "flag": [[point]],
-                 "holonomy": [[loop["name"]] for loop in doc["loops"]]}
+        tail = {"analyze": [], "flag": [point]}[command]
         man.write_text(json.dumps(
             {k: v for k, v in doc.items() if k != "expected"}))
-        for tail in tails[command]:
-            code = main([command, str(man), "--out", str(out)] + extra + tail)
-            assert code in (0, 2)
-            report = json.loads(out.read_text())
-            validate(report, schema, f"{doc['id']}/{command}")
-            if command != "flag":
-                assert ((report["base_flag"] is None)
-                        == (doc is IRREGULAR_LOOP))
+        code = main([command, str(man), "--out", str(out)] + extra + tail)
+        assert code in (0, 2)
+        report = json.loads(out.read_text())
+        validate(report, schema, f"{doc['id']}/{command}")
+        if command != "flag":
+            assert (report["base_flag"] is None) == (doc is IRREGULAR_LOOP)
 
 
 def test_matrix_kind_report_validates(tmp_path):
@@ -83,7 +78,6 @@ def test_matrix_kind_report_validates(tmp_path):
 
 @pytest.mark.parametrize("command,extra", [
     ("analyze", []),
-    ("holonomy", ["--loop", "sweep"]),
 ])
 def test_step_doubling_fields_validate(tmp_path, command, extra):
     # sphere: two loops, and a rank-one terminal bundle, so periods too
@@ -98,12 +92,11 @@ def test_step_doubling_fields_validate(tmp_path, command, extra):
     report = json.loads(out.read_text())
     validate(report, schema, command)
     hol = report["holonomy"]
-    assert len(hol) == (2 if command == "analyze" else 1)
+    assert len(hol) == 2
     for h in hol:
         assert 256 <= h["steps"] <= 4096
-    if command == "analyze":
-        pp = report["global_verdict"]["phi_periods"]
-        assert len(pp["points"]) == len(pp["error_estimates"]) == 2
+    pp = report["global_verdict"]["phi_periods"]
+    assert len(pp["points"]) == len(pp["error_estimates"]) == 2
 
 
 IRREGULAR_BASE = {
@@ -129,9 +122,11 @@ def test_irregular_base_point_is_inconclusive(tmp_path):
     gv = report["global_verdict"]
     assert report["regularity"]["regular_on_grid"] is True
     assert gv["status"] == "inconclusive"
-    assert any("base-point flag failed" in n for n in gv["notes"])
     assert report["holonomy"] is None
-    assert any("holonomy stage failed" in n for n in report["notes"])
+    # one failure, one note: the verdict's is the report's
+    note, = gv["notes"]
+    assert report["notes"] == [note]
+    assert note.startswith("holonomy stage failed: flag dimension jump")
 
 
 def test_base_flag_differing_from_regular_grid_is_inconclusive(tmp_path):
@@ -148,8 +143,10 @@ def test_base_flag_differing_from_regular_grid_is_inconclusive(tmp_path):
     gv = report["global_verdict"]
     assert gv["status"] == "inconclusive"
     assert gv["wtilde_rank"] is None
-    assert any("base-point flag failed" in n and "terminal dim 1 != 3" in n
-               for n in gv["notes"])
+    assert gv["notes"] == report["notes"]
+    note, = gv["notes"]
+    assert note.startswith("holonomy stage failed: ")
+    assert "terminal dim 1 != 3" in note
     assert report["holonomy"] is None
 
 
@@ -162,14 +159,16 @@ def test_irregular_base_point_holonomy_exits_two(tmp_path, capsys):
     man = tmp_path / "m.json"
     man.write_text(json.dumps(IRREGULAR_LOOP))
     out = tmp_path / "h.json"
-    assert main(["holonomy", str(man), "--loop", "c", "--out", str(out),
+    assert main(["analyze", str(man), "--out", str(out),
                  "--format", "text"]) == 2
     text, err = capsys.readouterr()
-    assert err == "" and "  note: holonomy stage failed: " in text
-    # the failure is written into the report, as analyze writes it
+    # the failure is written into the report, not to stderr
+    assert "failed" not in err
+    assert text.count("  note: holonomy stage failed: ") == 1
     report = json.loads(out.read_text())
-    validate(report, load_schema("report"), "holonomy")
+    validate(report, load_schema("report"), "analyze")
     assert report["holonomy"] is None and report["base_flag"] is None
     note, = report["notes"]
+    assert report["global_verdict"]["notes"] == [note]
     assert note.startswith("holonomy stage failed: ")
     assert "terminal dim 1 != 3 on the regular grid" in note
