@@ -7,9 +7,9 @@ one (see :func:`exit_code`), 1 for errors.
 
 Reports are canonical JSON: UTF-8, lower_snake_case keys sorted, reals in
 shortest round-trip decimal form.  A report is a pure function of
-(manifest, steps), so two runs produce byte-identical files.  Each
-pipeline stage runs once per run; ``analyze`` prints each stage's wall-clock
-time to stderr instead of the report.
+(manifest, steps), so two runs produce byte-identical files.  ``analyze``
+reads its report from one analysis, which runs each pipeline stage once, in
+order; each stage's wall-clock time goes to stderr instead of the report.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ import numpy as np
 from . import __version__
 from .bundle import BundleError
 from .expr import ExprError
-from .flag import (IrregularPoint, NotSym2Bundle, canonical_basis,
-                   derived_flag)
+from .flag import NotSym2Bundle, canonical_basis, derived_flag
 from .globalmetric import (CHART_ONLY_CAVEAT, LOOP_GENERATION_CAVEAT,
                            Analysis, GlobalVerdict)
 from .manifest import (MANIFEST_SCHEMA, Manifest, ManifestError, load_manifest,
                        validate)
-from .transport import DefectTooLarge, TransportError
+from .transport import TransportError
 
 __all__ = ["main", "run", "build_report", "exit_code", "canonical_json",
            "Rows"]
@@ -254,11 +253,8 @@ def exit_code(report: dict) -> int:
 
 def build_report(man: Manifest, an: Analysis) -> tuple:
     """Report of the ``analyze`` command on ``man``, every stage read from
-    its staged analysis ``an``; returns (report, its canonical JSON as the
-    pieces from :func:`_finalize`)."""
-    spec = man.spec
-    # the verdict first, so the stages run in the verdict's order
-    verdict = an.verdict if spec.kind == "christoffel" else None
+    its analysis ``an``; returns (report, its canonical JSON as the pieces
+    from :func:`_finalize`)."""
     report = _header(man, "analyze", [LOOP_GENERATION_CAVEAT,
                                       CHART_ONLY_CAVEAT])
     report["effective"] = {"tolerances": man.tolerances, "steps": man.steps}
@@ -266,32 +262,30 @@ def build_report(man: Manifest, an: Analysis) -> tuple:
     report["regularity"] = _scan_dict(scan)
     report["flag_traces"] = _flag_rows(scan)
     report["local_metricity"] = None
-    if spec.kind == "christoffel":
+    if an.local is not None:
         status, best = map(np.array, zip(*[(lm.status, lm.best_lambda)
                                            for lm in an.local]))
         report["local_metricity"] = Rows({
             "point": scan.points, "locally_metric": status == "feasible",
             "status": status, "best_lambda": best})
-    try:
-        report["base_flag"] = None
-        report["base_flag"] = _trace_dict(an.base_trace)
-        report["holonomy"] = [
-            {"loop": h.loop_name, "matrix": h.matrix, "defect": h.defect,
-             "steps": h.steps, "error_estimate": h.error_estimate}
-            for h in an.holonomies]
-    except (IrregularPoint, DefectTooLarge) as exc:
-        report["holonomy"] = None
-        report["notes"] = [f"holonomy stage failed: {exc}"]
+    report["base_flag"] = (None if an.base_trace is None
+                           else _trace_dict(an.base_trace))
+    report["holonomy"] = None if an.holonomies is None else [
+        {"loop": h.loop_name, "matrix": h.matrix, "defect": h.defect,
+         "steps": h.steps, "error_estimate": h.error_estimate}
+        for h in an.holonomies]
+    if an.failure is not None:
+        report["notes"] = [an.failure]
 
-    if verdict is not None:
-        report["global_verdict"] = _verdict_dict(verdict)
+    if an.verdict is not None:
+        report["global_verdict"] = _verdict_dict(an.verdict)
     else:
         # abstract fiber: report the flat-bundle answer instead
         report["caveats"].append(MATRIX_KIND_CAVEAT)
         report["global_verdict"] = report["flat_bundle"] = None
         if not scan.regular_on_grid:
             report.setdefault("notes", []).append(FLAT_BUNDLE_NOT_POSED)
-        elif report["holonomy"] is not None:
+        elif an.fixed is not None:
             terminal, fixed = an.base_trace.terminal, an.fixed
             report["flat_bundle"] = {
                 "wtilde_rank": terminal.dim,
@@ -475,6 +469,10 @@ def main(argv=None) -> int:
         return 1
     except (BundleError, ExprError, TransportError, NotSym2Bundle) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # the tree walks recurse once per node depth
+        print("error: a formula is nested too deeply to evaluate",
+              file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -9,6 +9,8 @@ line, the periods of the 1-form of ``nabla s = s (x) Phi``, the frame-free
 trace form ``tr(P Omega)`` of the projector P on the line, give each loop's
 holonomy again by Liouville's formula ``|det H| = exp(-period)``; values
 that disagree beyond their error estimates make the verdict inconclusive.
+:class:`Analysis` asks this once per connection, in one pass: the grid's
+flag, the base point's, its holonomies, their fixed space, the verdict.
 
 Everything here is conditional on the declared loops generating the
 fundamental group of the chart domain, which the tool cannot verify; every
@@ -25,12 +27,12 @@ import numpy as np
 
 from . import pdcone
 from .bundle import ConnectionSpec, omega_stack
-from .flag import (DEFAULT_RANK_TOL, FlagError, FlagTrace, IrregularPoint,
-                   NotSym2Bundle, RegularityReport, Subspace,
-                   batch_terminal_bases, canonical_basis, derived_flag,
-                   kernel_intersection, local_metricity, regularity_scan)
-from .transport import (Curve, DefectTooLarge, HolonomyResult, TransportError,
-                        doubling_levels, holonomy_matrix, refine)
+from .flag import (DEFAULT_RANK_TOL, FlagTrace, IrregularPoint, NotSym2Bundle,
+                   Subspace, batch_terminal_bases, canonical_basis,
+                   derived_flag, kernel_intersection, local_metricity,
+                   regularity_scan)
+from .transport import (Curve, DefectTooLarge, HolonomyResult, doubling_levels,
+                        holonomy_matrix, refine)
 
 __all__ = [
     "PhiPeriods", "GlobalVerdict", "Analysis", "phi_form",
@@ -176,49 +178,23 @@ class GlobalVerdict:
     notes: list = field(default_factory=list)
 
 
-def _stage(method):
-    """Run-once stage of :class:`Analysis`: the first read keeps the value of
-    ``method`` or the flag or transport failure it raised, which later reads
-    return or raise again.  The stage's own time, without the stages it
-    pulled in, goes to ``Analysis.timings``."""
-    name = method.__name__
-
-    def get(self):
-        if name not in self._results:
-            outer, self._inner = self._inner, 0.0
-            t0 = time.perf_counter()
-            try:
-                self._results[name] = (method(self), None)
-            except (FlagError, TransportError) as exc:
-                self._results[name] = (None, exc)
-            finally:
-                elapsed = time.perf_counter() - t0
-                self.timings.append((name, elapsed - self._inner))
-                self._inner = outer + elapsed
-        value, exc = self._results[name]
-        if exc is not None:
-            raise exc
-        return value
-
-    return property(get, doc=method.__doc__)
-
-
 @dataclass(eq=False)
 class Analysis:
-    """The pipeline for one connection, run lazily with each stage at most once.
+    """The pipeline for one connection, run once, in order, when built.
 
     The stages are attributes: ``scan`` (derived flag at every grid point),
     ``local`` (local metricity at every grid point, one batched call),
     ``base_trace`` (flag at the base point), ``holonomies`` (one per declared
-    loop), ``fixed`` (their common fixed subspace) and ``verdict`` (PD
-    feasibility of the fixed space, checked at rank one by the periods).
-    Reading a stage runs the stages it needs first.  Each loop is closed
-    and starts at ``point``, as the manifest checks.  ``rank_tol``,
-    ``fixed_tol`` and ``pd_tol`` set the rank and PD decisions;
-    ``holonomy_tol`` bounds each holonomy's defect.  ``rk4_steps`` and
-    ``quadrature_steps`` cap :func:`transport.refine`, whose target is 1e-3
-    of the least tolerance a value feeds (``fixed_tol`` and ``holonomy_tol``,
-    or the loop's ``period_tol``, by default ``1e-4 * (1 + loop length)``).
+    loop), ``fixed`` (their common fixed subspace) and ``verdict`` (see
+    :func:`global_metricity`); ``local`` and ``verdict`` are None on a matrix
+    connection.  When the holonomy stage fails, ``failure`` holds its note
+    and the stages it did not finish stay None.  Each loop is closed and
+    starts at ``point``, as the manifest checks.  ``rank_tol``, ``fixed_tol``
+    and ``pd_tol`` set the rank and PD decisions; ``holonomy_tol`` bounds
+    each holonomy's defect.  ``rk4_steps`` and ``quadrature_steps`` cap
+    :func:`transport.refine`, whose target is 1e-3 of the least tolerance a
+    value feeds (``fixed_tol`` and ``holonomy_tol``, or the loop's
+    ``period_tol``, by default ``1e-4 * (1 + loop length)``).
     """
 
     spec: ConnectionSpec
@@ -236,28 +212,46 @@ class Analysis:
 
     def __post_init__(self):
         self.timings = []  # (stage, seconds) in the order the stages ran
-        self._results = {}
-        self._inner = 0.0  # time of the stages run inside the current one
+        self.local = self.base_trace = self.holonomies = self.fixed = None
+        self.verdict = self.failure = None
+        sym2 = self.spec.kind == "christoffel"
+        self.scan = self._run("scan", regularity_scan, self.spec,
+                              self.grid_axes, self.rank_tol)
+        if sym2:
+            self.local = self._run("local", self._local)
+        try:
+            self.base_trace = self._run("base_trace", self._base_trace)
+            terminal = self.base_trace.terminal
+            target = _TARGET_FRACTION * min(self.fixed_tol, self.holonomy_tol)
+            self.holonomies = self._run("holonomies", lambda: [
+                holonomy_matrix(self.spec, terminal, loop, self.rk4_steps,
+                                self.holonomy_tol, target=target)
+                for loop in self.loops])
+            self.fixed = self._run("fixed", fixed_subspace, self.holonomies,
+                                   terminal.dim, self.rank_tol, self.fixed_tol)
+        except (IrregularPoint, DefectTooLarge) as exc:
+            self.failure = f"holonomy stage failed: {exc}"
+        if sym2:
+            self.verdict = self._run("verdict", global_metricity, self)
 
-    @_stage
-    def scan(self) -> RegularityReport:
-        """Derived flag and terminal dimension at every grid point, as the
-        flag engine's arrays."""
-        return regularity_scan(self.spec, self.grid_axes, self.rank_tol)
+    def _run(self, name, fn, *args):
+        """``fn(*args)``, with its wall time logged as the stage ``name``."""
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.timings.append((name, time.perf_counter() - t0))
 
-    @_stage
-    def local(self) -> list:
-        """The PD feasibility of every grid point's terminal span: one
-        batched call over the terminal level of the scan's classes."""
+    def _local(self) -> list:
+        # one batched call over the terminal level of the scan's classes
         scan = self.scan
         local = local_metricity(self.spec, scan.levels[-1].take(scan.reps),
                                 self.pd_tol)
         return [local[c] for c in scan.classes.tolist()]
 
-    @_stage
-    def base_trace(self) -> FlagTrace:
-        """Derived flag at the base point.  When the grid is regular, a base
-        point whose terminal dim differs from the grid's is irregular."""
+    def _base_trace(self) -> FlagTrace:
+        # when the grid is regular, a base point whose terminal dim differs
+        # from the grid's is irregular
         trace = derived_flag(self.spec, self.point, rank_tol=self.rank_tol)
         scan = self.scan
         if scan.regular_on_grid and trace.terminal.dim != scan.dims[0]:
@@ -266,27 +260,6 @@ class Analysis:
                                         f"!= {scan.dims[0]} on the regular "
                                         "grid")
         return trace
-
-    @_stage
-    def holonomies(self) -> list:
-        """Holonomy of the terminal subspace around each declared loop."""
-        trace = self.base_trace
-        target = _TARGET_FRACTION * min(self.fixed_tol, self.holonomy_tol)
-        return [holonomy_matrix(self.spec, trace.terminal, loop,
-                                self.rk4_steps, self.holonomy_tol,
-                                target=target)
-                for loop in self.loops]
-
-    @_stage
-    def fixed(self) -> Subspace:
-        """Common fixed subspace of the holonomies, in terminal coordinates."""
-        return fixed_subspace(self.holonomies, self.base_trace.terminal.dim,
-                              self.rank_tol, self.fixed_tol)
-
-    @_stage
-    def verdict(self) -> GlobalVerdict:
-        """Global metricity; see :func:`global_metricity`."""
-        return global_metricity(self)
 
 
 def global_metricity(an: Analysis) -> GlobalVerdict:
@@ -306,14 +279,11 @@ def global_metricity(an: Analysis) -> GlobalVerdict:
         return GlobalVerdict("not_regular", False, notes=[
             "terminal dimension varies over the sample grid; the global "
             "existence problem is not posed"])
-    wrank = None  # until the base-point flag is known
-    try:
-        trace = an.base_trace
-        wrank = trace.terminal.dim
-        fixed = an.fixed
-    except (IrregularPoint, DefectTooLarge) as exc:
+    trace, fixed = an.base_trace, an.fixed
+    wrank = None if trace is None else trace.terminal.dim
+    if an.failure is not None:
         return GlobalVerdict("inconclusive", True, wtilde_rank=wrank,
-                             notes=[f"holonomy stage failed: {exc}"])
+                             notes=[an.failure])
     if wrank == 0:
         return GlobalVerdict("not_metric", True, wtilde_rank=0,
                              rank_tau_reported=0, notes=[

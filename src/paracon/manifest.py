@@ -159,7 +159,7 @@ class Manifest:
         return manifest_digest(self.raw)
 
     def analysis(self) -> Analysis:
-        """The staged pipeline of this manifest."""
+        """The pipeline of this manifest, every stage run once."""
         return Analysis(self.spec, self.base_point, self.loops,
                         self.grid_axes, **self.tolerances,
                         rk4_steps=self.steps["rk4"],
@@ -283,6 +283,13 @@ def _build_grid(doc, domain: Domain) -> list:
     if len(grid[key]) != domain.dim:
         raise ManifestError(f"/grid/{key}", "one entry per coordinate")
     if key == "values":
+        for i, axis in enumerate(grid["values"]):
+            lo, hi = domain.lows[i], domain.highs[i]
+            for j, v in enumerate(axis):
+                if domain.periods[i] is None and not lo < v < hi:
+                    raise ManifestError(f"/grid/values/{i}/{j}",
+                                        f"{v!r} outside the coordinate range "
+                                        f"({lo!r}, {hi!r})")
         return [[float(v) for v in axis] for axis in grid["values"]]
     axes = []
     for i, (cnt, lo, hi) in enumerate(zip(grid["counts"], domain.lows,

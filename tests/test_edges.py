@@ -103,11 +103,11 @@ def test_failed_stage_is_remembered_not_rerun(monkeypatch, plane_spec):
     loop = Curve(plane_spec.domain, [parse_expr("1"), parse_expr("t")],
                  0.0, 2 * np.pi, name="c", params=plane_spec.params)
     an = gm.Analysis(plane_spec, [1.0, 0.0], [loop], [[1.0, 2.0], [0.5]])
-    for _ in range(2):
-        with pytest.raises(DefectTooLarge, match="synthetic"):
-            an.holonomies
-    assert an.verdict.status == "inconclusive"
     assert len(calls) == 1
+    assert an.holonomies is None and an.fixed is None
+    assert an.failure == "holonomy stage failed: synthetic defect"
+    assert an.verdict.status == "inconclusive"
+    assert an.verdict.notes == [an.failure]
 
 
 def _analyze_doc(tmp_path, doc):
@@ -226,9 +226,31 @@ def _sibling_imports(module):
     return names
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # an import outlives the code that used it; a name in __all__ is
+    # exported, which is a use
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, f"imported and never used: {unused}"
+
+
 # names deleted from the package; \b keeps a longer name from matching
 _REMOVED = re.compile(r"\b(SampledSection|_split|_signed_unit_rows|to_text|"
-                      r"_fmt_const|_FIRST_STOP)\b")
+                      r"_fmt_const|_FIRST_STOP|_stage)\b")
 
 
 def test_no_source_or_test_names_a_removed_name():

@@ -10,8 +10,8 @@ from paracon.expr import parse_expr
 from paracon.flag import (IrregularPoint, NotSym2Bundle, Subspace,
                           canonical_basis, derived_flag, local_metricity,
                           principal_angles)
-from paracon.globalmetric import (Analysis, fixed_subspace, phi_form,
-                                  phi_periods)
+from paracon.globalmetric import (Analysis, fixed_subspace, global_metricity,
+                                  phi_form, phi_periods)
 from paracon.transport import Curve, HolonomyResult, holonomy_matrix, transport
 from reference import log_gradient, rescaled_period, tracked_sections
 
@@ -236,8 +236,6 @@ def test_verdict_decides_a_terminal_line_once(eid, fixed_dim, calls,
     # fixed space is the whole line (sphere) or zero (dtheta-obstruction):
     # the de Rham route checks the holonomy and decides nothing
     man = get_entry(eid).manifest()
-    an = man.analysis()
-    assert an.fixed.dim == fixed_dim
     original, seen = globalmetric.pdcone.pd_feasible, []
 
     def counted(*args, **kwargs):
@@ -245,6 +243,8 @@ def test_verdict_decides_a_terminal_line_once(eid, fixed_dim, calls,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(globalmetric.pdcone, "pd_feasible", counted)
+    an = man.analysis()
+    assert an.fixed.dim == fixed_dim
     verdict = an.verdict
     assert len(seen) == calls
     assert verdict.phi is not None
@@ -323,7 +323,6 @@ def _left_sum(spec, loop, cap, m):
 def test_rank_one_verdict_samples_phi_in_one_flag_batch(eid, monkeypatch):
     # both corpus Phi routes stop at the second level, which the one batch
     # holds for every loop
-    an = get_entry(eid).manifest().analysis()
     sizes, original = [], globalmetric.batch_terminal_bases
 
     def counted(spec, points, *args):
@@ -331,6 +330,7 @@ def test_rank_one_verdict_samples_phi_in_one_flag_batch(eid, monkeypatch):
         return original(spec, points, *args)
 
     monkeypatch.setattr(globalmetric, "batch_terminal_bases", counted)
+    an = get_entry(eid).manifest().analysis()
     phi = an.verdict.phi
     assert sizes == [sum(phi.points)] == [256 * len(an.loops)]
 
@@ -829,8 +829,10 @@ def test_a_jump_past_the_shared_batch_names_its_loop():
 
 
 def test_global_requires_sym2(circle_line_spec):
+    an = Analysis(circle_line_spec, [0.0], [], [[0.5, 2.0]])
+    assert an.verdict is None and an.local is None
     with pytest.raises(NotSym2Bundle):
-        Analysis(circle_line_spec, [0.0], [], [[0.5, 2.0]]).verdict
+        global_metricity(an)
 
 
 def test_metric_verdict_fixed_vectors_transport_home(plane_spec):

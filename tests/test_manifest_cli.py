@@ -190,6 +190,9 @@ SPHERE_GAMMA = get_entry("sphere").manifest_doc["connection"]["gamma"]
     ({}, ["--point", "nan"], "/point"),
     ({}, ["--point", "1e400,0"], "/point"),
     ({}, ["--point", "1,nan"], "/point"),
+    # a grid value outside its coordinate's range, which failed only after
+    # the parse, without a pointer
+    ({"grid": {"values": [[0.6, 3.5], [0.5]]}}, [], "/grid/values/0/1"),
 ])
 def test_cli_rejects_bad_steps_and_grid(tmp_path, capsys, patch, argv,
                                         pointer):
@@ -284,6 +287,23 @@ def _assert_manifest_error(tmp_path, capsys, entry, patch, argv, pointer):
     err = capsys.readouterr().err
     assert err.startswith(f"manifest error: {pointer}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("terms", [1000, 500])
+def test_cli_reports_a_formula_nested_too_deeply(tmp_path, capsys, terms):
+    # a sum nests one node per term: 1,000 terms overflowed the stack at
+    # load and 500 in the scan's derivatives, each with a traceback
+    total = " + ".join(f"{i}*sin(theta)" for i in range(1, terms + 1))
+    gamma = dict(SPHERE_GAMMA, theta={"phi,phi": total})
+    doc = dict(get_entry("sphere").manifest_doc,
+               connection={"kind": "christoffel", "gamma": gamma})
+    doc.pop("expected")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out",
+                 str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: a formula is nested too deeply to evaluate\n"
 
 
 def test_manifest_accepts_the_least_steps_and_grid():
@@ -770,6 +790,25 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     assert len(locals_) == 1
     assert len(pds) == 1
     assert len(verdicts) == 1
+
+
+def test_analysis_runs_each_stage_once_in_order(monkeypatch):
+    # the analysis runs the pipeline when it is built, each stage once and in
+    # order; the report only reads the stages
+    calls = {name: _count_calls(monkeypatch, f"paracon.{module}", name)
+             for module, name in (("flag", "regularity_scan"),
+                                  ("flag", "local_metricity"),
+                                  ("flag", "derived_flag"),
+                                  ("transport", "holonomy_matrix"),
+                                  ("globalmetric", "global_metricity"))}
+    man = get_entry("punctured-plane").manifest()
+    an = man.analysis()
+    build_report(man, an)
+    assert man.loops
+    assert {name: len(c) for name, c in calls.items()} == dict(
+        dict.fromkeys(calls, 1), holonomy_matrix=len(man.loops))
+    assert [name for name, _ in an.timings] == [
+        "scan", "local", "base_trace", "holonomies", "fixed", "verdict"]
 
 
 def test_corpus_report_and_goldens_share_one_analysis(monkeypatch):
