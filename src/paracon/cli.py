@@ -47,13 +47,16 @@ FLAT_BUNDLE_NOT_POSED = ("terminal dimension varies over the sample grid; the "
 
 @dataclass
 class Rows:
-    """A JSON list of records held as columns: record i maps each key to
-    ``columns[key][i]``, the row of an array whose first axis runs over the
-    records.  Where ``cut`` names the key, the row keeps the first
-    ``cut[key][i]`` entries of its last axis."""
+    """A JSON list of records held as columns, arrays whose first axis runs
+    over rows: record i maps each key of ``own`` to its row i and each key
+    of ``columns`` to its row ``classes[i]`` (i when ``classes`` is None),
+    which keeps the first ``cut[key][classes[i]]`` entries of its last axis
+    where ``cut`` names the key."""
 
     columns: dict
     cut: dict = field(default_factory=dict)
+    classes: np.ndarray | None = None
+    own: dict = field(default_factory=dict)
 
 
 def _join(texts, nl, brackets="[]"):
@@ -91,14 +94,16 @@ def _cells(a: np.ndarray) -> np.ndarray:
 
 
 def _records(obj: Rows, nl) -> str:
-    """JSON text of the records of ``obj`` opened at the indent ``nl``.  The
-    records are grouped by the widths they are cut to; each group's cells,
-    laid side by side, fill its record template repeated once per record with
-    one ``%``.  With several groups, a NUL, which no JSON text holds, parts
-    each group's text into its records."""
-    keys = sorted(obj.columns)
-    cells = [_cells(obj.columns[k]) for k in keys]
-    cuts = [obj.cut[k].tolist() if k in obj.cut else None for k in keys]
+    """JSON text of the records of ``obj`` opened at the indent ``nl``, each
+    row's cells made once.  The records are grouped by the widths they are
+    cut to; each group's cells, laid side by side, fill its record template
+    repeated once per record with one ``%``.  With several groups, a NUL,
+    which no JSON text holds, parts each group's text into its records."""
+    keys = sorted([*obj.columns, *obj.own])
+    rows = slice(None) if obj.classes is None else obj.classes
+    cells = [_cells(obj.own[k]) if k in obj.own
+             else _cells(obj.columns[k])[rows] for k in keys]
+    cuts = [obj.cut[k][rows].tolist() if k in obj.cut else None for k in keys]
     texts = np.empty(len(cells[0]) if keys else 0, dtype=object)
     sigs = list(zip(*[c for c in cuts if c is not None])) or [()] * len(texts)
     groups = dict.fromkeys(sigs, slice(None))
@@ -175,7 +180,7 @@ def _finalize(report: dict) -> tuple:
 def _scan_dict(scan):
     return {
         "grid_axes": scan.axes,
-        "dims": scan.levels[-1].dims,
+        "dims": scan.levels[-1].dims[scan.classes],
         "regular_on_grid": scan.regular_on_grid,
         "jumps": [{"from": a, "to": b, "dim_from": da, "dim_to": db}
                   for a, b, da, db in scan.jumps],
@@ -195,13 +200,13 @@ def _flag_rows(scan) -> Rows:
     """The flag at each point of a scan, as :func:`_trace_dict` records."""
     terminal = scan.levels[-1]
     return Rows({
-        "point": scan.flag_points,
         "dims": np.stack([lv.dims for lv in scan.levels], axis=1),
         "stabilization_level": scan.last,
         "terminal_dim": terminal.dims,
         "terminal_basis": terminal.bases,
         "sv_gap": terminal.gaps,  # inf, a decision with an empty side: null
-    }, cut={"dims": scan.last + 1, "terminal_basis": terminal.dims})
+    }, cut={"dims": scan.last + 1, "terminal_basis": terminal.dims},
+        classes=scan.classes, own={"point": scan.flag_points})
 
 
 def _verdict_dict(v: GlobalVerdict):
@@ -266,8 +271,9 @@ def build_report(man: Manifest, an: Analysis) -> tuple:
         status, best = map(np.array, zip(*[(lm.status, lm.best_lambda)
                                            for lm in an.local]))
         report["local_metricity"] = Rows({
-            "point": scan.points, "locally_metric": status == "feasible",
-            "status": status, "best_lambda": best})
+            "locally_metric": status == "feasible", "status": status,
+            "best_lambda": best}, classes=scan.classes,
+            own={"point": scan.points})
     report["base_flag"] = (None if an.base_trace is None
                            else _trace_dict(an.base_trace))
     report["holonomy"] = None if an.holonomies is None else [
@@ -315,9 +321,11 @@ def _format_text(report: dict) -> str:
     traces = report.get("flag_traces")
     if traces:
         dims, cut = traces.columns["dims"].tolist(), traces.cut["dims"]
-        chains = Counter(str(d[:c]) for d, c in zip(dims, cut.tolist()))
+        texts = [str(d[:c]) for d, c in zip(dims, cut.tolist())]
+        chains = Counter(texts[c] for c in traces.classes.tolist())
         for chain, count in chains.items():
-            lines.append(f"  flag dims {chain} at {count} of {len(dims)} points")
+            lines.append(f"  flag dims {chain} at {count} of "
+                         f"{len(traces.classes)} points")
     for h in report.get("holonomy") or []:
         lines.append(f"  holonomy[{h['loop']}]: defect {h['defect']:.2e}")
     gv = report.get("global_verdict")

@@ -22,8 +22,8 @@ intersection with the kernel of nabla^(L+1) R.
 One batched engine computes every flag: ``_flag`` checks an (m, n) batch
 against the domain once, groups its points into classes that agree bit for
 bit on ``ConnectionSpec.coords`` (the chart coordinates the connection
-names, which alone decide a point's flag), runs the level loop once per
-class and spreads the levels to every point.  :func:`curvature_kernel` runs
+names, which alone decide a point's flag) and runs the level loop once per
+class; its results keep one row per class.  :func:`curvature_kernel` runs
 over all the classes and :func:`second_fundamental_kernel` over slices of
 at most ``_SLICE`` of them, grouping points by dimension where an SVD needs
 one shape.  Every level reads the classes' :class:`~paracon.bundle.Jet`, so
@@ -308,11 +308,11 @@ def second_fundamental_kernel(spec: ConnectionSpec, points, V: FlagLevel,
 def _flag(spec, pts, rank_tol):
     """The flag's one level loop, over an (m, n) batch of points (see the
     module docstring).  Each class runs, at its first point, until its
-    dimension stabilizes or dies.  Returns the levels over the batch (a
-    point that stopped keeps its last subspace), each point's last level,
+    dimension stabilizes or dies.  Returns the levels over the classes (a
+    class that stopped keeps its last subspace), each class's last level,
     each class's point in order of first occurrence (``reps``) and each
-    point's class, an index into ``reps``.  The later levels run in slices
-    of ``_SLICE`` classes, each on its part of the jet.
+    point's class, its row.  The later levels run in slices of ``_SLICE``
+    classes, each on its part of the jet.
     """
     spec.domain.require_admissible(pts, spec.params)
     reps = classes = np.zeros(1, dtype=np.intp)  # one point is one class
@@ -330,7 +330,7 @@ def _flag(spec, pts, rank_tol):
                                     rank_tol, jet.take(part))
                             for part in (slice(s, s + _SLICE)
                                          for s in range(0, len(at), _SLICE))])
-    return [lv.take(classes) for lv in levels], last[classes], reps, classes
+    return levels, last, reps, classes
 
 
 def _levels(spec, pts, first, rank_tol, jet):
@@ -395,11 +395,11 @@ class FlagTrace:
         return self.levels[-1][2]
 
 
-def _trace(point, levels, last, i) -> FlagTrace:
-    """Point i's FlagTrace from ``_flag``'s levels, ``last`` its last level."""
-    subs = [lv[i] for lv in levels[:last + 1]]
+def _trace(point, levels, last, c) -> FlagTrace:
+    """The FlagTrace of a point of class c from ``_flag``'s class rows."""
+    subs = [lv[c] for lv in levels[:last[c] + 1]]
     return FlagTrace(point, [(k, s.dim, s) for k, s in enumerate(subs)],
-                     stabilization_level=last)
+                     stabilization_level=int(last[c]))
 
 
 def derived_flag(spec: ConnectionSpec, point,
@@ -408,7 +408,7 @@ def derived_flag(spec: ConnectionSpec, point,
     A point on a piecewise breakpoint is first nudged off it."""
     p = nudge_off_breakpoints(spec, [point])
     levels, last, _, _ = _flag(spec, p, rank_tol)
-    return _trace(p[0], levels, int(last[0]), 0)
+    return _trace(p[0], levels, last, 0)
 
 
 def batch_terminal_bases(spec: ConnectionSpec, points,
@@ -421,40 +421,41 @@ def batch_terminal_bases(spec: ConnectionSpec, points,
     (see :func:`_flag`) get the same bits.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    levels, _, _, _ = _flag(spec, pts, rank_tol)
-    dims = np.stack([lv.dims for lv in levels], axis=1)  # (m, levels)
+    levels, _, reps, classes = _flag(spec, pts, rank_tol)
+    dims = np.stack([lv.dims for lv in levels], axis=1)  # (classes, levels)
     differ = dims != dims[0]
     if differ.any():
-        i = int(np.argmax(differ.any(axis=1)))
-        level = int(np.argmax(differ[i]))
-        raise IrregularPoint(pts[i], level, detail=(
-            f"flag dim {dims[i, level]} != {dims[0, level]} at the batch's "
+        # in order of first occurrence: reps[c] is the first differing point
+        c = int(np.argmax(differ.any(axis=1)))
+        level = int(np.argmax(differ[c]))
+        raise IrregularPoint(pts[reps[c]], level, detail=(
+            f"flag dim {dims[c, level]} != {dims[0, level]} at the batch's "
             f"first point {pts[0].tolist()}"))
-    return np.ascontiguousarray(levels[-1].bases[:, :, :dims[0, -1]])
+    return np.ascontiguousarray(levels[-1].bases[classes, :, :dims[0, -1]])
 
 
 @dataclass
 class RegularityReport:
     """Derived flags over a sample grid with terminal-dimension jumps, held
-    as the flag engine's arrays."""
+    as the flag engine's class rows: node i's row is ``classes[i]``."""
 
     axes: list  # per-coordinate sample values
     points: np.ndarray  # (m, n) grid nodes in row-major axis order
     flag_points: np.ndarray  # (m, n) the nodes nudged off breakpoints
-    # FlagLevels over all points; a point that stopped keeps its subspace in
-    # later levels, so levels[-1] holds every terminal subspace
+    # FlagLevels over the classes; a class that stopped keeps its subspace
+    # in later levels, so levels[-1] holds every terminal subspace
     levels: list
-    last: np.ndarray  # (m,) each point's stabilization level
-    dims: list  # terminal dim per point
+    last: np.ndarray  # each class's stabilization level
     regular_on_grid: bool
     jumps: list  # (point_a, point_b, dim_a, dim_b)
     reps: np.ndarray  # the node the flag ran at for each class
     classes: np.ndarray  # (m,) each node's class, an index into reps
 
     def trace(self, i) -> FlagTrace:
-        """Point i's flag as a :class:`FlagTrace`, as :func:`derived_flag`
+        """Node i's flag as a :class:`FlagTrace`, as :func:`derived_flag`
         gives it."""
-        return _trace(self.flag_points[i], self.levels, int(self.last[i]), i)
+        return _trace(self.flag_points[i], self.levels, self.last,
+                      self.classes[i])
 
 
 def regularity_scan(spec: ConnectionSpec, axes,
@@ -463,10 +464,10 @@ def regularity_scan(spec: ConnectionSpec, axes,
 
     ``axes`` is one list of sample values per coordinate.  The nodes, nudged
     off breakpoints, go to the flag engine as one batch, which runs the flag
-    once per class of nodes that agree on ``spec.coords``.  The verdict is
-    true exactly when every point produced the same terminal dimension;
-    ``jumps`` lists each pair of neighbouring nodes whose terminal dims
-    differ, axis by axis and in row-major order within an axis.
+    once per class of nodes that agree on ``spec.coords``.  ``jumps`` lists
+    each pair of neighbouring nodes whose terminal dims differ, axis by axis
+    and in row-major order within an axis; the verdict is true exactly when
+    there is none, as axis steps join every node to every other.
     """
     axes = [list(map(float, a)) for a in axes]
     if len(axes) != spec.n or any(len(a) == 0 for a in axes):
@@ -476,7 +477,7 @@ def regularity_scan(spec: ConnectionSpec, axes,
     flag_pts = nudge_off_breakpoints(spec, pts)
     levels, last, reps, classes = _flag(spec, flag_pts, rank_tol)
 
-    grid = levels[-1].dims.reshape(mesh[0].shape)
+    grid = levels[-1].dims[classes].reshape(mesh[0].shape)
     jumps = []
     for axis in range(len(axes)):
         for a in np.argwhere(np.diff(grid, axis=axis)).tolist():
@@ -485,21 +486,20 @@ def regularity_scan(spec: ConnectionSpec, axes,
             jumps.append(([axes[c][i] for c, i in enumerate(a)],
                           [axes[c][i] for c, i in enumerate(b)],
                           int(grid[tuple(a)]), int(grid[tuple(b)])))
-    dims = levels[-1].dims.tolist()
-    return RegularityReport(axes, pts, flag_pts, levels, last, dims,
-                            len(set(dims)) == 1, jumps, reps, classes)
+    return RegularityReport(axes, pts, flag_pts, levels, last, not jumps,
+                            jumps, reps, classes)
 
 
 def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,
                     tol: float = 1e-8) -> list:
-    """Does each point's terminal subspace contain a positive-definite form?
+    """Does each row's terminal subspace contain a positive-definite form?
 
-    ``terminal`` is the terminal flag level over a batch, such as a scan's
-    ``levels[-1]``; one :class:`pdcone.PDResult` per point is returned, the
-    point locally metric when its status is ``feasible``.  The spans of one
-    terminal dim go through one :func:`pdcone.pd_feasible_batch` call, and
-    its one start screen, with the same result as one ``pd_feasible`` per
-    point; a zero terminal subspace is a span of no generators, which is
+    ``terminal`` is a terminal flag level, such as a scan's ``levels[-1]``
+    (one row per class); one :class:`pdcone.PDResult` per row is returned,
+    the row locally metric when its status is ``feasible``.  The spans of
+    one terminal dim go through one :func:`pdcone.pd_feasible_batch` call,
+    and its one start screen, with the same result as one ``pd_feasible``
+    per row; a zero terminal subspace is a span of no generators, which is
     infeasible.
 
     Only meaningful for Christoffel connections, whose fiber is the space of

@@ -183,7 +183,7 @@ class Analysis:
     """The pipeline for one connection, run once, in order, when built.
 
     The stages are attributes: ``scan`` (derived flag at every grid point),
-    ``local`` (local metricity at every grid point, one batched call),
+    ``local`` (local metricity of each scan class, one batched call),
     ``base_trace`` (flag at the base point), ``holonomies`` (one per declared
     loop), ``fixed`` (their common fixed subspace) and ``verdict`` (see
     :func:`global_metricity`); ``local`` and ``verdict`` are None on a matrix
@@ -218,7 +218,8 @@ class Analysis:
         self.scan = self._run("scan", regularity_scan, self.spec,
                               self.grid_axes, self.rank_tol)
         if sym2:
-            self.local = self._run("local", self._local)
+            self.local = self._run("local", local_metricity, self.spec,
+                                   self.scan.levels[-1], self.pd_tol)
         try:
             self.base_trace = self._run("base_trace", self._base_trace)
             terminal = self.base_trace.terminal
@@ -242,23 +243,14 @@ class Analysis:
         finally:
             self.timings.append((name, time.perf_counter() - t0))
 
-    def _local(self) -> list:
-        # one batched call over the terminal level of the scan's classes
-        scan = self.scan
-        local = local_metricity(self.spec, scan.levels[-1].take(scan.reps),
-                                self.pd_tol)
-        return [local[c] for c in scan.classes.tolist()]
-
     def _base_trace(self) -> FlagTrace:
-        # when the grid is regular, a base point whose terminal dim differs
-        # from the grid's is irregular
+        # on a regular grid, a base point of another terminal dim is irregular
         trace = derived_flag(self.spec, self.point, rank_tol=self.rank_tol)
-        scan = self.scan
-        if scan.regular_on_grid and trace.terminal.dim != scan.dims[0]:
+        scan, dim = self.scan, self.scan.levels[-1].dims[0]
+        if scan.regular_on_grid and trace.terminal.dim != dim:
             raise IrregularPoint(trace.point, trace.stabilization_level,
                                  detail=f"terminal dim {trace.terminal.dim} "
-                                        f"!= {scan.dims[0]} on the regular "
-                                        "grid")
+                                        f"!= {dim} on the regular grid")
         return trace
 
 

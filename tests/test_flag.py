@@ -126,18 +126,23 @@ def test_derived_flag_strictly_decreasing_staircase(staircase_spec):
     assert principal_angles(tr.terminal.basis, e2).max() < 1e-8
 
 
+def _node_dims(rep):
+    """Each grid node's terminal dim, read from its class row."""
+    return rep.levels[-1].dims[rep.classes].tolist()
+
+
 def test_regularity_scan_punctured_plane(plane_spec):
     rep = regularity_scan(plane_spec, [[0.5, 1.0, 1.5, 2.0, 2.5],
                                        [0.4, 1.2, 2.0, 2.7, 3.5, 4.3, 5.1, 5.9]])
     assert rep.regular_on_grid
-    assert rep.dims == [3] * 40
+    assert _node_dims(rep) == [3] * 40
     assert rep.jumps == []
 
 
 def test_regularity_scan_pathology(pathology_spec):
     xs = [-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0]
     rep = regularity_scan(pathology_spec, [xs, [0.0]])
-    assert rep.dims == [1, 1, 3, 3, 3, 1, 1]
+    assert _node_dims(rep) == [1, 1, 3, 3, 3, 1, 1]
     assert not rep.regular_on_grid
     spans = sorted((min(a[0], b[0]), max(a[0], b[0]))
                    for a, b, _, _ in rep.jumps)
@@ -149,7 +154,7 @@ def test_regularity_scan_pathology(pathology_spec):
 def _reference_jumps(rep):
     """The jump list as the per-node loop built it: every axis in turn, the
     nodes in row-major order."""
-    grid = np.reshape(rep.dims, [len(a) for a in rep.axes])
+    grid = np.reshape(_node_dims(rep), [len(a) for a in rep.axes])
     jumps = []
     for axis in range(len(rep.axes)):
         for idx in np.ndindex(grid.shape):
@@ -196,7 +201,7 @@ def test_regularity_scan_constant_matrix_connection():
     spec = ConnectionSpec(dom, kind="matrix", fiber_dim=2, omega=omega)
     rep = regularity_scan(spec, [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
     assert rep.regular_on_grid
-    assert len(set(rep.dims)) == 1
+    assert len(set(_node_dims(rep))) == 1
 
 
 def test_regularity_scan_empty_grid(flat_spec):
@@ -540,13 +545,16 @@ def test_one_point_flag_takes_no_class_key(sphere_spec, monkeypatch):
 
 
 def test_batched_terminal_names_the_first_differing_point(pathology_spec):
-    # the batch spans the band edge x0 = 0: flag [1, 1] left of it, [3] right
-    pts = np.array([[-0.5, 0.0], [-0.4, 0.0], [0.5, 0.0], [0.6, 0.0]])
-    with pytest.raises(IrregularPoint) as info:
-        batch_terminal_bases(pathology_spec, pts)
-    exc = info.value
-    assert np.array_equal(exc.point, pts[2])  # the first with flag [3]
-    assert isinstance(exc.level, int) and exc.level == 0
+    # the batch spans the band edge x0 = 0: flag [1, 1] left of it, [3]
+    # right; in the second batch point 2 is the first of class 1
+    for pts in (np.array([[-0.5, 0.0], [-0.4, 0.0], [0.5, 0.0], [0.6, 0.0]]),
+                np.array([[-0.5, 0.0], [-0.5, 0.3], [0.5, 0.2], [0.5, 0.0],
+                          [-0.5, 0.1]])):
+        with pytest.raises(IrregularPoint) as info:
+            batch_terminal_bases(pathology_spec, pts)
+        exc = info.value
+        assert np.array_equal(exc.point, pts[2])  # the first with flag [3]
+        assert isinstance(exc.level, int) and exc.level == 0
 
 
 def _deep_flag_spec(e14="exp(y)"):
@@ -635,7 +643,7 @@ def test_regularity_scan_matches_derived_flag_bit_for_bit(pathology_spec):
     from paracon.corpus import get_entry
     man = get_entry("smooth-pathology").manifest()
     rep = _assert_scan_matches_derived_flag(man.spec, man.grid_axes)
-    assert set(rep.dims) == {1, 3}
+    assert set(_node_dims(rep)) == {1, 3}
 
     xs = [-1.0, -0.5, -0.3, 0.25, 0.5, 0.75, 1.3, 1.5, 2.0]
     rep = _assert_scan_matches_derived_flag(pathology_spec, [xs, [0.0, 0.3]])
@@ -796,12 +804,14 @@ def _assert_exact_matches_stencil(spec, points):
              for lo, hi, per in zip(dom.lows, dom.highs, dom.periods)]
     h = 1e-4 * min([s for s in spans if s is not None], default=1.0)
     want, want_last = _stencil_levels(spec, pts, h)
-    got, got_last, _, _ = flagmod._flag(spec, pts, flagmod.DEFAULT_RANK_TOL)
-    assert np.array_equal(got_last, want_last)
+    got, got_last, _, classes = flagmod._flag(spec, pts,
+                                              flagmod.DEFAULT_RANK_TOL)
+    assert np.array_equal(got_last[classes], want_last)
     for a, b in zip(got, want):
-        assert np.array_equal(a.dims, b.dims)
-    for i, last in enumerate(got_last):
-        angles = principal_angles(got[last][i].basis, want[last][i].basis)
+        assert np.array_equal(a.dims[classes], b.dims)
+    for i, c in enumerate(classes):
+        last = got_last[c]
+        angles = principal_angles(got[last][c].basis, want[last][i].basis)
         assert angles.max(initial=0.0) < 1e-8, pts[i]
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -203,13 +205,28 @@ def test_phi_on_a_loop_that_holds_the_read_coordinates(target, band,
                               phi_form(sphere_spec, loop.points(ts)))
 
 
-def test_local_stage_spreads_each_class_decision_bit_for_bit(sphere_spec):
-    axes = [[0.4, 0.9, 1.3, 1.9, 2.6], [0.5, 1.5, 3.0, 5.5]]
-    an = Analysis(sphere_spec, [1.0, 1.0], [], axes)
-    want = local_metricity(sphere_spec, an.scan.levels[-1])
-    assert len(an.scan.reps) == 5 and len(an.local) == len(want) == 20
+def test_local_stage_spreads_each_class_decision_bit_for_bit():
+    # the stage keeps one decision per class; the report spreads it to every
+    # node with the bits of a per-node decision
+    from paracon.cli import build_report
+    from paracon.manifest import manifest_from_dict
+    doc = dict(get_entry("sphere").manifest_doc, loops=[])
+    doc.pop("expected", None)
+    doc["grid"] = {"values": [[0.4, 0.9, 1.3, 1.9, 2.6], [0.5, 1.5, 3.0, 5.5]]}
+    man = manifest_from_dict(doc)
+    an = man.analysis()
+    scan = an.scan
+    per_node = local_metricity(man.spec, scan.levels[-1].take(scan.classes))
+    assert len(scan.reps) == len(an.local) == 5 and len(per_node) == 20
     assert [(lm.status, repr(lm.best_lambda)) for lm in an.local] == \
-        [(lm.status, repr(lm.best_lambda)) for lm in want]
+        [(lm.status, repr(lm.best_lambda)) for lm in
+         (per_node[i] for i in scan.reps)]
+    _, pieces = build_report(man, an)
+    records = json.loads(b"".join(pieces))["local_metricity"]
+    assert [(r["point"], r["status"], repr(r["best_lambda"]))
+            for r in records] == \
+        [(p, lm.status, repr(lm.best_lambda))
+         for p, lm in zip(scan.points.tolist(), per_node)]
 
 
 def test_phi_period_dtheta_obstruction(dtheta_spec):

@@ -880,11 +880,14 @@ def _plain(obj):
     """A document as plain JSON values: the input of the stdlib encoder that
     the array-aware writer replaced, kept as its reference."""
     if isinstance(obj, Rows):
-        cols = obj.columns
-        m = len(next(iter(cols.values())))
-        return [{k: _plain(col[i] if k not in obj.cut
-                           else col[i][..., :obj.cut[k][i]])
-                 for k, col in cols.items()} for i in range(m)]
+        rows = obj.classes
+        if rows is None:
+            rows = range(len(next(iter({**obj.columns, **obj.own}.values()))))
+        return [dict({k: _plain(col[r] if k not in obj.cut
+                                else col[r][..., :obj.cut[k][r]])
+                      for k, col in obj.columns.items()},
+                     **{k: _plain(col[i]) for k, col in obj.own.items()})
+                for i, r in enumerate(rows)]
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -981,6 +984,16 @@ _WRITER_CASES = {
     "keys with percent signs": Rows({"%s": np.arange(2.0), "a%%d": np.ones(2),
                                      "%": np.array(["%s", "%"])}),
     "sphere-shaped rows": _sphere_shaped_rows(),
+    # records read class rows out of order, cut to a class's width; own
+    # columns are per record
+    "class rows": Rows(
+        {"b": np.arange(18.0).reshape(3, 3, 2) - 8.5,
+         "c": np.arange(9).reshape(3, 3) - 4,
+         "s": np.array(["%s", "100%", "%%d"]), "d": np.array([4, 0, 2])},
+        cut={"b": np.array([2, 0, 1]), "c": np.array([3, 1, 1])},
+        classes=np.array([2, 0, 2, 1, 0]),
+        own={"p": np.array([[0.5, -0.0], [np.nan, 1e-300], [0.1, 2.0],
+                            [np.inf, 3.0], [-2.5, 7.0]])}),
 }
 
 
@@ -1009,7 +1022,7 @@ def test_writer_matches_stdlib_encoder_on_the_fine_grid_report():
         np.linspace(pad + 0.1, 2 * np.pi - pad, 30).tolist()]}
     man = manifest_from_dict(doc)
     report, pieces = build_report(man, man.analysis())
-    assert len(report["flag_traces"].columns["point"]) == 900
+    assert len(report["flag_traces"].own["point"]) == 900
     ref = _reference_json(report)
     assert canonical_json(report) == ref
     assert b"".join(pieces) == ref.encode("utf-8")
