@@ -180,7 +180,7 @@ def _finalize(report: dict) -> tuple:
 def _scan_dict(scan):
     return {
         "grid_axes": scan.axes,
-        "dims": scan.levels[-1].dims[scan.classes],
+        "dims": scan.dims,
         "regular_on_grid": scan.regular_on_grid,
         "jumps": [{"from": a, "to": b, "dim_from": da, "dim_to": db}
                   for a, b, da, db in scan.jumps],

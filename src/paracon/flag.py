@@ -446,14 +446,14 @@ class RegularityReport:
     # in later levels, so levels[-1] holds every terminal subspace
     levels: list
     last: np.ndarray  # each class's stabilization level
+    dims: np.ndarray  # (m,) each node's terminal dim
     regular_on_grid: bool
     jumps: list  # (point_a, point_b, dim_a, dim_b)
     reps: np.ndarray  # the node the flag ran at for each class
     classes: np.ndarray  # (m,) each node's class, an index into reps
 
     def trace(self, i) -> FlagTrace:
-        """Node i's flag as a :class:`FlagTrace`, as :func:`derived_flag`
-        gives it."""
+        """Node i's :class:`FlagTrace`, as :func:`derived_flag` gives it."""
         return _trace(self.flag_points[i], self.levels, self.last,
                       self.classes[i])
 
@@ -486,8 +486,8 @@ def regularity_scan(spec: ConnectionSpec, axes,
             jumps.append(([axes[c][i] for c, i in enumerate(a)],
                           [axes[c][i] for c, i in enumerate(b)],
                           int(grid[tuple(a)]), int(grid[tuple(b)])))
-    return RegularityReport(axes, pts, flag_pts, levels, last, not jumps,
-                            jumps, reps, classes)
+    return RegularityReport(axes, pts, flag_pts, levels, last, grid.ravel(),
+                            not jumps, jumps, reps, classes)
 
 
 def local_metricity(spec: ConnectionSpec, terminal: FlagLevel,

@@ -87,8 +87,7 @@ def test_criterion_4_punctured_plane_pipeline_and_control():
     entry = get_entry("punctured-plane")
     man = entry.manifest()
     scan = regularity_scan(man.spec, man.grid_axes)
-    assert scan.regular_on_grid
-    assert scan.levels[-1].dims[scan.classes].tolist() == [3] * 40
+    assert scan.regular_on_grid and scan.dims.tolist() == [3] * 40
 
     tr = derived_flag(man.spec, man.base_point)
     loop = man.loops[0]
@@ -171,7 +170,7 @@ def test_criterion_6_pathology_scan_and_verdict(tmp_path):
     man = entry.manifest()
     xs = [-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0]
     scan = regularity_scan(man.spec, [xs, [0.0]])
-    assert scan.levels[-1].dims[scan.classes].tolist() == [1, 1, 3, 3, 3, 1, 1]
+    assert scan.dims.tolist() == [1, 1, 3, 3, 3, 1, 1]
     spans = sorted((min(a[0], b[0]), max(a[0], b[0]))
                    for a, b, _, _ in scan.jumps)
     assert spans[0][0] < 0.0 < spans[0][1]

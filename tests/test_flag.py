@@ -126,23 +126,18 @@ def test_derived_flag_strictly_decreasing_staircase(staircase_spec):
     assert principal_angles(tr.terminal.basis, e2).max() < 1e-8
 
 
-def _node_dims(rep):
-    """Each grid node's terminal dim, read from its class row."""
-    return rep.levels[-1].dims[rep.classes].tolist()
-
-
 def test_regularity_scan_punctured_plane(plane_spec):
     rep = regularity_scan(plane_spec, [[0.5, 1.0, 1.5, 2.0, 2.5],
                                        [0.4, 1.2, 2.0, 2.7, 3.5, 4.3, 5.1, 5.9]])
     assert rep.regular_on_grid
-    assert _node_dims(rep) == [3] * 40
+    assert rep.dims.tolist() == [3] * 40
     assert rep.jumps == []
 
 
 def test_regularity_scan_pathology(pathology_spec):
     xs = [-1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 2.0]
     rep = regularity_scan(pathology_spec, [xs, [0.0]])
-    assert _node_dims(rep) == [1, 1, 3, 3, 3, 1, 1]
+    assert rep.dims.tolist() == [1, 1, 3, 3, 3, 1, 1]
     assert not rep.regular_on_grid
     spans = sorted((min(a[0], b[0]), max(a[0], b[0]))
                    for a, b, _, _ in rep.jumps)
@@ -154,7 +149,7 @@ def test_regularity_scan_pathology(pathology_spec):
 def _reference_jumps(rep):
     """The jump list as the per-node loop built it: every axis in turn, the
     nodes in row-major order."""
-    grid = np.reshape(_node_dims(rep), [len(a) for a in rep.axes])
+    grid = np.reshape(rep.dims, [len(a) for a in rep.axes])
     jumps = []
     for axis in range(len(rep.axes)):
         for idx in np.ndindex(grid.shape):
@@ -201,7 +196,7 @@ def test_regularity_scan_constant_matrix_connection():
     spec = ConnectionSpec(dom, kind="matrix", fiber_dim=2, omega=omega)
     rep = regularity_scan(spec, [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
     assert rep.regular_on_grid
-    assert len(set(_node_dims(rep))) == 1
+    assert len(set(rep.dims)) == 1
 
 
 def test_regularity_scan_empty_grid(flat_spec):
@@ -643,7 +638,7 @@ def test_regularity_scan_matches_derived_flag_bit_for_bit(pathology_spec):
     from paracon.corpus import get_entry
     man = get_entry("smooth-pathology").manifest()
     rep = _assert_scan_matches_derived_flag(man.spec, man.grid_axes)
-    assert set(_node_dims(rep)) == {1, 3}
+    assert set(rep.dims) == {1, 3}
 
     xs = [-1.0, -0.5, -0.3, 0.25, 0.5, 0.75, 1.3, 1.5, 2.0]
     rep = _assert_scan_matches_derived_flag(pathology_spec, [xs, [0.0, 0.3]])

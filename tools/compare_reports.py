@@ -2,10 +2,10 @@
 
 Usage (from the repository root)::
 
-    python3 tools/compare_reports.py PARENT_ROOT [--seeds 1 5]
+    python3 tools/compare_reports.py PARENT_ROOT
 
 The manifests are the benchmark's: the six corpus entries and the
-fine-grid, deep-flag and loops-3d workloads at each seed, generated by
+fine-grid, deep-flag and loops-3d workloads at seeds 1 and 5, generated by
 ``perfbench/workloads.py`` of this checkout into a temporary directory.
 Each manifest is analyzed by ``python -m paracon analyze`` in a fresh
 process in both trees (this one and ``PARENT_ROOT``), and the exit codes
@@ -26,9 +26,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 5)
 
 
-def _jobs(out_dir, seeds):
+def _jobs(out_dir):
     """(label, manifest path) for the corpus and every seeded workload."""
     sys.dont_write_bytecode = True  # leave no cache in the benchmark's tree
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -38,7 +39,7 @@ def _jobs(out_dir, seeds):
     for name, make in WORKLOADS.items():
         if name == "corpus":
             continue
-        for seed in seeds:
+        for seed in SEEDS:
             sub = os.path.join(out_dir, f"{name}-{seed}")
             os.makedirs(sub)
             jobs += [(f"{name}/{seed}/{j.name}", j.manifest_path)
@@ -108,12 +109,11 @@ def field_diffs(old, new) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="root of the checkout to compare with")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5])
     args = parser.parse_args(argv)
     parent = os.path.abspath(args.parent)
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for label, manifest in _jobs(os.path.join(tmp, "in"), args.seeds):
+        for label, manifest in _jobs(os.path.join(tmp, "in")):
             outs = [os.path.join(tmp, f"{side}.json") for side in "on"]
             (code_old, old), (code_new, new) = (
                 _analyze(tree, manifest, out)
